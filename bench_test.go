@@ -19,6 +19,8 @@ import (
 	"testing"
 
 	"lightyear/internal/core"
+	"lightyear/internal/delta"
+	"lightyear/internal/engine"
 	"lightyear/internal/minesweeper"
 	"lightyear/internal/netgen"
 	"lightyear/internal/policy"
@@ -182,18 +184,23 @@ func BenchmarkIncremental(b *testing.B) {
 		}
 	})
 	b.Run("incremental-one-edit", func(b *testing.B) {
-		n, p := mk()
-		iv := core.NewIncrementalVerifier(p, core.Options{Workers: 1})
-		iv.Run()
+		n, _ := mk()
+		eng := engine.New(engine.Options{Workers: 1})
+		defer eng.Close()
+		suite, _ := netgen.Lookup("fullmesh")
+		v := delta.NewVerifier(eng, suite, netgen.SuiteParams{})
+		if _, err := v.Baseline(n); err != nil {
+			b.Fatal(err)
+		}
 		e := topology.Edge{From: "R3", To: "R4"}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Alternate between two equivalent maps so each iteration has
 			// exactly one dirty check.
-			m := &policy.RouteMap{Name: fmt.Sprintf("v%d", i%2), DefaultPermit: true}
-			n.SetImport(e, m)
-			rep, _ := iv.Run()
-			if !rep.OK() {
+			next := n.Clone()
+			next.SetImport(e, &policy.RouteMap{Name: fmt.Sprintf("v%d", i%2), DefaultPermit: true})
+			res, err := v.Update(next)
+			if err != nil || !res.OK {
 				b.Fatal("must verify")
 			}
 		}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lightyear -config net.cfg -property fig1-no-transit [-workers N] [-cache N] [-json] [-verbose]
+//	lightyear -config net.cfg -property fig1-no-transit [-workers N] [-cache N] [-json] [-verbose] [-results failures|all]
 //	lightyear -config net.cfg -property wan-peering,wan-ip-reuse        # several properties, one engine
 //	lightyear -config net.cfg -property wan-peering -routers edge-0    # router-scoped properties
 //	lightyear -config net.cfg -property wan-ip-reuse -regions 0,2      # region-scoped properties
@@ -111,6 +111,13 @@
 // reported but only fails the run if the update also fails. Incremental
 // runs inherit the plan's property list and -routers scoping.
 //
+// -results selects what the per-problem reports carry (the plan document's
+// "results" option): failures, the default, keeps every check that did not
+// pass — description, location and witness in full — and counts the rest;
+// all keeps every check, as the paper-table runs want. The counts, maxima
+// and summed times of a report are the same either way. -verbose prints
+// every check and so implies all.
+//
 // With -json, the command emits a single machine-readable JSON document on
 // stdout instead of the human-readable summary. Single-property unscoped
 // runs keep the historical {suite, ok, problems, engine} encoding (the same
@@ -195,6 +202,8 @@ type cliFlags struct {
 	Store       string
 	StoreRetain int
 	Solver      string
+	Results     string // which check results reports carry: failures | all
+	Verbose     bool   // print every check; implies Results = all
 	WANRegions  int
 	Tenant      string
 	MaxInflight int    // engine admission: max in-flight checks (0 = unlimited)
@@ -312,6 +321,12 @@ func buildRequest(f cliFlags) (plan.Request, error) {
 			}
 			req.Options.Solver = &spec
 		}
+	}
+	if f.PlanPath == "" || f.set("results") {
+		req.Options.Results = engine.ResultsMode(f.Results)
+	}
+	if f.Verbose {
+		req.Options.Results = engine.ResultsAll
 	}
 	if f.DiffPath != "" {
 		req.Options.Baseline = &plan.Network{ConfigPath: f.DiffPath}
@@ -442,6 +457,8 @@ func main() {
 	flag.StringVar(&f.Store, "store", "", "persistent result-store directory (replaces the in-memory cache)")
 	flag.IntVar(&f.StoreRetain, "store-retain", 0, "keep only the N most recently written network fingerprints in the store (0 = all)")
 	flag.StringVar(&f.Solver, "solver", "", "solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
+	flag.StringVar(&f.Results, "results", "", "check results the reports carry: failures (default) or all")
+	flag.BoolVar(&f.Verbose, "verbose", false, "print every check result (implies -results all)")
 	flag.IntVar(&f.WANRegions, "wan-regions", 3, "region count assumed for WAN properties")
 	flag.StringVar(&f.Tenant, "tenant", "", "tenant the run is admitted and accounted under")
 	flag.IntVar(&f.MaxInflight, "max-inflight", 0, "admission: max in-flight checks on the engine (0 = unlimited)")
@@ -449,7 +466,6 @@ func main() {
 	list := flag.Bool("list", false, "print the registered property suites and corpus families, then exit")
 	corpusEmit := flag.Bool("corpus-emit", false, "print the corpus member's generated configuration and exit")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON")
-	verbose := flag.Bool("verbose", false, "print every check result")
 	traceOut := flag.Bool("trace", false, "record an end-to-end telemetry trace and print its span tree to stderr")
 	var logCfg logging.Config
 	logCfg.RegisterFlags(flag.CommandLine, "text")
@@ -600,7 +616,7 @@ func main() {
 	case *jsonOut:
 		printJSON(res, compiled)
 	default:
-		printHuman(res, compiled, *verbose, resultStore)
+		printHuman(res, compiled, f.Verbose, resultStore)
 		if f.Corpus != "" {
 			// buildRequest already validated the reference; resolve the
 			// ground truth to grade the run against it.
@@ -765,7 +781,7 @@ func printJSON(res *plan.Result, c *plan.Compiled) {
 		for _, p := range res.Properties[0].Problems {
 			out.Problems = append(out.Problems, legacyProblemJSON{
 				Name: p.Name, Skipped: p.Skipped, SkipReason: p.SkipReason,
-				Report: p.ReportJSON, Stats: p.Stats,
+				Report: p.EncodeReport(), Stats: p.Stats,
 			})
 		}
 		doc = out

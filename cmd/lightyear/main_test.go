@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/plan"
 	"lightyear/internal/topology"
@@ -273,5 +274,47 @@ func TestBuildRequestTenantFlags(t *testing.T) {
 	}
 	if req3.Options.Tenant != "cli-tenant" {
 		t.Errorf("overridden tenant = %q, want cli-tenant", req3.Options.Tenant)
+	}
+}
+
+// TestBuildRequestResults: -results reaches the plan's results option,
+// -verbose implies all (it prints every check), an unknown mode is a usage
+// error, and a saved plan's own choice survives unless the flag is given.
+func TestBuildRequestResults(t *testing.T) {
+	cfg := writeConfig(t)
+	for _, tc := range []struct {
+		results string
+		verbose bool
+		want    engine.ResultsMode
+	}{{"", false, ""}, {"failures", false, engine.ResultsFailures}, {"all", false, engine.ResultsAll}, {"", true, engine.ResultsAll}} {
+		f := baseFlags()
+		f.ConfigPath, f.Results, f.Verbose = cfg, tc.results, tc.verbose
+		req, err := buildRequest(f)
+		if err != nil || req.Options.Results != tc.want {
+			t.Errorf("-results %q -verbose=%v: results %q (err %v), want %q", tc.results, tc.verbose, req.Options.Results, err, tc.want)
+		}
+	}
+	f := baseFlags()
+	f.ConfigPath, f.Results = cfg, "some"
+	if _, err := buildRequest(f); err == nil {
+		t.Error("-results some accepted")
+	} else if _, usage := err.(*usageError); !usage {
+		t.Errorf("-results some: %v (%T) is not a usage error", err, err)
+	}
+
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	doc, _ := json.Marshal(plan.Request{Network: plan.Network{ConfigPath: cfg},
+		Properties: []plan.Property{{Name: "fig1-no-transit"}}, Options: plan.Options{Results: engine.ResultsAll}})
+	if err := os.WriteFile(planPath, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f = baseFlags()
+	f.PlanPath = planPath
+	if req, err := buildRequest(f); err != nil || req.Options.Results != engine.ResultsAll {
+		t.Errorf("saved plan's results lost: %q (err %v)", req.Options.Results, err)
+	}
+	f.Results, f.Set = "failures", map[string]bool{"results": true}
+	if req, err := buildRequest(f); err != nil || req.Options.Results != engine.ResultsFailures {
+		t.Errorf("-results did not override the saved plan: %q (err %v)", req.Options.Results, err)
 	}
 }

@@ -8,16 +8,6 @@
 //	-experiment table4b   WAN IP-reuse safety per region (Table 4b)
 //	-experiment table4c   WAN IP-reuse liveness per region (Table 4c)
 //	-experiment fig3      Lightyear vs Minesweeper scaling sweep (Figure 3a-d)
-//	-experiment wan       §6.1 scale run: peering properties across a large WAN,
-//	                      sequential vs parallel vs compiled plan (cross-problem
-//	                      dedup), all driving the same netgen suite registry and
-//	                      plan path production uses
-//	-experiment delta     incremental re-verification: change size vs re-verify
-//	                      cost through internal/delta (the §2 incremental claim),
-//	                      driving a compiled plan as the problem source
-//	-experiment solver    solver-backend comparison: the wan-peering suite run
-//	                      cold under the native, portfolio, and tiered backends,
-//	                      with per-backend solve-time and routing stats
 //	-experiment admission multi-tenant admission sweep: tenant count × per-tenant
 //	                      quota, reporting p50/p99 queue wait and the rejection
 //	                      rate under the engine's weighted-fair dispatcher
@@ -42,10 +32,14 @@
 //	                      swap where exactly one order of six is safe
 //	-experiment all       everything above
 //
-// With -out FILE the wan, solver, shard, migrate, and corpus experiments
-// additionally write a JSON benchmark document (BENCH_wan.json /
-// BENCH_solver.json / BENCH_corpus.json in this repo's committed
-// trajectory): completed checks per second, allocations per
+// The §6.1 scale run and the solver-backend comparison that used to live here
+// are the repository benchmark's wan-sweep workload and solver.* layer
+// metrics (bench/), which grade every verdict and repeat their runs.
+//
+// With -out FILE the shard, migrate, and corpus experiments additionally
+// write a JSON benchmark document (BENCH_shard.json / BENCH_migrate.json /
+// BENCH_corpus.json in this repo's committed trajectory): completed checks
+// per second, allocations per
 // check, p50/p99 solve-time and queue-wait quantiles derived from the
 // same internal/telemetry histograms lyserve exposes at /metrics, and the
 // solver-depth dimensions (mean CDCL conflicts and learned clauses per
@@ -71,7 +65,6 @@ import (
 
 	"lightyear/internal/core"
 	"lightyear/internal/corpus"
-	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/fabric"
 	"lightyear/internal/migrate"
@@ -90,26 +83,23 @@ func main() {
 		experiment = flag.String("experiment", "all", "experiment to run")
 		sizes      = flag.String("sizes", "10,20,30,40", "fig3: comma-separated mesh sizes")
 		msTimeout  = flag.Duration("ms-timeout", 2*time.Minute, "fig3: Minesweeper per-size timeout (paper used 2h)")
-		wanScale   = flag.String("wan-scale", "small", "wan: small|medium|large")
 		workers    = flag.Int("workers", 0, "parallel check workers (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "base seed for seeded experiments (corpus roster, fuzz soak); recorded in every -out document")
 		members    = flag.Int("members", 0, "corpus: verify only the first N roster members (0 = all)")
-		out        = flag.String("out", "", "write a JSON benchmark document (wan, solver, shard, migrate, and corpus experiments)")
+		out        = flag.String("out", "", "write a JSON benchmark document (shard, migrate, and corpus experiments)")
 	)
 	flag.Parse()
 	switch *experiment {
-	case "wan", "solver", "shard", "migrate", "corpus":
+	case "shard", "migrate", "corpus":
 	default:
 		if *out != "" {
-			fmt.Fprintf(os.Stderr, "lybench: -out is supported by the wan, solver, shard, migrate, and corpus experiments, not %q\n", *experiment)
+			fmt.Fprintf(os.Stderr, "lybench: -out is supported by the shard, migrate, and corpus experiments, not %q\n", *experiment)
 			os.Exit(2)
 		}
 	}
 
 	// All experiments share one verification engine, so identical checks
-	// re-issued across tables are solved once. The wan experiment builds
-	// its own engines because it measures execution modes against each
-	// other.
+	// re-issued across tables are solved once.
 	eng := engine.New(engine.Options{Workers: *workers})
 	defer eng.Close()
 
@@ -128,12 +118,6 @@ func main() {
 		table4c(eng)
 	case "fig3":
 		fig3(parseSizes(*sizes), *msTimeout, *workers)
-	case "wan":
-		wanExperiment(*wanScale, *workers, *seed, *out)
-	case "delta":
-		deltaExperiment(*workers)
-	case "solver":
-		solverExperiment(*workers, *seed, *out)
 	case "admission":
 		admissionExperiment(*workers)
 	case "shard":
@@ -152,9 +136,6 @@ func main() {
 		table4b(eng)
 		table4c(eng)
 		fig3(parseSizes(*sizes), *msTimeout, *workers)
-		wanExperiment(*wanScale, *workers, *seed, "")
-		deltaExperiment(*workers)
-		solverExperiment(*workers, *seed, "")
 		admissionExperiment(*workers)
 		shardExperiment(*seed, "")
 		faults()
@@ -371,47 +352,6 @@ type benchRow struct {
 	LearnedPerCheck   float64 `json:"learned_clauses_per_check"`
 }
 
-// benchDoc is the -out JSON document: the experiment's headline measurement
-// (inlined benchRow fields) plus optional per-backend rows.
-type benchDoc struct {
-	Experiment string `json:"experiment"`
-	Scale      string `json:"scale,omitempty"`
-	Workers    int    `json:"workers"`
-	// Seed is the -seed the run was invoked with and Scenarios the number
-	// of verification scenarios measured, so every committed document states
-	// how to reproduce it and how much it covered.
-	Seed      int64 `json:"seed"`
-	Scenarios int   `json:"scenarios"`
-	benchRow
-	Rows []benchRow `json:"rows,omitempty"`
-}
-
-// benchQuantiles fills a row's solve and queue-wait quantiles from the
-// recorder's histograms. backend narrows the solve histogram to one
-// backend's series ("" aggregates all).
-func benchQuantiles(rec *telemetry.Recorder, backend string, row *benchRow) {
-	solve := rec.Histogram("lightyear_solve_seconds", "", nil, "backend")
-	queue := rec.Histogram("lightyear_queue_wait_seconds", "", nil).With()
-	if backend != "" {
-		h := solve.With(backend)
-		row.SolveP50Seconds, row.SolveP99Seconds = h.Quantile(0.50), h.Quantile(0.99)
-		return
-	}
-	row.SolveP50Seconds, row.SolveP99Seconds = solve.Quantile(0.50), solve.Quantile(0.99)
-	row.QueueP50Seconds, row.QueueP99Seconds = queue.Quantile(0.50), queue.Quantile(0.99)
-}
-
-// benchDepth fills the solver-depth dimensions from aggregated CDCL
-// provenance. Zero solved checks (everything served from cache) leaves the
-// per-check means at 0.
-func (r *benchRow) benchDepth(depth core.SolveStats, solved uint64) {
-	if solved == 0 {
-		return
-	}
-	r.ConflictsPerCheck = float64(depth.Conflicts) / float64(solved)
-	r.LearnedPerCheck = float64(depth.Learned) / float64(solved)
-}
-
 // benchRate derives the throughput fields once checks and elapsed are set.
 func (r *benchRow) benchRate(allocs uint64) {
 	if r.ElapsedSeconds > 0 {
@@ -420,22 +360,6 @@ func (r *benchRow) benchRate(allocs uint64) {
 	if r.Checks > 0 {
 		r.AllocsPerCheck = float64(allocs) / float64(r.Checks)
 	}
-}
-
-// mallocs reads the process's cumulative allocation count; deltas around a
-// run give allocations attributable to it (single-experiment runs only —
-// the bench is not otherwise concurrent).
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-func writeBench(path string, doc benchDoc) {
-	if doc.Workers == 0 {
-		doc.Workers = runtime.GOMAXPROCS(0)
-	}
-	writeDoc(path, doc)
 }
 
 func writeDoc(path string, doc any) {
@@ -461,257 +385,6 @@ func wanSpec(p netgen.WANParams) *netgen.GeneratorSpec {
 		DCsPerRegion:     p.DCsPerRegion,
 		PeersPerEdge:     p.PeersPerEdge,
 	}
-}
-
-func wanExperiment(scale string, workers int, seed int64, out string) {
-	header("§6.1 WAN scale run")
-	var p netgen.WANParams
-	switch scale {
-	case "small":
-		p = netgen.WANParams{Regions: 4, RoutersPerRegion: 3, EdgeRouters: 4, DCsPerRegion: 1, PeersPerEdge: 4}
-	case "medium":
-		p = netgen.WANParams{Regions: 8, RoutersPerRegion: 5, EdgeRouters: 8, DCsPerRegion: 2, PeersPerEdge: 8}
-	case "large":
-		p = netgen.WANParams{Regions: 12, RoutersPerRegion: 10, EdgeRouters: 16, DCsPerRegion: 2, PeersPerEdge: 12}
-	default:
-		fatal(fmt.Errorf("unknown wan scale %q", scale))
-	}
-	n := netgen.WAN(p, netgen.WANBugs{})
-	fmt.Printf("WAN: %d routers, %d externals, %d directed sessions\n",
-		len(n.Routers()), len(n.Externals()), n.NumEdges())
-
-	// All three modes measure the same problem set: the wan-peering registry
-	// suite scoped to the edge routers — the exact problems a production
-	// plan {"name": "wan-peering", "routers": [...]} enumerates.
-	suite, ok := netgen.Lookup("wan-peering")
-	if !ok {
-		fatal(fmt.Errorf("wan-peering suite not registered"))
-	}
-	params := netgen.SuiteParams{Regions: p.Regions}
-	edgeRouters := n.RoutersByRole("edge")
-	scope := netgen.Scope{Routers: edgeRouters}
-	problems := suite.Problems(n, params, scope)
-
-	// Mode 1 — sequential baseline: one worker, no cache, one problem at a
-	// time (the paper's single-threaded deployment mode).
-	t0 := time.Now()
-	for _, prob := range problems {
-		rep := core.VerifySafety(prob.Safety, core.Options{Workers: 1})
-		if !rep.OK() {
-			fmt.Printf("  unexpected failure: %s\n", prob.Name)
-		}
-	}
-	seq := time.Since(t0)
-
-	// Mode 2 — parallel checks only: shared pool, caching and dedup off.
-	parEng := engine.New(engine.Options{Workers: workers, CacheSize: -1})
-	t0 = time.Now()
-	for _, prob := range problems {
-		rep := verifySafety(parEng, prob.Safety)
-		if !rep.OK() {
-			fmt.Printf("  unexpected failure: %s\n", prob.Name)
-		}
-	}
-	par := time.Since(t0)
-	parEng.Close()
-
-	// Mode 3 — the production path: the same suite compiled as a plan and
-	// run on a fresh engine. Every problem is submitted before any is
-	// awaited, so byte-identical filter checks across the sweep are solved
-	// once and shared via the LRU cache / in-flight dedup.
-	req := plan.Request{
-		Network:    plan.Network{Generator: wanSpec(p)},
-		Properties: []plan.Property{{Name: "wan-peering", Routers: edgeRouters}},
-		Options:    plan.Options{WANRegions: p.Regions},
-	}
-	c, err := plan.Compile(req, nil)
-	if err != nil {
-		fatal(err)
-	}
-	rec := telemetry.New(0)
-	eng := engine.New(engine.Options{Workers: workers, Telemetry: rec})
-	alloc0 := mallocs()
-	t0 = time.Now()
-	res, err := plan.Run(eng, c, plan.RunConfig{})
-	deduped := time.Since(t0)
-	allocs := mallocs() - alloc0
-	st := eng.Stats()
-	eng.Close()
-	if err != nil {
-		fatal(err)
-	}
-	if !res.OK {
-		fmt.Println("  unexpected failure in plan run")
-	}
-
-	fmt.Printf("%d problems (all %d peering properties x %d edge routers): sequential %v, parallel %v, plan on engine (dedup+cache) %v\n",
-		len(problems), len(netgen.PeeringProperties(p.Regions)), len(edgeRouters),
-		seq.Round(time.Millisecond), par.Round(time.Millisecond), deduped.Round(time.Millisecond))
-	fmt.Printf("engine: %d checks submitted, %d solved, %d cache hits, %d dedup hits\n",
-		st.ChecksSubmitted, st.ChecksSolved, st.CacheHits, st.DedupHits)
-	fmt.Println("(paper §6.1: 16 minutes sequential for a 4-property subset across hundreds of")
-	fmt.Println(" edge routers; this run sweeps the full 11-property suite, so compare modes")
-	fmt.Println(" against each other, not against the paper's absolute figure)")
-
-	if out != "" {
-		// The headline measurement is the production path (mode 3): checks
-		// completed per second on the plan run, allocations attributable to
-		// it, and the latency quantiles from the engine's histograms.
-		doc := benchDoc{Experiment: "wan", Scale: scale, Workers: workers,
-			Seed: seed, Scenarios: len(problems)}
-		doc.Checks = uint64(st.ChecksSubmitted)
-		doc.ElapsedSeconds = deduped.Seconds()
-		doc.benchRate(allocs)
-		var depth core.SolveStats
-		for _, bs := range st.Backends {
-			depth.Add(bs.Solver)
-		}
-		doc.benchDepth(depth, st.ChecksSolved)
-		benchQuantiles(rec, "", &doc.benchRow)
-		writeBench(out, doc)
-	}
-}
-
-// deltaExperiment measures the paper's incremental claim (§2): after a
-// configuration change touching k routers, re-verification through
-// internal/delta costs work proportional to k, not to the network. For
-// each change size it mutates k edge routers' peer-import policies,
-// re-verifies the wan-peering suite against the pinned baseline, and
-// reports dirty checks, reused results, solved checks, and wall time next
-// to the cold baseline — the incremental edition of Figure 3's scaling
-// story.
-func deltaExperiment(workers int) {
-	header("delta: change size vs incremental re-verification cost")
-	p := netgen.WANParams{Regions: 3, RoutersPerRegion: 2, EdgeRouters: 8, DCsPerRegion: 1, PeersPerEdge: 2}
-	base := netgen.WAN(p, netgen.WANBugs{})
-	// The incremental session runs on a compiled plan as its problem source
-	// — the same source lyserve sessions pin — so the bench measures the
-	// production incremental path, not a bespoke suite adapter.
-	req := plan.Request{
-		Network:    plan.Network{Generator: wanSpec(p)},
-		Properties: []plan.Property{{Name: "wan-peering"}},
-		Options:    plan.Options{WANRegions: p.Regions},
-	}
-	fmt.Printf("WAN: %d routers, %d externals, %d directed sessions; plan %s\n",
-		len(base.Routers()), len(base.Externals()), base.NumEdges(), "wan-peering")
-
-	fmt.Printf("%-18s | %8s %8s %8s %8s | %10s\n",
-		"change", "checks", "dirty", "reused", "solved", "time")
-	for _, k := range []int{0, 1, 2, 4, 8} {
-		// Fresh engine + session per change size, so each row pays its own
-		// cold baseline and the incremental run is not cross-contaminated.
-		c, err := plan.Compile(req, nil)
-		if err != nil {
-			fatal(err)
-		}
-		eng := engine.New(engine.Options{Workers: workers})
-		v := delta.NewVerifierFor(eng, c)
-		v.SetWorkload(c.Workload())
-		cold, err := v.Baseline(netgen.WAN(p, netgen.WANBugs{}))
-		if err != nil {
-			fatal(err)
-		}
-		mutated := netgen.WAN(p, netgen.WANBugs{})
-		for i := 0; i < k; i++ {
-			netgen.TightenPeerImports(mutated, netgen.EdgeRouter(i))
-		}
-		res, err := v.Update(mutated)
-		if err != nil {
-			fatal(err)
-		}
-		eng.Close()
-		if !cold.OK || !res.OK {
-			fmt.Printf("  unexpected failure at change size %d\n", k)
-		}
-		if k == 0 {
-			fmt.Printf("%-18s | %8d %8d %8d %8d | %10v\n",
-				"cold baseline", cold.TotalChecks, cold.DirtyChecks, cold.ReusedResults,
-				cold.Solved, cold.Elapsed().Round(time.Millisecond))
-		}
-		label := fmt.Sprintf("%d router(s)", k)
-		fmt.Printf("%-18s | %8d %8d %8d %8d | %10v\n",
-			label, res.TotalChecks, res.DirtyChecks, res.ReusedResults,
-			res.Solved, res.Elapsed().Round(time.Millisecond))
-	}
-	fmt.Println("(expected shape: dirty checks and solve work grow with the change size,")
-	fmt.Println(" not the network; a 0-router change reuses every retained result.)")
-}
-
-// solverExperiment compares the solver backends on the wan-peering suite:
-// the same compiled plan runs cold on a fresh engine per backend, so every
-// row pays identical check-generation work and the rows differ only in how
-// obligations are decided — one native solve, a heuristic-variant race
-// (portfolio), or budget-tiered escalation (tiered).
-func solverExperiment(workers int, seed int64, out string) {
-	header("solver: backend comparison on wan-peering")
-	p := netgen.WANParams{Regions: 3, RoutersPerRegion: 2, EdgeRouters: 6, DCsPerRegion: 1, PeersPerEdge: 2}
-	req := plan.Request{
-		Network:    plan.Network{Generator: wanSpec(p)},
-		Properties: []plan.Property{{Name: "wan-peering"}},
-		Options:    plan.Options{WANRegions: p.Regions},
-	}
-	// One recorder across the per-backend engines: the solve histogram is
-	// partitioned by backend label, so per-row quantiles stay exact while
-	// the queue-wait histogram aggregates the whole experiment.
-	rec := telemetry.New(0)
-	var rows []benchRow
-	var doc benchDoc
-	var totalAllocs uint64
-	var totalDepth core.SolveStats
-	var totalSolved uint64
-	fmt.Printf("%-10s | %8s %8s %8s %8s %8s | %10s %10s\n",
-		"backend", "checks", "solved", "unknown", "raced", "escal", "solve", "wall")
-	for _, name := range solver.Names() {
-		if name == solver.RemoteName {
-			// A bare remote spec has no worker fleet to ship to; the shard
-			// experiment measures that backend against a real fleet.
-			continue
-		}
-		r := req
-		r.Options.Solver = &solver.Spec{Backend: name}
-		c, err := plan.Compile(r, nil)
-		if err != nil {
-			fatal(err)
-		}
-		eng := engine.New(engine.Options{Workers: workers, Telemetry: rec})
-		alloc0 := mallocs()
-		t0 := time.Now()
-		res, err := plan.Run(eng, c, plan.RunConfig{})
-		wall := time.Since(t0)
-		allocs := mallocs() - alloc0
-		eng.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if !res.OK {
-			fmt.Printf("  unexpected failure under backend %s\n", name)
-		}
-		st := res.Properties[0].Stats
-		fmt.Printf("%-10s | %8d %8d %8d %8d %8d | %10v %10v\n",
-			name, st.Checks, st.Solved, st.Unknown, st.Raced, st.Escalated,
-			time.Duration(st.SolveNanos).Round(time.Microsecond), wall.Round(time.Millisecond))
-		row := benchRow{Name: name, Checks: uint64(st.Checks), ElapsedSeconds: wall.Seconds()}
-		row.benchRate(allocs)
-		row.benchDepth(st.Solver, uint64(st.Solved))
-		benchQuantiles(rec, name, &row)
-		rows = append(rows, row)
-		doc.Checks += row.Checks
-		doc.ElapsedSeconds += row.ElapsedSeconds
-		totalAllocs += allocs
-		totalDepth.Add(st.Solver)
-		totalSolved += uint64(st.Solved)
-	}
-	if out != "" {
-		doc.Experiment, doc.Workers, doc.Rows = "solver", workers, rows
-		doc.Seed, doc.Scenarios = seed, len(rows)
-		doc.benchRate(totalAllocs)
-		doc.benchDepth(totalDepth, totalSolved)
-		benchQuantiles(rec, "", &doc.benchRow)
-		writeBench(out, doc)
-	}
-	fmt.Println("(tiered matches native when every check fits the quick tier — escalations")
-	fmt.Println(" would appear in 'escal'; portfolio trades CPU for per-check latency")
-	fmt.Println(" robustness, racing variants and cancelling the losers.)")
 }
 
 // admissionExperiment sweeps tenant count × per-tenant quota on one shared

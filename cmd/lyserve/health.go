@@ -147,6 +147,9 @@ type statusJSONV1 struct {
 	Fabric        *fabric.Stats  `json:"fabric,omitempty"`
 	Suites        []string       `json:"suites"`
 	Traces        *traceRingJSON `json:"traces,omitempty"`
+	// Retained counts the per-check entries the job table holds in finished
+	// jobs' reports — failures only, under the default results mode.
+	Retained int `json:"retained_check_results"`
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -164,6 +167,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Sessions:      sessions,
 		Fabric:        fabric.Snapshot(),
 		Suites:        netgen.SuiteNames(),
+		Retained:      s.retainedCheckResults(),
 	}
 	if !out.Ready.Ready {
 		out.Status = "degraded"

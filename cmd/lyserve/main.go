@@ -68,7 +68,11 @@
 //	    or "baseline" (a session id whose pinned network to verify).
 //	    Returns 202 with {"id", "status_url", "events_url"}. All properties
 //	    run as one plan on the shared engine, so checks shared across
-//	    properties are solved once. The optional "solver" option routes the
+//	    properties are solved once. The "results" option selects what the
+//	    reports and the event stream carry: "failures" (the default) keeps
+//	    every check that did not pass, in full, and counts the rest; "all"
+//	    keeps every check. A finished job retains exactly what its reports
+//	    carry — under the default, a summary per problem plus its failures. The optional "solver" option routes the
 //	    request's checks to a solver backend ("native", "portfolio", or
 //	    "tiered", optionally with a conflict "budget") — a per-job routing
 //	    decision on the shared engine, so concurrent tenants may use
@@ -82,9 +86,10 @@
 //
 //	GET /v2/jobs/{id}/events
 //	    NDJSON stream of the run's progress events: a "start" event per
-//	    problem as it is submitted (with its check total), one "check"
-//	    event per completed engine check (with cache/dedup provenance and
-//	    its ok/fail/unknown status), a "problem" event per finished problem
+//	    problem as it is submitted (with its check total), a "check" event
+//	    per completed engine check that did not pass — per every check
+//	    under "results": "all" — (with cache/dedup provenance and its
+//	    ok/fail/unknown status), a "problem" event per finished problem
 //	    (with its stats), a "property" summary event each, and a final
 //	    "plan" event, after which the stream closes. Events already emitted
 //	    are replayed first, so late subscribers see the full history (or,
@@ -398,7 +403,7 @@ type server struct {
 }
 
 func newServer(eng *engine.Engine) *server {
-	return &server{
+	s := &server{
 		eng:         eng,
 		rec:         eng.Telemetry(),
 		ttl:         defaultJobTTL,
@@ -409,6 +414,28 @@ func newServer(eng *engine.Engine) *server {
 		jobs:        make(map[string]*serviceJob),
 		sessions:    make(map[string]*session),
 	}
+	if s.rec != nil {
+		s.rec.GaugeFunc("lightyear_jobs_retained_check_results",
+			"Per-check results held by the reports of finished jobs awaiting -job-ttl.", nil,
+			func() []telemetry.Sample {
+				return []telemetry.Sample{{Value: float64(s.retainedCheckResults())}}
+			})
+	}
+	return s
+}
+
+// retainedCheckResults counts the per-check entries the job table holds in
+// finished jobs' reports — what -job-ttl retention costs beyond a summary.
+func (s *server) retainedCheckResults() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, j := range s.jobs {
+		j.mu.Lock()
+		n += j.retainedChecks
+		j.mu.Unlock()
+	}
+	return n
 }
 
 // beginShutdown signals every long-lived handler and the janitor that the
@@ -685,11 +712,33 @@ type serviceJob struct {
 	props    []*propertyState
 	events   []plan.Event
 	dropped  int           // events evicted from the front of the history
-	notify   chan struct{} // closed and replaced whenever events/finished change
+	notify   chan struct{} // non-nil while a subscriber waits; closed on the next change
 	finished bool
 	done     time.Time
 	errMsg   string // run error (admission race); job reports failed
-	result   *plan.Result
+	// result is the run's summary: finish moves every problem's report into
+	// problemState.report in wire form — strings only — so a retained job
+	// pins neither the plan nor its network, obligations or predicates.
+	result         *plan.Result
+	retainedChecks int // per-check entries across the retained reports
+}
+
+// changed returns a channel closed at the job's next change. The channel is
+// made only when a subscriber asks for one, so a job nobody streams wakes
+// nobody and allocates nothing per event. j.mu is held.
+func (j *serviceJob) changed() <-chan struct{} {
+	if j.notify == nil {
+		j.notify = make(chan struct{})
+	}
+	return j.notify
+}
+
+// wake releases the subscribers waiting on changed. j.mu is held.
+func (j *serviceJob) wake() {
+	if j.notify != nil {
+		close(j.notify)
+		j.notify = nil
+	}
 }
 
 type propertyState struct {
@@ -728,7 +777,6 @@ func (s *server) launchPlan(c *plan.Compiled, label string, resv *engine.Reserva
 		traceID: tr.ID(),
 		created: time.Now(),
 		window:  s.eventWindow,
-		notify:  make(chan struct{}),
 	}
 	for _, u := range c.Units {
 		ps := &propertyState{property: u.Property}
@@ -759,12 +807,9 @@ func (s *server) launchPlan(c *plan.Compiled, label string, resv *engine.Reserva
 			res = &plan.Result{}
 		}
 		j.mu.Lock()
-		j.result = res
+		j.finish(res)
 		j.errMsg = errMsg
-		j.finished = true
-		j.done = time.Now()
-		close(j.notify)
-		j.notify = make(chan struct{})
+		j.wake()
 		j.mu.Unlock()
 	}()
 	return j
@@ -783,7 +828,9 @@ func (j *serviceJob) handleEvent(ev plan.Event) {
 			case "start":
 				ps.total = ev.Total
 			case "check":
-				ps.completed, ps.total = ev.Completed, ev.Total
+				// Only checks that did not pass are reported under the default
+				// results mode, so progress moves in jumps; it never moves back.
+				ps.completed, ps.total = max(ps.completed, ev.Completed), ev.Total
 			case "problem":
 				ps.skipped, ps.failed, ps.skipReason = ev.Skipped, ev.Failed, ev.Reason
 				if ev.OK != nil {
@@ -806,24 +853,23 @@ func (j *serviceJob) handleEvent(ev plan.Event) {
 		j.events = j.events[evict:]
 		j.dropped += evict
 	}
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.wake()
 }
 
-// fillReports copies the final per-problem reports out of the plan result
-// into the snapshot state. Called lazily from snapshots (the result carries
-// the reports; events deliberately do not).
-func (j *serviceJob) fillReports() {
-	if j.result == nil {
-		return
-	}
-	for pi, pr := range j.result.Properties {
-		for i := range pr.Problems {
-			if pi < len(j.props) && i < len(j.props[pi].problems) {
-				j.props[pi].problems[i].report = pr.Problems[i].ReportJSON
+// finish records the run's result: every problem's report moves into the
+// snapshot state in wire form and the result keeps the summary. j.mu is held.
+func (j *serviceJob) finish(res *plan.Result) {
+	for pi := range res.Properties {
+		for i := range res.Properties[pi].Problems {
+			p := &res.Properties[pi].Problems[i]
+			if enc := p.EncodeReport(); enc != nil && pi < len(j.props) && i < len(j.props[pi].problems) {
+				j.props[pi].problems[i].report = enc
+				j.retainedChecks += len(enc.Checks)
 			}
+			p.Report = nil
 		}
 	}
+	j.result, j.finished, j.done = res, true, time.Now()
 }
 
 // verifyRequest is the POST /v1/verify body (and session create/update
@@ -1036,7 +1082,6 @@ func (ps *problemState) statusJS() problemStatusJS {
 func (j *serviceJob) snapshotV1() jobJSON {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.fillReports()
 	out := jobJSON{ID: j.id, Suite: j.label, Tenant: j.tenant, TraceID: j.traceID,
 		Cost: j.cost, Error: j.errMsg, Created: j.created, Status: "running"}
 	allOK := true
@@ -1085,7 +1130,6 @@ type propertyStatusJS struct {
 func (j *serviceJob) snapshotV2() jobV2JSON {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.fillReports()
 	out := jobV2JSON{ID: j.id, Label: j.label, Tenant: j.tenant, TraceID: j.traceID,
 		Cost: j.cost, Error: j.errMsg, Created: j.created, Status: "running"}
 	for pi, prop := range j.props {
@@ -1160,7 +1204,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			idx = j.dropped
 		}
 		pendingEvents := j.events[idx-j.dropped:] // elements are immutable once appended
-		notify := j.notify
+		notify := j.changed()
 		finished := j.finished
 		j.mu.Unlock()
 

@@ -542,7 +542,9 @@ func TestV2PlanVerifyEventsAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantProblems := 2 * len(netgen.PeeringProperties(2))
-	if checks == 0 || problems != wantProblems || properties != 2 || plans != 1 || !planOK {
+	// Every check passes, and the default results mode reports only the
+	// ones that do not.
+	if checks != 0 || problems != wantProblems || properties != 2 || plans != 1 || !planOK {
 		t.Fatalf("event stream: %d checks, %d problems (want %d), %d properties, %d plans, ok=%v",
 			checks, problems, wantProblems, properties, plans, planOK)
 	}
@@ -676,6 +678,7 @@ func TestRequestBodyTooLarge(t *testing.T) {
 			t.Errorf("POST %s with 2 MiB body = %d, want 413", url, resp.StatusCode)
 		}
 	}
+	waitRunDone(t, ts, id, 0) // the baseline must not outlive the engine
 }
 
 // TestV2SessionScopedPlan: a v2 session pins a scoped multi-property plan;
@@ -799,4 +802,5 @@ func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("v2 nested ambiguous network = %d (%v), want 400", resp.StatusCode, out)
 	}
+	waitRunDone(t, ts, id, 0) // the baseline must not outlive the engine
 }

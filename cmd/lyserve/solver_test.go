@@ -131,7 +131,8 @@ func TestEventWindowTruncation(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	_, accepted := postJSON(t, ts.URL+"/v2/verify",
-		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`)
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}],
+		  "options": {"results": "all"}}`)
 	id := accepted["id"].(string)
 	waitDoneV2(t, ts, id)
 
@@ -152,7 +153,7 @@ func TestEventWindowTruncation(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// fig1-no-transit emits well over 8 events (one per check plus
+	// fig1-no-transit under results=all emits well over 8 events (one per check plus
 	// start/problem/property/plan), so the history must have been truncated.
 	if len(lines) != 9 { // marker + 8 retained events
 		t.Fatalf("got %d events, want 9 (truncated marker + window)", len(lines))

@@ -24,16 +24,51 @@
 // Submission is one typed entry point: an engine.Workload names what to
 // verify (a safety problem, a liveness problem, or a raw check batch), the
 // Tenant submitting it, a Priority, and an admission Cost, and
-// engine.Submit(ctx, workload) returns the running job. The six legacy
-// Submit* methods remain only as deprecated shims over this path. Checks
-// are keyed by their semantic content (core.Check.Key — a truncated
-// SHA-256 over the filter policy, predicates, and ghost updates the verdict
-// depends on), so a WAN property sweep that re-issues byte-identical filter
-// checks for every router × property pair solves each distinct formula
-// once; concurrent jobs submitting the same check share the single
-// in-flight solve. Both cmd/lightyear and cmd/lybench submit to an engine,
-// lyserve exposes one over HTTP, and core.IncrementalVerifier can run on
-// one via the core.CheckRunner seam.
+// engine.Submit(ctx, workload) returns the running job. Both cmd/lightyear
+// and cmd/lybench submit to an engine, and lyserve exposes one over HTTP.
+//
+// # Check keys
+//
+// Checks are keyed by their semantic content (core.Check.Key), so a WAN
+// property sweep that re-issues identical filter checks for every router ×
+// property pair solves each distinct formula once, and concurrent jobs
+// submitting the same check share the single in-flight solve. A key is the
+// first 128 bits of a SHA-256, hex-encoded, over fixed-width parts: the
+// check kind, the location's node IDs, the polarity, and a 128-bit content
+// fingerprint (spec.Fingerprint, SHA-256 over the canonical rendering) of
+// each of the route map, the ghost-update list and the two predicates. What
+// is fingerprinted is rendered and hashed once per owner, never per check:
+// route maps and originated routes on the built network (topology.Network
+// memoises a PolicyIndex per edge, dropped by every mutator — a RouteMap
+// itself is a value its builder may still edit, so nothing is memoised on
+// it), invariants on core.Invariants (per assigned predicate, replaced by
+// Set), ghost-update lists and the property predicate per problem. The hash
+// stays SHA-256/128 because a key gates the sharing of a cached verdict
+// across jobs, sessions and the persistent store: a collision would hand one
+// check's verdict to another, which a 64-bit or non-cryptographic hash
+// leaves to birthday luck. Descriptions are lazy in the same spirit: a
+// check, obligation or result carries a core.Desc that renders the text only
+// when something prints, logs or serialises it.
+//
+// # Results: failures or all
+//
+// What a report carries is one option, spelled the same on every plan
+// surface — `lightyear -results failures|all`, {"options": {"results":
+// ...}} in a plan document and on POST /v2/verify — and failures is the
+// default there (-verbose implies all). Under failures the engine folds
+// every passing result into exact aggregates as it arrives (count, max
+// variables, max clauses, summed solve and total time — core.Report.Folded)
+// and materialises only Fail and Unknown results, description rendered and
+// witness in full; num_checks, num_failed, max_vars and the other report
+// totals are the same numbers either way. The NDJSON event contract under
+// each mode: "start" per problem (with its check total), "check" per check
+// that did not pass (failures) or per check (all), "problem" per finished
+// problem (with its stats; progress jumps to the full count), "property" per
+// property, then "plan". A finished lyserve job retains what its reports
+// carry — under the default, a summary per problem plus its failures, all
+// strings — and nothing the engine cache, the store or the job table holds
+// points back into the plan, its network or its obligations. A bare
+// engine.Submit (zero SubmitOptions) still reports every result.
 //
 // # Tenancy and admission control
 //
@@ -69,7 +104,8 @@
 // involved, the pre/post predicates, and the polarity) with an Encode method
 // producing the violation formula in any smt.Context — and internal/solver
 // decides obligations through the solver.Backend interface
-// (Solve(ctx, obligation, budget) → outcome). Three backends ship:
+// (Solve(ctx, obligation, budget) → outcome). Three in-process backends
+// ship, plus remote (internal/fabric: obligations shipped to a lyworker fleet):
 //
 //   - native: one in-process CDCL solve per obligation (the default);
 //   - portfolio: races heuristic variants of the solver (VSIDS vs static
@@ -90,14 +126,16 @@
 // `lightyear` exits 3 when a run fails only because of Unknown checks. The
 // sat-stress suite (registered like any property) plants pigeonhole
 // obligations that genuinely require search, for exercising budgets and
-// backends end-to-end; `lybench -experiment solver` compares the backends
-// on the WAN suites.
+// backends end-to-end; the repository benchmark's solver.* layer metrics
+// (bench/) compare the backends on the WAN and pigeonhole obligations.
 //
 // The result cache is a pluggable seam (engine.ResultCache): the default is
 // an in-memory LRU, and internal/store provides a disk-persistent
 // JSON-journal implementation keyed by check key (with the originating
 // network's fingerprint as provenance), so warm starts survive process
-// restarts and lyserve redeploys (-store DIR on both commands).
+// restarts and lyserve redeploys (-store DIR on both commands). Journal
+// records carry the key scheme's version; records of another version are
+// never served and are compacted away on open.
 //
 // # Delta verification
 //
@@ -111,8 +149,8 @@
 // subset to the engine, reporting {changed routers, dirty checks, reused
 // results, solved}. Surfaces: `lightyear -diff old.cfg` for incremental
 // CLI runs, the lyserve session API (POST /v1/sessions, POST
-// /v1/sessions/{id}/update, GET /v1/sessions/{id}), and `lybench
-// -experiment delta` for the change-size vs re-verification-cost sweep.
+// /v1/sessions/{id}/update, GET /v1/sessions/{id}), examples/incremental,
+// and the repository benchmark's delta-cli workload.
 //
 // # Migration plans
 //
@@ -163,10 +201,9 @@
 //     into a plan; `-plan file.json` runs a saved one; `-list` prints the
 //     registry.
 //   - HTTP: `POST /v2/verify` accepts a plan and returns a job whose
-//     per-check engine Progress events stream as NDJSON from
-//     `GET /v2/jobs/{id}/events` ("start", "check", "problem", "property",
-//     and a final "plan" event); `GET /v2/jobs/{id}` is the grouped
-//     snapshot.
+//     events stream as NDJSON from `GET /v2/jobs/{id}/events` ("start",
+//     "check", "problem", "property", and a final "plan" event; see
+//     "Results" above); `GET /v2/jobs/{id}` is the grouped snapshot.
 //     `POST /v2/sessions` pins a plan for incremental updates that inherit
 //     its scoping. The v1 endpoints remain as single-suite adapters over
 //     the same machinery.
@@ -198,11 +235,7 @@
 // stamps every v2 job with its trace (X-Trace-Id response header,
 // "trace_id" in the accept body, the job snapshot, and every NDJSON
 // event), and mounts net/http/pprof under /debug/pprof/ behind the -pprof
-// flag; `lightyear -trace` prints the run's span tree to stderr; `lybench
-// -out FILE.json` writes the experiment's throughput plus solve-time and
-// queue-wait quantiles (from the same histograms) to a JSON document — the
-// committed BENCH_*.json files at the repo root are that trajectory, and
-// CI regenerates one per run as an artifact.
+// flag; `lightyear -trace` prints the run's span tree to stderr.
 //
 // # Reading solver provenance
 //

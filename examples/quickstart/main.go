@@ -374,6 +374,17 @@ func main() {
 	}
 	fmt.Printf("engine: %d checks submitted, %d solved\n",
 		res.Engine.ChecksSubmitted, res.Engine.ChecksSolved)
+	// Solved is below submitted because checks are keyed by content: a
+	// key hashes the check's kind, location and polarity with the
+	// fingerprints of its route map, predicates and ghost updates — each
+	// rendered and hashed once per network, invariant map or problem, not per
+	// check — so the same filter check under two properties is one solve.
+	// And a report keeps only what did not pass: "results": "failures" is the
+	// default of every plan surface (`lightyear -results`, POST /v2/verify),
+	// with counts, maxima and times still exact; "all" keeps every check.
+	rep = res.Properties[0].Problems[0].Report
+	fmt.Printf("report of %s: %d checks, %d kept; first check key %s\n",
+		res.Properties[0].Problems[0].Name, rep.NumChecks(), len(rep.Results), problem.Checks(core.Options{})[0].Key())
 
 	// 7. Tenancy and admission control: the engine's one submission entry
 	// point is a typed Workload — who is submitting (Tenant), how urgent

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
@@ -9,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"lightyear/internal/policy"
 	"lightyear/internal/routemodel"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
@@ -57,17 +58,40 @@ func (k CheckKind) String() string {
 type Check struct {
 	Kind CheckKind
 	Loc  Location // the edge or router the check pertains to
-	Desc string
-	key  string // semantic cache key for incremental verification
+	Desc Desc
+	key  string // semantic cache key
 
 	ob     *Obligation
-	budget int64       // conflict budget from the generating Options
-	solver CheckSolver // custom solver from the generating Options, nil = native
+	budget int64 // conflict budget from the generating Options
 }
+
+// Desc is a check's human-readable description. Generated checks render it
+// on demand from the obligation's content, so a check that is enumerated,
+// served from a cache and never shown formats nothing; descriptions that
+// arrive as text (off the wire, or rendered for retention) are carried as is.
+type Desc struct {
+	ob   *Obligation
+	text string
+}
+
+// Text wraps an already rendered description.
+func Text(s string) Desc { return Desc{text: s} }
+
+func (d Desc) String() string {
+	if d.ob != nil {
+		return d.ob.describe()
+	}
+	return d.text
+}
+
+// Rendered returns the description as text only: it no longer references
+// the obligation, so a retained result does not pin the plan it came from.
+func (d Desc) Rendered() Desc { return Desc{text: d.String()} }
 
 // newCheck binds an obligation to the generating options' execution
 // parameters, mirroring the obligation's identity onto the check.
 func newCheck(ob *Obligation, opts Options) Check {
+	ob.Desc = Desc{ob: ob}
 	return Check{
 		Kind:   ob.Kind,
 		Loc:    ob.Loc,
@@ -75,13 +99,13 @@ func newCheck(ob *Obligation, opts Options) Check {
 		key:    ob.key,
 		ob:     ob,
 		budget: opts.ConflictBudget,
-		solver: opts.Solver,
 	}
 }
 
 // Key returns the check's semantic cache key: a hash of everything the
-// check's verdict depends on (the filter's policy, the predicates involved,
-// the ghost updates). Two checks with the same key decide the same formula,
+// check's verdict depends on — kind, location, polarity, and the content
+// fingerprints of the filter's policy, the predicates involved and the ghost
+// updates (see composeKey). Two checks with the same key decide the same formula,
 // so a result may be shared between them — the hook the engine's
 // cross-problem dedup and result cache are built on. An empty key means the
 // check is not cacheable.
@@ -104,19 +128,9 @@ func (c Check) Run() CheckResult { return c.RunContext(context.Background()) }
 
 // RunContext executes the check with cooperative cancellation: when ctx is
 // cancelled mid-solve the result has StatusUnknown. The check's generating
-// Options decide the solver (Options.Solver, native by default) and the
-// conflict budget.
+// Options decide the conflict budget.
 func (c Check) RunContext(ctx context.Context) CheckResult {
-	var r CheckResult
-	if c.solver != nil {
-		r = c.solver(ctx, c.ob, c.budget)
-	} else {
-		r = c.ob.Solve(ctx, SolveConfig{ConflictBudget: c.budget})
-	}
-	// The obligation may be shared (relabeled checks); the result reports
-	// the running check's identity.
-	r.Kind, r.Loc, r.Desc = c.Kind, c.Loc, c.Desc
-	return r
+	return c.ob.Solve(ctx, SolveConfig{ConflictBudget: c.budget})
 }
 
 // Counterexample is a concrete witness for a failed local check: an input
@@ -155,7 +169,7 @@ func (c *Counterexample) String() string {
 type CheckResult struct {
 	Kind CheckKind
 	Loc  Location
-	Desc string
+	Desc Desc
 	// OK mirrors Status == StatusOK; it is kept as a field because nearly
 	// every consumer only needs the boolean.
 	OK bool
@@ -178,6 +192,17 @@ type CheckResult struct {
 	// Solver is the CDCL search provenance behind the verdict. Zero for
 	// results decided without search (concrete evaluation, cache replay).
 	Solver SolveStats
+}
+
+// Anonymous returns the result without its per-check identity — the form
+// result caches and delta sessions retain. Whoever serves it again stamps the
+// receiving check's identity, and a retained description would otherwise
+// keep the obligation it renders from (and through it the network and plan)
+// reachable for as long as the result is.
+func (r *CheckResult) Anonymous() CheckResult {
+	out := *r
+	out.Kind, out.Loc, out.Desc = 0, Location{}, Desc{}
+	return out
 }
 
 // SolveStats is the CDCL search provenance of one check: how hard the
@@ -207,12 +232,39 @@ func (s SolveStats) Depth() bool {
 }
 
 // Report aggregates the results of all local checks for one verification
-// problem.
+// problem. A producer that materialises only the checks that did not pass
+// (engine.ResultsFailures) folds the passing ones into Folded, so the
+// aggregate accessors below stay exact either way.
 type Report struct {
 	Property Property
 	Results  []CheckResult
+	Folded   Folded
 
 	TotalTime time.Duration
+}
+
+// Folded is the exact aggregate of OK results that were counted instead of
+// kept.
+type Folded struct {
+	Checks    int
+	MaxVars   int
+	MaxCons   int
+	SolveTime time.Duration
+	TotalTime time.Duration // summed per-check encode + solve time
+}
+
+// Merge folds another aggregate into f.
+func (f *Folded) Merge(o Folded) {
+	f.Checks += o.Checks
+	f.MaxVars = max(f.MaxVars, o.MaxVars)
+	f.MaxCons = max(f.MaxCons, o.MaxCons)
+	f.SolveTime += o.SolveTime
+	f.TotalTime += o.TotalTime
+}
+
+// Add folds one result into the aggregate.
+func (f *Folded) Add(r *CheckResult) {
+	f.Merge(Folded{1, r.NumVars, r.NumCons, r.SolveTime, r.TotalTime})
 }
 
 // OK reports whether every local check passed; if so the end-to-end
@@ -230,75 +282,54 @@ func (r *Report) OK() bool {
 // and undecided (Unknown) checks alike. Use HardFailures/Unknowns to tell
 // them apart.
 func (r *Report) Failures() []CheckResult {
-	var out []CheckResult
-	for i := range r.Results {
-		if !r.Results[i].OK {
-			out = append(out, r.Results[i])
-		}
-	}
-	return out
+	return r.filter(func(c *CheckResult) bool { return !c.OK })
 }
 
 // HardFailures returns the checks with a proven violation (StatusFail),
 // excluding undecided checks.
 func (r *Report) HardFailures() []CheckResult {
-	var out []CheckResult
-	for i := range r.Results {
-		if r.Results[i].Status == StatusFail {
-			out = append(out, r.Results[i])
-		}
-	}
-	return out
+	return r.filter(func(c *CheckResult) bool { return c.Status == StatusFail })
 }
 
 // Unknowns returns the undecided checks (StatusUnknown): the solver budget
 // was exhausted or the solve was cancelled before a verdict.
 func (r *Report) Unknowns() []CheckResult {
+	return r.filter(func(c *CheckResult) bool { return c.Status == StatusUnknown })
+}
+
+func (r *Report) filter(keep func(*CheckResult) bool) []CheckResult {
 	var out []CheckResult
 	for i := range r.Results {
-		if r.Results[i].Status == StatusUnknown {
+		if keep(&r.Results[i]) {
 			out = append(out, r.Results[i])
 		}
 	}
 	return out
 }
 
+// aggregate folds the materialised results on top of Folded.
+func (r *Report) aggregate() Folded {
+	f := r.Folded
+	for i := range r.Results {
+		f.Add(&r.Results[i])
+	}
+	return f
+}
+
 // NumChecks returns the number of local checks run.
-func (r *Report) NumChecks() int { return len(r.Results) }
+func (r *Report) NumChecks() int { return len(r.Results) + r.Folded.Checks }
 
 // MaxVars returns the maximum SAT variable count in any single local check —
 // the quantity plotted in Figure 3b.
-func (r *Report) MaxVars() int {
-	m := 0
-	for i := range r.Results {
-		if r.Results[i].NumVars > m {
-			m = r.Results[i].NumVars
-		}
-	}
-	return m
-}
+func (r *Report) MaxVars() int { return r.aggregate().MaxVars }
 
 // MaxCons returns the maximum CNF clause count in any single local check
 // (Figure 3b).
-func (r *Report) MaxCons() int {
-	m := 0
-	for i := range r.Results {
-		if r.Results[i].NumCons > m {
-			m = r.Results[i].NumCons
-		}
-	}
-	return m
-}
+func (r *Report) MaxCons() int { return r.aggregate().MaxCons }
 
 // SolveTime returns the summed solver time across all checks (Figure 3d's
 // "constraint solving time" series).
-func (r *Report) SolveTime() time.Duration {
-	var t time.Duration
-	for i := range r.Results {
-		t += r.Results[i].SolveTime
-	}
-	return t
-}
+func (r *Report) SolveTime() time.Duration { return r.aggregate().SolveTime }
 
 // Summary renders a human-readable report. Proven violations print as FAIL
 // lines with their counterexamples; undecided checks print as UNKNOWN lines
@@ -335,11 +366,6 @@ type Options struct {
 	Workers int
 	// ConflictBudget bounds SAT effort per check; 0 means unlimited.
 	ConflictBudget int64
-	// Solver, when non-nil, replaces the native in-process solve for every
-	// check generated under these options — the seam internal/solver's
-	// backends (portfolio, tiered) adapt onto for the standalone runners;
-	// internal/engine routes obligations to its own backend instead.
-	Solver CheckSolver
 }
 
 func (o Options) workers() int {
@@ -349,18 +375,20 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SortResults orders check results deterministically by (Kind, Loc, Desc).
-// Desc breaks ties when one edge carries several checks of the same kind,
-// keeping reports stable across runs regardless of execution order.
+// SortResults orders check results deterministically by (Kind, Loc, Desc),
+// comparing the location's fields; the description is rendered only to break
+// a tie between checks of one kind at one location, keeping reports stable
+// across runs regardless of execution order.
 func SortResults(results []CheckResult) {
 	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].Kind != results[j].Kind {
-			return results[i].Kind < results[j].Kind
+		a, b := &results[i], &results[j]
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
 		}
-		if li, lj := results[i].Loc.String(), results[j].Loc.String(); li != lj {
-			return li < lj
+		if a.Loc != b.Loc {
+			return a.Loc.less(b.Loc)
 		}
-		return results[i].Desc < results[j].Desc
+		return a.Desc.String() < b.Desc.String()
 	})
 }
 
@@ -371,23 +399,6 @@ func SortResults(results []CheckResult) {
 func NewReport(prop Property, results []CheckResult, total time.Duration) *Report {
 	SortResults(results)
 	return &Report{Property: prop, Results: results, TotalTime: total}
-}
-
-// CheckRunner executes a batch of independent local checks and assembles a
-// report. The default implementation is LocalRunner; internal/engine
-// provides a process-wide pool with cross-problem dedup and result caching.
-type CheckRunner interface {
-	RunChecks(prop Property, checks []Check) *Report
-}
-
-// LocalRunner returns a CheckRunner backed by a per-call worker pool with
-// the given options — the classic standalone execution mode.
-func LocalRunner(opts Options) CheckRunner { return localRunner{opts} }
-
-type localRunner struct{ opts Options }
-
-func (l localRunner) RunChecks(prop Property, checks []Check) *Report {
-	return runChecks(prop, checks, l.opts)
 }
 
 // runChecks executes checks (in parallel when opts.Workers != 1) and
@@ -433,66 +444,88 @@ func runChecks(prop Property, checks []Check, opts Options) *Report {
 //
 // It is decided by asking the solver for a route violating the implication;
 // UNSAT means the check holds. The check carries the declarative obligation;
-// nothing is encoded or solved until an execution substrate decides it.
-func filterCheck(
-	kind CheckKind,
-	loc Location,
-	desc string,
-	u *spec.Universe,
-	m *policy.RouteMap,
-	ghostActs []policy.Action,
-	pre, post spec.Pred,
-	mustAccept bool,
-	opts Options,
-) Check {
-	ghostStr := ""
-	for _, a := range ghostActs {
-		ghostStr += a.String() + ";"
-	}
-	ob := &Obligation{
-		Kind: kind,
-		Loc:  loc,
-		Desc: desc,
-		key:  checkKey(kind.String(), loc.String(), m.String(), ghostStr, pre.String(), post.String(), fmt.Sprint(mustAccept)),
-		filter: &filterObligation{
-			u: u, m: m, ghostActs: ghostActs,
-			pre: pre, post: post, mustAccept: mustAccept,
-		},
-	}
-	return newCheck(ob, opts)
+// nothing is encoded, rendered or solved until something asks. mFP is the
+// fingerprint of the filter f.m, memoised by its network.
+func filterCheck(kind CheckKind, e topology.Edge, f filterObligation, mFP spec.Fingerprint,
+	ghosts ghostSet, pre, post *predicate, opts Options) Check {
+	// One allocation carries the obligation and its content.
+	a := &struct {
+		ob Obligation
+		f  filterObligation
+	}{f: f}
+	a.f.ghostActs, a.f.pre, a.f.post = ghosts.acts, pre, post
+	a.ob = Obligation{Kind: kind, Loc: AtEdge(e), filter: &a.f}
+	a.ob.key = composeKey(kind, a.ob.Loc, f.mustAccept, mFP, ghosts.fp, pre.memo().fp, post.memo().fp)
+	return newCheck(&a.ob, opts)
 }
 
 // implicationCheck decides pre ⊆ post (i.e., ∀r: pre(r) ⇒ post(r)) as a
-// standalone check, used for I_ℓ ⊆ P and C_n ⊆ P.
-func implicationCheck(loc Location, desc string, u *spec.Universe, pre, post spec.Pred, opts Options) Check {
+// standalone check, used for I_ℓ ⊆ P (final=false) and C_n ⊆ P (final=true).
+func implicationCheck(loc Location, u *spec.Universe, pre, post *predicate, final bool, opts Options) Check {
 	ob := &Obligation{
 		Kind:        ImplicationCheck,
 		Loc:         loc,
-		Desc:        desc,
-		key:         checkKey("implication", loc.String(), pre.String(), post.String()),
-		implication: &implicationObligation{u: u, pre: pre, post: post},
+		key:         composeKey(ImplicationCheck, loc, false, pre.memo().fp, post.memo().fp),
+		implication: &implicationObligation{u: u, pre: pre, post: post, final: final},
 	}
 	return newCheck(ob, opts)
 }
 
 // originateCheck validates every originated route on edge e against the
 // edge invariant. Originated routes are concrete, so this check evaluates
-// the predicate directly rather than calling the solver.
-func originateCheck(e topology.Edge, desc string, routes []*routemodel.Route, ghosts []GhostDef, inv spec.Pred, opts Options) Check {
-	routeStr := ""
-	for _, r := range routes {
-		routeStr += r.String() + ";"
-	}
-	ghostStr := ""
-	for _, g := range ghosts {
-		ghostStr += g.Name + ";"
-	}
+// the predicate directly rather than calling the solver. routesFP is the
+// network's memoised fingerprint of the routes, ghostsFP the problem's
+// fingerprint of its ghost names.
+func originateCheck(e topology.Edge, routes []*routemodel.Route, routesFP spec.Fingerprint,
+	ghosts []GhostDef, ghostsFP spec.Fingerprint, inv *predicate, opts Options) Check {
 	ob := &Obligation{
 		Kind:      OriginateCheck,
 		Loc:       AtEdge(e),
-		Desc:      desc,
-		key:       checkKey("originate", AtEdge(e).String(), routeStr, ghostStr, inv.String()),
+		key:       composeKey(OriginateCheck, AtEdge(e), false, routesFP, ghostsFP, inv.memo().fp),
 		originate: &originateObligation{e: e, routes: routes, ghosts: ghosts, inv: inv},
 	}
 	return newCheck(ob, opts)
+}
+
+// composeKey composes a check's semantic cache key from fixed-width parts: the
+// kind, the location's node IDs, the polarity, and the content fingerprints
+// of everything else the verdict depends on. The key is the first 128 bits
+// of a SHA-256 over them, hex-encoded. Keys gate result sharing across jobs
+// and persistent stores, so a collision would silently return one check's
+// verdict for another; 128 bits of SHA-256 make that cryptographically
+// negligible where a 64-bit hash leaves it to birthday luck.
+func composeKey(kind CheckKind, loc Location, mustAccept bool, fps ...spec.Fingerprint) string {
+	var buf [256]byte
+	b := append(buf[:0], byte(kind), boolByte(loc.isEdge), boolByte(mustAccept))
+	b = append(append(b, loc.a...), 0)
+	b = append(append(b, loc.b...), 0)
+	for i := range fps {
+		b = append(b, fps[i][:]...)
+	}
+	sum := sha256.Sum256(b)
+	var dst [32]byte
+	hex.Encode(dst[:], sum[:16])
+	return string(dst[:])
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// PartitionChecks splits checks into those whose location satisfies dirty
+// and the rest — the hook internal/delta uses to map a network diff onto
+// the subset of local checks that must re-run. It preserves order within
+// each partition.
+func PartitionChecks(checks []Check, dirty func(Location) bool) (hit, miss []Check) {
+	for _, c := range checks {
+		if dirty(c.Loc) {
+			hit = append(hit, c)
+		} else {
+			miss = append(miss, c)
+		}
+	}
+	return hit, miss
 }

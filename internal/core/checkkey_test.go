@@ -1,9 +1,67 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"hash/fnv"
 	"testing"
+
+	"lightyear/internal/topology"
 )
+
+// checkKey is the key scheme composeKey replaced, kept as the oracle the key
+// soundness tests compare against: the first 128 bits of a SHA-256 over the
+// NUL-separated rendered parts, hex-encoded.
+func checkKey(parts ...string) string {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	sum := h.Sum(nil)
+	return hex.EncodeToString(sum[:16])
+}
+
+// OldKey recomputes the key the rendered-text scheme gave a generated check,
+// from the same obligation content. Exported to the package's external tests.
+func OldKey(c Check) string {
+	ob := c.ob
+	var inner string
+	switch {
+	case ob.filter != nil:
+		f := ob.filter
+		kind := ob.Kind
+		if ob.relabeledFor != nil { // the sub-check's own kind was rewritten
+			kind = ExportCheck
+			if f.importSide {
+				kind = ImportCheck
+			}
+		}
+		ghostStr := ""
+		for _, a := range f.ghostActs {
+			ghostStr += a.String() + ";"
+		}
+		inner = checkKey(kind.String(), ob.Loc.String(), f.m.String(), ghostStr,
+			f.pre.pred.String(), f.post.pred.String(), fmt.Sprint(f.mustAccept))
+	case ob.implication != nil:
+		inner = checkKey("implication", ob.Loc.String(), ob.implication.pre.pred.String(), ob.implication.post.pred.String())
+	case ob.originate != nil:
+		o := ob.originate
+		routeStr, ghostStr := "", ""
+		for _, r := range o.routes {
+			routeStr += r.String() + ";"
+		}
+		for _, g := range o.ghosts {
+			ghostStr += g.Name + ";"
+		}
+		inner = checkKey("originate", ob.Loc.String(), routeStr, ghostStr, o.inv.pred.String())
+	}
+	if ob.relabeledFor != nil {
+		return checkKey("relabel", fmt.Sprint(int(ob.Kind)), ob.relabeledFor.String(), inner)
+	}
+	return inner
+}
 
 // fnv64aKey reproduces the pre-SHA-256 key scheme, kept here so the
 // regression below keeps proving its inputs really collide under it.
@@ -53,5 +111,10 @@ func TestCheckKeyShapeAndSeparation(t *testing.T) {
 	// Part boundaries matter: "ab"+"c" must not equal "a"+"bc".
 	if checkKey("ab", "c") == checkKey("a", "bc") {
 		t.Fatal("checkKey must separate parts")
+	}
+	// The composed keys keep the shape, and keep node IDs apart the same way.
+	k = composeKey(ImportCheck, AtEdge(topology.Edge{From: "ab", To: "c"}), false)
+	if len(k) != 32 || k == composeKey(ImportCheck, AtEdge(topology.Edge{From: "a", To: "bc"}), false) {
+		t.Fatalf("composeKey shape or separation: %q", k)
 	}
 }

@@ -98,7 +98,7 @@ func TestChecksEnumerationWithoutRun(t *testing.T) {
 		t.Fatalf("Checks() = %d, want 22", len(checks))
 	}
 	for _, c := range checks {
-		if c.Desc == "" {
+		if c.Desc.String() == "" {
 			t.Fatal("check missing description")
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"lightyear/internal/policy"
 	"lightyear/internal/routemodel"
 	"lightyear/internal/spec"
@@ -68,34 +70,63 @@ func GhostWaypoint(name string, n *topology.Network, r topology.NodeID) GhostDef
 	}
 }
 
-// ghostImportActions returns the SetGhost actions the ghost definitions
-// attach to the import filter on edge e.
-func ghostImportActions(ghosts []GhostDef, e topology.Edge) []policy.Action {
-	var out []policy.Action
-	for _, g := range ghosts {
-		if g.OnImport == nil {
-			continue
-		}
-		if v, set := g.OnImport(e); set {
-			out = append(out, policy.SetGhost{Name: g.Name, Value: v})
-		}
-	}
-	return out
+// ghostSet is one distinct list of ghost updates with its fingerprint.
+type ghostSet struct {
+	acts []policy.Action
+	fp   spec.Fingerprint
 }
 
-// ghostExportActions returns the SetGhost actions for the export filter on
-// edge e.
-func ghostExportActions(ghosts []GhostDef, e topology.Edge) []policy.Action {
-	var out []policy.Action
-	for _, g := range ghosts {
-		if g.OnExport == nil {
-			continue
+// ghostTable interns the ghost-update lists of one problem: edges on which
+// the ghost definitions set the same attributes to the same values share one
+// action list and one fingerprint, built the first time the combination is
+// seen rather than once per check.
+type ghostTable struct {
+	ghosts []GhostDef
+	sets   map[string]ghostSet
+	code   []byte // scratch, per ghost: 0 unchanged, 1 set false, 2 set true
+}
+
+func newGhostTable(ghosts []GhostDef) *ghostTable {
+	return &ghostTable{ghosts: ghosts, sets: make(map[string]ghostSet), code: make([]byte, len(ghosts))}
+}
+
+// onFilter returns the SetGhost actions the ghost definitions attach to the
+// import (or export) filter on edge e.
+func (t *ghostTable) onFilter(e topology.Edge, importSide bool) ghostSet {
+	for i := range t.ghosts {
+		hook := t.ghosts[i].OnExport
+		if importSide {
+			hook = t.ghosts[i].OnImport
 		}
-		if v, set := g.OnExport(e); set {
-			out = append(out, policy.SetGhost{Name: g.Name, Value: v})
+		t.code[i] = 0
+		if hook != nil {
+			if v, set := hook(e); set {
+				t.code[i] = 1 + boolByte(v)
+			}
 		}
 	}
-	return out
+	gs, ok := t.sets[string(t.code)]
+	if !ok {
+		for i, c := range t.code {
+			if c != 0 {
+				gs.acts = append(gs.acts, policy.SetGhost{Name: t.ghosts[i].Name, Value: c == 2})
+			}
+		}
+		gs.fp = policy.ActionsFingerprint(gs.acts)
+		t.sets[string(t.code)] = gs
+	}
+	return gs
+}
+
+// namesFingerprint fingerprints the ghost names alone — what an originate
+// check's verdict reads of the ghost definitions besides their hooks.
+func (t *ghostTable) namesFingerprint() spec.Fingerprint {
+	var b strings.Builder
+	for _, g := range t.ghosts {
+		b.WriteString(g.Name)
+		b.WriteByte(';')
+	}
+	return spec.Sum(b.String())
 }
 
 // applyGhostsSym applies ghost actions to a derived symbolic route.

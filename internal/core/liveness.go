@@ -120,40 +120,32 @@ func (p *LivenessProblem) Checks(opts Options) ([]Check, error) {
 	}
 	u := p.universe()
 	n := p.Network
+	ghosts := newGhostTable(p.Ghosts)
 	var checks []Check
 
 	for i := 0; i+1 < len(p.Steps); i++ {
+		// ℓ_i = N→R edge, ℓ_{i+1} = R: the import must accept C_i routes and
+		// yield C_{i+1} routes; ℓ_i = R, ℓ_{i+1} = R→N: the export must.
 		cur, next := p.Steps[i], p.Steps[i+1]
-		if cur.Loc.IsEdge() {
-			// ℓ_i = N→R edge, ℓ_{i+1} = R: import must accept and preserve.
-			e := cur.Loc.Edge()
+		importSide := cur.Loc.IsEdge()
+		e := next.Loc.Edge()
+		if importSide {
+			e = cur.Loc.Edge()
 			if n.IsExternal(e.To) {
 				return nil, fmt.Errorf("liveness: import step into external node %s", e.To)
 			}
-			checks = append(checks, filterCheck(
-				PropagationCheck, cur.Loc,
-				fmt.Sprintf("propagation: import at %s accepts %q and yields %q", e.To, cur.Constraint, next.Constraint),
-				u, n.Import(e), ghostImportActions(p.Ghosts, e),
-				cur.Constraint, next.Constraint, true, opts,
-			))
-		} else {
-			// ℓ_i = R, ℓ_{i+1} = R→N edge: export must accept and preserve.
-			e := next.Loc.Edge()
-			checks = append(checks, filterCheck(
-				PropagationCheck, next.Loc,
-				fmt.Sprintf("propagation: export at %s to %s accepts %q and yields %q", e.From, e.To, cur.Constraint, next.Constraint),
-				u, n.Export(e), ghostExportActions(p.Ghosts, e),
-				cur.Constraint, next.Constraint, true, opts,
-			))
 		}
+		f := filterObligation{u: u, m: n.Export(e), mustAccept: true, importSide: importSide}
+		if importSide {
+			f.m = n.Import(e)
+		}
+		checks = append(checks, filterCheck(PropagationCheck, e, f, f.m.Fingerprint(), ghosts.onFilter(e, importSide),
+			&predicate{pred: cur.Constraint}, &predicate{pred: next.Constraint}, opts))
 	}
 
 	lastStep := p.Steps[len(p.Steps)-1]
-	checks = append(checks, implicationCheck(
-		p.Property.Loc,
-		"final path constraint implies liveness property",
-		u, lastStep.Constraint, p.Property.Pred, opts,
-	))
+	checks = append(checks, implicationCheck(p.Property.Loc, u,
+		&predicate{pred: lastStep.Constraint}, &predicate{pred: p.Property.Pred}, true, opts))
 
 	if !p.SkipInterference {
 		for _, s := range p.Steps {
@@ -174,8 +166,9 @@ func (p *LivenessProblem) Checks(opts Options) ([]Check, error) {
 				Invariants: p.InterferenceInvariants,
 				Ghosts:     p.Ghosts,
 			}
+			at := s.Loc
 			for _, c := range sub.Checks(opts) {
-				checks = append(checks, relabel(c, InterferenceCheck, s.Loc, opts))
+				checks = append(checks, relabel(c, InterferenceCheck, &at, opts))
 			}
 		}
 	}
@@ -189,14 +182,13 @@ func (p *LivenessProblem) Checks(opts Options) ([]Check, error) {
 // key derived from (kind, path location, inner key) rather than the inner
 // key itself. With declarative obligations this is a pure identity rewrite:
 // no wrapping closure is needed.
-func relabel(c Check, kind CheckKind, at Location, opts Options) Check {
-	desc := fmt.Sprintf("[for %s] %s", at, c.Desc)
-	key := ""
-	if c.key != "" {
-		key = checkKey("relabel", fmt.Sprint(int(kind)), at.String(), c.key)
-	}
+func relabel(c Check, kind CheckKind, at *Location, opts Options) Check {
 	ob := *c.ob // shallow copy: content pointers shared, identity rewritten
-	ob.Kind, ob.Desc, ob.key = kind, desc, key
+	ob.Kind, ob.relabeledFor = kind, at
+	if c.key != "" {
+		// One fingerprint where every other family has two or more.
+		ob.key = composeKey(kind, *at, false, spec.Sum(c.key))
+	}
 	return newCheck(&ob, opts)
 }
 

@@ -59,8 +59,12 @@ func (s Status) String() string {
 type Obligation struct {
 	Kind CheckKind
 	Loc  Location
-	Desc string
+	Desc Desc
 	key  string
+
+	// relabeledFor is the liveness path location a no-interference sub-check
+	// was re-identified for (nil otherwise); it prefixes the description.
+	relabeledFor *Location
 
 	filter      *filterObligation
 	implication *implicationObligation
@@ -76,14 +80,16 @@ type filterObligation struct {
 	u          *spec.Universe
 	m          *policy.RouteMap
 	ghostActs  []policy.Action
-	pre, post  spec.Pred
+	pre, post  *predicate
 	mustAccept bool
+	importSide bool // m is the import filter at the edge's To (else the export at From)
 }
 
 // implicationObligation is the standalone pre ⊆ post check content.
 type implicationObligation struct {
 	u         *spec.Universe
-	pre, post spec.Pred
+	pre, post *predicate
+	final     bool // the liveness proof's C_n ⊆ P (else a safety I_ℓ ⊆ P)
 }
 
 // originateObligation validates concrete originated routes against an edge
@@ -92,7 +98,38 @@ type originateObligation struct {
 	e      topology.Edge
 	routes []*routemodel.Route
 	ghosts []GhostDef
-	inv    spec.Pred
+	inv    *predicate
+}
+
+// describe renders the description of a generated obligation from its
+// content (Desc.String calls it; wire-decoded obligations carry text).
+func (ob *Obligation) describe() string {
+	var s string
+	switch {
+	case ob.filter != nil:
+		f, e := ob.filter, ob.Loc.Edge()
+		from, to, pre, post := string(e.From), string(e.To), f.pre.memo().quoted, f.post.memo().quoted
+		switch {
+		case f.mustAccept && f.importSide:
+			s = "propagation: import at " + to + " accepts " + pre + " and yields " + post
+		case f.mustAccept:
+			s = "propagation: export at " + from + " to " + to + " accepts " + pre + " and yields " + post
+		case f.importSide:
+			s = "import at " + to + " from " + from + ": " + pre + " ⇒ " + post
+		default:
+			s = "export at " + from + " to " + to + ": " + pre + " ⇒ " + post
+		}
+	case ob.implication != nil && ob.implication.final:
+		s = "final path constraint implies liveness property"
+	case ob.implication != nil:
+		s = "invariant at " + ob.Loc.String() + " implies property"
+	case ob.originate != nil:
+		s = "originated routes on " + ob.originate.e.String() + " satisfy " + ob.originate.inv.memo().quoted
+	}
+	if ob.relabeledFor != nil {
+		s = "[for " + ob.relabeledFor.String() + "] " + s
+	}
+	return s
 }
 
 // Key returns the obligation's semantic cache key (see Check.Key).
@@ -119,11 +156,11 @@ func (ob *Obligation) RouteMap() *policy.RouteMap {
 func (ob *Obligation) Predicates() (pre, post spec.Pred) {
 	switch {
 	case ob.filter != nil:
-		return ob.filter.pre, ob.filter.post
+		return ob.filter.pre.pred, ob.filter.post.pred
 	case ob.implication != nil:
-		return ob.implication.pre, ob.implication.post
+		return ob.implication.pre.pred, ob.implication.post.pred
 	case ob.originate != nil:
-		return nil, ob.originate.inv
+		return nil, ob.originate.inv.pred
 	}
 	return nil, nil
 }
@@ -162,8 +199,8 @@ func (ob *Obligation) Encode(ctx *smt.Context) *smt.Term {
 		out, acc := f.m.Encode(sr)
 		out = applyGhostsSym(out, f.ghostActs)
 		wf := sr.WellFormed()
-		preT := f.pre.Compile(sr)
-		postT := f.post.Compile(out)
+		preT := f.pre.pred.Compile(sr)
+		postT := f.post.pred.Compile(out)
 		if f.mustAccept {
 			// violated when pre ∧ (¬acc ∨ ¬post)
 			return ctx.And(wf, preT, ctx.Or(ctx.Not(acc), ctx.Not(postT)))
@@ -173,7 +210,7 @@ func (ob *Obligation) Encode(ctx *smt.Context) *smt.Term {
 	case ob.implication != nil:
 		i := ob.implication
 		sr := spec.NewSymRoute(ctx, symRouteName, i.u)
-		return ctx.And(sr.WellFormed(), i.pre.Compile(sr), ctx.Not(i.post.Compile(sr)))
+		return ctx.And(sr.WellFormed(), i.pre.pred.Compile(sr), ctx.Not(i.post.pred.Compile(sr)))
 	default:
 		return nil
 	}
@@ -193,7 +230,7 @@ func (ob *Obligation) Witness(m *smt.Model) *Counterexample {
 		if outR, ok := f.m.Apply(in); ok {
 			applyGhostsConcrete(outR, f.ghostActs)
 			ce.Output = outR
-			ce.Note = fmt.Sprintf("filter accepts but result violates %q", f.post)
+			ce.Note = "filter accepts but result violates " + f.post.memo().quoted
 		} else {
 			ce.Note = "filter rejects a route the constraint requires to propagate"
 		}
@@ -203,7 +240,7 @@ func (ob *Obligation) Witness(m *smt.Model) *Counterexample {
 		sr := spec.NewSymRoute(smt.NewContext(), symRouteName, i.u)
 		return &Counterexample{
 			Input: sr.ConcreteRoute(m),
-			Note:  fmt.Sprintf("route satisfies %q but not %q", i.pre, i.post),
+			Note:  "route satisfies " + i.pre.memo().quoted + " but not " + i.post.memo().quoted,
 		}
 	default:
 		return nil
@@ -219,10 +256,10 @@ func (ob *Obligation) EvalConcrete() (bool, *Counterexample) {
 	}
 	for _, r := range o.routes {
 		withGhosts := originatedWithGhosts(r, o.e, o.ghosts)
-		if !o.inv.Eval(withGhosts) {
+		if !o.inv.pred.Eval(withGhosts) {
 			return false, &Counterexample{
 				Input: withGhosts,
-				Note:  fmt.Sprintf("originated route violates edge invariant %q", o.inv),
+				Note:  "originated route violates edge invariant " + o.inv.memo().quoted,
 			}
 		}
 	}
@@ -339,10 +376,3 @@ func (ob *Obligation) Solve(ctx context.Context, cfg SolveConfig) CheckResult {
 	cr.TotalTime = time.Since(t0)
 	return cr
 }
-
-// CheckSolver is the seam through which alternative solving strategies plug
-// into check execution without core depending on them: internal/solver
-// adapts its backends onto this signature. The solver must stamp the
-// returned result's Status and may label Backend; Kind/Loc/Desc are
-// overwritten by the caller with the running check's identity.
-type CheckSolver func(ctx context.Context, ob *Obligation, conflictBudget int64) CheckResult

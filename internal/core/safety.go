@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
@@ -39,44 +37,38 @@ func (p *SafetyProblem) universe() *spec.Universe {
 func (p *SafetyProblem) Checks(opts Options) []Check {
 	u := p.universe()
 	n := p.Network
-	var checks []Check
-	for _, e := range n.Edges() {
-		e := e
-		edgeInv := p.Invariants.At(n, AtEdge(e))
+	idx := n.Index()
+	ghosts := newGhostTable(p.Ghosts)
+	ghostNames := ghosts.namesFingerprint()
+	routerInv := make(map[topology.NodeID]*predicate)
+	atRouter := func(id topology.NodeID) *predicate {
+		inv, ok := routerInv[id]
+		if !ok {
+			inv = p.Invariants.at(n, AtRouter(id))
+			routerInv[id] = inv
+		}
+		return inv
+	}
+	checks := make([]Check, 0, 2*len(idx.Edges)+1)
+	for i, e := range idx.Edges {
+		edgeInv := p.Invariants.at(n, AtEdge(e))
 		if !n.IsExternal(e.To) {
-			post := p.Invariants.At(n, AtRouter(e.To))
-			checks = append(checks, filterCheck(
-				ImportCheck, AtEdge(e),
-				fmt.Sprintf("import at %s from %s: %q ⇒ %q", e.To, e.From, edgeInv, post),
-				u, n.Import(e), ghostImportActions(p.Ghosts, e),
-				edgeInv, post, false, opts,
-			))
+			checks = append(checks, filterCheck(ImportCheck, e,
+				filterObligation{u: u, m: n.Import(e), importSide: true}, idx.Import[i],
+				ghosts.onFilter(e, true), edgeInv, atRouter(e.To), opts))
 		}
 		if !n.IsExternal(e.From) {
-			pre := p.Invariants.At(n, AtRouter(e.From))
-			checks = append(checks, filterCheck(
-				ExportCheck, AtEdge(e),
-				fmt.Sprintf("export at %s to %s: %q ⇒ %q", e.From, e.To, pre, edgeInv),
-				u, n.Export(e), ghostExportActions(p.Ghosts, e),
-				pre, edgeInv, false, opts,
-			))
+			checks = append(checks, filterCheck(ExportCheck, e,
+				filterObligation{u: u, m: n.Export(e)}, idx.Export[i],
+				ghosts.onFilter(e, false), atRouter(e.From), edgeInv, opts))
 			if routes := n.Originate(e); len(routes) > 0 {
-				checks = append(checks, originateCheck(
-					e, fmt.Sprintf("originated routes on %s satisfy %q", e, edgeInv),
-					routes, p.Ghosts, edgeInv, opts,
-				))
+				checks = append(checks, originateCheck(e, routes, idx.Originate[i],
+					p.Ghosts, ghostNames, edgeInv, opts))
 			}
 		}
 	}
-	checks = append(checks, implicationCheck(
-		p.Property.Loc,
-		fmt.Sprintf("invariant at %s implies property", p.Property.Loc),
-		u,
-		p.Invariants.At(n, p.Property.Loc),
-		p.Property.Pred,
-		opts,
-	))
-	return checks
+	return append(checks, implicationCheck(p.Property.Loc, u,
+		p.Invariants.at(n, p.Property.Loc), &predicate{pred: p.Property.Pred}, false, opts))
 }
 
 // VerifySafety runs all local checks for a safety problem. If the returned

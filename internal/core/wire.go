@@ -114,7 +114,7 @@ func EncodeObligation(ob *Obligation) (*ObligationWire, error) {
 	w := &ObligationWire{
 		Kind: ob.Kind.String(),
 		Loc:  encodeLocation(ob.Loc),
-		Desc: ob.Desc,
+		Desc: ob.Desc.String(),
 		Key:  ob.key,
 	}
 	switch {
@@ -128,11 +128,11 @@ func EncodeObligation(ob *Obligation) (*ObligationWire, error) {
 		if err != nil {
 			return nil, err
 		}
-		pre, err := spec.EncodePred(f.pre)
+		pre, err := spec.EncodePred(f.pre.pred)
 		if err != nil {
 			return nil, err
 		}
-		post, err := spec.EncodePred(f.post)
+		post, err := spec.EncodePred(f.post.pred)
 		if err != nil {
 			return nil, err
 		}
@@ -146,11 +146,11 @@ func EncodeObligation(ob *Obligation) (*ObligationWire, error) {
 		}
 	case ob.implication != nil:
 		i := ob.implication
-		pre, err := spec.EncodePred(i.pre)
+		pre, err := spec.EncodePred(i.pre.pred)
 		if err != nil {
 			return nil, err
 		}
-		post, err := spec.EncodePred(i.post)
+		post, err := spec.EncodePred(i.post.pred)
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +161,7 @@ func EncodeObligation(ob *Obligation) (*ObligationWire, error) {
 		}
 	case ob.originate != nil:
 		o := ob.originate
-		inv, err := spec.EncodePred(o.inv)
+		inv, err := spec.EncodePred(o.inv.pred)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +200,7 @@ func (w *ObligationWire) Obligation() (*Obligation, error) {
 	ob := &Obligation{
 		Kind: kind,
 		Loc:  w.Loc.location(),
-		Desc: w.Desc,
+		Desc: Text(w.Desc),
 		key:  w.Key,
 	}
 	families := 0
@@ -227,8 +227,8 @@ func (w *ObligationWire) Obligation() (*Obligation, error) {
 			u:          f.Universe.Universe(),
 			m:          m,
 			ghostActs:  ghostActs,
-			pre:        pre,
-			post:       post,
+			pre:        &predicate{pred: pre},
+			post:       &predicate{pred: post},
 			mustAccept: f.MustAccept,
 		}
 	}
@@ -243,7 +243,7 @@ func (w *ObligationWire) Obligation() (*Obligation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ob.implication = &implicationObligation{u: i.Universe.Universe(), pre: pre, post: post}
+		ob.implication = &implicationObligation{u: i.Universe.Universe(), pre: &predicate{pred: pre}, post: &predicate{pred: post}}
 	}
 	if w.Originate != nil {
 		families++
@@ -260,7 +260,7 @@ func (w *ObligationWire) Obligation() (*Obligation, error) {
 			}
 			routes = append(routes, r)
 		}
-		ob.originate = &originateObligation{e: o.Edge.edge(), routes: routes, inv: inv}
+		ob.originate = &originateObligation{e: o.Edge.edge(), routes: routes, inv: &predicate{pred: inv}}
 	}
 	if families != 1 {
 		return nil, fmt.Errorf("core: obligation wire %q has %d content families, want 1", w.Key, families)

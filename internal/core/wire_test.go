@@ -53,7 +53,7 @@ func TestObligationWireRoundTrip(t *testing.T) {
 		if ob2.Key() != ob.Key() {
 			t.Fatalf("key changed: %q -> %q", ob.Key(), ob2.Key())
 		}
-		if ob2.Kind != ob.Kind || ob2.Loc.String() != ob.Loc.String() || ob2.Desc != ob.Desc {
+		if ob2.Kind != ob.Kind || ob2.Loc.String() != ob.Loc.String() || ob2.Desc.String() != ob.Desc.String() {
 			t.Fatalf("identity changed for %q", ob.Key())
 		}
 		if ob2.Concrete() != ob.Concrete() {

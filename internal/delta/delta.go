@@ -253,9 +253,9 @@ func (v *Verifier) Update(n *topology.Network) (*Result, error) {
 type problemRun struct {
 	outcome ProblemOutcome
 	prop    core.Property
-	checks  []core.Check
 	dirty   []core.Check
-	reused  []core.CheckResult
+	reused  []core.CheckResult // reused results the report materialises
+	folded  core.Folded        // reused OK results it only counts (failures-only reports)
 	job     *engine.Job
 	start   time.Time
 }
@@ -283,6 +283,15 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 	problems := v.source.Problems(n)
 	runs := make([]*problemRun, len(problems))
 	opts := v.eng.CheckOptions()
+	failuresOnly := v.workload.Results == engine.ResultsFailures
+
+	// The results this run retains, re-indexed from scratch so entries for
+	// removed locations do not accumulate: reused ones are carried over
+	// here, fresh ones arrive from the engine's workers as they complete.
+	// Retained results carry no identity (it is re-stamped on reuse), so they
+	// do not keep this state's network or obligations alive.
+	var retainedMu sync.Mutex
+	retained := make(map[string]core.CheckResult)
 
 	// Prepare every problem: generate its checks and split them into the
 	// reused and dirty subsets. The summed dirty cost is this run's
@@ -291,14 +300,15 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 	for i, p := range problems {
 		pr := &problemRun{outcome: ProblemOutcome{Name: p.Name}, start: time.Now()}
 		runs[i] = pr
+		var checks []core.Check
 		var err error
 		switch {
 		case p.Safety != nil:
 			pr.prop = p.Safety.Property
-			pr.checks = p.Safety.Checks(opts)
+			checks = p.Safety.Checks(opts)
 		case p.Liveness != nil:
 			pr.prop = p.Liveness.Property
-			pr.checks, err = p.Liveness.Checks(opts)
+			checks, err = p.Liveness.Checks(opts)
 		default:
 			err = fmt.Errorf("suite produced an empty problem")
 		}
@@ -314,20 +324,29 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 			continue
 		}
 
-		for _, c := range pr.checks {
-			if r, ok := prevResults[c.Key()]; ok && c.Key() != "" {
-				r.Kind, r.Loc, r.Desc = c.Kind, c.Loc, c.Desc
-				pr.reused = append(pr.reused, r)
+		for _, c := range checks {
+			r, ok := prevResults[c.Key()]
+			if !ok || c.Key() == "" {
+				pr.dirty = append(pr.dirty, c)
 				continue
 			}
-			pr.dirty = append(pr.dirty, c)
+			retained[c.Key()] = r
+			pr.outcome.Reused++
+			if failuresOnly && r.OK {
+				pr.folded.Add(&r)
+				continue
+			}
+			r.Kind, r.Loc, r.Desc = c.Kind, c.Loc, c.Desc
+			if failuresOnly {
+				r.Desc = r.Desc.Rendered()
+			}
+			pr.reused = append(pr.reused, r)
 		}
-		pr.outcome.Checks = len(pr.checks)
+		pr.outcome.Checks = len(checks)
 		pr.outcome.Dirty = len(pr.dirty)
-		pr.outcome.Reused = len(pr.reused)
-		res.TotalChecks += len(pr.checks)
+		res.TotalChecks += len(checks)
 		res.DirtyChecks += len(pr.dirty)
-		res.ReusedResults += len(pr.reused)
+		res.ReusedResults += pr.outcome.Reused
 		dirtyCost += len(pr.dirty)
 	}
 
@@ -347,11 +366,21 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 		if pr.outcome.Skipped || pr.outcome.Failed {
 			continue
 		}
+		dirty := pr.dirty
 		wl := v.workload
 		wl.Kind = engine.KindChecks
 		wl.Property = pr.prop
-		wl.Checks = pr.dirty
+		wl.Checks = dirty
 		wl.Reservation = resv
+		wl.OnResult = func(p engine.Progress) {
+			// Unknown is not a verdict: retaining it would freeze
+			// "insufficient budget" as the key's answer across updates.
+			if key := dirty[p.Index].Key(); key != "" && p.Result.Status != core.StatusUnknown {
+				retainedMu.Lock()
+				retained[key] = p.Result.Anonymous()
+				retainedMu.Unlock()
+			}
+		}
 		job, err := v.eng.Submit(context.Background(), wl)
 		if err != nil {
 			pr.outcome.Failed = true
@@ -363,10 +392,7 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 		pr.job = job
 	}
 
-	// Collect, merge reused + fresh, and re-index the retained results
-	// from scratch so entries for removed locations do not accumulate
-	// (the same re-index discipline as core.IncrementalVerifier).
-	retained := make(map[string]core.CheckResult)
+	// Collect and merge reused + fresh.
 	for _, pr := range runs {
 		if pr.job == nil {
 			res.Problems = append(res.Problems, pr.outcome)
@@ -375,27 +401,15 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 		fresh := pr.job.Wait()
 		st := pr.job.Stats()
 		res.Solved += st.Checks - st.CacheHits - st.DedupHits
-		merged := append(append([]core.CheckResult(nil), pr.reused...), fresh.Results...)
-		pr.outcome.Report = core.NewReport(pr.prop, merged, time.Since(pr.start))
-		pr.outcome.OK = pr.outcome.Report.OK()
-		res.Failures += len(pr.outcome.Report.HardFailures())
-		res.Unknown += len(pr.outcome.Report.Unknowns())
+		rep := core.NewReport(pr.prop, append(pr.reused, fresh.Results...), time.Since(pr.start))
+		rep.Folded = fresh.Folded
+		rep.Folded.Merge(pr.folded)
+		pr.outcome.Report = rep
+		pr.outcome.OK = rep.OK()
+		res.Failures += len(rep.HardFailures())
+		res.Unknown += len(rep.Unknowns())
 		if !pr.outcome.OK {
 			res.OK = false
-		}
-		byIdentity := make(map[string]core.CheckResult, len(merged))
-		for _, r := range pr.outcome.Report.Results {
-			byIdentity[core.CheckIdentity(r.Kind, r.Loc, r.Desc)] = r
-		}
-		for _, c := range pr.checks {
-			if c.Key() == "" {
-				continue
-			}
-			// Unknown is not a verdict: retaining it would freeze
-			// "insufficient budget" as the key's answer across updates.
-			if r, ok := byIdentity[core.CheckIdentity(c.Kind, c.Loc, c.Desc)]; ok && r.Status != core.StatusUnknown {
-				retained[c.Key()] = r
-			}
 		}
 		res.Problems = append(res.Problems, pr.outcome)
 	}

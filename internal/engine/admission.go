@@ -400,6 +400,9 @@ func (e *Engine) dispatch() {
 			c := ent.checks[idx]
 			ent.next++
 			if ent.next == len(ent.checks) {
+				// Drop the batch with the entry: the queue's backing array
+				// would otherwise keep a drained job's checks reachable.
+				ent.checks, tq.entries[0] = nil, nil
 				tq.entries = tq.entries[1:]
 				s.queued--
 			}
@@ -410,7 +413,7 @@ func (e *Engine) dispatch() {
 				ent.job.markDispatched(time.Now())
 			}
 			e.tasks <- task{job: ent.job, idx: idx, check: c}
-			if idx == len(ent.checks)-1 {
+			if ent.checks == nil {
 				ent.job.spanDrained()
 			}
 			s.mu.Lock()

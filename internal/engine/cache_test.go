@@ -9,7 +9,7 @@ import (
 )
 
 func result(desc string) core.CheckResult {
-	return core.CheckResult{Desc: desc, OK: true}
+	return core.CheckResult{Desc: core.Text(desc), OK: true}
 }
 
 func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
@@ -45,7 +45,7 @@ func TestLRUCacheUpdateRefreshes(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d after refresh, want 2", c.Len())
 	}
-	if r, ok := c.Get("a"); !ok || r.Desc != "a2" {
+	if r, ok := c.Get("a"); !ok || r.Desc.String() != "a2" {
 		t.Errorf("get(a) = %v/%v, want refreshed value", r.Desc, ok)
 	}
 	c.Add("c", result("c")) // evicts b (a was refreshed more recently)

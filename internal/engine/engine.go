@@ -24,8 +24,13 @@
 // entering the shared queue with a typed ErrAdmission carrying a
 // RetryAfter hint, and admitted workloads are dispatched weighted-fair
 // across tenants so a flooding tenant cannot starve the others. Reserve
-// admits a multi-job unit (a compiled plan) as a whole. RunChecks makes
-// the engine a core.CheckRunner so core.IncrementalVerifier can run on it.
+// admits a multi-job unit (a compiled plan) as a whole.
+//
+// What a check costs follows what happened to it, not that it was
+// enumerated: a cache-served check is a key lookup and a counter, and under
+// SubmitOptions.Results == ResultsFailures the job folds passing results
+// into exact aggregates and keeps only the failing ones. Nothing the engine
+// caches refers back to the plan, network or obligation a result came from.
 package engine
 
 import (
@@ -348,12 +353,33 @@ func (e *Engine) effectiveBudget(c core.Check) int64 {
 	return e.opts.ConflictBudget
 }
 
+// ResultsMode selects which check results a job's report materialises.
+type ResultsMode string
+
+const (
+	// ResultsAll keeps every result in Report.Results; it is the zero
+	// value's meaning, so a bare Workload reports in full.
+	ResultsAll ResultsMode = "all"
+	// ResultsFailures keeps only Fail and Unknown results — with their full
+	// witness and their description rendered to text — and folds every OK
+	// result into Report.Folded as it arrives, so the job holds nothing
+	// sized by its check count.
+	ResultsFailures ResultsMode = "failures"
+)
+
 // SubmitOptions are per-job execution overrides, embedded in Workload.
 type SubmitOptions struct {
 	// Backend routes this job's obligations to a specific solver backend
 	// instead of the engine default — the hook plan requests use to select
 	// portfolio or tiered solving per request on a shared engine.
 	Backend solver.Backend
+	// Results selects what the report keeps; "" means ResultsAll.
+	Results ResultsMode
+	// OnResult, when non-nil, observes every completed check, in completion
+	// order and one call at a time per job. It runs on an engine worker
+	// under the job's lock: it must be quick and must not call back into
+	// the job.
+	OnResult func(Progress)
 }
 
 // Submit is the engine's single submission entry point: it validates the
@@ -389,6 +415,9 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	if cost == 0 {
 		cost = len(checks)
 	}
+	if w.Results != "" && w.Results != ResultsAll && w.Results != ResultsFailures {
+		return nil, fmt.Errorf("engine: unknown results mode %q (want %q or %q)", w.Results, ResultsAll, ResultsFailures)
+	}
 	if w.Reservation != nil && w.Reservation.tenant != tenant {
 		return nil, fmt.Errorf("engine: workload tenant %q does not match reservation tenant %q",
 			tenant, w.Reservation.tenant)
@@ -408,7 +437,11 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 		}
 		return nil, err
 	}
-	j := newJob(e, e.nextID.Add(1), ctx, prop, checks, backend, tenant, w.Priority, cost, w.Reservation)
+	j := newJob(e, e.nextID.Add(1), ctx, prop, len(checks), backend, tenant, w.Priority, cost, w.Reservation)
+	j.failuresOnly, j.onResult = w.Results == ResultsFailures, w.OnResult
+	if !j.failuresOnly {
+		j.results = make([]core.CheckResult, len(checks))
+	}
 	j.startJobTelemetry(w.TraceSpan)
 	e.jobsSubmitted.Add(1)
 	e.met.jobsSubmitted.Inc()
@@ -422,25 +455,6 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	s.enqueueLocked(tq, &dispatchEntry{job: j, checks: checks, priority: w.Priority})
 	s.mu.Unlock()
 	return j, nil
-}
-
-// mustSubmit backs the deprecated shims, whose signatures predate
-// admission control: they panic on rejection, so they must only be used on
-// engines without admission limits.
-func (e *Engine) mustSubmit(w Workload) *Job {
-	j, err := e.Submit(context.Background(), w)
-	if err != nil {
-		panic(fmt.Sprintf("engine: legacy submit failed: %v (use Submit on engines with admission control)", err))
-	}
-	return j
-}
-
-// RunChecks implements core.CheckRunner, letting a core.IncrementalVerifier
-// (or any other producer of raw checks) execute on the shared pool and
-// benefit from the process-wide cache. The batch runs as the default tenant;
-// the CheckRunner seam predates admission control and panics on rejection.
-func (e *Engine) RunChecks(prop core.Property, checks []core.Check) *core.Report {
-	return e.mustSubmit(Workload{Kind: KindChecks, Property: prop, Checks: checks}).Wait()
 }
 
 // CheckOptions returns the core.Options the engine uses when generating
@@ -500,7 +514,7 @@ func (e *Engine) execute(t task) {
 		// identical task either joins the flight or hits the cache.
 		// Unknown is not a verdict, so it is never cached: a later job with
 		// a bigger budget (or a stronger backend) must get to re-solve.
-		e.cache.Add(key, r)
+		e.cache.Add(key, r.Anonymous())
 	}
 	e.mu.Lock()
 	delete(e.inflight, key)
@@ -570,7 +584,7 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 		wout := e.solve(w)
 		if wout.Status != core.StatusUnknown {
 			if e.cache != nil {
-				e.cache.Add(key, wout.CheckResult)
+				e.cache.Add(key, wout.Anonymous())
 			}
 			decided = &wout.CheckResult
 		} else if w.job.ctx.Err() == nil {
@@ -593,8 +607,7 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 // identities, and the backend reports the obligation's own). The conflict
 // budget is the check's own generation-time budget when it has one —
 // checks the engine generated itself carry the engine's budget, and
-// raw-submitted batches (KindChecks workloads, core.NewIncrementalVerifierOn)
-// keep the budget their producer chose — falling back to the engine's. The
+// raw-submitted batches (KindChecks workloads) keep the budget their producer chose — falling back to the engine's. The
 // solve runs under the job's submission context, so cancelling it turns
 // the job's remaining checks into Unknowns.
 func (e *Engine) solve(t task) solver.Outcome {
@@ -647,7 +660,7 @@ func (e *Engine) logSlowCheck(t task, out solver.Outcome) {
 		slog.String("backend", out.Backend),
 		slog.String("kind", t.check.Kind.String()),
 		slog.String("loc", t.check.Loc.String()),
-		slog.String("desc", t.check.Desc),
+		slog.String("desc", t.check.Desc.String()),
 		slog.String("status", out.Status.String()),
 		slog.Int64("conflicts", out.Solver.Conflicts),
 		slog.Int64("decisions", out.Solver.Decisions),
@@ -686,8 +699,6 @@ func adapt(r core.CheckResult, c core.Check) core.CheckResult {
 	r.Kind, r.Loc, r.Desc = c.Kind, c.Loc, c.Desc
 	return r
 }
-
-var _ core.CheckRunner = (*Engine)(nil)
 
 // String renders a one-line summary of the engine configuration.
 func (e *Engine) String() string {

@@ -9,7 +9,6 @@ import (
 	"lightyear/internal/core"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
-	"lightyear/internal/policy"
 	"lightyear/internal/topology"
 )
 
@@ -154,29 +153,31 @@ func TestEngineLivenessMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestJobProgressStreams asserts a job emits one progress event per check,
-// with monotonically complete accounting, and closes the stream.
+// TestJobProgressStreams asserts a job reports every check to OnResult once,
+// with monotonically complete accounting, all before Wait returns.
 func TestJobProgressStreams(t *testing.T) {
 	n := netgen.Fig1(netgen.Fig1Options{})
 	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
 
-	job := mustSubmit(t, eng, engine.Workload{Safety: netgen.Fig1NoTransitProblem(n)})
-	events := 0
-	last := 0
-	for ev := range job.Progress() {
-		events++
-		if ev.Total != job.NumChecks() {
-			t.Errorf("event total = %d, want %d", ev.Total, job.NumChecks())
-		}
-		if ev.Completed <= last-1 {
-			t.Errorf("non-monotonic completion: %d after %d", ev.Completed, last)
-		}
-		last = ev.Completed
-	}
+	events, last := 0, 0
+	seen := map[int]bool{}
+	var job *engine.Job
+	job = mustSubmit(t, eng, engine.Workload{Safety: netgen.Fig1NoTransitProblem(n),
+		SubmitOptions: engine.SubmitOptions{OnResult: func(ev engine.Progress) {
+			events++ // calls are serialized per job
+			if ev.Completed != last+1 {
+				t.Errorf("non-monotonic completion: %d after %d", ev.Completed, last)
+			}
+			if seen[ev.Index] || ev.Result.Desc.String() == "" {
+				t.Errorf("check %d reported twice or without its identity", ev.Index)
+			}
+			seen[ev.Index] = true
+			last = ev.Completed
+		}}})
 	rep := job.Wait()
-	if events != rep.NumChecks() {
-		t.Errorf("got %d progress events, want %d", events, rep.NumChecks())
+	if events != rep.NumChecks() || len(seen) != rep.NumChecks() {
+		t.Errorf("got %d progress events for %d distinct checks, want %d", events, len(seen), rep.NumChecks())
 	}
 	if last != job.NumChecks() {
 		t.Errorf("final completed = %d, want %d", last, job.NumChecks())
@@ -225,38 +226,6 @@ func TestEngineDetectsBugsLikeBaseline(t *testing.T) {
 	}
 	if fmt.Sprint(signature(rep)) != fmt.Sprint(signature(base)) {
 		t.Errorf("failure reports differ:\n  engine   %v\n  baseline %v", signature(rep), signature(base))
-	}
-}
-
-// TestIncrementalVerifierOnEngine runs core.IncrementalVerifier on the
-// engine via the CheckRunner seam: warm runs reuse everything, dirty checks
-// re-run on the shared pool.
-func TestIncrementalVerifierOnEngine(t *testing.T) {
-	n := netgen.Fig1(netgen.Fig1Options{})
-	p := netgen.Fig1NoTransitProblem(n)
-	eng := engine.New(engine.Options{Workers: 4})
-	defer eng.Close()
-
-	iv := core.NewIncrementalVerifierOn(eng, p, core.Options{})
-	rep1, reused1 := iv.Run()
-	if !rep1.OK() || reused1 != 0 {
-		t.Fatalf("cold run: OK=%v reused=%d", rep1.OK(), reused1)
-	}
-	rep2, reused2 := iv.Run()
-	if !rep2.OK() || reused2 != rep2.NumChecks() {
-		t.Fatalf("warm run: OK=%v reused=%d of %d", rep2.OK(), reused2, rep2.NumChecks())
-	}
-
-	// Dirty one policy; exactly one check re-runs, on the engine.
-	n.SetImport(topology.Edge{From: "R1", To: "R3"}, &policy.RouteMap{
-		Name: "r3-import-r1-v2",
-		Clauses: []policy.Clause{
-			{Seq: 10, Actions: []policy.Action{policy.SetLocalPref{Value: 80}}, Permit: true},
-		},
-	})
-	rep3, reused3 := iv.Run()
-	if !rep3.OK() || reused3 != rep3.NumChecks()-1 {
-		t.Fatalf("dirty run: OK=%v reused=%d of %d, want %d", rep3.OK(), reused3, rep3.NumChecks(), rep3.NumChecks()-1)
 	}
 }
 

@@ -1,35 +1,37 @@
-package engine
+package engine_test
 
 import (
 	"testing"
 
 	"lightyear/internal/core"
+	"lightyear/internal/delta"
+	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/policy"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
 
-// TestIncrementalVerifierOnEngine runs core.IncrementalVerifier on an
-// Engine (NewIncrementalVerifierOn): the second run must be all-reuse with
-// no additional engine solves, and a policy change must re-run exactly the
-// dirty check on the shared pool.
+// TestIncrementalVerifierOnEngine runs an incremental session
+// (internal/delta, which replaced core.IncrementalVerifier) on an Engine:
+// the second run must be all-reuse with no additional engine solves, and a
+// policy change must re-run exactly the dirty check on the shared pool.
 func TestIncrementalVerifierOnEngine(t *testing.T) {
-	eng := New(Options{Workers: 2})
+	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
+	suite, _ := netgen.Lookup("fig1-no-transit")
+	v := delta.NewVerifier(eng, suite, netgen.SuiteParams{})
 	n := netgen.Fig1(netgen.Fig1Options{})
-	p := netgen.Fig1NoTransitProblem(n)
-	iv := core.NewIncrementalVerifierOn(eng, p, core.Options{})
 
-	rep1, reused1 := iv.Run()
-	if !rep1.OK() || reused1 != 0 {
-		t.Fatalf("cold run: ok=%v reused=%d", rep1.OK(), reused1)
+	cold, err := v.Baseline(n)
+	if err != nil || !cold.OK || cold.ReusedResults != 0 {
+		t.Fatalf("cold run: %v / %+v", err, cold)
 	}
 	solvedAfterCold := eng.Stats().ChecksSolved
 
-	rep2, reused2 := iv.Run()
-	if !rep2.OK() || reused2 != rep2.NumChecks() {
-		t.Fatalf("warm run: ok=%v reused=%d of %d", rep2.OK(), reused2, rep2.NumChecks())
+	warm, err := v.Update(netgen.Fig1(netgen.Fig1Options{}))
+	if err != nil || !warm.OK || warm.ReusedResults != warm.TotalChecks {
+		t.Fatalf("warm run: %v / %+v", err, warm)
 	}
 	if got := eng.Stats().ChecksSolved; got != solvedAfterCold {
 		t.Fatalf("warm run solved %d extra checks on the engine", got-solvedAfterCold)
@@ -37,27 +39,28 @@ func TestIncrementalVerifierOnEngine(t *testing.T) {
 
 	// Rebind one import policy: exactly one check is dirty, and the engine
 	// solves exactly that one (its key is new to the engine cache too).
-	n.SetImport(topology.Edge{From: "R1", To: "R3"}, &policy.RouteMap{
+	edited := n.Clone()
+	edited.SetImport(topology.Edge{From: "R1", To: "R3"}, &policy.RouteMap{
 		Name: "r3-import-r1-v2",
 		Clauses: []policy.Clause{
 			{Seq: 10, Actions: []policy.Action{policy.SetLocalPref{Value: 80}}, Permit: true},
 		},
 	})
-	rep3, reused3 := iv.Run()
-	if !rep3.OK() {
-		t.Fatalf("benign change must still verify:\n%s", rep3.Summary())
+	dirty, err := v.Update(edited)
+	if err != nil || !dirty.OK {
+		t.Fatalf("benign change must still verify: %v / %+v", err, dirty)
 	}
-	if reused3 != rep3.NumChecks()-1 {
-		t.Fatalf("reused %d of %d, want exactly one dirty check", reused3, rep3.NumChecks())
+	if dirty.ReusedResults != dirty.TotalChecks-1 {
+		t.Fatalf("reused %d of %d, want exactly one dirty check", dirty.ReusedResults, dirty.TotalChecks)
 	}
 	if got := eng.Stats().ChecksSolved; got != solvedAfterCold+1 {
 		t.Fatalf("engine solved %d checks for one dirty check", got-solvedAfterCold)
 	}
 }
 
-// twoRouterProblem builds a minimal safety problem whose network can be
-// swapped for a smaller one, to drive the verifier's stale-entry re-index.
-func twoRouterProblem(withReverse bool) *core.SafetyProblem {
+// twoRouterNetwork builds a minimal network, with or without the B -> A
+// edge, to drive the session's stale-entry re-index.
+func twoRouterNetwork(withReverse bool) *topology.Network {
 	n := topology.New()
 	n.AddRouter("A", 100)
 	n.AddRouter("B", 100)
@@ -67,46 +70,42 @@ func twoRouterProblem(withReverse bool) *core.SafetyProblem {
 	if withReverse {
 		n.AddEdge("B", "A")
 	}
-	return &core.SafetyProblem{
-		Network:    n,
-		Property:   core.Property{Loc: core.AtRouter("B"), Pred: spec.True()},
-		Invariants: core.NewInvariants(spec.True()),
-	}
+	return n
 }
 
 // TestIncrementalVerifierOnEngineReindexAfterEdgeRemoval: removing an edge
-// must shrink the verifier's cache to the surviving checks (stale entries
-// for the removed edge are dropped by the from-scratch re-index), while
-// later runs still reuse everything that survived.
+// must shrink the session's retained results to the surviving checks (stale
+// entries for the removed edge are dropped by the from-scratch re-index),
+// while the run still reuses everything that survived.
 func TestIncrementalVerifierOnEngineReindexAfterEdgeRemoval(t *testing.T) {
-	eng := New(Options{Workers: 2})
+	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
+	v := delta.NewVerifier(eng, netgen.Suite{Name: "two-router",
+		Problems: func(n *topology.Network, _ netgen.SuiteParams, _ netgen.Scope) []netgen.Problem {
+			return []netgen.Problem{{Name: "p", Safety: &core.SafetyProblem{
+				Network:    n,
+				Property:   core.Property{Loc: core.AtRouter("B"), Pred: spec.True()},
+				Invariants: core.NewInvariants(spec.True()),
+			}}}
+		}}, netgen.SuiteParams{})
 
-	p := twoRouterProblem(true)
-	iv := core.NewIncrementalVerifierOn(eng, p, core.Options{})
-	rep1, _ := iv.Run()
-	if !rep1.OK() {
-		t.Fatalf("full network must verify:\n%s", rep1.Summary())
+	full, err := v.Baseline(twoRouterNetwork(true))
+	if err != nil || !full.OK {
+		t.Fatalf("full network must verify: %v / %+v", err, full)
 	}
-	before := iv.CacheSize()
+	before := v.ResultCount()
 
-	// "Remove" edge B -> A by swapping in the network without it; the
-	// verifier re-reads the problem's Network each run.
-	p.Network = twoRouterProblem(false).Network
-	rep2, reused := iv.Run()
-	if !rep2.OK() {
-		t.Fatalf("shrunk network must verify:\n%s", rep2.Summary())
+	shrunk, err := v.Update(twoRouterNetwork(false))
+	if err != nil || !shrunk.OK {
+		t.Fatalf("shrunk network must verify: %v / %+v", err, shrunk)
 	}
-	if rep2.NumChecks() >= rep1.NumChecks() {
-		t.Fatalf("edge removal should drop checks: %d -> %d", rep1.NumChecks(), rep2.NumChecks())
+	if shrunk.TotalChecks >= full.TotalChecks {
+		t.Fatalf("edge removal should drop checks: %d -> %d", full.TotalChecks, shrunk.TotalChecks)
 	}
-	if reused != rep2.NumChecks() {
-		t.Fatalf("surviving checks should all be reused, got %d of %d", reused, rep2.NumChecks())
+	if shrunk.ReusedResults != shrunk.TotalChecks {
+		t.Fatalf("surviving checks should all be reused, got %d of %d", shrunk.ReusedResults, shrunk.TotalChecks)
 	}
-	if iv.CacheSize() >= before {
-		t.Fatalf("stale entries not re-indexed away: cache %d -> %d", before, iv.CacheSize())
-	}
-	if iv.CacheSize() != rep2.NumChecks() {
-		t.Fatalf("cache should hold exactly the surviving checks: %d vs %d", iv.CacheSize(), rep2.NumChecks())
+	if got := v.ResultCount(); got >= before || got != shrunk.TotalChecks {
+		t.Fatalf("retained results %d -> %d, want exactly the %d surviving checks", before, got, shrunk.TotalChecks)
 	}
 }

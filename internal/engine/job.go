@@ -10,9 +10,10 @@ import (
 	"lightyear/internal/telemetry"
 )
 
-// Progress is one per-check progress event streamed while a job runs.
+// Progress is one completed check, as SubmitOptions.OnResult observes it.
 type Progress struct {
 	JobID     uint64
+	Index     int // the check's position in the submitted batch
 	Completed int // checks completed so far, including this one
 	Total     int
 	FromCache bool // served from the LRU result cache
@@ -60,7 +61,7 @@ type JobStats struct {
 func (s JobStats) QueueWait() time.Duration { return time.Duration(s.QueueWaitNanos) }
 
 // Job is one admitted workload running on the engine. Obtain the final
-// report with Wait, or watch per-check completion with Progress.
+// report with Wait; watch per-check completion with SubmitOptions.OnResult.
 type Job struct {
 	ID       uint64
 	Property core.Property
@@ -77,8 +78,12 @@ type Job struct {
 	backend     solver.Backend
 	reservation *Reservation
 
+	failuresOnly bool           // ResultsFailures: keep non-OK results, fold the rest
+	onResult     func(Progress) // SubmitOptions.OnResult
+
 	mu         sync.Mutex
-	results    []core.CheckResult
+	results    []core.CheckResult // by check index (ResultsAll) or non-OK in arrival order
+	folded     core.Folded        // OK results counted instead of kept
 	completed  int
 	cacheHits  int
 	dedupHits  int
@@ -100,16 +105,12 @@ type Job struct {
 	solveSpan    *telemetry.Span
 	solveSpanSet bool
 
-	// progress is buffered to total, so workers never block on a caller
-	// that does not drain it; it is closed when the job completes.
-	progress chan Progress
-	done     chan struct{}
-	report   *core.Report
+	done   chan struct{}
+	report *core.Report
 }
 
-func newJob(e *Engine, id uint64, ctx context.Context, prop core.Property, checks []core.Check,
+func newJob(e *Engine, id uint64, ctx context.Context, prop core.Property, total int,
 	backend solver.Backend, tenant string, priority, cost int, resv *Reservation) *Job {
-	total := len(checks)
 	return &Job{
 		ID:          id,
 		Property:    prop,
@@ -122,19 +123,12 @@ func newJob(e *Engine, id uint64, ctx context.Context, prop core.Property, check
 		start:       time.Now(),
 		backend:     backend,
 		reservation: resv,
-		results:     make([]core.CheckResult, total),
-		progress:    make(chan Progress, total),
 		done:        make(chan struct{}),
 	}
 }
 
 // NumChecks returns the number of checks in the job.
 func (j *Job) NumChecks() int { return j.total }
-
-// Progress returns the per-check event stream. The channel is buffered to
-// the job's check count and closed on completion, so callers may drain it
-// fully, partially, or not at all.
-func (j *Job) Progress() <-chan Progress { return j.progress }
 
 // Done returns a channel closed when the job's report is ready.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -184,7 +178,15 @@ func (j *Job) Stats() JobStats {
 // itself (nil for cache/dedup deliveries). Called from engine workers.
 func (j *Job) deliver(idx int, r core.CheckResult, cached, deduped bool, out *solver.Outcome) {
 	j.mu.Lock()
-	j.results[idx] = r
+	switch {
+	case !j.failuresOnly:
+		j.results[idx] = r
+	case r.OK:
+		j.folded.Add(&r)
+	default:
+		r.Desc = r.Desc.Rendered()
+		j.results = append(j.results, r)
+	}
 	j.completed++
 	if cached {
 		j.cacheHits++
@@ -205,16 +207,9 @@ func (j *Job) deliver(idx int, r core.CheckResult, cached, deduped bool, out *so
 		j.depth.Add(out.Solver)
 	}
 	completed := j.completed
-	// Send under the mutex: the channel is buffered to total so this never
-	// blocks, and serializing sends here guarantees they all happen before
-	// the final deliverer closes the channel in finish.
-	j.progress <- Progress{
-		JobID:     j.ID,
-		Completed: completed,
-		Total:     j.total,
-		FromCache: cached,
-		Deduped:   deduped,
-		Result:    r,
+	if j.onResult != nil {
+		j.onResult(Progress{JobID: j.ID, Index: idx, Completed: completed, Total: j.total,
+			FromCache: cached, Deduped: deduped, Result: r})
 	}
 	j.mu.Unlock()
 
@@ -226,13 +221,12 @@ func (j *Job) deliver(idx int, r core.CheckResult, cached, deduped bool, out *so
 // finish assembles the deterministic report, releases the job's admission
 // cost, and releases waiters.
 func (j *Job) finish() {
-	results := make([]core.CheckResult, len(j.results))
-	copy(results, j.results)
-	j.report = core.NewReport(j.Property, results, time.Since(j.start))
+	j.report = core.NewReport(j.Property, j.results, time.Since(j.start))
+	j.report.Folded = j.folded
+	j.results = nil
 	j.engine.jobsCompleted.Add(1)
 	j.engine.met.jobsCompleted.Inc()
 	j.finishJobTelemetry()
 	j.engine.jobDone(j)
-	close(j.progress)
 	close(j.done)
 }

@@ -78,7 +78,7 @@ func encodeCheckResult(r *core.CheckResult) CheckResultJSON {
 	out := CheckResultJSON{
 		Kind:       r.Kind.String(),
 		Loc:        r.Loc.String(),
-		Desc:       r.Desc,
+		Desc:       r.Desc.String(),
 		OK:         r.OK,
 		Status:     r.Status.String(),
 		Backend:    r.Backend,

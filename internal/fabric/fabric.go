@@ -254,7 +254,7 @@ func (r *Remote) Solve(ctx context.Context, ob *core.Obligation, b solver.Budget
 	}
 	key := ob.Key()
 	if key == "" {
-		key = ob.Kind.String() + "|" + ob.Loc.String() + "|" + ob.Desc
+		key = ob.Kind.String() + "|" + ob.Loc.String() + "|" + ob.Desc.String()
 	}
 
 	workers := r.pool.pick(key)

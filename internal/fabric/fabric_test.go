@@ -113,9 +113,11 @@ func TestRemoteSolveRoundTrip(t *testing.T) {
 	r := newRemote(t, a1, a2)
 	native := solver.Native(0)
 
+	owned := map[string]int{} // obligations each worker is the primary for
 	for _, buggy := range []bool{false, true} {
 		fails := 0
 		for _, ob := range remotableObligations(t, buggy) {
+			owned[r.pool.pick(ob.Key())[0].addr]++
 			want := native.Solve(context.Background(), ob, solver.Budget{})
 			got := r.Solve(context.Background(), ob, solver.Budget{})
 			if got.Status != want.Status {
@@ -140,8 +142,10 @@ func TestRemoteSolveRoundTrip(t *testing.T) {
 	var total int64
 	for _, w := range st.Workers {
 		total += w.Solved
-		if w.Solved == 0 {
-			t.Errorf("worker %s solved nothing; sharding should spread this suite", w.Addr)
+		// The ring is seeded by the workers' (random) listen addresses, so
+		// which worker owns what varies; who owns it must have solved it.
+		if w.Solved == 0 && owned[w.Addr] > 0 {
+			t.Errorf("worker %s owns %d obligations and solved none", w.Addr, owned[w.Addr])
 		}
 	}
 	if total == 0 {
@@ -241,19 +245,14 @@ func TestFailoverOnWorkerDeath(t *testing.T) {
 // timeout on every solve.
 func TestBreakerShiftsPreference(t *testing.T) {
 	a1, s1 := startWorker(t, ServerOptions{})
-	a2, _ := startWorker(t, ServerOptions{})
+	a2, s2 := startWorker(t, ServerOptions{})
 	r := newRemote(t, a1, a2)
 
-	obs := remotableObligations(t, false)
-	var owned *core.Obligation
-	for _, ob := range obs {
-		if r.pool.pick(ob.Key())[0].addr == a1 {
-			owned = ob
-			break
-		}
-	}
-	if owned == nil {
-		t.Skip("no obligation sharded to w1")
+	// Kill whichever worker owns the first obligation: the ring is seeded by
+	// the (random) listen addresses, so either may.
+	owned := remotableObligations(t, false)[0]
+	if r.pool.pick(owned.Key())[0].addr == a2 {
+		a1, a2, s1 = a2, a1, s2
 	}
 	s1.Close()
 	// BreakerThreshold (3) consecutive failures trip the breaker.
@@ -278,8 +277,15 @@ func TestMalformedResponseIsTerminalUnknown(t *testing.T) {
 	a2, _ := startWorker(t, ServerOptions{})
 	r := newRemote(t, gu.Host, a2)
 
+	// Enough distinct keys that the garbage worker owns one wherever the
+	// (random) listen addresses put it on the ring.
+	obs := remotableObligations(t, false)
+	wan := netgen.WAN(netgen.WANParams{Regions: 2, RoutersPerRegion: 2, EdgeRouters: 2, DCsPerRegion: 1, PeersPerEdge: 2}, netgen.WANBugs{})
+	for _, c := range netgen.PeeringProblem(wan, netgen.EdgeRouter(0), netgen.PeeringProperties(2)[0]).Checks(core.Options{}) {
+		obs = append(obs, c.Obligation())
+	}
 	var owned *core.Obligation
-	for _, ob := range remotableObligations(t, false) {
+	for _, ob := range obs {
 		if r.pool.pick(ob.Key())[0].addr == gu.Host {
 			owned = ob
 			break

@@ -124,7 +124,7 @@ func TestFirstViolatingStepParity(t *testing.T) {
 			continue
 		}
 		for _, cr := range p.Report.HardFailures() {
-			want[p.Name+"|"+cr.Desc] = true
+			want[p.Name+"|"+cr.Desc.String()] = true
 		}
 	}
 	got := map[string]bool{}

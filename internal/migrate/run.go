@@ -464,14 +464,14 @@ func failedChecks(dres *delta.Result) []FailedCheck {
 			continue
 		}
 		for _, cr := range p.Report.HardFailures() {
-			fc := FailedCheck{Problem: p.Name, Desc: cr.Desc, Status: cr.Status.String()}
+			fc := FailedCheck{Problem: p.Name, Desc: cr.Desc.String(), Status: cr.Status.String()}
 			if cr.Counterexample != nil {
 				fc.Witness = cr.Counterexample.String()
 			}
 			out = append(out, fc)
 		}
 		for _, cr := range p.Report.Unknowns() {
-			out = append(out, FailedCheck{Problem: p.Name, Desc: cr.Desc, Status: cr.Status.String()})
+			out = append(out, FailedCheck{Problem: p.Name, Desc: cr.Desc.String(), Status: cr.Status.String()})
 		}
 	}
 	return out

@@ -122,6 +122,11 @@ type Options struct {
 	// StoreRetain bounds Store retention: on open, only results from the N
 	// most recently written network fingerprints are kept (0 = keep all).
 	StoreRetain int `json:"store_retain,omitempty"`
+	// Results selects what per-problem reports and the event stream carry:
+	// "failures" (the default) keeps the checks that did not pass — in full,
+	// witness included — and counts the rest; "all" keeps every check, as
+	// the paper-table runs want.
+	Results engine.ResultsMode `json:"results,omitempty"`
 	// Baseline, when set, runs the request incrementally: the baseline
 	// network is verified first, then the request's network is
 	// delta-verified against it, re-solving only dirtied checks.
@@ -182,6 +187,12 @@ func (r Request) Validate() error {
 		if s.Budget < 0 {
 			return requestErrorf("plan: solver budget must be >= 0, got %d", s.Budget)
 		}
+	}
+	switch r.Options.Results {
+	case "", engine.ResultsFailures, engine.ResultsAll:
+	default:
+		return requestErrorf("plan: unknown results mode %q (want %q or %q)",
+			r.Options.Results, engine.ResultsFailures, engine.ResultsAll)
 	}
 	if r.Options.StoreRetain < 0 {
 		return requestErrorf("plan: store_retain must be >= 0, got %d", r.Options.StoreRetain)
@@ -378,15 +389,20 @@ func (c *Compiled) Cost() int {
 }
 
 // Workload returns the engine.Workload template the compiled request
-// implies — tenant, priority, and solver-backend overrides, with the
-// payload left for the caller to fill. Hosts apply it to every submission
+// implies — tenant, priority, solver-backend and results-mode overrides
+// (plans default to failures-only results), with the payload left for the
+// caller to fill. Hosts apply it to every submission
 // the plan spawns (including incremental session updates), so tenancy and
 // backend selection follow the request end-to-end.
 func (c *Compiled) Workload() engine.Workload {
+	results := c.Request.Options.Results
+	if results == "" {
+		results = engine.ResultsFailures
+	}
 	return engine.Workload{
 		Tenant:        c.Request.Options.Tenant,
 		Priority:      c.Request.Options.Priority,
-		SubmitOptions: engine.SubmitOptions{Backend: c.backend},
+		SubmitOptions: engine.SubmitOptions{Backend: c.backend, Results: results},
 	}
 }
 

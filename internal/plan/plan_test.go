@@ -123,7 +123,8 @@ func TestPlanMatchesLegacySuiteRun(t *testing.T) {
 			if !ok {
 				t.Fatalf("no test network for registered suite %q; extend the map", name)
 			}
-			req := Request{Network: ns, Properties: []Property{{Name: name}}}
+			req := Request{Network: ns, Properties: []Property{{Name: name}},
+				Options: Options{Results: engine.ResultsAll}} // every check is compared
 
 			// Plan path, on its own engine.
 			res, err := Execute(req, nil)
@@ -173,13 +174,13 @@ func TestPlanMatchesLegacySuiteRun(t *testing.T) {
 					enc := engine.EncodeReport(j.Wait())
 					legacy = &enc
 				}
-				if out.Skipped || out.ReportJSON == nil {
+				if out.Skipped || out.Report == nil {
 					t.Fatalf("problem %s: plan skipped or missing report, legacy ran", p.Name)
 				}
 				if out.OK != legacy.OK {
 					t.Fatalf("problem %s: plan ok=%v, legacy ok=%v", p.Name, out.OK, legacy.OK)
 				}
-				gotChecks, wantChecks := reportChecks(t, out.ReportJSON), reportChecks(t, legacy)
+				gotChecks, wantChecks := reportChecks(t, out.EncodeReport()), reportChecks(t, legacy)
 				if len(gotChecks) != len(wantChecks) {
 					t.Fatalf("problem %s: plan ran %d checks, legacy %d", p.Name, len(gotChecks), len(wantChecks))
 				}
@@ -222,7 +223,7 @@ func TestMultiPropertyPlanSharedEngine(t *testing.T) {
 			t.Fatalf("property %d (%s): ok=%v problems=%d", i, pr.Property.Name, pr.OK, len(pr.Problems))
 		}
 		for _, p := range pr.Problems {
-			if p.ReportJSON == nil || !p.OK {
+			if p.Report == nil || !p.OK {
 				t.Fatalf("property %d problem %s: missing or failing report", i, p.Name)
 			}
 		}
@@ -249,10 +250,19 @@ func TestMultiPropertyPlanSharedEngine(t *testing.T) {
 	}
 }
 
+// TestPlanEventStream pins the event contract under each results mode: the
+// same start/problem/property/plan skeleton, with a check event per check
+// under "all" and — every fig1 check passing — none under the default.
 func TestPlanEventStream(t *testing.T) {
+	t.Run("failures", func(t *testing.T) { testPlanEventStream(t, "", false) })
+	t.Run("all", func(t *testing.T) { testPlanEventStream(t, engine.ResultsAll, true) })
+}
+
+func testPlanEventStream(t *testing.T, results engine.ResultsMode, everyCheck bool) {
 	c, err := Compile(Request{
 		Network:    Network{Generator: &netgen.GeneratorSpec{Kind: "fig1"}},
 		Properties: []Property{{Name: "fig1-no-transit"}},
+		Options:    Options{Results: results},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +298,14 @@ func TestPlanEventStream(t *testing.T) {
 			plans++
 		}
 	}
-	total := res.Properties[0].Stats.Checks
+	total := 0
+	if everyCheck {
+		total = res.Properties[0].Stats.Checks
+	}
+	if rep := res.Properties[0].Problems[0].Report; len(rep.Results) != total || rep.NumChecks() != res.Properties[0].Stats.Checks {
+		t.Fatalf("report keeps %d results and counts %d checks, want %d and %d",
+			len(rep.Results), rep.NumChecks(), total, res.Properties[0].Stats.Checks)
+	}
 	if starts != 1 || checks != total || problems != 1 || properties != 1 || plans != 1 {
 		t.Fatalf("events: %d starts, %d checks (want %d), %d problems, %d properties, %d plans",
 			starts, checks, total, problems, properties, plans)

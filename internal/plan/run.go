@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 
@@ -14,10 +15,13 @@ import (
 
 // Event is one progress event of a running plan, in the order emitted: one
 // "start" event per problem as it is submitted (carrying the check Total),
-// per-check "check" events as the engine completes checks, a "problem"
-// event when each problem's report is ready, one "property" event per
-// request property once all its problems finished, and a final "plan"
-// event. lyserve streams these as NDJSON on GET /v2/jobs/{id}/events.
+// "check" events as the engine completes checks — under the default
+// results=failures only for checks that did not pass, under results=all for
+// every check — a "problem" event when each problem's report is ready
+// (carrying its stats, so progress jumps to the full check count), one
+// "property" event per request property once all its problems finished, and
+// a final "plan" event. lyserve streams these as NDJSON on
+// GET /v2/jobs/{id}/events.
 type Event struct {
 	Type string `json:"type"` // start | check | problem | property | plan
 
@@ -65,12 +69,30 @@ type ProblemResult struct {
 	Failed     bool   `json:"failed,omitempty"`
 	SkipReason string `json:"skip_reason,omitempty"`
 
-	Stats      *engine.JobStats   `json:"stats,omitempty"`
-	ReportJSON *engine.ReportJSON `json:"report,omitempty"`
+	Stats *engine.JobStats `json:"stats,omitempty"`
 
-	// Report is the raw report for in-process consumers (nil when skipped
-	// or failed); ReportJSON carries its wire form.
+	// Report is the problem's report (nil when skipped or failed). Its wire
+	// form, "report", is encoded when the result is marshalled, not when the
+	// run finishes: a run nobody serialises renders no description.
 	Report *core.Report `json:"-"`
+}
+
+// EncodeReport returns the report's wire form, nil without a report.
+func (p *ProblemResult) EncodeReport() *engine.ReportJSON {
+	if p.Report == nil {
+		return nil
+	}
+	enc := engine.EncodeReport(p.Report)
+	return &enc
+}
+
+// MarshalJSON adds the encoded report to the tagged fields.
+func (p ProblemResult) MarshalJSON() ([]byte, error) {
+	type tagged ProblemResult
+	return json.Marshal(struct {
+		tagged
+		Report *engine.ReportJSON `json:"report,omitempty"`
+	}{tagged(p), p.EncodeReport()})
 }
 
 // PropertyResult is one per-property report of a plan run: the problems of
@@ -196,10 +218,11 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	defer resv.Release()
 
 	res := &Result{OK: true, TraceID: traceID}
-	var resMu sync.Mutex // guards ProblemResult fields written by watchers
 
-	// Submit every problem of every property before collecting any.
+	// Submit every problem of every property before collecting any. Check
+	// events come straight from the engine's workers as checks complete.
 	template := c.Workload()
+	allChecks := template.Results != engine.ResultsFailures
 	type pending struct {
 		prop, idx int
 		job       *engine.Job
@@ -215,12 +238,27 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 			ps := tr.StartSpan("problem:" + p.Name)
 			err := preps[pi][i].Err
 			if err == nil {
+				check := Event{Type: "check", Prop: pi, Property: u.Property.Name, Idx: i, Problem: p.Name}
 				wl := template
 				wl.Kind = engine.KindChecks
 				wl.Property = preps[pi][i].Property
 				wl.Checks = preps[pi][i].Checks
 				wl.Reservation = resv
 				wl.TraceSpan = ps
+				if cfg.Sink != nil {
+					wl.OnResult = func(p engine.Progress) {
+						if ok := p.Result.OK; allChecks || !ok {
+							ev := check
+							ev.Completed, ev.Total, ev.FromCache, ev.Deduped = p.Completed, p.Total, p.FromCache, p.Deduped
+							ev.OK, ev.Status = &ok, p.Result.Status.String()
+							emit(ev)
+						}
+					}
+				}
+				// Before Submit: a worker may complete (and report) the first
+				// check before Submit returns.
+				emit(Event{Type: "start", Prop: pi, Property: u.Property.Name, Idx: i,
+					Problem: p.Name, Total: len(wl.Checks)})
 				job, err = eng.Submit(context.Background(), wl)
 			}
 			if err != nil {
@@ -238,8 +276,6 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 				continue
 			}
 			jobs = append(jobs, pending{prop: pi, idx: i, job: job, span: ps})
-			emit(Event{Type: "start", Prop: pi, Property: u.Property.Name, Idx: i,
-				Problem: p.Name, Total: job.NumChecks()})
 		}
 		res.Properties = append(res.Properties, pr)
 	}
@@ -256,48 +292,29 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 		}
 	}
 
-	// Watch every engine job: stream its per-check progress, then record
-	// the report and emit the problem event.
-	var wg sync.WaitGroup
+	// Collect every engine job in submission order: record its report and
+	// emit the problem event.
 	for _, pd := range jobs {
-		wg.Add(1)
-		go func(pd pending) {
-			defer wg.Done()
-			propName := c.Units[pd.prop].Property.Name
-			probName := res.Properties[pd.prop].Problems[pd.idx].Name
-			for ev := range pd.job.Progress() {
-				ok := ev.Result.OK
-				emit(Event{Type: "check", Prop: pd.prop, Property: propName, Idx: pd.idx, Problem: probName,
-					Completed: ev.Completed, Total: ev.Total,
-					FromCache: ev.FromCache, Deduped: ev.Deduped,
-					OK: &ok, Status: ev.Result.Status.String()})
-			}
-			rep := pd.job.Wait()
-			st := pd.job.Stats()
-			enc := engine.EncodeReport(rep)
-			ok := rep.OK()
-			pd.span.SetAttrInt("checks", int64(st.Checks))
-			if !ok {
-				pd.span.SetAttr("ok", "false")
-			}
-			pd.span.End()
+		rep := pd.job.Wait()
+		st := pd.job.Stats()
+		ok := rep.OK()
+		pd.span.SetAttrInt("checks", int64(st.Checks))
+		if !ok {
+			pd.span.SetAttr("ok", "false")
+		}
+		pd.span.End()
 
-			resMu.Lock()
-			out := &res.Properties[pd.prop].Problems[pd.idx]
-			out.Report, out.ReportJSON, out.Stats, out.OK = rep, &enc, &st, ok
-			res.Failures += len(rep.HardFailures())
-			res.Unknowns += len(rep.Unknowns())
-			if !ok {
-				res.Properties[pd.prop].OK = false
-				res.OK = false
-			}
-			resMu.Unlock()
-
-			emit(Event{Type: "problem", Prop: pd.prop, Property: propName, Idx: pd.idx, Problem: probName,
-				OK: &ok, Stats: &st})
-		}(pd)
+		out := &res.Properties[pd.prop].Problems[pd.idx]
+		out.Report, out.Stats, out.OK = rep, &st, ok
+		res.Failures += len(rep.HardFailures())
+		res.Unknowns += len(rep.Unknowns())
+		if !ok {
+			res.Properties[pd.prop].OK = false
+			res.OK = false
+		}
+		emit(Event{Type: "problem", Prop: pd.prop, Property: c.Units[pd.prop].Property.Name, Idx: pd.idx,
+			Problem: out.Name, OK: &ok, Stats: &st})
 	}
-	wg.Wait()
 
 	// Aggregate per-property stats, emit property summaries, then the final
 	// plan event — the stream's completion marker.

@@ -88,13 +88,14 @@ func TestUnknownPropagation(t *testing.T) {
 	sawUnknown := false
 	for _, pr := range res.Properties {
 		for _, pb := range pr.Problems {
-			if pb.ReportJSON == nil {
+			enc := pb.EncodeReport()
+			if enc == nil {
 				t.Fatalf("problem %s has no report", pb.Name)
 			}
-			if pb.ReportJSON.NumUnknown > 0 {
+			if enc.NumUnknown > 0 {
 				sawUnknown = true
 			}
-			for _, ck := range pb.ReportJSON.Checks {
+			for _, ck := range enc.Checks {
 				if ck.Status == "unknown" && ck.OK {
 					t.Fatalf("encoded unknown check claims ok: %+v", ck)
 				}

@@ -254,6 +254,24 @@ func (m *RouteMap) AddToUniverse(u *spec.Universe) {
 	}
 }
 
+// Fingerprint is the route map's content fingerprint: spec.Sum over its
+// rendering, which spells out every clause field. A nil map has the
+// fingerprint of the implicit permit-all. It is not memoised here — a
+// RouteMap is a plain value its builder may still edit — but per edge on the
+// built topology.Network.
+func (m *RouteMap) Fingerprint() spec.Fingerprint { return spec.Sum(m.String()) }
+
+// ActionsFingerprint fingerprints an ordered action list (the ghost updates
+// a check applies to its filter's output).
+func ActionsFingerprint(as []Action) spec.Fingerprint {
+	var b strings.Builder
+	for _, a := range as {
+		b.WriteString(a.String())
+		b.WriteByte(';')
+	}
+	return spec.Sum(b.String())
+}
+
 // String renders the route map in a config-like notation.
 func (m *RouteMap) String() string {
 	if m == nil {

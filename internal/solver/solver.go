@@ -212,12 +212,3 @@ func effective(bound int64, b Budget) int64 {
 	}
 	return b.Conflicts
 }
-
-// Runner adapts a backend onto the core.CheckSolver seam, so the standalone
-// runners (core.LocalRunner via Options.Solver) execute on the same backends
-// the engine routes to.
-func Runner(b Backend) core.CheckSolver {
-	return func(ctx context.Context, ob *core.Obligation, conflictBudget int64) core.CheckResult {
-		return b.Solve(ctx, ob, Budget{Conflicts: conflictBudget}).CheckResult
-	}
-}

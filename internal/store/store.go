@@ -35,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -47,8 +46,16 @@ import (
 // journalName is the journal file created inside the store directory.
 const journalName = "results.jsonl"
 
+// keyVersion names the check-key scheme records are filed under. Version 2
+// is core's fingerprint-composed key; journals written before it (no "v"
+// field) hashed rendered text. A key of another scheme can never be asked
+// for again, so replay skips such records — they are never served — and the
+// compaction on Open drops them from the file.
+const keyVersion = 2
+
 // record is one journal line.
 type record struct {
+	V           int          `json:"v,omitempty"`
 	Key         string       `json:"key"`
 	Fingerprint string       `json:"fp,omitempty"`
 	Result      resultRecord `json:"result"`
@@ -86,14 +93,6 @@ func encodeResult(r core.CheckResult) resultRecord {
 		out.Witness = r.Counterexample.String()
 	}
 	return out
-}
-
-// legacyUnknown recognizes records journaled by pre-Status writers for
-// budget-exhausted checks: they were stored as plain failures whose witness
-// is the old explanatory note. Serving one would resurrect a give-up as a
-// proven violation, so Get treats them as misses.
-func (rr resultRecord) legacyUnknown() bool {
-	return !rr.OK && strings.Contains(rr.Witness, "solver budget exhausted (unknown)")
 }
 
 func (rr resultRecord) decode() core.CheckResult {
@@ -257,9 +256,10 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 			}
 			lines++
 			var rec record
-			if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-				// Torn or foreign line (e.g. a crash mid-append): skip it
-				// rather than refuse the rest of the journal.
+			if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" || rec.V != keyVersion {
+				// Torn or foreign line (e.g. a crash mid-append), or a record
+				// of another key scheme: skip it rather than refuse the rest
+				// of the journal.
 				continue
 			}
 			s.mem[rec.Key] = rec // last record for a key wins, as in Get
@@ -280,8 +280,8 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	s.loaded = len(s.mem)
 
 	if lines > len(s.mem) {
-		// The journal carries superseded duplicates, torn lines, or
-		// retention-evicted results: rewrite it with exactly one record per
+		// The journal carries superseded duplicates, torn lines, records of
+		// an older key scheme, or retention-evicted results: rewrite it with exactly one record per
 		// retained key. Best-effort — a failed compaction leaves the
 		// original journal in place (evicted results stay dropped from
 		// memory either way).
@@ -394,7 +394,7 @@ func (s *Store) Get(key string) (core.CheckResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.mem[key]
-	if !ok || rec.Result.legacyUnknown() {
+	if !ok {
 		s.misses++
 		s.metMisses.Inc()
 		return core.CheckResult{}, false
@@ -419,12 +419,10 @@ func (s *Store) Add(key string, val core.CheckResult) {
 	if s.f == nil {
 		return // closed
 	}
-	if old, dup := s.mem[key]; dup && !old.Result.legacyUnknown() {
+	if _, dup := s.mem[key]; dup {
 		return
 	}
-	// A legacy budget-exhausted record is superseded by the real verdict:
-	// the appended line wins on replay, and compaction drops the old one.
-	rec := record{Key: key, Fingerprint: s.fp, Result: encodeResult(val)}
+	rec := record{V: keyVersion, Key: key, Fingerprint: s.fp, Result: encodeResult(val)}
 	s.mem[key] = rec
 	if s.fp != "" {
 		s.fpTick++

@@ -87,7 +87,7 @@ func TestStoreSkipsDuplicatesAndTornLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"key":"torn","result":{"ok`)
+	f.WriteString(`{"v":2,"key":"torn","result":{"ok`)
 	f.Close()
 
 	s2, err := Open(dir)
@@ -110,10 +110,10 @@ func TestStoreSkipsDuplicatesAndTornLines(t *testing.T) {
 func TestCompactOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)
-	journal := `{"key":"a","fp":"fp-old","result":{"ok":false,"witness":"stale"}}
-{"key":"b","fp":"fp-1","result":{"ok":true}}
-{"key":"a","fp":"fp-new","result":{"ok":true,"vars":7}}
-{"key":"torn","result":{"ok
+	journal := `{"v":2,"key":"a","fp":"fp-old","result":{"ok":false,"witness":"stale"}}
+{"v":2,"key":"b","fp":"fp-1","result":{"ok":true}}
+{"v":2,"key":"a","fp":"fp-new","result":{"ok":true,"vars":7}}
+{"v":2,"key":"torn","result":{"ok
 `
 	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
@@ -175,8 +175,9 @@ func contains(s, sub string) bool  { return strings.Contains(s, sub) }
 
 // TestLegacyUnknownRecordsNotServed: journals written before results carried
 // a Status could record budget-exhausted checks as plain failures. Serving
-// one would resurrect a solver give-up as a proven violation forever, so Get
-// must miss on them and Add must let the real verdict supersede them.
+// one would resurrect a solver give-up as a proven violation forever. Such
+// journals predate the key-version field, so nothing in them is served any
+// more — give-up or real verdict — and a fresh verdict files normally.
 func TestLegacyUnknownRecordsNotServed(t *testing.T) {
 	dir := t.TempDir()
 	legacy := `{"key":"cafe01","result":{"ok":false,"witness":"note:   solver budget exhausted (unknown)"}}` + "\n" +
@@ -190,25 +191,72 @@ func TestLegacyUnknownRecordsNotServed(t *testing.T) {
 	}
 	defer s.Close()
 
-	if _, ok := s.Get("cafe01"); ok {
-		t.Fatal("legacy budget-exhausted record served as a verdict")
+	for _, key := range []string{"cafe01", "cafe02"} {
+		if _, ok := s.Get(key); ok {
+			t.Fatalf("legacy record %s served under the new key scheme", key)
+		}
 	}
-	r, ok := s.Get("cafe02")
-	if !ok || r.Status != core.StatusFail {
-		t.Fatalf("real legacy failure not served as StatusFail: ok=%v r=%+v", ok, r)
-	}
-
-	// The real verdict supersedes the stale give-up.
 	s.Add("cafe01", core.CheckResult{OK: true, Status: core.StatusOK})
-	r, ok = s.Get("cafe01")
-	if !ok || r.Status != core.StatusOK {
-		t.Fatalf("verdict did not supersede legacy unknown: ok=%v r=%+v", ok, r)
+	if r, ok := s.Get("cafe01"); !ok || r.Status != core.StatusOK {
+		t.Fatalf("fresh verdict not served: ok=%v r=%+v", ok, r)
 	}
 
 	// And an Unknown result is still never journaled.
 	s.Add("cafe03", core.CheckResult{Status: core.StatusUnknown})
 	if _, ok := s.Get("cafe03"); ok {
 		t.Fatal("unknown result was journaled")
+	}
+}
+
+// TestKeyVersionBump: a journal written under the old key scheme (records
+// without "v") is ignored — never served, even for a key that happens to
+// repeat — and compacted away on Open, a torn final record across the bump
+// does not stop the replay, and what the new scheme writes round-trips
+// through the same results.jsonl and the same Get/Add.
+func TestKeyVersionBump(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	old := `{"key":"k1","fp":"fp-a","result":{"ok":false,"witness":"old verdict"}}
+{"key":"k2","fp":"fp-a","result":{"ok":true,"vars":3}}
+{"v":1,"key":"k3","result":{"ok":true}}
+{"key":"k4","result":{"ok":tr`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("pre-bump journal with a torn tail must open: %v", err)
+	}
+	if s.Len() != 0 || s.Stats().Loaded != 0 {
+		t.Fatalf("old-version records loaded: len %d, stats %+v", s.Len(), s.Stats())
+	}
+	for _, k := range []string{"k1", "k2", "k3", "k4"} {
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("old-version record %s served", k)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) != 0 {
+		t.Fatalf("old-version records not compacted away (%v):\n%s", err, data)
+	}
+
+	// Same key, new scheme: the new verdict is the one filed and served.
+	s.SetFingerprint("fp-b")
+	s.Add("k1", core.CheckResult{OK: true, Status: core.StatusOK, NumVars: 9})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = os.ReadFile(path)
+	if want := `{"v":2,"key":"k1","fp":"fp-b","result":{"ok":true,"vars":9}}` + "\n"; string(data) != want {
+		t.Fatalf("journal after the bump:\n%swant\n%s", data, want)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if r, ok := s2.Get("k1"); !ok || !r.OK || r.NumVars != 9 || s2.Stats().Compacted != 0 {
+		t.Fatalf("new-version record not replayed cleanly: %+v/%v, stats %+v", r, ok, s2.Stats())
 	}
 }
 

@@ -9,6 +9,8 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 
 	"lightyear/internal/policy"
 	"lightyear/internal/routemodel"
@@ -49,6 +51,48 @@ type Network struct {
 	imports    map[Edge]*policy.RouteMap
 	exports    map[Edge]*policy.RouteMap
 	originates map[Edge][]*routemodel.Route
+
+	indexMu sync.Mutex
+	index   *PolicyIndex // memoised by Index; every mutator drops it
+}
+
+// PolicyIndex is what check enumeration reads off a built network, computed
+// once and shared read-only by every problem over it: the sorted edge list
+// and, aligned with it, the content fingerprint of each edge's import map,
+// export map and originated routes. Route maps are values their builder may
+// still edit, so the fingerprints are memoised here, on the network that
+// binds them, and every mutator (AddRouter, AddEdge, SetImport, SetExport,
+// AddOriginate) drops the index; a Clone starts without one.
+type PolicyIndex struct {
+	Edges                     []Edge
+	Import, Export, Originate []spec.Fingerprint
+}
+
+// Index returns the network's memoised PolicyIndex, building it on first use
+// after a mutation.
+func (n *Network) Index() *PolicyIndex {
+	n.indexMu.Lock()
+	defer n.indexMu.Unlock()
+	if n.index == nil {
+		n.index = &PolicyIndex{Edges: n.Edges()}
+		for _, e := range n.index.Edges {
+			var routes strings.Builder
+			for _, r := range n.originates[e] {
+				routes.WriteString(r.String() + ";")
+			}
+			n.index.Import = append(n.index.Import, n.imports[e].Fingerprint())
+			n.index.Export = append(n.index.Export, n.exports[e].Fingerprint())
+			n.index.Originate = append(n.index.Originate, spec.Sum(routes.String()))
+		}
+	}
+	return n.index
+}
+
+// touch drops the memoised index; every mutator calls it.
+func (n *Network) touch() {
+	n.indexMu.Lock()
+	n.index = nil
+	n.indexMu.Unlock()
 }
 
 // New returns an empty network.
@@ -80,6 +124,7 @@ func (n *Network) addNode(id NodeID, as uint32, external bool) *Node {
 	}
 	node := &Node{ID: id, AS: as, External: external}
 	n.nodes[id] = node
+	n.touch()
 	return node
 }
 
@@ -94,6 +139,7 @@ func (n *Network) AddEdge(from, to NodeID) Edge {
 	}
 	e := Edge{From: from, To: to}
 	if _, dup := n.edges[e]; !dup {
+		n.touch()
 		n.edges[e] = struct{}{}
 		n.out[from] = append(n.out[from], to)
 		n.in[to] = append(n.in[to], from)
@@ -188,6 +234,7 @@ func sortIDs(ids []NodeID) {
 // on e.
 func (n *Network) SetImport(e Edge, m *policy.RouteMap) {
 	n.mustEdge(e)
+	n.touch()
 	n.imports[e] = m
 }
 
@@ -195,6 +242,7 @@ func (n *Network) SetImport(e Edge, m *policy.RouteMap) {
 // e.
 func (n *Network) SetExport(e Edge, m *policy.RouteMap) {
 	n.mustEdge(e)
+	n.touch()
 	n.exports[e] = m
 }
 
@@ -202,6 +250,7 @@ func (n *Network) SetExport(e Edge, m *policy.RouteMap) {
 // e.To (static/network statements redistributed into BGP, §3.1).
 func (n *Network) AddOriginate(e Edge, r *routemodel.Route) {
 	n.mustEdge(e)
+	n.touch()
 	n.originates[e] = append(n.originates[e], r)
 }
 
