@@ -119,11 +119,8 @@
 // every check and so implies all.
 //
 // With -json, the command emits a single machine-readable JSON document on
-// stdout instead of the human-readable summary. Single-property unscoped
-// runs keep the historical {suite, ok, problems, engine} encoding (the same
-// report encoding lyserve's v1 API serves); multi-property or scoped runs
-// emit the plan result encoding {ok, properties: [...], engine} that
-// lyserve's v2 API serves.
+// stdout instead of the human-readable summary: the plan result encoding
+// {ok, properties: [...], engine} that lyserve's /v2 API serves.
 //
 // With -migrate steps.json the command verifies a migration plan instead of
 // a single state: the file is a migrate.Plan JSON document — a baseline
@@ -136,9 +133,10 @@
 // violating step is reported with its failing checks and witnesses. With
 // "unordered": true the steps are treated as an unordered change set and the
 // command searches for a safe ordering ("search_budget" bounds how many
-// intermediate states the search may verify). -config, -tenant, -solver,
-// -workers, -cache, -store, -store-retain, and -wan-regions override the
-// corresponding plan fields, as with -plan.
+// intermediate states the search may verify). -config, -property,
+// -routers, -regions and the execution-option flags override the
+// corresponding plan fields exactly as with -plan; -diff and -corpus are
+// usage errors, since the file names the baseline.
 //
 // Exit status contract:
 //
@@ -217,7 +215,8 @@ func (f cliFlags) set(name string) bool { return f.Set[name] }
 // Usage errors (the exit-2 class) are returned as *usageError.
 func buildRequest(f cliFlags) (plan.Request, error) {
 	var req plan.Request
-	if f.PlanPath != "" {
+	saved := f.PlanPath != ""
+	if saved {
 		src, err := os.ReadFile(f.PlanPath)
 		if err != nil {
 			return req, err
@@ -246,12 +245,37 @@ func buildRequest(f cliFlags) (plan.Request, error) {
 		} else {
 			req.Network = plan.Network{Corpus: f.Corpus}
 		}
-	case f.PlanPath == "" || f.set("config"):
+	case !saved || f.set("config"):
 		if f.ConfigPath == "" {
 			return req, &usageError{"-config is required (generate one with lygen, pick -corpus, or pass -plan)"}
 		}
 		req.Network = plan.Network{ConfigPath: f.ConfigPath}
 	}
+	var err error
+	if req.Properties, err = applyPropertyFlags(f, saved, req.Properties); err != nil {
+		return req, err
+	}
+	if err := applyOptionFlags(f, saved, &req.Options); err != nil {
+		return req, err
+	}
+	if f.DiffPath != "" {
+		req.Options.Baseline = &plan.Network{ConfigPath: f.DiffPath}
+	}
+	if err := req.Validate(); err != nil {
+		var reqErr *plan.RequestError
+		if errors.As(err, &reqErr) {
+			return req, &usageError{strings.TrimPrefix(reqErr.Error(), "plan: ")}
+		}
+		return req, err
+	}
+	return req, nil
+}
+
+// applyPropertyFlags applies -property, -routers and -regions to a property
+// list. Without a saved document (saved false) -property, or its default,
+// names the list; with one, an explicit -property replaces the document's
+// list, and -routers or -regions alone re-scope it.
+func applyPropertyFlags(f cliFlags, saved bool, props []plan.Property) ([]plan.Property, error) {
 	var routers []topology.NodeID
 	if f.Routers != "" {
 		for _, r := range strings.Split(f.Routers, ",") {
@@ -269,94 +293,88 @@ func buildRequest(f cliFlags) (plan.Request, error) {
 			}
 			idx, err := strconv.Atoi(r)
 			if err != nil {
-				return req, &usageError{fmt.Sprintf("-regions: bad region index %q (want 0-based integers)", r)}
+				return nil, &usageError{fmt.Sprintf("-regions: bad region index %q (want 0-based integers)", r)}
 			}
 			regions = append(regions, idx)
 		}
 	}
-	props := f.Properties
-	if f.Corpus != "" && !f.set("property") {
-		// Corpus members are built for the peering suite; make it the
-		// default property instead of the fig1 demo.
-		props = corpus.PropertySuite
-	}
-	switch {
-	case f.PlanPath == "" || f.set("property"):
-		req.Properties = nil
-		for _, name := range strings.Split(props, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if _, ok := netgen.Lookup(name); !ok {
-				return req, &usageError{fmt.Sprintf("unknown property %q (have: %s)",
-					name, strings.Join(netgen.SuiteNames(), ", "))}
-			}
-			req.Properties = append(req.Properties, plan.Property{Name: name, Routers: routers, Regions: regions})
-		}
-		if len(req.Properties) == 0 {
-			return req, &usageError{fmt.Sprintf("-property lists no properties (have: %s)",
-				strings.Join(netgen.SuiteNames(), ", "))}
-		}
-	default:
-		// -routers / -regions alone re-scope the saved plan's own property
-		// list.
+	if saved && !f.set("property") {
 		if f.set("routers") {
-			for i := range req.Properties {
-				req.Properties[i].Routers = routers
+			for i := range props {
+				props[i].Routers = routers
 			}
 		}
 		if f.set("regions") {
-			for i := range req.Properties {
-				req.Properties[i].Regions = regions
+			for i := range props {
+				props[i].Regions = regions
 			}
 		}
+		return props, nil
 	}
-	if f.PlanPath == "" || f.set("solver") {
-		req.Options.Solver = nil
+	names := f.Properties
+	if f.Corpus != "" && !f.set("property") {
+		// Corpus members are built for the peering suite; make it the
+		// default property instead of the fig1 demo.
+		names = corpus.PropertySuite
+	}
+	props = nil
+	for _, name := range strings.Split(names, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if _, ok := netgen.Lookup(name); !ok {
+			return nil, &usageError{fmt.Sprintf("unknown property %q (have: %s)",
+				name, strings.Join(netgen.SuiteNames(), ", "))}
+		}
+		props = append(props, plan.Property{Name: name, Routers: routers, Regions: regions})
+	}
+	if len(props) == 0 {
+		return nil, &usageError{fmt.Sprintf("-property lists no properties (have: %s)",
+			strings.Join(netgen.SuiteNames(), ", "))}
+	}
+	return props, nil
+}
+
+// applyOptionFlags applies the execution-option flags to o: every one
+// without a saved document, only the explicitly set ones with one.
+func applyOptionFlags(f cliFlags, saved bool, o *plan.Options) error {
+	override := func(name string) bool { return !saved || f.set(name) }
+	if override("solver") {
+		o.Solver = nil
 		if f.Solver != "" {
 			spec, err := solver.ParseSpec(f.Solver)
 			if err != nil {
-				return req, &usageError{err.Error()}
+				return &usageError{err.Error()}
 			}
-			req.Options.Solver = &spec
+			o.Solver = &spec
 		}
 	}
-	if f.PlanPath == "" || f.set("results") {
-		req.Options.Results = engine.ResultsMode(f.Results)
+	if override("results") {
+		o.Results = engine.ResultsMode(f.Results)
 	}
 	if f.Verbose {
-		req.Options.Results = engine.ResultsAll
+		o.Results = engine.ResultsAll
 	}
-	if f.DiffPath != "" {
-		req.Options.Baseline = &plan.Network{ConfigPath: f.DiffPath}
+	if override("workers") {
+		o.Workers = f.Workers
 	}
-	if f.PlanPath == "" || f.set("workers") {
-		req.Options.Workers = f.Workers
+	if override("cache") {
+		o.Cache = f.Cache
 	}
-	if f.PlanPath == "" || f.set("cache") {
-		req.Options.Cache = f.Cache
+	if override("store") {
+		o.Store = f.Store
 	}
-	if f.PlanPath == "" || f.set("store") {
-		req.Options.Store = f.Store
+	if override("store-retain") {
+		o.StoreRetain = f.StoreRetain
 	}
-	if f.PlanPath == "" || f.set("store-retain") {
-		req.Options.StoreRetain = f.StoreRetain
+	if override("wan-regions") {
+		o.WANRegions = f.WANRegions
 	}
-	if f.PlanPath == "" || f.set("wan-regions") {
-		req.Options.WANRegions = f.WANRegions
+	if override("tenant") {
+		o.Tenant = f.Tenant
 	}
-	if f.PlanPath == "" || f.set("tenant") {
-		req.Options.Tenant = f.Tenant
-	}
-	if err := req.Validate(); err != nil {
-		var reqErr *plan.RequestError
-		if errors.As(err, &reqErr) {
-			return req, &usageError{strings.TrimPrefix(reqErr.Error(), "plan: ")}
-		}
-		return req, err
-	}
-	return req, nil
+	return nil
 }
 
 type usageError struct{ msg string }
@@ -494,8 +512,7 @@ func main() {
 	}
 	if *corpusEmit {
 		if f.Corpus == "" {
-			fmt.Fprintln(os.Stderr, "lightyear: -corpus-emit requires -corpus")
-			os.Exit(2)
+			os.Exit(fail(&usageError{"-corpus-emit requires -corpus"}))
 		}
 		m, err := corpusMember(f)
 		if err == nil {
@@ -505,11 +522,7 @@ func main() {
 				return
 			}
 		}
-		fmt.Fprintln(os.Stderr, "lightyear:", err)
-		if _, usage := err.(*usageError); usage {
-			os.Exit(2)
-		}
-		os.Exit(1)
+		os.Exit(fail(err))
 	}
 
 	if f.MigratePath != "" {
@@ -518,42 +531,18 @@ func main() {
 
 	req, err := buildRequest(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lightyear:", err)
-		if _, usage := err.(*usageError); usage {
-			os.Exit(2)
-		}
-		os.Exit(1)
+		os.Exit(fail(err))
 	}
-	weights, err := engine.ParseWeights(f.Weights)
+	adm, err := admission(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lightyear: -tenant-weights:", err)
-		os.Exit(2)
+		os.Exit(fail(err))
 	}
-
-	// -trace records the whole run — compilation included — into a local
-	// recorder whose span tree is printed once the run completes.
-	var rec *telemetry.Recorder
-	var tr *telemetry.Trace
-	if *traceOut {
-		rec = telemetry.New(0)
-		tr = rec.StartTrace("cli", req.Options.Tenant)
-	}
-	// Remote solver backends (-solver remote:…) are constructed inside
-	// plan.Compile; point the fabric at the run's sinks first.
-	fabric.SetTelemetry(rec)
-	fabric.SetLogger(logger)
-	corpus.SetTelemetry(rec)
-
+	rec, tr := startTelemetry(*traceOut, "cli", req.Options.Tenant, logger)
 	cs := tr.StartSpan("compile")
 	compiled, err := plan.Compile(req, nil)
 	cs.End()
 	if err != nil {
-		var reqErr *plan.RequestError
-		if errors.As(err, &reqErr) { // e.g. an invalid -routers scope
-			fmt.Fprintln(os.Stderr, "lightyear:", strings.TrimPrefix(reqErr.Error(), "plan: "))
-			os.Exit(2)
-		}
-		fatal(err)
+		os.Exit(fail(err))
 	}
 	tr.SetLabel(compiled.Label())
 	if !*jsonOut {
@@ -574,47 +563,28 @@ func main() {
 		}
 	}
 
-	engOpts := engine.Options{
-		Workers:   req.Options.Workers,
-		CacheSize: req.Options.Cache,
-		Telemetry: rec,
-		Logger:    logger,
-		Admission: engine.Admission{MaxInFlightChecks: f.MaxInflight, Weights: weights},
+	eng, resultStore, err := newEngine(req.Options, adm, rec, logger)
+	if err != nil {
+		os.Exit(fail(err))
 	}
-	var resultStore *store.Store
-	if req.Options.Store != "" {
-		resultStore, err = store.OpenOptions(req.Options.Store, store.Options{MaxFingerprints: req.Options.StoreRetain})
-		if err != nil {
-			fatal(err)
-		}
+	if resultStore != nil {
 		defer resultStore.Close()
-		resultStore.SetTelemetry(rec)
-		resultStore.SetLogger(logger)
 		if !*jsonOut {
 			fmt.Printf("store: %s (%d results on disk)\n", req.Options.Store, resultStore.Len())
 		}
-		engOpts.Cache = resultStore
 	}
-	eng := engine.New(engOpts)
 	defer eng.Close()
 
 	res, err := plan.Run(eng, compiled, plan.RunConfig{Store: resultStore, Trace: tr})
 	if err != nil {
-		var adm *engine.ErrAdmission
-		if errors.As(err, &adm) {
-			// The whole plan was shed before any check ran — the same
-			// backpressure lyserve answers as HTTP 429 + Retry-After.
-			fmt.Fprintf(os.Stderr, "lightyear: %v\n", adm)
-			os.Exit(1)
-		}
-		fatal(err)
+		os.Exit(fail(err))
 	}
 
 	switch {
 	case res.Update != nil: // delta-vs-baseline mode
 		printDelta(res, compiled, *jsonOut, resultStore)
 	case *jsonOut:
-		printJSON(res, compiled)
+		emitJSON(res)
 	default:
 		printHuman(res, compiled, f.Verbose, resultStore)
 		if f.Corpus != "" {
@@ -627,13 +597,92 @@ func main() {
 			}
 		}
 	}
-	if rec != nil {
-		// plan.Run finished the trace, landing it in the recorder's ring.
-		if snap, ok := rec.Trace(tr.ID()); ok {
-			snap.WriteTree(os.Stderr)
-		}
-	}
+	printTrace(rec, tr)
 	os.Exit(exitCode(res))
+}
+
+// fail prints err and returns the exit status of its class: 2 for usage
+// errors — bad flags and malformed plan documents — and 1 for everything
+// else, an admission rejection included: the whole plan was shed before any
+// check ran, the same backpressure lyserve answers as HTTP 429.
+func fail(err error) int {
+	var usage *usageError
+	var reqErr *plan.RequestError
+	var adm *engine.ErrAdmission
+	switch {
+	case errors.As(err, &usage):
+		fmt.Fprintln(os.Stderr, "lightyear:", usage)
+		return 2
+	case errors.As(err, &reqErr): // e.g. an invalid -routers scope
+		fmt.Fprintln(os.Stderr, "lightyear:", strings.TrimPrefix(reqErr.Error(), "plan: "))
+		return 2
+	case errors.As(err, &adm):
+		err = adm
+	}
+	fmt.Fprintln(os.Stderr, "lightyear:", err)
+	return 1
+}
+
+// startTelemetry opens the run's recorder and trace under -trace (both nil
+// otherwise) and points the process-wide fabric and corpus sinks at them.
+// The trace covers the whole run, compilation included; remote solver
+// backends (-solver remote:…) are constructed at compilation.
+func startTelemetry(on bool, label, tenant string, logger *slog.Logger) (*telemetry.Recorder, *telemetry.Trace) {
+	var rec *telemetry.Recorder
+	var tr *telemetry.Trace
+	if on {
+		rec = telemetry.New(0)
+		tr = rec.StartTrace(label, tenant)
+	}
+	fabric.SetTelemetry(rec)
+	fabric.SetLogger(logger)
+	corpus.SetTelemetry(rec)
+	return rec, tr
+}
+
+// printTrace writes the finished trace's span tree to stderr under -trace.
+func printTrace(rec *telemetry.Recorder, tr *telemetry.Trace) {
+	if rec == nil {
+		return
+	}
+	if snap, ok := rec.Trace(tr.ID()); ok {
+		snap.WriteTree(os.Stderr)
+	}
+}
+
+// admission reads the engine's admission flags, which no plan document
+// carries.
+func admission(f cliFlags) (engine.Admission, error) {
+	weights, err := engine.ParseWeights(f.Weights)
+	if err != nil {
+		return engine.Admission{}, &usageError{"-tenant-weights: " + err.Error()}
+	}
+	return engine.Admission{MaxInFlightChecks: f.MaxInflight, Weights: weights}, nil
+}
+
+// newEngine builds the run's engine from the plan options. With a store
+// directory the persistent result store is the engine's cache; the caller
+// closes both.
+func newEngine(o plan.Options, adm engine.Admission, rec *telemetry.Recorder, logger *slog.Logger) (*engine.Engine, *store.Store, error) {
+	opts := engine.Options{
+		Workers:   o.Workers,
+		CacheSize: o.Cache,
+		Telemetry: rec,
+		Logger:    logger,
+		Admission: adm,
+	}
+	var st *store.Store
+	if o.Store != "" {
+		var err error
+		st, err = store.OpenOptions(o.Store, store.Options{MaxFingerprints: o.StoreRetain})
+		if err != nil {
+			return nil, nil, err
+		}
+		st.SetTelemetry(rec)
+		st.SetLogger(logger)
+		opts.Cache = st
+	}
+	return engine.New(opts), st, nil
 }
 
 // exitCode maps a plan result onto the CLI's exit contract: 0 verified,
@@ -650,12 +699,6 @@ func exitCode(res *plan.Result) int {
 	default:
 		return 1
 	}
-}
-
-// legacySingleProperty reports whether the run must keep the historical
-// single-suite output encoding.
-func legacySingleProperty(c *plan.Compiled) bool {
-	return len(c.Units) == 1 && c.Units[0].Property.Scope().Empty()
 }
 
 // printHuman renders the per-problem reports, per-property and engine
@@ -756,43 +799,10 @@ func printStoreSummary(st *store.Store) {
 	fmt.Printf("store: %d results loaded, %d reused, %d recorded\n", s.Loaded, s.Hits, s.Puts)
 }
 
-// legacyProblemJSON and legacyRunJSON keep the historical single-suite
-// -json document byte-compatible for existing consumers.
-type legacyProblemJSON struct {
-	Name       string             `json:"name"`
-	Skipped    bool               `json:"skipped,omitempty"`
-	SkipReason string             `json:"skip_reason,omitempty"`
-	Report     *engine.ReportJSON `json:"report,omitempty"`
-	Stats      *engine.JobStats   `json:"stats,omitempty"`
-}
-
-type legacyRunJSON struct {
-	Suite    string              `json:"suite"`
-	OK       bool                `json:"ok"`
-	Problems []legacyProblemJSON `json:"problems"`
-	Engine   engine.Stats        `json:"engine"`
-	Store    *store.Stats        `json:"store,omitempty"`
-}
-
-func printJSON(res *plan.Result, c *plan.Compiled) {
-	var doc any = res
-	if legacySingleProperty(c) {
-		out := legacyRunJSON{Suite: c.Units[0].Property.Name, OK: res.OK, Engine: res.Engine, Store: res.Store}
-		for _, p := range res.Properties[0].Problems {
-			out.Problems = append(out.Problems, legacyProblemJSON{
-				Name: p.Name, Skipped: p.Skipped, SkipReason: p.SkipReason,
-				Report: p.EncodeReport(), Stats: p.Stats,
-			})
-		}
-		doc = out
-	}
-	emitJSON(doc)
-}
-
 func emitJSON(doc any) {
 	encoded, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fatal(err)
+		os.Exit(fail(err))
 	}
 	os.Stdout.Write(append(encoded, '\n'))
 }
@@ -875,81 +885,45 @@ func joinIDs(ids []topology.NodeID) string {
 	return strings.Join(parts, ", ")
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lightyear:", err)
-	os.Exit(1)
-}
-
-// runMigrate is the -migrate entry point: read the migration plan, apply
-// flag overrides, and walk (or search) it on a private engine. Returns the
-// process exit code.
-func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
+// migratePlan reads the -migrate file and applies the flag overrides -plan
+// applies. Usage errors (the exit-2 class) are returned as *usageError.
+func migratePlan(f cliFlags) (migrate.Plan, error) {
+	var p migrate.Plan
+	if f.DiffPath != "" || f.Corpus != "" {
+		return p, &usageError{"-diff and -corpus do not apply to -migrate (the plan file names the baseline)"}
+	}
 	src, err := os.ReadFile(f.MigratePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lightyear:", err)
-		return 1
+		return p, err
 	}
-	var p migrate.Plan
 	if err := json.Unmarshal(src, &p); err != nil {
-		fmt.Fprintf(os.Stderr, "lightyear: %s: %v\n", f.MigratePath, err)
-		return 2
+		return p, &usageError{fmt.Sprintf("%s: %v", f.MigratePath, err)}
 	}
 	if f.set("config") {
 		p.Network = &plan.Network{ConfigPath: f.ConfigPath}
 	}
-	if f.set("solver") {
-		p.Options.Solver = nil
-		if f.Solver != "" {
-			spec, err := solver.ParseSpec(f.Solver)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lightyear:", err)
-				return 2
-			}
-			p.Options.Solver = &spec
-		}
+	if p.Properties, err = applyPropertyFlags(f, true, p.Properties); err != nil {
+		return p, err
 	}
-	if f.set("workers") {
-		p.Options.Workers = f.Workers
-	}
-	if f.set("cache") {
-		p.Options.Cache = f.Cache
-	}
-	if f.set("store") {
-		p.Options.Store = f.Store
-	}
-	if f.set("store-retain") {
-		p.Options.StoreRetain = f.StoreRetain
-	}
-	if f.set("wan-regions") {
-		p.Options.WANRegions = f.WANRegions
-	}
-	if f.set("tenant") {
-		p.Options.Tenant = f.Tenant
-	}
-	weights, err := engine.ParseWeights(f.Weights)
+	return p, applyOptionFlags(f, true, &p.Options)
+}
+
+// runMigrate is the -migrate entry point: build the migration plan and walk
+// (or search) it on a private engine. Returns the process exit code.
+func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
+	p, err := migratePlan(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lightyear: -tenant-weights:", err)
-		return 2
+		return fail(err)
+	}
+	adm, err := admission(f)
+	if err != nil {
+		return fail(err)
 	}
 
-	var rec *telemetry.Recorder
-	var tr *telemetry.Trace
-	if traceOut {
-		rec = telemetry.New(0)
-		tr = rec.StartTrace("cli-migrate", p.Options.Tenant)
-	}
-	fabric.SetTelemetry(rec)
-	fabric.SetLogger(logger)
-
+	rec, tr := startTelemetry(traceOut, "cli-migrate", p.Options.Tenant, logger)
 	c, err := migrate.Compile(p, nil)
 	if err != nil {
-		var reqErr *plan.RequestError
-		if errors.As(err, &reqErr) {
-			fmt.Fprintln(os.Stderr, "lightyear:", strings.TrimPrefix(reqErr.Error(), "plan: "))
-			return 2
-		}
-		fmt.Fprintln(os.Stderr, "lightyear:", err)
-		return 1
+		return fail(err)
 	}
 	tr.SetLabel("migrate:" + c.Inner.Label())
 	if !jsonOut {
@@ -962,26 +936,13 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 			c.NumSteps(), mode, len(n.Routers()), n.NumEdges())
 	}
 
-	engOpts := engine.Options{
-		Workers:   c.Plan.Options.Workers,
-		CacheSize: c.Plan.Options.Cache,
-		Telemetry: rec,
-		Logger:    logger,
-		Admission: engine.Admission{MaxInFlightChecks: f.MaxInflight, Weights: weights},
+	eng, resultStore, err := newEngine(c.Plan.Options, adm, rec, logger)
+	if err != nil {
+		return fail(err)
 	}
-	var resultStore *store.Store
-	if dir := c.Plan.Options.Store; dir != "" {
-		resultStore, err = store.OpenOptions(dir, store.Options{MaxFingerprints: c.Plan.Options.StoreRetain})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lightyear:", err)
-			return 1
-		}
+	if resultStore != nil {
 		defer resultStore.Close()
-		resultStore.SetTelemetry(rec)
-		resultStore.SetLogger(logger)
-		engOpts.Cache = resultStore
 	}
-	eng := engine.New(engOpts)
 	defer eng.Close()
 
 	sink := func(migrate.Event) {}
@@ -992,13 +953,7 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 		Sink: sink, Store: resultStore, Recorder: rec, Trace: tr,
 	})
 	if err != nil {
-		var adm *engine.ErrAdmission
-		if errors.As(err, &adm) {
-			fmt.Fprintf(os.Stderr, "lightyear: %v\n", adm)
-			return 1
-		}
-		fmt.Fprintln(os.Stderr, "lightyear:", err)
-		return 1
+		return fail(err)
 	}
 	if jsonOut {
 		emitJSON(res)
@@ -1007,11 +962,7 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 		printEngineSummary(eng.Stats())
 		printStoreSummary(resultStore)
 	}
-	if rec != nil {
-		if snap, ok := rec.Trace(tr.ID()); ok {
-			snap.WriteTree(os.Stderr)
-		}
-	}
+	printTrace(rec, tr)
 	return migrateExitCode(res)
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -316,5 +318,110 @@ func TestBuildRequestResults(t *testing.T) {
 	f.Results, f.Set = "failures", map[string]bool{"results": true}
 	if req, err := buildRequest(f); err != nil || req.Options.Results != engine.ResultsFailures {
 		t.Errorf("-results did not override the saved plan: %q (err %v)", req.Options.Results, err)
+	}
+}
+
+// writeMigratePlan saves the Figure-1 shield/retire pair in the unsafe
+// order — retire first leaks transit at step 0 — as a -migrate file.
+func writeMigratePlan(t *testing.T) string {
+	t.Helper()
+	doc := `{"network": {"generator": {"kind": "fig1"}},
+	 "properties": [{"name": "fig1-no-transit"}],
+	 "steps": [
+	  {"label": "retire", "mutation": {"kind": "remove-export-clause", "from": "R2", "to": "ISP2", "seq": 10}},
+	  {"label": "shield", "mutation": {"kind": "insert-export-deny", "from": "R2", "to": "ISP2", "seq": 5, "match": "community:100:1"}}
+	 ]}`
+	path := filepath.Join(t.TempDir(), "steps.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestMigratePlanAppliesPropertyFlags: -property, -routers and -regions
+// reach the migration plan's properties exactly as they reach a -plan
+// file's, and untouched defaults leave the file's list alone.
+func TestMigratePlanAppliesPropertyFlags(t *testing.T) {
+	path := writeMigratePlan(t)
+	for _, tc := range []struct {
+		name string
+		set  func(*cliFlags)
+		want []plan.Property
+	}{
+		{"defaults", func(*cliFlags) {}, []plan.Property{{Name: "fig1-no-transit"}}},
+		{"property", func(f *cliFlags) {
+			f.Properties, f.Routers = "wan-peering,wan-ip-reuse", "edge-0"
+			f.Set["property"], f.Set["routers"] = true, true
+		}, []plan.Property{
+			{Name: "wan-peering", Routers: []topology.NodeID{"edge-0"}},
+			{Name: "wan-ip-reuse", Routers: []topology.NodeID{"edge-0"}},
+		}},
+		{"routers", func(f *cliFlags) {
+			f.Routers, f.Set["routers"] = "R2", true
+		}, []plan.Property{{Name: "fig1-no-transit", Routers: []topology.NodeID{"R2"}}}},
+		{"regions", func(f *cliFlags) {
+			f.Regions, f.Set["regions"] = "0, 1", true
+		}, []plan.Property{{Name: "fig1-no-transit", Regions: []int{0, 1}}}},
+	} {
+		f := baseFlags()
+		f.MigratePath = path
+		tc.set(&f)
+		p, err := migratePlan(f)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, _ := json.Marshal(p.Properties)
+		want, _ := json.Marshal(tc.want)
+		if string(got) != string(want) {
+			t.Errorf("%s: properties %s, want %s", tc.name, got, want)
+		}
+	}
+
+	f := baseFlags()
+	f.MigratePath, f.Properties, f.Set["property"] = path, "no-such-suite", true
+	if _, err := migratePlan(f); err == nil {
+		t.Error("unknown -property accepted")
+	} else if _, usage := err.(*usageError); !usage {
+		t.Errorf("unknown -property: %v (%T), want usage error", err, err)
+	}
+}
+
+// TestMigrateRejectsDiffAndCorpus: -migrate's file names the baseline, so
+// -diff and -corpus beside it are usage errors, not silently ignored.
+func TestMigrateRejectsDiffAndCorpus(t *testing.T) {
+	path := writeMigratePlan(t)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for _, set := range []func(*cliFlags){
+		func(f *cliFlags) { f.DiffPath = writeConfig(t) },
+		func(f *cliFlags) { f.Corpus = "ring:1" },
+	} {
+		f := baseFlags()
+		f.MigratePath = path
+		set(&f)
+		if _, err := migratePlan(f); err == nil {
+			t.Errorf("%+v: accepted", f)
+		} else if _, usage := err.(*usageError); !usage {
+			t.Errorf("%+v: %v (%T), want usage error", f, err, err)
+		}
+		if code := runMigrate(f, true, false, quiet); code != 2 {
+			t.Errorf("%+v: exit %d, want 2", f, code)
+		}
+	}
+}
+
+// TestMigratePropertyFlagChangesTheVerdict: the retire-first plan violates
+// its own no-transit property at step 0 (exit 1); under -property
+// fig1-liveness the same steps are verified against liveness instead, which
+// they keep (exit 0).
+func TestMigratePropertyFlagChangesTheVerdict(t *testing.T) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	f := baseFlags()
+	f.MigratePath = writeMigratePlan(t)
+	if code := runMigrate(f, true, false, quiet); code != 1 {
+		t.Fatalf("the plan's own property: exit %d, want 1", code)
+	}
+	f.Properties, f.Set["property"] = "fig1-liveness", true
+	if code := runMigrate(f, true, false, quiet); code != 0 {
+		t.Fatalf("-property fig1-liveness: exit %d, want 0", code)
 	}
 }

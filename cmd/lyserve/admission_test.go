@@ -34,18 +34,13 @@ const bigPlan = `{
 	"options": {"wan_regions": 2}
 }`
 
-const smallPlan = `{
-	"network": {"generator": {"kind": "fig1"}},
-	"properties": [{"name": "fig1-no-transit"}]
-}`
-
 // TestAdmission429AndRetryAfter is the tentpole's HTTP contract: a plan
 // whose compiled cost exceeds the engine budget is rejected synchronously
 // with 429 + Retry-After and nothing enqueued; a smaller plan from the same
-// tenant is admitted, runs, and the per-tenant counters in /v1/stats record
+// tenant is admitted, runs, and the per-tenant counters in /v1/status record
 // both decisions.
 func TestAdmission429AndRetryAfter(t *testing.T) {
-	bigCost, smallCost := planCost(t, bigPlan), planCost(t, smallPlan)
+	bigCost, smallCost := planCost(t, bigPlan), planCost(t, fig1Plan)
 	if smallCost >= bigCost {
 		t.Fatalf("test plans must differ in cost: small %d, big %d", smallCost, bigCost)
 	}
@@ -94,8 +89,8 @@ func TestAdmission429AndRetryAfter(t *testing.T) {
 	}
 
 	// Under budget, same tenant via query parameter: admitted and verified.
-	resp2, err := http.Post(ts.URL+"/v1/verify?tenant=acme", "application/json",
-		bytes.NewBufferString(`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`))
+	resp2, err := http.Post(ts.URL+"/v2/verify?tenant=acme", "application/json",
+		bytes.NewBufferString(fig1Plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,19 +112,8 @@ func TestAdmission429AndRetryAfter(t *testing.T) {
 		t.Fatalf("job admission identity: tenant %q cost %d, want acme/%d", j.Tenant, j.Cost, smallCost)
 	}
 
-	// /v1/stats exposes the per-tenant counters.
-	var stats struct {
-		Engine engine.Stats `json:"engine"`
-	}
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	ten := stats.Engine.Tenants["acme"]
+	// /v1/status exposes the per-tenant counters.
+	ten := getStatus(t, ts).Engine.Tenants["acme"]
 	if ten.Admitted != 1 || ten.Rejected != 1 {
 		t.Fatalf("tenant counters: %+v (want 1 admitted, 1 rejected)", ten)
 	}
@@ -142,8 +126,7 @@ func TestAdmission429AndRetryAfter(t *testing.T) {
 // baseline and every update under that tenant.
 func TestSessionTenantInheritance(t *testing.T) {
 	ts := newTestServer(t)
-	body := `{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/sessions", bytes.NewBufferString(body))
+	req, _ := http.NewRequest("POST", ts.URL+"/v2/sessions", bytes.NewBufferString(fig1Plan))
 	req.Header.Set("X-Tenant", "netops")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -164,8 +147,9 @@ func TestSessionTenantInheritance(t *testing.T) {
 	// A caller presenting a different identity (here: none, i.e. the
 	// default tenant) may not mutate the session — its runs are charged to
 	// the session's tenant.
-	fresp, err := http.Post(ts.URL+"/v1/sessions/"+accept.ID+"/update", "application/json",
-		bytes.NewBufferString(body))
+	update := `{"network": {"generator": {"kind": "fig1"}}}`
+	fresp, err := http.Post(ts.URL+"/v2/sessions/"+accept.ID+"/update", "application/json",
+		bytes.NewBufferString(update))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +157,7 @@ func TestSessionTenantInheritance(t *testing.T) {
 	if fresp.StatusCode != http.StatusForbidden {
 		t.Fatalf("foreign-tenant update: status %d, want 403", fresp.StatusCode)
 	}
-	dreq, _ := http.NewRequest("DELETE", ts.URL+"/v1/sessions/"+accept.ID, nil)
+	dreq, _ := http.NewRequest("DELETE", ts.URL+"/v2/sessions/"+accept.ID, nil)
 	dresp, err := http.DefaultClient.Do(dreq)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +170,8 @@ func TestSessionTenantInheritance(t *testing.T) {
 	// The rightful tenant's update is accepted and runs under its quota —
 	// here asserted via the body's tenant field, the same channel a
 	// header-less creator would have used.
-	ownerBody := `{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}, "tenant": "netops"}`
-	uresp, err := http.Post(ts.URL+"/v1/sessions/"+accept.ID+"/update", "application/json",
+	ownerBody := `{"network": {"generator": {"kind": "fig1"}}, "tenant": "netops"}`
+	uresp, err := http.Post(ts.URL+"/v2/sessions/"+accept.ID+"/update", "application/json",
 		bytes.NewBufferString(ownerBody))
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +185,7 @@ func TestSessionTenantInheritance(t *testing.T) {
 	var sess struct {
 		Tenant string `json:"tenant"`
 	}
-	gresp, err := http.Get(ts.URL + "/v1/sessions/" + accept.ID)
+	gresp, err := http.Get(ts.URL + "/v2/sessions/" + accept.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,19 +197,8 @@ func TestSessionTenantInheritance(t *testing.T) {
 		t.Fatalf("session tenant = %q, want netops", sess.Tenant)
 	}
 
-	var stats struct {
-		Engine engine.Stats `json:"engine"`
-	}
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
 	// Baseline + update were both admitted as netops.
-	if got := stats.Engine.Tenants["netops"].Admitted; got != 2 {
+	if got := getStatus(t, ts).Engine.Tenants["netops"].Admitted; got != 2 {
 		t.Fatalf("netops admissions = %d, want 2 (baseline + update)", got)
 	}
 }
@@ -239,8 +212,7 @@ func TestSessionGC(t *testing.T) {
 
 	create := func() string {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
-			bytes.NewBufferString(`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`))
+		resp, err := http.Post(ts.URL+"/v2/sessions", "application/json", bytes.NewBufferString(fig1Plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,8 +239,9 @@ func TestSessionGC(t *testing.T) {
 	// Let both cross the idle threshold, then touch only one with an
 	// update — its lastActive refreshes, the other stays idle.
 	time.Sleep(600 * time.Millisecond)
-	uresp, err := http.Post(ts.URL+"/v1/sessions/"+active+"/update", "application/json",
-		bytes.NewBufferString(`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`))
+	update := `{"network": {"generator": {"kind": "fig1"}}}`
+	uresp, err := http.Post(ts.URL+"/v2/sessions/"+active+"/update", "application/json",
+		bytes.NewBufferString(update))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +252,7 @@ func TestSessionGC(t *testing.T) {
 		t.Fatalf("gc expired %d sessions, want 1 (the idle one)", n)
 	}
 	for id, want := range map[string]int{idle: http.StatusNotFound, active: http.StatusOK} {
-		resp, err := http.Get(ts.URL + "/v1/sessions/" + id)
+		resp, err := http.Get(ts.URL + "/v2/sessions/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,8 +263,8 @@ func TestSessionGC(t *testing.T) {
 	}
 
 	// An update to the expired session is refused like a deleted one.
-	resp, err := http.Post(ts.URL+"/v1/sessions/"+idle+"/update", "application/json",
-		bytes.NewBufferString(`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`))
+	resp, err := http.Post(ts.URL+"/v2/sessions/"+idle+"/update", "application/json",
+		bytes.NewBufferString(update))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,10 @@ package main
 
 // The health/status plane: GET /healthz (liveness), GET /readyz (component
 // readiness probes), and GET /v1/status (the single JSON rollup a dashboard
-// or a shard coordinator polls). /v1/stats remains the raw counters
-// endpoint; /v1/status adds identity (uptime, build info), component
-// health, solver-depth stats, and trace-ring occupancy in one document.
+// or a shard coordinator polls): identity (uptime, build info), component
+// health, engine, tenant, backend and solver-depth counters, job and session
+// counts, store and fabric counters, and trace-ring occupancy in one
+// document.
 
 import (
 	"net/http"

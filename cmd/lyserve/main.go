@@ -29,7 +29,7 @@
 // Every request runs as a tenant: the X-Tenant header, the ?tenant= query
 // parameter, or the plan's {"options": {"tenant": ...}} field (in that
 // precedence), defaulting to "default". The engine accounts each tenant's
-// admitted, rejected, queued, and in-flight work (GET /v1/stats →
+// admitted, rejected, queued, and in-flight work (GET /v1/status →
 // engine.tenants) and dispatches admitted workloads weighted-fair across
 // tenants, so one tenant flooding the service cannot starve another.
 //
@@ -50,9 +50,9 @@
 // (403 otherwise) — mutations run under, and are charged to, the session
 // tenant's quota.
 //
-// # v2 API — declarative verification plans
+// # API — declarative verification plans
 //
-// The v2 surface accepts internal/plan requests: one document composing a
+// The /v2 surface accepts internal/plan requests: one document composing a
 // network source, a list of properties (each optionally scoped to routers
 // or regions), and execution options. All request bodies are capped at
 // 1 MiB (413 beyond that).
@@ -126,36 +126,13 @@
 //	    plan also appears in the session's run history ("migrate": true,
 //	    with its result) for later GETs.
 //
-//	GET /v2/sessions/{id}, DELETE /v2/sessions/{id}
-//	    As in v1.
+//	GET /v2/sessions/{id}
+//	    The session's pinned fingerprint, retained result count, and run
+//	    history: every baseline, update, and migration with its status and
+//	    delta accounting (dirty checks, reused results, solved).
 //
-// # v1 API — single-suite requests
-//
-// The v1 endpoints keep their original request and response shapes,
-// implemented as adapters that compile each request into a single-property
-// plan.
-//
-//	POST /v1/verify
-//	    Body: {"suite": "<suite>", "regions": N,
-//	           "config": "<internal/config DSL source>"} or
-//	          {"suite": "<suite>",
-//	           "generator": {"kind": "fig1" | "fullmesh" | "wan", ...}}
-//	    Suites are the names in the internal/netgen registry. Returns 202
-//	    with {"id": "...", "status_url": "/v1/jobs/<id>"}.
-//
-//	GET /v1/jobs/{id}
-//	    The flat per-problem view: overall status (running|done),
-//	    per-problem completion counts, and — once complete — each problem's
-//	    report in the same JSON encoding `lightyear -json` emits.
-//
-//	GET /v1/stats
-//	    Engine counters (including per-solver-backend counters: solved,
-//	    unknown, variants raced, tiered escalations, solve time), job and
-//	    session counts, and — with -store — persistent-store counters.
-//
-//	POST /v1/sessions, POST /v1/sessions/{id}/update,
-//	GET /v1/sessions/{id}, DELETE /v1/sessions/{id}
-//	    Incremental sessions pinned to one suite, as before.
+//	DELETE /v2/sessions/{id}
+//	    Deletes the session; queued runs are abandoned.
 //
 // # Observability
 //
@@ -178,11 +155,10 @@
 //	    dispatch, solve:<backend>, cache, store), with per-span offsets,
 //	    durations, and attributes.
 //
-// Every verification request is traced end to end: POST /v1/verify and
-// POST /v2/verify answer with an X-Trace-Id header (and a trace_id field
-// in the 202 body and job snapshots), every NDJSON event of the run
-// carries the same trace_id, and once the run completes the trace is
-// retrievable at /v1/traces/{id}.
+// Every verification request is traced end to end: POST /v2/verify answers
+// with an X-Trace-Id header (and a trace_id field in the 202 body and job
+// snapshots), every NDJSON event of the run carries the same trace_id, and
+// once the run completes the trace is retrievable at /v1/traces/{id}.
 //
 // -tenant-weights t1=3,t2=1 sets per-tenant weighted-fair dispatch weights
 // (unlisted tenants weigh 1). -pprof additionally mounts the standard
@@ -499,14 +475,6 @@ func admissionError(w http.ResponseWriter, err error) bool {
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/verify", s.handleVerifyV1)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobV1)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreateV1)
-	mux.HandleFunc("POST /v1/sessions/{id}/update", s.handleSessionUpdateV1)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
@@ -701,7 +669,7 @@ func (s *server) gc(now time.Time) int {
 // log served by GET /v2/jobs/{id}/events, and the final result.
 type serviceJob struct {
 	id      string
-	label   string // v1 suite name, or the plan's property list
+	label   string // the plan's property list
 	tenant  string // tenant the plan was admitted under
 	cost    int    // admission cost (the plan's compiled check count)
 	traceID string // the run's telemetry trace ("" without a recorder)
@@ -755,7 +723,6 @@ type problemState struct {
 	skipReason string // reason for skipped or failed
 	report     *engine.ReportJSON
 	stats      *engine.JobStats
-	ok         bool
 }
 
 // doneAt reports whether the job has completed and when.
@@ -769,9 +736,9 @@ func (j *serviceJob) doneAt() (bool, time.Time) {
 // resv, which the run takes ownership of — and starts it on the shared
 // engine. tr is the trace the handler opened for the request (nil without
 // a recorder); the run records into it and finishes it.
-func (s *server) launchPlan(c *plan.Compiled, label string, resv *engine.Reservation, tr *telemetry.Trace) *serviceJob {
+func (s *server) launchPlan(c *plan.Compiled, resv *engine.Reservation, tr *telemetry.Trace) *serviceJob {
 	j := &serviceJob{
-		label:   label,
+		label:   c.Label(),
 		tenant:  engine.NormalizeTenant(c.Tenant()),
 		cost:    c.Cost(),
 		traceID: tr.ID(),
@@ -833,9 +800,6 @@ func (j *serviceJob) handleEvent(ev plan.Event) {
 				ps.completed, ps.total = max(ps.completed, ev.Completed), ev.Total
 			case "problem":
 				ps.skipped, ps.failed, ps.skipReason = ev.Skipped, ev.Failed, ev.Reason
-				if ev.OK != nil {
-					ps.ok = *ev.OK
-				}
 				if ev.Stats != nil {
 					ps.stats = ev.Stats
 					ps.completed, ps.total = ev.Stats.Checks, ev.Stats.Checks
@@ -870,41 +834,6 @@ func (j *serviceJob) finish(res *plan.Result) {
 		}
 	}
 	j.result, j.finished, j.done = res, true, time.Now()
-}
-
-// verifyRequest is the POST /v1/verify body (and session create/update
-// bodies): one suite plus a network source.
-type verifyRequest struct {
-	Suite     string                `json:"suite"`
-	Regions   int                   `json:"regions,omitempty"`
-	Config    string                `json:"config,omitempty"`
-	Generator *netgen.GeneratorSpec `json:"generator,omitempty"`
-	Tenant    string                `json:"tenant,omitempty"`
-	Priority  int                   `json:"priority,omitempty"`
-}
-
-// planRequest compiles the v1 body into a single-property plan request.
-func (r *verifyRequest) planRequest() plan.Request {
-	return plan.Request{
-		Network:    plan.Network{Config: r.Config, Generator: r.Generator},
-		Properties: []plan.Property{{Name: r.Suite}},
-		Options:    plan.Options{WANRegions: r.Regions, Tenant: r.Tenant, Priority: r.Priority},
-	}
-}
-
-// compileV1 validates and compiles a v1 request, answering 400 on error.
-func (s *server) compileV1(w http.ResponseWriter, req *verifyRequest) (*plan.Compiled, bool) {
-	if _, ok := netgen.Lookup(req.Suite); !ok {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown suite %q (have: %s)",
-			req.Suite, strings.Join(netgen.SuiteNames(), ", ")))
-		return nil, false
-	}
-	c, err := plan.Compile(req.planRequest(), s)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-		return nil, false
-	}
-	return c, true
 }
 
 // reservePlan admits the compiled plan as one unit against the engine,
@@ -957,10 +886,11 @@ func (s *server) admitTraced(w http.ResponseWriter, c *plan.Compiled, tr *teleme
 
 // accepted answers 202 with the job's URLs and trace ID, echoing the trace
 // in an X-Trace-Id header.
-func accepted(w http.ResponseWriter, j *serviceJob, urls map[string]string) {
-	body := map[string]string{"id": j.id}
-	for k, v := range urls {
-		body[k] = v
+func accepted(w http.ResponseWriter, j *serviceJob) {
+	body := map[string]string{
+		"id":         j.id,
+		"status_url": "/v2/jobs/" + j.id,
+		"events_url": "/v2/jobs/" + j.id + "/events",
 	}
 	if j.traceID != "" {
 		body["trace_id"] = j.traceID
@@ -969,29 +899,6 @@ func accepted(w http.ResponseWriter, j *serviceJob, urls map[string]string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(body)
-}
-
-func (s *server) handleVerifyV1(w http.ResponseWriter, r *http.Request) {
-	var req verifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Tenant = requestTenant(r, req.Tenant)
-	var c *plan.Compiled
-	var ok bool
-	tr, ok := s.startRequestTrace("v1:"+req.Suite, req.Tenant, func() bool {
-		c, ok = s.compileV1(w, &req)
-		return ok
-	})
-	if !ok {
-		return
-	}
-	resv, ok := s.admitTraced(w, c, tr)
-	if !ok {
-		return
-	}
-	j := s.launchPlan(c, req.Suite, resv, tr)
-	accepted(w, j, map[string]string{"status_url": "/v1/jobs/" + j.id})
 }
 
 func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
@@ -1026,25 +933,7 @@ func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j := s.launchPlan(c, c.Label(), resv, tr)
-	accepted(w, j, map[string]string{
-		"status_url": "/v2/jobs/" + j.id,
-		"events_url": "/v2/jobs/" + j.id + "/events",
-	})
-}
-
-// jobJSON is the GET /v1/jobs/{id} response: the flat single-suite view.
-type jobJSON struct {
-	ID       string            `json:"id"`
-	Suite    string            `json:"suite"`
-	Tenant   string            `json:"tenant,omitempty"`
-	TraceID  string            `json:"trace_id,omitempty"`
-	Cost     int               `json:"cost,omitempty"` // admitted check count
-	Status   string            `json:"status"`         // running | done
-	OK       *bool             `json:"ok,omitempty"`
-	Error    string            `json:"error,omitempty"`
-	Created  time.Time         `json:"created"`
-	Problems []problemStatusJS `json:"problems"`
+	accepted(w, s.launchPlan(c, resv, tr))
 }
 
 type problemStatusJS struct {
@@ -1077,31 +966,6 @@ func (ps *problemState) statusJS() problemStatusJS {
 		st.Status = "running"
 	}
 	return st
-}
-
-func (j *serviceJob) snapshotV1() jobJSON {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := jobJSON{ID: j.id, Suite: j.label, Tenant: j.tenant, TraceID: j.traceID,
-		Cost: j.cost, Error: j.errMsg, Created: j.created, Status: "running"}
-	allOK := true
-	for _, prop := range j.props {
-		for _, ps := range prop.problems {
-			st := ps.statusJS()
-			if st.Status == "failed" || (st.Status == "done" && !ps.ok) {
-				allOK = false
-			}
-			out.Problems = append(out.Problems, st)
-		}
-	}
-	if j.finished {
-		out.Status = "done"
-		if j.result != nil {
-			allOK = j.result.OK
-		}
-		out.OK = &allOK
-	}
-	return out
 }
 
 // jobV2JSON is the GET /v2/jobs/{id} response: the plan view, grouped per
@@ -1166,12 +1030,6 @@ func (s *server) lookupJob(w http.ResponseWriter, r *http.Request) (*serviceJob,
 		return nil, false
 	}
 	return j, true
-}
-
-func (s *server) handleJobV1(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, j.snapshotV1())
-	}
 }
 
 func (s *server) handleJobV2(w http.ResponseWriter, r *http.Request) {
@@ -1248,7 +1106,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // stay asynchronous.
 type session struct {
 	id      string
-	label   string         // suite name (v1) or plan property list (v2)
+	label   string         // the plan's property list
 	tenant  string         // tenant every run of this session is admitted under
 	plan    *plan.Compiled // the pinned plan; updates re-validate scopes against it
 	created time.Time
@@ -1317,7 +1175,7 @@ type sessionRun struct {
 // prechecked against admission so a session that could never run is 429ed
 // here; the binding admission decision is the session worker's (each run
 // reserves its own dirty cost under the session's tenant).
-func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled, statusPrefix string) {
+func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 	cost := c.Cost()
 	c.ReleasePrepared() // only the scalar is needed; the plan is pinned for the session's lifetime
 	if err := s.eng.AdmitProbe(c.Tenant(), cost); err != nil {
@@ -1356,21 +1214,8 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled, statusPr
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{
 		"id":         sess.id,
-		"status_url": statusPrefix + sess.id,
+		"status_url": "/v2/sessions/" + sess.id,
 	})
-}
-
-func (s *server) handleSessionCreateV1(w http.ResponseWriter, r *http.Request) {
-	var req verifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Tenant = requestTenant(r, req.Tenant)
-	c, ok := s.compileV1(w, &req)
-	if !ok {
-		return
-	}
-	s.createSession(w, c, "/v1/sessions/")
 }
 
 func (s *server) handleSessionCreateV2(w http.ResponseWriter, r *http.Request) {
@@ -1392,7 +1237,7 @@ func (s *server) handleSessionCreateV2(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
 		return
 	}
-	s.createSession(w, c, "/v2/sessions/")
+	s.createSession(w, c)
 }
 
 func (s *server) lookupSession(w http.ResponseWriter, r *http.Request) (*session, bool) {
@@ -1424,7 +1269,7 @@ func sessionTenantAllowed(w http.ResponseWriter, r *http.Request, sess *session,
 
 // launchUpdate queues a materialized network as a session update and
 // answers 202.
-func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network, statusPrefix string) {
+func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network) {
 	run := sess.launch(n, false)
 	if run == nil {
 		httpError(w, http.StatusNotFound, "session deleted")
@@ -1435,7 +1280,7 @@ func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network, sta
 	json.NewEncoder(w).Encode(map[string]any{
 		"id":         sess.id,
 		"update":     run.seq,
-		"status_url": statusPrefix + sess.id,
+		"status_url": "/v2/sessions/" + sess.id,
 	})
 }
 
@@ -1490,40 +1335,6 @@ func (sess *session) currentSrcFP() string {
 	return sess.srcFP
 }
 
-func (s *server) handleSessionUpdateV1(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
-	if !ok {
-		return
-	}
-	var req verifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !sessionTenantAllowed(w, r, sess, req.Tenant) {
-		return
-	}
-	if req.Suite != "" && req.Suite != sess.label {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("session is pinned to suite %q; updates cannot change it", sess.label))
-		return
-	}
-	if n, ok := sess.sameConfigSource(req.Config); ok {
-		launchUpdate(w, sess, n, "/v1/sessions/")
-		return
-	}
-	n, _, err := plan.Network{Config: req.Config, Generator: req.Generator}.Materialize(s)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := sess.plan.ValidateScopes(n); err != nil {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-		return
-	}
-	sess.pinSourceFP(req.Config)
-	launchUpdate(w, sess, n, "/v1/sessions/")
-}
-
 // sessionUpdateV2 is the POST /v2/sessions/{id}/update body: a new network
 // state for the session's pinned plan, plus (optionally) the caller's
 // tenant when it is not asserted via header or query.
@@ -1548,7 +1359,7 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n, ok := sess.sameConfigSource(req.Network.Config); ok {
-		launchUpdate(w, sess, n, "/v2/sessions/")
+		launchUpdate(w, sess, n)
 		return
 	}
 	n, _, err := req.Network.Materialize(s)
@@ -1564,7 +1375,7 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.pinSourceFP(req.Network.Config)
-	launchUpdate(w, sess, n, "/v2/sessions/")
+	launchUpdate(w, sess, n)
 }
 
 // sessionMigrateV2 is the POST /v2/sessions/{id}/migrate body: a migration
@@ -1841,7 +1652,7 @@ func (sess *session) worker() {
 	}
 }
 
-// sessionJSON is the GET /v{1,2}/sessions/{id} response.
+// sessionJSON is the GET /v2/sessions/{id} response.
 type sessionJSON struct {
 	ID          string           `json:"id"`
 	Suite       string           `json:"suite"`
@@ -1909,29 +1720,6 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	sess.close()
 	writeJSON(w, map[string]string{"deleted": sess.id})
-}
-
-// statsJSON is the GET /v1/stats response.
-type statsJSON struct {
-	Engine   engine.Stats `json:"engine"`
-	Jobs     int          `json:"jobs"`
-	Sessions int          `json:"sessions"`
-	Store    *store.Stats `json:"store,omitempty"`
-	// Fabric aggregates the distributed solver pools' per-worker counters;
-	// present whenever a remote backend has been constructed.
-	Fabric *fabric.Stats `json:"fabric,omitempty"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs, sessions := len(s.jobs), len(s.sessions)
-	s.mu.Unlock()
-	out := statsJSON{Engine: s.eng.Stats(), Jobs: jobs, Sessions: sessions, Fabric: fabric.Snapshot()}
-	if st, ok := s.eng.Cache().(*store.Store); ok {
-		stats := st.Stats()
-		out.Store = &stats
-	}
-	writeJSON(w, out)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -25,9 +25,13 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// fig1Plan verifies the paper's Figure-1 network for no-transit: about twenty
+// checks, a few milliseconds.
+const fig1Plan = `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`
+
 func postVerify(t *testing.T, ts *httptest.Server, body string) string {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewBufferString(body))
+	resp, err := http.Post(ts.URL+"/v2/verify", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,39 +39,40 @@ func postVerify(t *testing.T, ts *httptest.Server, body string) string {
 	if resp.StatusCode != http.StatusAccepted {
 		var e map[string]string
 		json.NewDecoder(resp.Body).Decode(&e)
-		t.Fatalf("POST /v1/verify = %d, want 202 (error: %s)", resp.StatusCode, e["error"])
+		t.Fatalf("POST /v2/verify = %d, want 202 (error: %s)", resp.StatusCode, e["error"])
 	}
 	var out struct {
 		ID        string `json:"id"`
 		StatusURL string `json:"status_url"`
+		EventsURL string `json:"events_url"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.ID == "" || out.StatusURL != "/v1/jobs/"+out.ID {
+	if out.ID == "" || out.StatusURL != "/v2/jobs/"+out.ID || out.EventsURL != out.StatusURL+"/events" {
 		t.Fatalf("bad accept payload: %+v", out)
 	}
 	return out.ID
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) jobJSON {
+func getJob(t *testing.T, ts *httptest.Server, id string) jobV2JSON {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/jobs/%s = %d, want 200", id, resp.StatusCode)
+		t.Fatalf("GET /v2/jobs/%s = %d, want 200", id, resp.StatusCode)
 	}
-	var j jobJSON
+	var j jobV2JSON
 	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 		t.Fatal(err)
 	}
 	return j
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) jobJSON {
+func waitDone(t *testing.T, ts *httptest.Server, id string) jobV2JSON {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
@@ -78,7 +83,24 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) jobJSON {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not complete in time", id)
-	return jobJSON{}
+	return jobV2JSON{}
+}
+
+// jobProblems flattens a job snapshot's per-property problems.
+func jobProblems(j jobV2JSON) []problemStatusJS {
+	var out []problemStatusJS
+	for _, p := range j.Properties {
+		out = append(out, p.Problems...)
+	}
+	return out
+}
+
+// getStatus decodes the GET /v1/status rollup.
+func getStatus(t *testing.T, ts *httptest.Server) statusJSONV1 {
+	t.Helper()
+	var st statusJSONV1
+	getJSON(t, ts, "/v1/status", &st)
+	return st
 }
 
 // TestVerifyRoundTrip drives the full async API: submit a WAN peering
@@ -87,19 +109,19 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) jobJSON {
 func TestVerifyRoundTrip(t *testing.T) {
 	ts := newTestServer(t)
 	id := postVerify(t, ts, `{
-		"suite": "wan-peering",
-		"generator": {"kind": "wan", "regions": 3, "routers_per_region": 2,
-		              "edge_routers": 2, "dcs_per_region": 1, "peers_per_edge": 2}
+		"network": {"generator": {"kind": "wan", "regions": 3, "routers_per_region": 2,
+		                          "edge_routers": 2, "dcs_per_region": 1, "peers_per_edge": 2}},
+		"properties": [{"name": "wan-peering"}]
 	}`)
 	j := waitDone(t, ts, id)
 
-	if j.Suite != "wan-peering" || j.OK == nil || !*j.OK {
+	if j.Label != "wan-peering" || j.OK == nil || !*j.OK {
 		t.Fatalf("job should verify: %+v", j)
 	}
-	if len(j.Problems) == 0 {
+	if len(jobProblems(j)) == 0 {
 		t.Fatal("no problems in job")
 	}
-	for _, p := range j.Problems {
+	for _, p := range jobProblems(j) {
 		if p.Status != "done" || p.Report == nil || !p.Report.OK {
 			t.Fatalf("problem %s: status=%s report=%v", p.Name, p.Status, p.Report)
 		}
@@ -110,15 +132,7 @@ func TestVerifyRoundTrip(t *testing.T) {
 
 	// The sweep re-issues identical filter checks for every router ×
 	// property pair: the engine must have deduped across problems.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats statsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := getStatus(t, ts)
 	if stats.Engine.CacheHits+stats.Engine.DedupHits == 0 {
 		t.Errorf("expected nonzero cross-problem cache/dedup hits, stats: %+v", stats.Engine)
 	}
@@ -137,10 +151,10 @@ func TestVerifyRoundTrip(t *testing.T) {
 func TestConcurrentVerifyJobs(t *testing.T) {
 	ts := newTestServer(t)
 	bodies := []string{
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`,
-		`{"suite": "fig1-liveness", "generator": {"kind": "fig1"}}`,
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`,
-		`{"suite": "fullmesh", "generator": {"kind": "fullmesh", "size": 6}}`,
+		fig1Plan,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-liveness"}]}`,
+		fig1Plan,
+		`{"network": {"generator": {"kind": "fullmesh", "size": 6}}, "properties": [{"name": "fullmesh"}]}`,
 	}
 	ids := make([]string, len(bodies))
 	var wg sync.WaitGroup
@@ -161,7 +175,7 @@ func TestConcurrentVerifyJobs(t *testing.T) {
 		seen[id] = true
 		j := waitDone(t, ts, id)
 		if j.OK == nil || !*j.OK {
-			t.Errorf("job %s (%s) failed: %+v", id, j.Suite, j)
+			t.Errorf("job %s (%s) failed: %+v", id, j.Label, j)
 		}
 	}
 }
@@ -171,8 +185,8 @@ func TestConcurrentVerifyJobs(t *testing.T) {
 func TestVerifyFromConfigDSL(t *testing.T) {
 	ts := newTestServer(t)
 	body, err := json.Marshal(map[string]any{
-		"suite":  "fig1-no-transit",
-		"config": netgen.Fig1DSL(netgen.Fig1Options{}),
+		"network":    map[string]string{"config": netgen.Fig1DSL(netgen.Fig1Options{})},
+		"properties": []map[string]string{{"name": "fig1-no-transit"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,13 +204,14 @@ func TestVerifyFromConfigDSL(t *testing.T) {
 func TestNonOptionalLivenessFailureFailsJob(t *testing.T) {
 	ts := newTestServer(t)
 	// fig1-liveness on a full mesh: the Customer -> R3 path does not exist.
-	id := postVerify(t, ts, `{"suite": "fig1-liveness", "generator": {"kind": "fullmesh", "size": 4}}`)
+	id := postVerify(t, ts, `{"network": {"generator": {"kind": "fullmesh", "size": 4}},
+		"properties": [{"name": "fig1-liveness"}]}`)
 	j := waitDone(t, ts, id)
 	if j.OK == nil || *j.OK {
 		t.Fatalf("job must report ok=false when a required problem cannot run: %+v", j)
 	}
-	if len(j.Problems) != 1 || j.Problems[0].Status != "failed" || j.Problems[0].SkipReason == "" {
-		t.Fatalf("problem should be marked failed with a reason: %+v", j.Problems)
+	if ps := jobProblems(j); len(ps) != 1 || ps[0].Status != "failed" || ps[0].SkipReason == "" {
+		t.Fatalf("problem should be marked failed with a reason: %+v", ps)
 	}
 }
 
@@ -216,7 +231,7 @@ func newTestServerWithState(t *testing.T) (*httptest.Server, *server) {
 // fresh jobs must survive.
 func TestJobGC(t *testing.T) {
 	ts, srv := newTestServerWithState(t)
-	id := postVerify(t, ts, `{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`)
+	id := postVerify(t, ts, fig1Plan)
 	waitDone(t, ts, id)
 
 	// Before the TTL elapses nothing is collected.
@@ -227,7 +242,7 @@ func TestJobGC(t *testing.T) {
 	if n := srv.gc(time.Now().Add(srv.ttl + time.Minute)); n != 1 {
 		t.Fatalf("gc after TTL removed %d jobs, want 1", n)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +275,13 @@ type sessionStatus struct {
 
 func getSession(t *testing.T, ts *httptest.Server, id string) sessionStatus {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + id)
+	resp, err := http.Get(ts.URL + "/v2/sessions/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/sessions/%s = %d, want 200", id, resp.StatusCode)
+		t.Fatalf("GET /v2/sessions/%s = %d, want 200", id, resp.StatusCode)
 	}
 	var s sessionStatus
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
@@ -299,8 +314,8 @@ func TestSessionIncrementalFlow(t *testing.T) {
 			"edge_routers": %d, "dcs_per_region": 1, "peers_per_edge": 2}`, edgeRouters)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
-		bytes.NewBufferString(`{"suite": "wan-peering", "generator": `+gen(1)+`}`))
+	resp, err := http.Post(ts.URL+"/v2/sessions", "application/json",
+		bytes.NewBufferString(`{"network": {"generator": `+gen(1)+`}, "properties": [{"name": "wan-peering"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +324,11 @@ func TestSessionIncrementalFlow(t *testing.T) {
 		StatusURL string `json:"status_url"`
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/sessions = %d, want 202", resp.StatusCode)
+		t.Fatalf("POST /v2/sessions = %d, want 202", resp.StatusCode)
 	}
 	json.NewDecoder(resp.Body).Decode(&created)
 	resp.Body.Close()
-	if created.ID == "" || created.StatusURL != "/v1/sessions/"+created.ID {
+	if created.ID == "" || created.StatusURL != "/v2/sessions/"+created.ID {
 		t.Fatalf("bad accept payload: %+v", created)
 	}
 
@@ -329,28 +344,8 @@ func TestSessionIncrementalFlow(t *testing.T) {
 		t.Fatalf("baseline should be fully dirty and solve checks: %+v", base.Result)
 	}
 
-	post := func(body string) int {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+created.ID+"/update",
-			"application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			var e map[string]string
-			json.NewDecoder(resp.Body).Decode(&e)
-			t.Fatalf("POST update = %d (error: %s)", resp.StatusCode, e["error"])
-		}
-		var out struct {
-			Update int `json:"update"`
-		}
-		json.NewDecoder(resp.Body).Decode(&out)
-		return out.Update
-	}
-
 	// No-op update: everything reused, nothing solved.
-	seq := post(`{"generator": ` + gen(1) + `}`)
+	seq := postUpdateV2(t, ts, created.ID, `{"network": {"generator": `+gen(1)+`}}`)
 	st = waitRunDone(t, ts, created.ID, seq)
 	noop := st.Runs[seq]
 	if noop.Status != "done" || noop.Result == nil || !noop.Result.OK {
@@ -362,7 +357,7 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	}
 
 	// Growth update: adding an edge router dirties part of the suite.
-	seq = post(`{"generator": ` + gen(2) + `}`)
+	seq = postUpdateV2(t, ts, created.ID, `{"network": {"generator": `+gen(2)+`}}`)
 	st = waitRunDone(t, ts, created.ID, seq)
 	grow := st.Runs[seq]
 	if grow.Status != "done" || grow.Result == nil || !grow.Result.OK {
@@ -379,30 +374,20 @@ func TestSessionIncrementalFlow(t *testing.T) {
 		t.Fatalf("growth update should report changed routers: %+v", r)
 	}
 
-	// Errors: unknown session, suite mismatch.
-	resp, err = http.Post(ts.URL+"/v1/sessions/session-999/update", "application/json",
-		bytes.NewBufferString(`{"generator": `+gen(1)+`}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	// Errors: unknown session, malformed network.
+	resp, _ = postJSON(t, ts.URL+"/v2/sessions/session-999/update", `{"network": {"generator": `+gen(1)+`}}`)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session update = %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/sessions/"+created.ID+"/update", "application/json",
-		bytes.NewBufferString(`{"suite": "fullmesh", "generator": `+gen(1)+`}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ = postJSON(t, ts.URL+"/v2/sessions/"+created.ID+"/update", `{"network": {"generator": {"kind": "torus"}}}`)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("suite-mismatch update = %d, want 400", resp.StatusCode)
+		t.Fatalf("malformed-network update = %d, want 400", resp.StatusCode)
 	}
 
 	// Delete the session: it disappears, and further use 404s.
 	del := func() int {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+created.ID, nil)
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v2/sessions/"+created.ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +404,7 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	if code := del(); code != http.StatusNotFound {
 		t.Fatalf("second DELETE = %d, want 404", code)
 	}
-	resp, err = http.Get(ts.URL + "/v1/sessions/" + created.ID)
+	resp, err = http.Get(ts.URL + "/v2/sessions/" + created.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,30 +423,71 @@ func TestBadRequests(t *testing.T) {
 		want int
 	}{
 		{"bad-json", `{`, http.StatusBadRequest},
-		{"unknown-suite", `{"suite": "nope", "generator": {"kind": "fig1"}}`, http.StatusBadRequest},
-		{"no-network", `{"suite": "fig1-no-transit"}`, http.StatusBadRequest},
-		{"both-networks", `{"suite": "fig1-no-transit", "config": "x", "generator": {"kind": "fig1"}}`, http.StatusBadRequest},
-		{"bad-generator", `{"suite": "fig1-no-transit", "generator": {"kind": "torus"}}`, http.StatusBadRequest},
-		{"bad-config", `{"suite": "fig1-no-transit", "config": "not a config"}`, http.StatusBadRequest},
+		{"unknown-suite", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "nope"}]}`, http.StatusBadRequest},
+		{"no-network", `{"properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"both-networks", `{"network": {"config": "x", "generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"bad-generator", `{"network": {"generator": {"kind": "torus"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"bad-config", `{"network": {"config": "not a config"}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewBufferString(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, _ := postJSON(t, ts.URL+"/v2/verify", c.body)
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
+	resp, err := http.Get(ts.URL + "/v2/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRemovedV1RoutesAnswerNotFound: the single-suite routes are gone. With a
+// live job-1 and session-1 that their successors serve, every removed route
+// answers 404 or 405 and touches neither.
+func TestRemovedV1RoutesAnswerNotFound(t *testing.T) {
+	ts := newTestServer(t)
+	job := postVerify(t, ts, fig1Plan)
+	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
+	sess, _ := accepted["id"].(string)
+	if job != "job-1" || sess != "session-1" {
+		t.Fatalf("ids %q, %q: want job-1 and session-1", job, sess)
+	}
+	waitDone(t, ts, job)
+	waitRunDone(t, ts, sess, 0)
+
+	v1Body := `{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/verify"},
+		{http.MethodGet, "/v1/jobs/job-1"},
+		{http.MethodGet, "/v1/stats"},
+		{http.MethodPost, "/v1/sessions"},
+		{http.MethodPost, "/v1/sessions/session-1/update"},
+		{http.MethodGet, "/v1/sessions/session-1"},
+		{http.MethodDelete, "/v1/sessions/session-1"},
+	} {
+		req, err := http.NewRequest(r.method, ts.URL+r.path, bytes.NewBufferString(v1Body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d, want 404 or 405", r.method, r.path, resp.StatusCode)
+		}
+	}
+	if st := getSession(t, ts, sess); len(st.Runs) != 1 {
+		t.Fatalf("a removed route reached the session: %d runs", len(st.Runs))
+	}
+	if st := getStatus(t, ts); st.Jobs != 1 || st.Sessions != 1 {
+		t.Fatalf("a removed route changed the tables: %d jobs, %d sessions", st.Jobs, st.Sessions)
 	}
 }
 
@@ -608,7 +634,7 @@ func TestV2LateEventSubscriber(t *testing.T) {
 	_, accepted := postJSON(t, ts.URL+"/v2/verify",
 		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`)
 	id := accepted["id"].(string)
-	waitDone(t, ts, id) // v1 job view works for v2 jobs too
+	waitDone(t, ts, id)
 
 	resp, err := http.Get(ts.URL + "/v2/jobs/" + id + "/events")
 	if err != nil {
@@ -661,18 +687,17 @@ func TestV2BadRequests(t *testing.T) {
 // answer 413.
 func TestRequestBodyTooLarge(t *testing.T) {
 	ts := newTestServer(t)
-	huge := `{"suite": "fig1-no-transit", "config": "` + strings.Repeat("x", 2<<20) + `"}`
-	for _, url := range []string{"/v1/verify", "/v1/sessions", "/v2/verify", "/v2/sessions"} {
+	huge := `{"network": {"config": "` + strings.Repeat("x", 2<<20) + `"}}`
+	for _, url := range []string{"/v2/verify", "/v2/sessions"} {
 		resp, _ := postJSON(t, ts.URL+url, huge)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with 2 MiB body = %d, want 413", url, resp.StatusCode)
 		}
 	}
 	// Session update decode sites, against a real session.
-	_, accepted := postJSON(t, ts.URL+"/v1/sessions",
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`)
+	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	id := accepted["id"].(string)
-	for _, url := range []string{"/v1/sessions/" + id + "/update", "/v2/sessions/" + id + "/update"} {
+	for _, url := range []string{"/v2/sessions/" + id + "/update", "/v2/sessions/" + id + "/migrate"} {
 		resp, _ := postJSON(t, ts.URL+url, huge)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with 2 MiB body = %d, want 413", url, resp.StatusCode)
@@ -757,7 +782,7 @@ func TestV2SessionScopedPlan(t *testing.T) {
 // baseProblemCount counts the problems of the session's latest run.
 func baseProblemCount(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + id)
+	resp, err := http.Get(ts.URL + "/v2/sessions/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -785,22 +810,17 @@ func baseProblemCount(t *testing.T, ts *httptest.Server, id string) int {
 // config and generator must 400, not silently pick one.
 func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 	ts := newTestServer(t)
-	_, accepted := postJSON(t, ts.URL+"/v1/sessions",
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`)
+	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	id := accepted["id"].(string)
 	ambiguous := fmt.Sprintf(`{"config": %q, "generator": {"kind": "fig1"}}`,
 		netgen.Fig1DSL(netgen.Fig1Options{}))
-	for _, url := range []string{"/v1/sessions/" + id + "/update", "/v2/sessions/" + id + "/update"} {
-		resp, out := postJSON(t, ts.URL+url, ambiguous)
+	// Update bodies nest the source under "network"; a source at the top
+	// level is no source at all.
+	for _, body := range []string{`{"network": ` + ambiguous + `}`, ambiguous} {
+		resp, out := postJSON(t, ts.URL+"/v2/sessions/"+id+"/update", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s with ambiguous network = %d (%v), want 400", url, resp.StatusCode, out)
+			t.Errorf("update %.40s... = %d (%v), want 400", body, resp.StatusCode, out)
 		}
-	}
-	// v2 update bodies nest the source under "network".
-	resp, out := postJSON(t, ts.URL+"/v2/sessions/"+id+"/update",
-		`{"network": `+ambiguous+`}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("v2 nested ambiguous network = %d (%v), want 400", resp.StatusCode, out)
 	}
 	waitRunDone(t, ts, id, 0) // the baseline must not outlive the engine
 }

@@ -188,7 +188,7 @@ func TestFinishedJobDoesNotPinItsPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv.launchPlan(c, c.Label(), resv, nil)
+		return srv.launchPlan(c, resv, nil)
 	}
 	j := launch()
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {

@@ -36,7 +36,7 @@ func waitDoneV2(t *testing.T, ts *httptest.Server, id string) map[string]any {
 }
 
 // TestV2SolverBackendAndStats: the request's solver option routes the job to
-// the portfolio backend, the per-property stats say so, and /v1/stats
+// the portfolio backend, the per-property stats say so, and /v1/status
 // exposes the per-backend counters.
 func TestV2SolverBackendAndStats(t *testing.T) {
 	ts := newTestServer(t)
@@ -62,20 +62,10 @@ func TestV2SolverBackendAndStats(t *testing.T) {
 		t.Fatalf("no racing recorded: %+v", stats)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Engine engine.Stats `json:"engine"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	bs, ok := st.Engine.Backends["portfolio"]
+	backends := getStatus(t, ts).Engine.Backends
+	bs, ok := backends["portfolio"]
 	if !ok || bs.Solved == 0 || bs.Raced == 0 {
-		t.Fatalf("/v1/stats backend counters: %+v", st.Engine.Backends)
+		t.Fatalf("/v1/status backend counters: %+v", backends)
 	}
 }
 

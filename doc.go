@@ -7,10 +7,11 @@
 // internal/smt for the SMT substrate, internal/sim for the executable BGP
 // model, and internal/minesweeper for the monolithic baseline. The
 // executables are cmd/lightyear (verifier CLI), cmd/lygen (configuration
-// generator), cmd/lybench (evaluation harness regenerating the paper's
-// tables and figures), and cmd/lyserve (HTTP verification service). The
-// benchmarks in bench_test.go cover every table and figure of the paper's
-// evaluation section.
+// generator), cmd/lybench (prints the rows and verdicts of the paper's
+// tables, Figure 3 and the §4.5 fault runs), and cmd/lyserve (HTTP
+// verification service). The benchmarks in bench_test.go cover every table
+// and figure of the paper's evaluation section; bench/ is the repository
+// benchmark, which measures and grades end-to-end performance.
 //
 // # Execution engine
 //
@@ -90,11 +91,9 @@
 // lyserve derives the tenant from the X-Tenant header / ?tenant= query /
 // plan "tenant" option, answers rejected plans with HTTP 429 plus a
 // Retry-After header, and reports per-tenant counters (admitted, rejected,
-// queued, in-flight cost) in GET /v1/stats; delta sessions admit each
+// queued, in-flight cost) in GET /v1/status; delta sessions admit each
 // baseline or update as one unit under the session's tenant; `lightyear
-// -tenant ops -max-inflight 500` exercises the same path in-process, and
-// `lybench -experiment admission` sweeps tenant count × quota and reports
-// p50/p99 queue wait and rejection rates.
+// -tenant ops -max-inflight 500` exercises the same path in-process.
 //
 // # Check obligations and solver backends
 //
@@ -148,8 +147,8 @@
 // semantic key already has a retained result, and submits only the dirty
 // subset to the engine, reporting {changed routers, dirty checks, reused
 // results, solved}. Surfaces: `lightyear -diff old.cfg` for incremental
-// CLI runs, the lyserve session API (POST /v1/sessions, POST
-// /v1/sessions/{id}/update, GET /v1/sessions/{id}), examples/incremental,
+// CLI runs, the lyserve session API (POST /v2/sessions, POST
+// /v2/sessions/{id}/update, GET /v2/sessions/{id}), examples/incremental,
 // and the repository benchmark's delta-cli workload.
 //
 // # Migration plans
@@ -172,9 +171,10 @@
 // Surfaces: `lightyear -migrate steps.json` (exit 0 safe, 1 violated at
 // step k, 3 undecided, 4 no safe order), POST /v2/sessions/{id}/migrate on
 // lyserve (streams step events as NDJSON; success re-pins the session on
-// the migrated state, failure rolls back), `lybench -experiment migrate`
-// (BENCH_migrate.json), and the lightyear_migrate_steps /
-// lightyear_migrate_reorders counters on /metrics.
+// the migrated state, failure rolls back), and the lightyear_migrate_steps /
+// lightyear_migrate_reorders counters on /metrics. A commuting change set
+// of k steps is searched in k verified states, not k! orders
+// (internal/migrate's TestCommutingStepsSearchLinearStates).
 //
 // # Verification plans — the one request API
 //
@@ -205,8 +205,8 @@
 //     "check", "problem", "property", and a final "plan" event; see
 //     "Results" above); `GET /v2/jobs/{id}` is the grouped snapshot.
 //     `POST /v2/sessions` pins a plan for incremental updates that inherit
-//     its scoping. The v1 endpoints remain as single-suite adapters over
-//     the same machinery.
+//     its scoping. `lightyear -json` prints the same plan result encoding
+//     the job snapshot serves.
 //   - Library: plan.Execute (one-stop) or plan.Compile + plan.Run on a
 //     long-lived engine; a Compiled plan is also a delta.ProblemSource.
 //
@@ -245,11 +245,10 @@
 // {conflicts, decisions, propagations, restarts, learned clauses} snapshot
 // taken from the SAT core at the end of the solve. The same counters
 // aggregate at every level — per job (engine.JobStats.Solver), per backend
-// (engine.Stats.Backends[name].Solver, also in lyserve's /v1/stats and
-// /v1/status), on the job's solve span as trace attributes, in the
+// (engine.Stats.Backends[name].Solver, also in lyserve's /v1/status), on
+// the job's solve span as trace attributes, and in the
 // lightyear_conflicts_per_check and lightyear_clauses_per_check histograms
-// on /metrics, and as conflicts_per_check / learned_clauses_per_check in
-// `lybench -out` documents — so "this run was slow" can be split into "the
+// on /metrics — so "this run was slow" can be split into "the
 // formulas got bigger" vs "the search got deeper" at whichever granularity
 // the investigation needs. Checks that cross a slow-check policy threshold
 // (engine.Options.SlowCheck; -slow-conflicts / -slow-solve on lyserve), and
@@ -301,12 +300,12 @@
 // member and reports planted-bug detection, `-corpus list` and `-list`
 // enumerate the families and knobs, `-corpus-emit` prints the member's
 // config DSL; a plan's network source may be {"corpus": "ref"} (so
-// lyserve verifies corpus members over HTTP); and `lybench -experiment
-// corpus` sweeps the ≥30-member default roster with planted bugs,
-// asserting 100% detection and writing BENCH_corpus.json with per-family
-// solve-time quantiles. Generation and planting count into the
-// lightyear_corpus_generated_total / lightyear_corpus_bugs_planted_total
-// counters and the lightyear_corpus_solve_seconds histogram on /metrics.
+// lyserve verifies corpus members over HTTP). The ≥30-member default
+// roster, each member with a planted bug, is a tier-1 test (internal/corpus's
+// TestDefaultRosterSweep): every bug detected, every failing check located
+// on the planted session, every member regenerated byte-identically.
+// Generation and planting count into the lightyear_corpus_generated_total /
+// lightyear_corpus_bugs_planted_total counters on /metrics.
 //
 // # Property registry
 //

@@ -83,8 +83,7 @@
 // pinned baseline; on success the session re-pins on the migrated state,
 // so follow-up /update calls delta against the deployed network. The
 // lightyear_migrate_steps{outcome} and lightyear_migrate_reorders counters
-// on /metrics, and `lybench -experiment migrate` (BENCH_migrate.json),
-// measure the per-step reuse this buys.
+// on /metrics count the steps and reorderings a session has verified.
 //
 // # Choosing a solver backend
 //
@@ -113,8 +112,8 @@
 //	  "network":    {"generator": {"kind": "fig1"}},
 //	  "properties": [{"name": "sat-stress"}],
 //	  "options":    {"solver": {"backend": "portfolio"}}}'
-//	curl -s localhost:8080/v1/stats
-//	  => {"engine": {..., "backends": {"portfolio":
+//	curl -s localhost:8080/v1/status
+//	  => {..., "engine": {..., "backends": {"portfolio":
 //	      {"solved": 24, "raced": 87, "solve_ns": ...}}}, ...}
 //
 // # Running a solver fleet
@@ -133,7 +132,7 @@
 // lyserve takes the same spec (-solver remote:...) as its default backend,
 // and the per-worker view shows where checks actually ran:
 //
-//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/v1/status
 //	  => {..., "fabric": {"workers": [
 //	        {"addr": "localhost:9101", "healthy": true, "solved": 231, ...},
 //	        {"addr": "localhost:9102", "healthy": true, "solved": 213, ...}],
@@ -145,8 +144,7 @@
 // workers with bounded-backoff retries, and an empty or exhausted pool
 // falls back to the local backend — verdicts stay ok/fail/unknown-correct
 // throughout, and each solve's result records which worker and backend
-// decided it ("remote(localhost:9101)/native"). `lybench -experiment
-// shard` measures the scaling story (BENCH_shard.json).
+// decided it ("remote(localhost:9101)/native").
 //
 // # Tenancy and admission
 //
@@ -169,7 +167,7 @@
 //	      "cost": 5200, "limit": 2000, "retry_after_ms": 12000}
 //
 // Retry after the hint (or with a smaller plan) and the request is
-// admitted; GET /v1/stats reports per-tenant admitted/rejected/queued/
+// admitted; GET /v1/status reports per-tenant admitted/rejected/queued/
 // in-flight counters, and admitted work is dispatched weighted-fair across
 // tenants, so one tenant flooding the service cannot starve another. In
 // the library the same contract is engine.Submit with a Workload (step 7
@@ -190,9 +188,7 @@
 //
 // Every NDJSON event of the run carries the same "trace_id", so a slow
 // property in a stream is one GET away from its per-problem timing
-// breakdown. The CLI equivalent is `lightyear -trace` (tree on stderr);
-// `lybench -out FILE.json` persists throughput and latency quantiles —
-// the committed BENCH_*.json files track that trajectory.
+// breakdown. The CLI equivalent is `lightyear -trace` (tree on stderr).
 //
 // Both binaries log through one structured logger: `-log-level
 // debug|info|warn|error` and `-log-format text|json` (lightyear defaults
@@ -203,7 +199,7 @@
 // # Reading solver provenance
 //
 // Every solved check records how hard the CDCL search worked, not just how
-// long it took. A check's JSON (v1/v2 reports, `lightyear -json`) carries a
+// long it took. A check's JSON (/v2 reports, `lightyear -json`) carries a
 // "solver" object whenever genuine search ran:
 //
 //	{"kind": "implication", "status": "ok", "num_vars": 72, "num_cons": 310,
@@ -212,7 +208,7 @@
 //	            "restarts": 0, "learned": 49}}
 //
 // The same counters aggregate per job ("stats":{"solver":...}), per backend
-// (GET /v1/stats and /v1/status), on the job's solve span as trace
+// (GET /v1/status), on the job's solve span as trace
 // attributes, and as the lightyear_conflicts_per_check /
 // lightyear_clauses_per_check histograms on /metrics. Checks exceeding the
 // server's -slow-conflicts / -slow-solve thresholds — and every check left
@@ -254,11 +250,8 @@
 //	lightyear -corpus zoo:1:graph=abilene -corpus-emit  # print the config DSL
 //
 // The same reference is a plan network source, so lyserve verifies corpus
-// members over HTTP ({"network": {"corpus": "tree:3:depth=3,fanout=2"}}),
-// and `lybench -experiment corpus` sweeps the ≥30-member default roster —
-// every member bugged, asserting 100% detection with zero mislocalized
-// failures — into BENCH_corpus.json (step 10 below does one member in the
-// library).
+// members over HTTP ({"network": {"corpus": "tree:3:depth=3,fanout=2"}}).
+// Step 10 below grades one member in the library.
 package main
 
 import (

@@ -10,9 +10,9 @@
 //
 // e.g. "ring:42", "waxman:7:size=16,degree=3", "tree:1:depth=3,fanout=2",
 // "zoo:5:graph=abilene", or "fattree:3:k=4,bug=no-bogons". The same
-// reference is accepted by `lightyear -corpus`, by plan.Network.Corpus (so
-// lyserve sessions, deltas, and migrations run over corpus members
-// unchanged), and by `lybench -experiment corpus`.
+// reference is accepted by `lightyear -corpus` and by plan.Network.Corpus
+// (so lyserve sessions, deltas, and migrations run over corpus members
+// unchanged).
 //
 // Generation is a pure function of the reference: Member.DSL renders the
 // configuration text (the synthesizers use an explicitly seeded PRNG and
@@ -430,8 +430,8 @@ func (m Member) Build() (*topology.Network, *GroundTruth, error) {
 	return n, gt, nil
 }
 
-// Telemetry: per-family generation and solve instrumentation, shared by
-// every host the way internal/fabric shares its recorder.
+// Telemetry: per-family generation and per-property planting counters,
+// shared by every host the way internal/fabric shares its recorder.
 
 var (
 	telMu  sync.RWMutex
@@ -460,15 +460,6 @@ func observeGenerated(family string) {
 func observePlanted(property string) {
 	recorder().Counter("lightyear_corpus_bugs_planted_total",
 		"planted corpus bugs, by broken property", "property").With(property).Inc()
-}
-
-// ObserveSolve records one member's end-to-end verification time into the
-// per-family solve histogram (lybench -experiment corpus and hosts timing
-// corpus runs).
-func ObserveSolve(family string, seconds float64) {
-	recorder().Histogram("lightyear_corpus_solve_seconds",
-		"end-to-end corpus member verification time, by family", nil, "family").
-		With(family).Observe(seconds)
 }
 
 // DefaultRoster enumerates the standard sweep: ≥30 members interleaved

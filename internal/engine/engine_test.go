@@ -179,8 +179,8 @@ func TestJobProgressStreams(t *testing.T) {
 	if events != rep.NumChecks() || len(seen) != rep.NumChecks() {
 		t.Errorf("got %d progress events for %d distinct checks, want %d", events, len(seen), rep.NumChecks())
 	}
-	if last != job.NumChecks() {
-		t.Errorf("final completed = %d, want %d", last, job.NumChecks())
+	if last != rep.NumChecks() {
+		t.Errorf("final completed = %d, want %d", last, rep.NumChecks())
 	}
 	st := job.Stats()
 	if st.Completed != st.Checks {

@@ -127,9 +127,6 @@ func newJob(e *Engine, id uint64, ctx context.Context, prop core.Property, total
 	}
 }
 
-// NumChecks returns the number of checks in the job.
-func (j *Job) NumChecks() int { return j.total }
-
 // Done returns a channel closed when the job's report is ready.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

@@ -48,12 +48,13 @@
 //
 // and the coordinator aggregates the fleet view — per-worker solve/error/
 // retry counters, breaker health, failover and fallback totals — under the
-// "fabric" section of lyserve's /v1/stats and /v1/status, with rpc latency
-// histograms and in-flight gauges on /metrics and an rpc child span per
-// remote solve in /v1/traces. Killing a worker mid-run flips its breaker
+// "fabric" section of lyserve's /v1/status, with rpc latency histograms and
+// in-flight gauges on /metrics and an rpc child span per remote solve in
+// /v1/traces. Killing a worker mid-run flips its breaker
 // after a few failed solves: its keys re-shard to ring successors, the
 // probe loop half-opens the breaker when the worker returns, and the keys
 // shard back. Verdicts are unaffected either way — that is the fabric's
-// contract, exercised end to end by the shard smoke job in CI and
-// measured by `lybench -experiment shard`.
+// contract, exercised end to end by the shard smoke job in CI; the
+// repository benchmark's fabric.* layer metrics measure the wire codec and
+// one loopback RPC against a native solve.
 package fabric

@@ -41,7 +41,7 @@ const (
 )
 
 // Process-wide fabric environment, installed once at binary startup before
-// any Remote is built (lyserve/lightyear/lybench main). Specs construct
+// any Remote is built (lyserve and lightyear main). Specs construct
 // backends deep inside plan compilation where no recorder parameter exists,
 // so the environment is package state by design.
 var (

@@ -38,7 +38,7 @@ type worker struct {
 }
 
 // WorkerStats is the exported per-worker counter snapshot surfaced by
-// /v1/stats and /v1/status on the coordinator.
+// /v1/status on the coordinator.
 type WorkerStats struct {
 	Addr     string `json:"addr"`
 	Healthy  bool   `json:"healthy"`
@@ -258,8 +258,8 @@ func getPool(addrs []string, client *http.Client, rec *telemetry.Recorder, probe
 }
 
 // Snapshot aggregates the stats of every shared pool in the process, merged
-// per worker address. Coordinator surfaces (/v1/stats, /v1/status) report
-// it whenever any remote backend has been constructed.
+// per worker address. The coordinator's /v1/status reports it whenever any
+// remote backend has been constructed.
 func Snapshot() *Stats {
 	poolsMu.Lock()
 	defer poolsMu.Unlock()

@@ -60,7 +60,8 @@ type ServerOptions struct {
 
 // Server is the worker side of the solver fabric: an http.Handler exposing
 // POST /v1/solve, GET /healthz, and GET /v1/status. It is used by
-// cmd/lyworker and started in-process by tests and lybench.
+// cmd/lyworker and started in-process by tests and the repository
+// benchmark.
 type Server struct {
 	backend solver.Backend
 	name    string

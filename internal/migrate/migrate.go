@@ -85,16 +85,6 @@ type Plan struct {
 	SearchBudget int `json:"search_budget,omitempty"`
 }
 
-// Steps converts netgen's labeled migration sequences to plan steps.
-func Steps(ms []netgen.MigrationStep) []Step {
-	out := make([]Step, len(ms))
-	for i, m := range ms {
-		mut := m.Mutation
-		out[i] = Step{Label: m.Label, Mutation: &mut}
-	}
-	return out
-}
-
 // compiledStep is one validated step. Config steps are materialized at
 // compile time (parse errors are usage errors, not step violations) and
 // carry the source fingerprint the no-op fast path compares.

@@ -20,9 +20,19 @@ func fig1Plan(steps []netgen.MigrationStep, unordered bool) migrate.Plan {
 	return migrate.Plan{
 		Network:    &plan.Network{Generator: &netgen.GeneratorSpec{Kind: "fig1"}},
 		Properties: []plan.Property{{Name: "fig1-no-transit"}},
-		Steps:      migrate.Steps(steps),
+		Steps:      planSteps(steps),
 		Unordered:  unordered,
 	}
+}
+
+// planSteps converts netgen's labeled migration sequences to plan steps.
+func planSteps(ms []netgen.MigrationStep) []migrate.Step {
+	out := make([]migrate.Step, len(ms))
+	for i, m := range ms {
+		mut := m.Mutation
+		out[i] = migrate.Step{Label: m.Label, Mutation: &mut}
+	}
+	return out
 }
 
 func compileRun(t *testing.T, p migrate.Plan, cfg migrate.RunConfig) *migrate.Result {
@@ -433,5 +443,37 @@ func TestCompileRejects(t *testing.T) {
 	var reqErr *plan.RequestError
 	if !errors.As(err, &reqErr) {
 		t.Errorf("CompileSteps with a network: err = %v, want plan.RequestError", err)
+	}
+}
+
+// TestCommutingStepsSearchLinearStates: k tightenings of distinct WAN edge
+// routers commute, so the unordered search verifies exactly k states — one
+// chain in canonical order — not k! orderings, and each step re-solves only
+// its own router's dirty checks however long the plan grows.
+func TestCommutingStepsSearchLinearStates(t *testing.T) {
+	wan := &netgen.GeneratorSpec{Kind: "wan", Regions: 2, RoutersPerRegion: 1,
+		EdgeRouters: 8, DCsPerRegion: 1, PeersPerEdge: 1}
+	dirtyPerStep := -1
+	for _, k := range []int{2, 4, 8} {
+		res := compileRun(t, migrate.Plan{
+			Network:    &plan.Network{Generator: wan},
+			Properties: []plan.Property{{Name: "wan-peering"}},
+			Options:    plan.Options{WANRegions: wan.Regions},
+			Steps:      planSteps(netgen.WANTightenSteps(k)),
+			Unordered:  true,
+		}, migrate.RunConfig{})
+		if !res.OK || res.SearchStates != k || len(res.Steps) != k {
+			t.Fatalf("k=%d: ok=%v, %d states verified, %d steps; want ok and %d of each",
+				k, res.OK, res.SearchStates, len(res.Steps), k)
+		}
+		for _, sr := range res.Steps {
+			if dirtyPerStep < 0 {
+				dirtyPerStep = sr.Dirty
+			}
+			if sr.Dirty == 0 || sr.Dirty != dirtyPerStep || sr.Dirty >= sr.Checks {
+				t.Fatalf("k=%d step %s: %d dirty of %d checks, want every step's own %d",
+					k, sr.Label, sr.Dirty, sr.Checks, dirtyPerStep)
+			}
+		}
 	}
 }

@@ -185,9 +185,6 @@ type Result struct {
 	ElapsedNanos int64 `json:"elapsed_ns"`
 }
 
-// Elapsed returns the run's wall-clock duration.
-func (r *Result) Elapsed() time.Duration { return time.Duration(r.ElapsedNanos) }
-
 // Run executes a compiled migration plan on the shared engine. The returned
 // error covers infrastructure failures — admission (engine.ErrAdmission),
 // engine submission, context cancellation; plan verdicts (violating step,

@@ -144,8 +144,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // Quantile aggregates every series in the family into one quantile
-// estimate — the view lybench reports when a histogram is partitioned by
-// backend but the experiment wants one p99.
+// estimate — one p99 for a histogram partitioned by backend.
 func (hv *HistogramVec) Quantile(q float64) float64 {
 	return hv.merged().Quantile(q)
 }

@@ -14,9 +14,7 @@
 //
 // The engine, admission layer, dispatcher, solver routing, delta verifier,
 // and store all emit into one Recorder; lyserve exposes it at GET /metrics
-// and GET /v1/traces, lightyear prints span trees behind -trace, and
-// lybench derives checks/sec and latency quantiles from the same
-// histograms it commits to BENCH_*.json.
+// and GET /v1/traces, and lightyear prints span trees behind -trace.
 package telemetry
 
 import (
