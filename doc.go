@@ -132,21 +132,30 @@
 // an in-memory LRU, and internal/store provides a disk-persistent
 // JSON-journal implementation keyed by check key (with the originating
 // network's fingerprint as provenance), so warm starts survive process
-// restarts and lyserve redeploys (-store DIR on both commands). Journal
-// records carry the key scheme's version; records of another version are
-// never served and are compacted away on open.
+// restarts and lyserve redeploys (-store DIR on both commands). The journal
+// is read and written by a hand-written codec for its one line shape,
+// byte-identical to encoding/json's, so opening a warm store does not pay
+// for reflection. Journal records carry the key scheme's version (3: an
+// originate check's key covers the ghosts' origination values); records of
+// another version are never served and are compacted away on open.
 //
 // # Delta verification
 //
 // internal/delta turns the paper's §2 incremental claim — re-verification
 // after a change costs work proportional to the change, not the network —
 // into a measurable subsystem. A delta.Verifier pins a baseline network
-// for a registry suite; each Update computes the per-router/per-edge
-// structural diff (topology.DiffNetworks over topology.Fingerprint
-// identities), re-enumerates the suite's checks, reuses every check whose
-// semantic key already has a retained result, and submits only the dirty
-// subset to the engine, reporting {changed routers, dirty checks, reused
-// results, solved}. Surfaces: `lightyear -diff old.cfg` for incremental
+// for a registry suite or plan; each Update computes the per-router/per-edge
+// structural diff (topology.DiffNetworks, comparing the two networks'
+// memoised policy fingerprints), reuses every check whose semantic key
+// already has a retained result, and submits only the dirty subset to the
+// engine, reporting {changed routers, dirty checks, reused results,
+// solved}. When the diff only changed edge policies, a safety problem whose
+// frame digest (core.SafetyProblem.Frame: every key input but the per-edge
+// policy fingerprints) is unchanged regenerates only the changed edges'
+// checks and its implication check; every other check is served from the
+// location index of keys the last run kept, so an update costs the edit,
+// not the network. Liveness problems, results=all sessions and any other
+// change enumerate in full. Surfaces: `lightyear -diff old.cfg` for incremental
 // CLI runs, the lyserve session API (POST /v2/sessions, POST
 // /v2/sessions/{id}/update, GET /v2/sessions/{id}), examples/incremental,
 // and the repository benchmark's delta-cli workload.

@@ -474,8 +474,9 @@ func implicationCheck(loc Location, u *spec.Universe, pre, post *predicate, fina
 // originateCheck validates every originated route on edge e against the
 // edge invariant. Originated routes are concrete, so this check evaluates
 // the predicate directly rather than calling the solver. routesFP is the
-// network's memoised fingerprint of the routes, ghostsFP the problem's
-// fingerprint of its ghost names.
+// network's memoised fingerprint of the routes, ghostsFP the fingerprint of
+// the ghost names with the values they take on routes originated on e
+// (ghostTable.onOriginate).
 func originateCheck(e topology.Edge, routes []*routemodel.Route, routesFP spec.Fingerprint,
 	ghosts []GhostDef, ghostsFP spec.Fingerprint, inv *predicate, opts Options) Check {
 	ob := &Obligation{

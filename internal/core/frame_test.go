@@ -1,0 +1,154 @@
+package core
+
+import (
+	"testing"
+
+	"lightyear/internal/policy"
+	"lightyear/internal/routemodel"
+	"lightyear/internal/spec"
+	"lightyear/internal/topology"
+)
+
+// frameNet is three routers in a line with an external peer and one
+// originated route: every kind of check, and ghosts on every hook.
+func frameNet() *topology.Network {
+	n := topology.New()
+	for _, id := range []topology.NodeID{"R1", "R2", "R3"} {
+		n.AddRouter(id, 65000)
+	}
+	n.AddExternal("P", 100)
+	n.AddPeering("P", "R1")
+	n.AddPeering("R1", "R2")
+	n.AddPeering("R2", "R3")
+	n.AddOriginate(topology.Edge{From: "R2", To: "R3"}, routemodel.NewRoute(routemodel.MustPrefix("10.0.0.0/8")))
+	return n
+}
+
+type frameFields struct {
+	loc      Location
+	pred     spec.Pred
+	def      spec.Pred
+	explicit map[Location]spec.Pred
+	ghosts   []GhostDef
+}
+
+func frameProblem(n *topology.Network, f frameFields) *SafetyProblem {
+	inv := NewInvariants(f.def)
+	for loc, p := range f.explicit {
+		inv.Set(loc, p)
+	}
+	return &SafetyProblem{Network: n, Property: Property{Loc: f.loc, Pred: f.pred}, Invariants: inv, Ghosts: f.ghosts}
+}
+
+func baseFrame(n *topology.Network) frameFields {
+	return frameFields{
+		loc:  AtRouter("R3"),
+		pred: spec.Ghost("Via"),
+		def:  spec.True(),
+		explicit: map[Location]spec.Pred{
+			AtRouter("R3"): spec.Ghost("Via"),
+			AtEdge(topology.Edge{From: "R2", To: "R3"}): spec.Ghost("Via"),
+		},
+		ghosts: []GhostDef{GhostWaypoint("Via", n, "R2")},
+	}
+}
+
+// TestFrameCoversEveryKeyInputButPolicies: the frame digest moves with every
+// input of a check key except the per-edge policy fingerprints, and does not
+// move with those.
+func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
+	n := frameNet()
+	base := frameProblem(n, baseFrame(n)).Frame()
+	if again := frameProblem(n, baseFrame(n)).Frame(); again != base {
+		t.Fatal("equal problems in fresh objects must have equal frames")
+	}
+	e12 := topology.Edge{From: "R1", To: "R2"}
+	mutations := map[string]func(*frameFields){
+		"property location":  func(f *frameFields) { f.loc = AtRouter("R2") },
+		"property predicate": func(f *frameFields) { f.pred = spec.Not(spec.Ghost("Via")) },
+		"default invariant":  func(f *frameFields) { f.def = spec.Ghost("Via") },
+		"explicit entry":     func(f *frameFields) { f.explicit[AtRouter("R3")] = spec.True() },
+		"explicit location": func(f *frameFields) {
+			delete(f.explicit, AtRouter("R3"))
+			f.explicit[AtRouter("R2")] = spec.Ghost("Via")
+		},
+		"ghost name": func(f *frameFields) { f.ghosts[0].Name = "Other" },
+		"import ghost update": func(f *frameFields) {
+			f.ghosts[0].OnImport = func(e topology.Edge) (bool, bool) { return e == e12, e == e12 }
+		},
+		"export ghost update": func(f *frameFields) { f.ghosts[0].OnExport = nil },
+		"origination value": func(f *frameFields) {
+			f.ghosts[0].OnOriginate = func(topology.Edge) bool { return false }
+		},
+	}
+	seen := map[spec.Fingerprint]string{base: "base"}
+	for name, mutate := range mutations {
+		f := baseFrame(n)
+		mutate(&f)
+		fr := frameProblem(n, f).Frame()
+		if prev, dup := seen[fr]; dup {
+			t.Errorf("%s: same frame as %s", name, prev)
+		}
+		seen[fr] = name
+	}
+
+	// Policies are not in the frame: the per-edge fingerprints carry them.
+	edited := frameNet()
+	edited.SetImport(e12, policy.DenyAll("r2-import"))
+	edited.SetExport(e12, policy.DenyAll("r1-export"))
+	edited.AddOriginate(topology.Edge{From: "R2", To: "R3"}, routemodel.NewRoute(routemodel.MustPrefix("11.0.0.0/8")))
+	if frameProblem(edited, baseFrame(edited)).Frame() != base {
+		t.Error("a policy edit moved the frame")
+	}
+}
+
+// TestChecksAtIsChecksRestricted: ChecksAt over every edge is Checks, and
+// over a subset it is the subset of Checks' edge checks plus the implication
+// check, with the same keys.
+func TestChecksAtIsChecksRestricted(t *testing.T) {
+	n := frameNet()
+	p := frameProblem(n, baseFrame(n))
+	all := p.Checks(Options{})
+	keys := func(cs []Check) (out []string) {
+		for _, c := range cs {
+			out = append(out, c.Kind.String()+"|"+c.Loc.String()+"|"+c.Key())
+		}
+		return out
+	}
+	edges := n.Index().Edges
+	every := make([]int, len(edges))
+	for i := range every {
+		every[i] = i
+	}
+	if got, want := keys(p.ChecksAt(Options{}, every)), keys(all); !equalStrings(got, want) {
+		t.Fatalf("ChecksAt(every edge)\n%v\nChecks\n%v", got, want)
+	}
+	var some []int
+	var want []Check
+	for i, e := range edges {
+		if e.From == "R2" {
+			some = append(some, i)
+			for _, c := range all {
+				if c.Loc == AtEdge(e) {
+					want = append(want, c)
+				}
+			}
+		}
+	}
+	want = append(want, all[len(all)-1])
+	if got := keys(p.ChecksAt(Options{}, some)); !equalStrings(got, keys(want)) {
+		t.Fatalf("ChecksAt(R2's edges)\n%v\nwant\n%v", got, keys(want))
+	}
+}
+
+func equalStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 
 	"lightyear/internal/policy"
@@ -70,24 +71,29 @@ func GhostWaypoint(name string, n *topology.Network, r topology.NodeID) GhostDef
 	}
 }
 
-// ghostSet is one distinct list of ghost updates with its fingerprint.
+// ghostSet is one distinct list of ghost updates with its fingerprint. id
+// numbers the distinct lists of one table in first-seen order.
 type ghostSet struct {
 	acts []policy.Action
 	fp   spec.Fingerprint
+	id   int
 }
 
 // ghostTable interns the ghost-update lists of one problem: edges on which
 // the ghost definitions set the same attributes to the same values share one
 // action list and one fingerprint, built the first time the combination is
-// seen rather than once per check.
+// seen rather than once per check. Origination values are interned the same
+// way.
 type ghostTable struct {
-	ghosts []GhostDef
-	sets   map[string]ghostSet
-	code   []byte // scratch, per ghost: 0 unchanged, 1 set false, 2 set true
+	ghosts  []GhostDef
+	sets    map[string]ghostSet
+	origins map[string]ghostSet // no actions: the fingerprint of names and values
+	code    []byte              // scratch, per ghost: 0 unchanged, 1 set false, 2 set true
 }
 
 func newGhostTable(ghosts []GhostDef) *ghostTable {
-	return &ghostTable{ghosts: ghosts, sets: make(map[string]ghostSet), code: make([]byte, len(ghosts))}
+	return &ghostTable{ghosts: ghosts, sets: make(map[string]ghostSet),
+		origins: make(map[string]ghostSet), code: make([]byte, len(ghosts))}
 }
 
 // onFilter returns the SetGhost actions the ghost definitions attach to the
@@ -113,20 +119,35 @@ func (t *ghostTable) onFilter(e topology.Edge, importSide bool) ghostSet {
 			}
 		}
 		gs.fp = policy.ActionsFingerprint(gs.acts)
+		gs.id = len(t.sets)
 		t.sets[string(t.code)] = gs
 	}
 	return gs
 }
 
-// namesFingerprint fingerprints the ghost names alone — what an originate
-// check's verdict reads of the ghost definitions besides their hooks.
-func (t *ghostTable) namesFingerprint() spec.Fingerprint {
-	var b strings.Builder
-	for _, g := range t.ghosts {
-		b.WriteString(g.Name)
-		b.WriteByte(';')
+// onOriginate returns the fingerprint of every ghost's name and the value it
+// takes on routes originated on edge e — what an originate check's verdict
+// reads of the ghost definitions.
+func (t *ghostTable) onOriginate(e topology.Edge) ghostSet {
+	for i := range t.ghosts {
+		t.code[i] = 0
+		if hook := t.ghosts[i].OnOriginate; hook != nil {
+			t.code[i] = boolByte(hook(e))
+		}
 	}
-	return spec.Sum(b.String())
+	gs, ok := t.origins[string(t.code)]
+	if !ok {
+		var b strings.Builder
+		for i, g := range t.ghosts {
+			b.WriteString(strconv.Quote(g.Name))
+			b.WriteByte('=')
+			b.WriteByte('0' + t.code[i])
+			b.WriteByte(';')
+		}
+		gs.fp, gs.id = spec.Sum(b.String()), len(t.origins)
+		t.origins[string(t.code)] = gs
+	}
+	return gs
 }
 
 // applyGhostsSym applies ghost actions to a derived symbolic route.

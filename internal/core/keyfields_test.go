@@ -194,3 +194,42 @@ func BenchmarkKeyComposition(b *testing.B) {
 		}
 	}
 }
+
+// TestOriginateKeyCoversOriginationValues: an originate check reads each
+// ghost's value on the originated routes, not only the ghost names. Two
+// waypoint ghosts of one name that disagree on whether R1 is the waypoint
+// give R1's originated routes different values at R1 -> R2, so the checks
+// decide differently and must not share a key.
+func TestOriginateKeyCoversOriginationValues(t *testing.T) {
+	n := topology.New()
+	for _, id := range []topology.NodeID{"R1", "R2", "R3"} {
+		n.AddRouter(id, 65000)
+	}
+	n.AddPeering("R1", "R2")
+	n.AddPeering("R1", "R3")
+	e := topology.Edge{From: "R1", To: "R2"}
+	n.AddOriginate(e, routemodel.NewRoute(routemodel.MustPrefix("10.0.0.0/8")))
+
+	originate := func(waypoint topology.NodeID) Check {
+		inv := NewInvariants(spec.True()).SetEdge(e, spec.Ghost("Via"))
+		p := &SafetyProblem{Network: n, Property: Property{Loc: AtRouter("R2"), Pred: spec.True()},
+			Invariants: inv, Ghosts: []GhostDef{GhostWaypoint("Via", n, waypoint)}}
+		for _, c := range p.Checks(Options{}) {
+			if c.Kind == OriginateCheck && c.Loc == AtEdge(e) {
+				return c
+			}
+		}
+		t.Fatal("no originate check at R1 -> R2")
+		return Check{}
+	}
+	viaR1, viaR3 := originate("R1"), originate("R3")
+	if !viaR1.Run().OK || viaR3.Run().OK {
+		t.Fatalf("verdicts: waypoint R1 ok=%v, waypoint R3 ok=%v; want true, false", viaR1.Run().OK, viaR3.Run().OK)
+	}
+	if viaR1.Key() == viaR3.Key() {
+		t.Fatalf("checks that decide differently share the key %s", viaR1.Key())
+	}
+	if again := originate("R1"); again.Key() != viaR1.Key() {
+		t.Fatal("equal origination values in fresh objects must produce equal keys")
+	}
+}

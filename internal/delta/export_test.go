@@ -1,0 +1,13 @@
+package delta
+
+// EnumerateInFull makes every later run of v generate all of its checks: the
+// reference a restricted update is compared with.
+func (v *Verifier) EnumerateInFull() { v.full = true }
+
+// Served returns how many problems the last run served from the previous
+// run's index instead of enumerating them in full.
+func (v *Verifier) Served() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.served
+}

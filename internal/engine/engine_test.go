@@ -9,6 +9,7 @@ import (
 	"lightyear/internal/core"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
+	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
 
@@ -244,5 +245,43 @@ func TestEngineCacheDisabled(t *testing.T) {
 	}
 	if st := eng.Stats(); st.CacheCap != 0 || st.CacheLen != 0 {
 		t.Errorf("cache disabled but stats report capacity %d / len %d", st.CacheCap, st.CacheLen)
+	}
+}
+
+// TestOriginateVerdictNotSharedAcrossOriginationValues: two problems whose
+// originate checks at R1 -> R2 differ only in the value a same-named ghost
+// takes on R1's originated routes run on one engine. The second must be
+// decided on its own content, not served the first one's OK from the cache.
+func TestOriginateVerdictNotSharedAcrossOriginationValues(t *testing.T) {
+	n := netgen.Fig1(netgen.Fig1Options{})
+	e := topology.Edge{From: "R1", To: "R2"}
+	problem := func(waypoint topology.NodeID) *core.SafetyProblem {
+		return &core.SafetyProblem{Network: n,
+			Property:   core.Property{Loc: core.AtRouter("R2"), Pred: spec.True()},
+			Invariants: core.NewInvariants(spec.True()).SetEdge(e, spec.Ghost("Via")),
+			Ghosts:     []core.GhostDef{core.GhostWaypoint("Via", n, waypoint)}}
+	}
+	originateOK := func(rep *core.Report) bool {
+		for _, r := range rep.Results {
+			if r.Kind == core.OriginateCheck && r.Loc == core.AtEdge(e) {
+				return r.OK
+			}
+		}
+		return true // folded: it passed
+	}
+
+	eng := engine.New(engine.Options{Workers: 2})
+	defer eng.Close()
+	for _, c := range []struct {
+		waypoint topology.NodeID
+		want     bool
+	}{{"R1", true}, {"R3", false}} {
+		rep := mustSubmit(t, eng, engine.Workload{Kind: engine.KindSafety, Safety: problem(c.waypoint)}).Wait()
+		if got := originateOK(rep); got != c.want {
+			t.Errorf("waypoint %s: originate check at %s ok=%v, want %v", c.waypoint, e, got, c.want)
+		}
+		if want := originateOK(core.VerifySafety(problem(c.waypoint), core.Options{Workers: 1})); want != c.want {
+			t.Fatalf("waypoint %s: sequential originate verdict %v, test premise wants %v", c.waypoint, want, c.want)
+		}
 	}
 }

@@ -37,8 +37,9 @@ func TestApplyMutationInsertRemove(t *testing.T) {
 	if len(got) != 3 || got[0].Seq != 5 || got[0].Permit {
 		t.Fatalf("shield should prepend a deny at seq 5: %+v", got)
 	}
-	// Clone isolation: the input state is untouched.
-	if len(n.Export(r2isp2).Clauses) != before || n.Fingerprint() != fpBefore {
+	// Clone isolation: the input state is untouched. A clone renders n
+	// afresh: n's memoised Fingerprint would not see an in-place edit.
+	if len(n.Export(r2isp2).Clauses) != before || n.Clone().Fingerprint() != fpBefore {
 		t.Fatal("ApplyMutation modified its input network")
 	}
 

@@ -6,30 +6,40 @@
 //
 // Results are addressed purely by the semantic check key (core.Check.Key):
 // the key already hashes everything the verdict depends on (the filter
-// policy, the predicates, the ghost updates), so it is sound across network
-// states, processes, and suites — the same property the engine's in-memory
-// cache and cross-job dedup rest on. Each record additionally carries the
+// policy, the predicates, the ghost updates and origination values), so it
+// is sound across network states, processes, and suites — the same property
+// the engine's in-memory cache and cross-job dedup rest on. Each record is
+// filed under the key scheme's version (keyVersion, now 3: version 2 keys
+// missed the ghosts' origination values on originate checks); records of
+// another version are never served. Each record additionally carries the
 // fingerprint of the network state that produced it (topology.Fingerprint)
 // as provenance, which retention (Options.MaxFingerprints) and future
 // sharded/remote stores use to scope what is kept without affecting lookup
 // correctness.
 //
+// The journal has one line shape, written and read by a hand-written codec
+// (codec.go) rather than encoding/json's reflection: its bytes are exactly
+// what json.Marshal of the record writes, replay parses that canonical form
+// directly, and a line it cannot parse is skipped like a torn one. Replaying
+// a warm journal is most of what opening a store costs, and a CLI run with
+// -store opens one every time.
+//
 // Persisted results deliberately drop the per-check identity
 // (Kind/Loc/Desc): the engine relabels shared results for the receiving
 // check anyway (engine.adapt), and a counterexample's routes are kept as
-// their rendered text. The journal is append-only and crash-tolerant: a
-// truncated final line is ignored on replay, and re-recording an
-// already-known key is skipped to keep warm reruns from growing the file.
-// Journals that nevertheless accumulate superseded duplicate keys (crashes,
-// older writers, concatenated directories) are compacted on Open: the file
-// is atomically rewritten with exactly one record per key, so long-lived
-// store directories stop growing unboundedly.
+// their rendered text. The journal is append-only and crash-tolerant: every
+// Add is flushed on its own, a truncated final line is ignored on replay,
+// and re-recording an already-known key is skipped to keep warm reruns from
+// growing the file. Journals that nevertheless accumulate superseded
+// duplicate keys, unparsable lines or records of an older key scheme
+// (crashes, older writers, concatenated directories) are compacted on Open:
+// the file is atomically rewritten with exactly one record per key, so
+// long-lived store directories stop growing unboundedly.
 package store
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
@@ -46,14 +56,17 @@ import (
 // journalName is the journal file created inside the store directory.
 const journalName = "results.jsonl"
 
-// keyVersion names the check-key scheme records are filed under. Version 2
-// is core's fingerprint-composed key; journals written before it (no "v"
-// field) hashed rendered text. A key of another scheme can never be asked
-// for again, so replay skips such records — they are never served — and the
-// compaction on Open drops them from the file.
-const keyVersion = 2
+// keyVersion names the check-key scheme records are filed under. Version 3
+// is core's fingerprint-composed key with the ghosts' origination values in
+// originate checks' keys; version 2 keyed those checks on the ghost names
+// alone, and journals written before version 2 (no "v" field) hashed
+// rendered text. A key of another scheme can never be asked for again, so
+// replay skips such records — they are never served — and the compaction on
+// Open drops them from the file.
+const keyVersion = 3
 
-// record is one journal line.
+// record is one journal line. Its json tags define the line format; the
+// codec in codec.go writes and reads exactly that format without reflection.
 type record struct {
 	V           int          `json:"v,omitempty"`
 	Key         string       `json:"key"`
@@ -154,6 +167,7 @@ type Store struct {
 	mem       map[string]record // full records, so compaction keeps provenance
 	f         *os.File
 	w         *bufio.Writer
+	buf       []byte         // append's line buffer
 	fp        string         // provenance fingerprint attached to subsequent Puts
 	fpSeq     map[string]int // fingerprint → last write tick, for retention recency
 	fpTick    int
@@ -247,6 +261,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	lines := 0
 	fpSeq := s.fpSeq // fingerprint → last journal line it was written on
 	if f, err := os.Open(path); err == nil {
+		fps := make(map[string]string) // interned provenance fingerprints
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 		for sc.Scan() {
@@ -255,8 +270,8 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 				continue
 			}
 			lines++
-			var rec record
-			if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" || rec.V != keyVersion {
+			rec, ok := decodeRecord(line, fps)
+			if !ok || rec.Key == "" || rec.V != keyVersion {
 				// Torn or foreign line (e.g. a crash mid-append), or a record
 				// of another key scheme: skip it rather than refuse the rest
 				// of the journal.
@@ -359,13 +374,11 @@ func (s *Store) compact() error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	w := bufio.NewWriter(tmp)
+	var b []byte
 	for _, k := range keys {
-		b, err := json.Marshal(s.mem[k])
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
+		rec := s.mem[k]
+		b = append(appendRecord(b[:0], &rec), '\n')
+		if _, err := w.Write(b); err != nil {
 			tmp.Close()
 			return err
 		}
@@ -430,19 +443,18 @@ func (s *Store) Add(key string, val core.CheckResult) {
 	}
 	s.puts++
 	s.metPuts.Inc()
-	if err := s.append(rec); err != nil {
+	if err := s.append(&rec); err != nil {
 		// Disk trouble degrades the store to in-memory; verification
 		// results are reproducible, so losing persistence is not fatal.
 		s.warn("journal append failed", err)
 	}
 }
 
-func (s *Store) append(rec record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
+// append writes one record and flushes it, so each Add is durable on its
+// own.
+func (s *Store) append(rec *record) error {
+	s.buf = append(appendRecord(s.buf[:0], rec), '\n')
+	if _, err := s.w.Write(s.buf); err != nil {
 		return err
 	}
 	return s.w.Flush()

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // This file gives a Network a stable semantic identity (Fingerprint) and a
@@ -19,14 +18,23 @@ import (
 // every edge with its bound import/export policies and originated routes,
 // all in deterministic order. Two networks with equal fingerprints generate
 // identical local checks, so a fingerprint names a network state in
-// persistent result stores and delta sessions.
+// persistent result stores and delta sessions. It is memoised like the
+// PolicyIndex: the mutators drop it, and node attributes, like route maps,
+// are not edited once the network is in use.
 func (n *Network) Fingerprint() string {
-	h := sha256.New()
-	n.writeSignature(h)
-	return hex.EncodeToString(h.Sum(nil))
+	n.indexMu.Lock()
+	defer n.indexMu.Unlock()
+	if n.fingerprint == "" {
+		h := sha256.New()
+		n.writeSignature(h)
+		n.fingerprint = hex.EncodeToString(h.Sum(nil))
+	}
+	return n.fingerprint
 }
 
 // writeSignature streams the canonical serialization hashed by Fingerprint.
+// The caller holds indexMu; a missing PolicyIndex is built on the way, from
+// the same renderings.
 func (n *Network) writeSignature(w io.Writer) {
 	ids := make([]NodeID, 0, len(n.nodes))
 	for id := range n.nodes {
@@ -36,8 +44,16 @@ func (n *Network) writeSignature(w io.Writer) {
 	for _, id := range ids {
 		fmt.Fprintln(w, nodeSignature(n.nodes[id]))
 	}
-	for _, e := range n.Edges() {
-		fmt.Fprintf(w, "edge %s\n%s", e, n.edgeSignature(e))
+	if n.index == nil {
+		n.buildIndex(w)
+		return
+	}
+	for _, e := range n.index.Edges {
+		var routes []string
+		for _, r := range n.originates[e] {
+			routes = append(routes, r.String())
+		}
+		writeEdgeSignature(w, e, n.imports[e].String(), n.exports[e].String(), routes)
 	}
 }
 
@@ -47,15 +63,13 @@ func nodeSignature(node *Node) string {
 		node.ID, node.AS, node.External, node.Role, node.Region)
 }
 
-// edgeSignature canonically renders everything verification reads on one
-// edge: the import and export route maps and the originated routes.
-func (n *Network) edgeSignature(e Edge) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "import %s\nexport %s\n", n.imports[e], n.exports[e])
-	for _, r := range n.originates[e] {
-		fmt.Fprintf(&b, "originate %s\n", r)
+// writeEdgeSignature canonically renders everything verification reads on
+// one edge: the import and export route maps and the originated routes.
+func writeEdgeSignature(w io.Writer, e Edge, im, ex string, routes []string) {
+	io.WriteString(w, "edge "+e.String()+"\nimport "+im+"\nexport "+ex+"\n")
+	for _, r := range routes {
+		io.WriteString(w, "originate "+r+"\n")
 	}
-	return b.String()
 }
 
 // NetworkDiff is the structural difference between two network states:
@@ -95,19 +109,36 @@ func DiffNetworks(old, new *Network) *NetworkDiff {
 	sortIDs(d.RemovedNodes)
 	sortIDs(d.ChangedNodes)
 
-	for _, e := range new.Edges() {
-		if !old.HasEdge(e) {
-			d.AddedEdges = append(d.AddedEdges, e)
-		} else if old.edgeSignature(e) != new.edgeSignature(e) {
-			d.ChangedEdges = append(d.ChangedEdges, e)
-		}
-	}
-	for _, e := range old.Edges() {
-		if !new.HasEdge(e) {
-			d.RemovedEdges = append(d.RemovedEdges, e)
+	// Both policy indexes list their edges in Edges' order: walk them side
+	// by side and compare the memoised fingerprints of what each edge binds,
+	// which are the content fingerprints check keys are built from.
+	oi, ni := old.Index(), new.Index()
+	i, j := 0, 0
+	for i < len(oi.Edges) || j < len(ni.Edges) {
+		switch {
+		case j == len(ni.Edges) || i < len(oi.Edges) && edgeLess(oi.Edges[i], ni.Edges[j]):
+			d.RemovedEdges = append(d.RemovedEdges, oi.Edges[i])
+			i++
+		case i == len(oi.Edges) || edgeLess(ni.Edges[j], oi.Edges[i]):
+			d.AddedEdges = append(d.AddedEdges, ni.Edges[j])
+			j++
+		default:
+			if oi.Import[i] != ni.Import[j] || oi.Export[i] != ni.Export[j] || oi.Originate[i] != ni.Originate[j] {
+				d.ChangedEdges = append(d.ChangedEdges, ni.Edges[j])
+			}
+			i++
+			j++
 		}
 	}
 	return d
+}
+
+// edgeLess is the order Edges sorts by.
+func edgeLess(a, b Edge) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.To < b.To
 }
 
 // Empty reports whether the diff records no change at all.

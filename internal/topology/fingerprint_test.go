@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"lightyear/internal/policy"
@@ -109,5 +110,25 @@ func TestDiffNetworksStructuralChange(t *testing.T) {
 	rev := DiffNetworks(new, old)
 	if len(rev.RemovedNodes) != 1 || len(rev.RemovedEdges) != 2 {
 		t.Fatalf("reverse diff should remove them, got %s", rev)
+	}
+}
+
+// TestFingerprintRendersOnceEitherWay: the fingerprint is the same whether
+// the PolicyIndex was built before it (rendered again) or with it (rendered
+// once for both), and the index built on the way equals one built alone.
+func TestFingerprintRendersOnceEitherWay(t *testing.T) {
+	build := func() *Network {
+		n := diffNet()
+		n.AddOriginate(Edge{From: "A", To: "B"}, routemodel.NewRoute(routemodel.MustPrefix("10.0.0.0/8")))
+		n.SetExport(Edge{From: "A", To: "B"}, policy.DenyAll("a-export"))
+		return n
+	}
+	indexFirst, fpFirst := build(), build()
+	idx := indexFirst.Index()
+	if a, b := indexFirst.Fingerprint(), fpFirst.Fingerprint(); a != b {
+		t.Fatalf("fingerprint after Index %s, without %s", a, b)
+	}
+	if !reflect.DeepEqual(fpFirst.Index(), idx) {
+		t.Fatal("the index built with the fingerprint differs from one built alone")
 	}
 }

@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -52,8 +53,10 @@ type Network struct {
 	exports    map[Edge]*policy.RouteMap
 	originates map[Edge][]*routemodel.Route
 
-	indexMu sync.Mutex
-	index   *PolicyIndex // memoised by Index; every mutator drops it
+	indexMu     sync.Mutex
+	index       *PolicyIndex   // memoised by Index; every mutator drops it
+	fingerprint string         // memoised by Fingerprint; dropped with the index
+	universe    *spec.Universe // memoised by Universe; dropped with the index
 }
 
 // PolicyIndex is what check enumeration reads off a built network, computed
@@ -74,24 +77,42 @@ func (n *Network) Index() *PolicyIndex {
 	n.indexMu.Lock()
 	defer n.indexMu.Unlock()
 	if n.index == nil {
-		n.index = &PolicyIndex{Edges: n.Edges()}
-		for _, e := range n.index.Edges {
-			var routes strings.Builder
-			for _, r := range n.originates[e] {
-				routes.WriteString(r.String() + ";")
-			}
-			n.index.Import = append(n.index.Import, n.imports[e].Fingerprint())
-			n.index.Export = append(n.index.Export, n.exports[e].Fingerprint())
-			n.index.Originate = append(n.index.Originate, spec.Sum(routes.String()))
-		}
+		n.buildIndex(nil)
 	}
 	return n.index
 }
 
-// touch drops the memoised index; every mutator calls it.
+// buildIndex builds the PolicyIndex, rendering each edge's route maps and
+// originated routes once; with a non-nil sig the same renderings also go
+// into the network's signature (writeSignature), so computing both renders
+// the network once. The caller holds indexMu.
+func (n *Network) buildIndex(sig io.Writer) {
+	idx := &PolicyIndex{Edges: n.Edges()}
+	var routes strings.Builder
+	var rendered []string
+	for _, e := range idx.Edges {
+		im, ex := n.imports[e].String(), n.exports[e].String()
+		routes.Reset()
+		rendered = rendered[:0]
+		for _, r := range n.originates[e] {
+			s := r.String()
+			rendered = append(rendered, s)
+			routes.WriteString(s + ";")
+		}
+		idx.Import = append(idx.Import, spec.Sum(im))
+		idx.Export = append(idx.Export, spec.Sum(ex))
+		idx.Originate = append(idx.Originate, spec.Sum(routes.String()))
+		if sig != nil {
+			writeEdgeSignature(sig, e, im, ex, rendered)
+		}
+	}
+	n.index = idx
+}
+
+// touch drops the memoised index and fingerprint; every mutator calls it.
 func (n *Network) touch() {
 	n.indexMu.Lock()
-	n.index = nil
+	n.index, n.fingerprint, n.universe = nil, "", nil
 	n.indexMu.Unlock()
 }
 
@@ -197,12 +218,7 @@ func (n *Network) Edges() []Edge {
 	for e := range n.edges {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	sort.Slice(out, func(i, j int) bool { return edgeLess(out[i], out[j]) })
 	return out
 }
 
@@ -275,9 +291,22 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // NumEdges returns the directed edge count.
 func (n *Network) NumEdges() int { return len(n.edges) }
 
-// Universe collects every community, AS number, and ghost name mentioned by
-// any policy or origination in the network.
+// Universe returns a new universe holding every community, AS number, and
+// ghost name mentioned by any policy or origination in the network. The
+// collection is memoised like the PolicyIndex; each call returns its own
+// copy, which the caller may extend.
 func (n *Network) Universe() *spec.Universe {
+	n.indexMu.Lock()
+	defer n.indexMu.Unlock()
+	if n.universe == nil {
+		n.universe = n.collectUniverse()
+	}
+	u := spec.NewUniverse()
+	u.Merge(n.universe)
+	return u
+}
+
+func (n *Network) collectUniverse() *spec.Universe {
 	u := spec.NewUniverse()
 	for e := range n.edges {
 		n.imports[e].AddToUniverse(u)
