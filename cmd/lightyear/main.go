@@ -85,8 +85,8 @@
 // bounds the engine's admitted in-flight checks: a plan whose compiled
 // check count exceeds the bound is rejected before any work starts, with
 // the same typed admission error lyserve maps to HTTP 429 + Retry-After.
-// -tenant-weights t1=3,t2=1 sets per-tenant weighted-fair dispatch weights
-// (unlisted tenants weigh 1), matching lyserve's flag of the same name.
+// A run admits one plan under one tenant, so there is no weighted-fair
+// dispatch to configure (lyserve's -tenant-weights).
 //
 // With -trace the run records an end-to-end telemetry trace — compile,
 // admit, queue, dispatch, solve:<backend>, cache, store spans with
@@ -204,8 +204,7 @@ type cliFlags struct {
 	Verbose     bool   // print every check; implies Results = all
 	WANRegions  int
 	Tenant      string
-	MaxInflight int    // engine admission: max in-flight checks (0 = unlimited)
-	Weights     string // per-tenant dispatch weights, e.g. t1=3,t2=1
+	MaxInflight int // engine admission: max in-flight checks (0 = unlimited)
 	Set         map[string]bool
 }
 
@@ -480,7 +479,6 @@ func main() {
 	flag.IntVar(&f.WANRegions, "wan-regions", 3, "region count assumed for WAN properties")
 	flag.StringVar(&f.Tenant, "tenant", "", "tenant the run is admitted and accounted under")
 	flag.IntVar(&f.MaxInflight, "max-inflight", 0, "admission: max in-flight checks on the engine (0 = unlimited)")
-	flag.StringVar(&f.Weights, "tenant-weights", "", "per-tenant dispatch weights, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
 	list := flag.Bool("list", false, "print the registered property suites and corpus families, then exit")
 	corpusEmit := flag.Bool("corpus-emit", false, "print the corpus member's generated configuration and exit")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON")
@@ -533,10 +531,6 @@ func main() {
 	if err != nil {
 		os.Exit(fail(err))
 	}
-	adm, err := admission(f)
-	if err != nil {
-		os.Exit(fail(err))
-	}
 	rec, tr := startTelemetry(*traceOut, "cli", req.Options.Tenant, logger)
 	cs := tr.StartSpan("compile")
 	compiled, err := plan.Compile(req, nil)
@@ -563,7 +557,7 @@ func main() {
 		}
 	}
 
-	eng, resultStore, err := newEngine(req.Options, adm, rec, logger)
+	eng, resultStore, err := newEngine(req.Options, f.MaxInflight, rec, logger)
 	if err != nil {
 		os.Exit(fail(err))
 	}
@@ -650,26 +644,17 @@ func printTrace(rec *telemetry.Recorder, tr *telemetry.Trace) {
 	}
 }
 
-// admission reads the engine's admission flags, which no plan document
-// carries.
-func admission(f cliFlags) (engine.Admission, error) {
-	weights, err := engine.ParseWeights(f.Weights)
-	if err != nil {
-		return engine.Admission{}, &usageError{"-tenant-weights: " + err.Error()}
-	}
-	return engine.Admission{MaxInFlightChecks: f.MaxInflight, Weights: weights}, nil
-}
-
-// newEngine builds the run's engine from the plan options. With a store
-// directory the persistent result store is the engine's cache; the caller
-// closes both.
-func newEngine(o plan.Options, adm engine.Admission, rec *telemetry.Recorder, logger *slog.Logger) (*engine.Engine, *store.Store, error) {
+// newEngine builds the run's engine from the plan options and the
+// -max-inflight admission bound, which no plan document carries. With a
+// store directory the persistent result store is the engine's cache; the
+// caller closes both.
+func newEngine(o plan.Options, maxInflight int, rec *telemetry.Recorder, logger *slog.Logger) (*engine.Engine, *store.Store, error) {
 	opts := engine.Options{
 		Workers:   o.Workers,
 		CacheSize: o.Cache,
 		Telemetry: rec,
 		Logger:    logger,
-		Admission: adm,
+		Admission: engine.Admission{MaxInFlightChecks: maxInflight},
 	}
 	var st *store.Store
 	if o.Store != "" {
@@ -915,10 +900,6 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 	if err != nil {
 		return fail(err)
 	}
-	adm, err := admission(f)
-	if err != nil {
-		return fail(err)
-	}
 
 	rec, tr := startTelemetry(traceOut, "cli-migrate", p.Options.Tenant, logger)
 	c, err := migrate.Compile(p, nil)
@@ -936,7 +917,7 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 			c.NumSteps(), mode, len(n.Routers()), n.NumEdges())
 	}
 
-	eng, resultStore, err := newEngine(c.Plan.Options, adm, rec, logger)
+	eng, resultStore, err := newEngine(c.Plan.Options, f.MaxInflight, rec, logger)
 	if err != nil {
 		return fail(err)
 	}
@@ -998,7 +979,7 @@ func printMigrateEvent(ev migrate.Event) {
 		}
 	case migrate.EvStepOK:
 		if ev.Unchanged {
-			fmt.Printf("%sstep %d (%s): ok [no-op: source unchanged]\n", prefix, ev.Step, ev.Label)
+			fmt.Printf("%sstep %d (%s): ok [no-op: network unchanged]\n", prefix, ev.Step, ev.Label)
 			return
 		}
 		fmt.Printf("%sstep %d (%s): ok — %d checks, %d dirty, %d reused, %d solved\n",

@@ -268,6 +268,7 @@ type sessionStatus struct {
 			DirtyChecks    int      `json:"dirty_checks"`
 			ReusedResults  int      `json:"reused_results"`
 			Solved         int      `json:"solved"`
+			Unknown        int      `json:"unknown"`
 			ChangedRouters []string `json:"changed_routers"`
 		} `json:"result"`
 	} `json:"runs"`

@@ -9,14 +9,22 @@ import (
 	"testing"
 
 	"lightyear/internal/migrate"
+	"lightyear/internal/netgen"
 )
 
 // createFig1Session pins a v2 session on the Figure-1 network with the
 // no-transit property and waits for its baseline run.
 func createFig1Session(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v2/sessions", "application/json", bytes.NewBufferString(
-		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`))
+	return createSession(t, ts,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`)
+}
+
+// createSession pins a v2 session on the given plan and waits for its
+// baseline run.
+func createSession(t *testing.T, ts *httptest.Server, body string) string {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v2/sessions", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +170,40 @@ func TestSessionMigrate(t *testing.T) {
 	}
 	if len(r.ChangedRouters) != 1 || r.ChangedRouters[0] != "R2" {
 		t.Fatalf("changed routers = %v, want [R2]", r.ChangedRouters)
+	}
+}
+
+// TestCommentOnlyStepOnUndecidedSession: a session whose baseline left
+// checks undecided (solver budget 1) must not accept a comment-only config
+// step as a verified no-op — the unchanged network still has no verdict, so
+// the step re-solves and the plan ends undecided.
+func TestCommentOnlyStepOnUndecidedSession(t *testing.T) {
+	ts := newTestServer(t)
+	cfg := netgen.Fig1DSL(netgen.Fig1Options{})
+	plan, _ := json.Marshal(map[string]any{
+		"network":    map[string]string{"config": cfg},
+		"properties": []map[string]string{{"name": "sat-stress"}},
+		"options":    map[string]any{"solver": map[string]any{"backend": "native", "budget": 1}},
+	})
+	id := createSession(t, ts, string(plan))
+	if r := getSession(t, ts, id).Runs[0].Result; r == nil || r.Unknown == 0 {
+		t.Fatalf("the budget-starved baseline should leave undecided checks: %+v", r)
+	}
+
+	steps, _ := json.Marshal(map[string]any{
+		"steps": []map[string]string{{"label": "annotate", "config": "# note\n" + cfg}},
+	})
+	done := eventOfType(postMigrate(t, ts, id, string(steps), http.StatusOK), migrate.EvDone)
+	if done == nil || done.Result == nil {
+		t.Fatal("no done event")
+	}
+	res := done.Result
+	if res.OK || !res.Undecided {
+		t.Fatalf("comment-only step on an undecided session: ok=%v undecided=%v, want false/true (%s)",
+			res.OK, res.Undecided, res.Reason)
+	}
+	if len(res.Steps) != 1 || res.Steps[0].Solved == 0 {
+		t.Fatalf("the step must re-solve the undecided checks: %+v", res.Steps)
 	}
 }
 

@@ -167,10 +167,11 @@
 // each a full replacement config or a named route-map edit
 // (netgen.MutationSpec: insert/remove an import or export clause, tighten a
 // router's peer imports) — verifying every intermediate state as a dirty-
-// subset delta re-solve on one delta.Verifier. Steps whose config source is
-// unchanged (config.SourceFingerprint — comments and whitespace don't
-// count) skip solving entirely; a violating step stops the walk and reports
-// its index, failing checks, and witnesses. For an unordered change set
+// subset delta re-solve on one delta.Verifier. A step whose parsed network
+// fingerprints like the pinned state (a comment-only config, say) reuses
+// its verdicts without solving, unless the pinned run left checks
+// undecided; a violating step stops the walk and reports its index,
+// failing checks, and witnesses. For an unordered change set
 // ("unordered": true) migrate.Run searches for a safe order instead:
 // depth-first over permutations, pruning interchangeable orders of
 // independent steps (disjoint touched routers commute), memoizing verified

@@ -70,8 +70,8 @@ func TestKeysPartitionLikeRenderedTextOnWAN(t *testing.T) {
 	}
 	p := newPartition(t)
 	p.suite("wan-peering", netgen.WAN(benchWAN, netgen.WANBugs{}), netgen.SuiteParams{Regions: benchWAN.Regions})
-	if p.checks != 404118 {
-		t.Fatalf("the 5-region sweep enumerated %d checks, want 404118", p.checks)
+	if p.checks != 404118 || len(p.oldOfNew) != 15818 {
+		t.Fatalf("the 5-region sweep enumerated %d checks in %d key classes, want 404118 in 15818", p.checks, len(p.oldOfNew))
 	}
 	// The regional suites add per-location invariants, originate checks and
 	// the relabeled no-interference sub-proofs of the liveness paths.

@@ -60,9 +60,9 @@ func TestParseGraphML(t *testing.T) {
 
 func TestParseGraphErrors(t *testing.T) {
 	for _, bad := range []string{
-		"",                      // edge list with no edges
-		"lonely",                // malformed edge line
-		"<graphml></graphml>",   // GraphML with no nodes or edges
+		"",                    // edge list with no edges
+		"lonely",              // malformed edge line
+		"<graphml></graphml>", // GraphML with no nodes or edges
 		"<graphml><edge source=\"a\"/></graphml>", // edge missing target
 	} {
 		if _, _, err := ParseGraph(bad); err == nil {

@@ -44,8 +44,8 @@ type Admission struct {
 	Weights map[string]int
 }
 
-// ParseWeights parses the -tenant-weights command-line form shared by
-// lyserve and lightyear — "t1=3,t2=1" — into an Admission.Weights map.
+// ParseWeights parses lyserve's -tenant-weights command-line form —
+// "t1=3,t2=1" — into an Admission.Weights map.
 // Weights must be positive integers; an empty spec yields a nil map
 // (every tenant weighs 1).
 func ParseWeights(spec string) (map[string]int, error) {

@@ -31,8 +31,7 @@ const (
 // how urgently (Priority, ordered within the tenant), how much admission
 // capacity it consumes (Cost), and per-job execution overrides
 // (SubmitOptions). Every entry point — plan runs, delta sessions, lyserve,
-// the CLIs — builds one of these and calls Engine.Submit; the legacy
-// Submit* methods are deprecated shims over the same path.
+// the CLIs — builds one of these and calls Engine.Submit.
 type Workload struct {
 	// Kind optionally names the payload shape; inferred when empty.
 	Kind WorkloadKind

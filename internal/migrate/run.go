@@ -73,10 +73,6 @@ type RunConfig struct {
 	// restored, so a failed migration never moves the session. When nil,
 	// Run builds a private verifier and baselines the compiled network.
 	Verifier *delta.Verifier
-	// BaselineSourceFP is the config source fingerprint of the Verifier's
-	// pinned state ("" if unknown or not config-sourced); it seeds the
-	// comment-only no-op fast path for the first config step.
-	BaselineSourceFP string
 	// Reservation, when set, is a pre-admitted whole-plan reservation the
 	// run executes under; Run releases it. When nil, Run reserves the
 	// plan's full cost itself.
@@ -176,12 +172,6 @@ type Result struct {
 	MemoHits     int            `json:"memo_hits,omitempty"`     // states shared between orderings
 	PrunedOrders int            `json:"pruned,omitempty"`        // branches cut by commutativity
 
-	// FinalSourceFP is the config source fingerprint of the final pinned
-	// state on success ("" when the final state is mutation-derived) —
-	// the provenance a session needs to keep its no-op fast path sound
-	// across a migration.
-	FinalSourceFP string `json:"-"`
-
 	ElapsedNanos int64 `json:"elapsed_ns"`
 }
 
@@ -213,11 +203,10 @@ type runner struct {
 	c   *Compiled
 	cfg RunConfig
 
-	v        *delta.Verifier
-	res      *Result
-	span     *telemetry.Span
-	origNet  *topology.Network // session state to restore on failure
-	curSrcFP string
+	v       *delta.Verifier
+	res     *Result
+	span    *telemetry.Span
+	origNet *topology.Network // session state to restore on failure
 
 	stepsCtr *telemetry.CounterVec
 	reorders *telemetry.CounterVec
@@ -292,12 +281,10 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 			r.res.FailingChecks = failedChecks(bres)
 			return r.res, nil
 		}
-		r.curSrcFP = r.baseSrcFPForCompile()
 	} else {
 		// Session path: the pinned state was verified when it was pinned;
 		// migrating from it re-walks forward, it does not re-audit it.
 		r.res.BaselineOK = true
-		r.curSrcFP = r.cfg.BaselineSourceFP
 		r.emit(Event{Type: EvBaseline, Step: -1, PlanStep: -1, OK: true, Reused: v.ResultCount()})
 	}
 
@@ -322,8 +309,6 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 	return r.res, nil
 }
 
-func (r *runner) baseSrcFPForCompile() string { return r.c.baseSrcFP }
-
 func (r *runner) rollback() error {
 	if r.v.Fingerprint() == r.origNet.Fingerprint() {
 		return nil
@@ -347,24 +332,8 @@ func (r *runner) ordered(ctx context.Context) error {
 		r.emit(Event{Type: EvStepStarted, Step: k, PlanStep: k, Label: st.label})
 		sp := r.span.StartSpan("step:" + st.label)
 
-		var next *topology.Network
-		nextSrcFP := ""
-		if st.config != "" {
-			if r.curSrcFP != "" && st.srcFP == r.curSrcFP {
-				// Comment-only no-op: the step's source normalizes to the
-				// very state already pinned, so the previous verdicts hold
-				// without touching the verifier or the engine.
-				r.res.Steps = append(r.res.Steps, StepResult{
-					Step: k, PlanStep: k, Label: st.label, OK: true, Unchanged: true,
-				})
-				r.emit(Event{Type: EvStepOK, Step: k, PlanStep: k, Label: st.label, OK: true, Unchanged: true})
-				r.countStep("unchanged")
-				sp.SetAttr("outcome", "unchanged")
-				sp.End()
-				continue
-			}
-			next, nextSrcFP = st.network, st.srcFP
-		} else {
+		next := st.network
+		if next == nil {
 			n2, err := netgen.ApplyMutation(cur, *st.mutation)
 			if err != nil {
 				r.res.ViolatedStep, r.res.ViolatedPlanStep, r.res.ViolatedLabel = k, k, st.label
@@ -418,10 +387,8 @@ func (r *runner) ordered(ctx context.Context) error {
 		sp.SetAttr("outcome", outcome)
 		sp.End()
 		cur = next
-		r.curSrcFP = nextSrcFP
 	}
 	r.res.OK = true
-	r.res.FinalSourceFP = r.curSrcFP
 	return nil
 }
 

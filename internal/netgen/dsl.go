@@ -3,12 +3,25 @@ package netgen
 import (
 	"fmt"
 	"strings"
+
+	"lightyear/internal/config"
+	"lightyear/internal/topology"
 )
 
 // This file emits the generated networks in the configuration language of
-// internal/config, so they can be written to disk by cmd/lygen and parsed
-// back by cmd/lightyear. Round-trip tests assert that parsing an emitted
-// configuration verifies identically to the programmatic network.
+// internal/config. The emitted text is the one definition of each network:
+// cmd/lygen writes it out, and Fig1, FullMesh and WAN parse it, so a
+// network built in-process is the network cmd/lightyear reads from disk.
+
+// mustParse parses a generator's configuration text. A parse error means
+// the generator itself is broken, so it panics.
+func mustParse(src string) *topology.Network {
+	n, err := config.Parse(src)
+	if err != nil {
+		panic("netgen: generated configuration does not parse: " + err.Error())
+	}
+	return n
+}
 
 // Fig1DSL renders the Figure-1 example network as configuration text.
 func Fig1DSL(o Fig1Options) string {

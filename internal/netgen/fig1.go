@@ -2,14 +2,15 @@
 // running example of Figure 1, the §6.2 full-mesh synthetic networks used
 // for the scaling comparison against Minesweeper, and a synthetic wide-area
 // network with the structure described in §6.1 (regions, Internet edge
-// routers, reused IP prefixes, community-based tagging). It also provides
-// bug injectors that plant the classes of configuration errors the paper
+// routers, reused IP prefixes, community-based tagging). Each network is
+// defined once, as the configuration text Fig1DSL, FullMeshDSL and WANDSL
+// emit; Fig1, FullMesh and WAN parse that text. It also provides bug
+// injectors that plant the classes of configuration errors the paper
 // reports finding, so error localization can be demonstrated and tested.
 package netgen
 
 import (
 	"lightyear/internal/core"
-	"lightyear/internal/policy"
 	"lightyear/internal/routemodel"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
@@ -53,88 +54,7 @@ type Fig1Options struct {
 // (at R3); internal full mesh. Policies implement the no-transit scheme of
 // §2.1 (tag at R1, filter at R2, preserve elsewhere) and accept customer
 // prefixes at R3 with community stripping (§2.2).
-func Fig1(o Fig1Options) *topology.Network {
-	n := topology.New()
-	n.AddRouter("R1", 65000).Role = "edge"
-	n.AddRouter("R2", 65000).Role = "edge"
-	n.AddRouter("R3", 65000).Role = "edge"
-	n.AddExternal("ISP1", 174)
-	n.AddExternal("ISP2", 3356)
-	n.AddExternal("Customer", 64512)
-
-	n.AddPeering("ISP1", "R1")
-	n.AddPeering("ISP2", "R2")
-	n.AddPeering("Customer", "R3")
-	n.AddPeering("R1", "R2")
-	n.AddPeering("R1", "R3")
-	n.AddPeering("R2", "R3")
-
-	// R1 import from ISP1: drop routes for the customer's space (standard
-	// peer-route hygiene), tag everything else with 100:1.
-	tagActions := []policy.Action{policy.AddCommunity{Comm: CommTransit}}
-	if o.OmitTransitTag {
-		tagActions = nil
-	}
-	n.SetImport(topology.Edge{From: "ISP1", To: "R1"}, &policy.RouteMap{
-		Name: "r1-import-isp1",
-		Clauses: []policy.Clause{
-			{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(CustPrefixes)}, Permit: false},
-			{Seq: 20, Actions: tagActions, Permit: true},
-		},
-	})
-
-	// R2 import from ISP2: same hygiene, no tagging.
-	n.SetImport(topology.Edge{From: "ISP2", To: "R2"}, &policy.RouteMap{
-		Name: "r2-import-isp2",
-		Clauses: []policy.Clause{
-			{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(CustPrefixes)}, Permit: false},
-			{Seq: 20, Permit: true},
-		},
-	})
-
-	// R2 export to ISP2: filter transit-tagged routes (the no-transit
-	// enforcement point).
-	exportClauses := []policy.Clause{
-		{Seq: 10, Matches: []spec.Pred{spec.HasCommunity(CommTransit)}, Permit: false},
-		{Seq: 20, Permit: true},
-	}
-	if o.SkipExportFilter {
-		exportClauses = exportClauses[1:]
-	}
-	n.SetExport(topology.Edge{From: "R2", To: "ISP2"}, &policy.RouteMap{
-		Name:    "r2-export-isp2",
-		Clauses: exportClauses,
-	})
-
-	// R3 import from Customer: accept only customer prefixes and strip all
-	// incoming communities so customer routes can never carry 100:1.
-	custActions := []policy.Action{policy.ClearCommunities{}}
-	if o.ForgetStripAtR3 {
-		custActions = nil
-	}
-	n.SetImport(topology.Edge{From: "Customer", To: "R3"}, &policy.RouteMap{
-		Name: "r3-import-customer",
-		Clauses: []policy.Clause{
-			{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(CustPrefixes)}, Actions: custActions, Permit: true},
-		},
-	})
-
-	if o.StripAtR2 {
-		n.SetImport(topology.Edge{From: "R1", To: "R2"}, &policy.RouteMap{
-			Name: "r2-import-r1-buggy",
-			Clauses: []policy.Clause{
-				{Seq: 10, Actions: []policy.Action{policy.ClearCommunities{}}, Permit: true},
-			},
-		})
-	}
-
-	// R1 originates its own aggregate to every neighbor.
-	own := routemodel.NewRoute(routemodel.MustPrefix("10.50.0.0/16"))
-	for _, to := range []topology.NodeID{"R2", "R3", "ISP1"} {
-		n.AddOriginate(topology.Edge{From: "R1", To: to}, own)
-	}
-	return n
-}
+func Fig1(o Fig1Options) *topology.Network { return mustParse(Fig1DSL(o)) }
 
 // FromISP1Ghost is the ghost attribute of Table 2: true exactly on routes
 // imported from ISP1.

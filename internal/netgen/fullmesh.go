@@ -1,10 +1,7 @@
 package netgen
 
 import (
-	"fmt"
-
 	"lightyear/internal/core"
-	"lightyear/internal/policy"
 	"lightyear/internal/routemodel"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
@@ -36,46 +33,8 @@ func FullMesh(n int) *topology.Network {
 	if n < 2 {
 		panic("netgen: full mesh needs at least 2 routers")
 	}
-	net := topology.New()
-	for i := 1; i <= n; i++ {
-		net.AddRouter(router(i), 65000).Role = "mesh"
-		net.AddExternal(external(i), uint32(1000+i))
-	}
-	for i := 1; i <= n; i++ {
-		net.AddPeering(router(i), external(i))
-		for j := i + 1; j <= n; j++ {
-			net.AddPeering(router(i), router(j))
-		}
-	}
-	for i := 1; i <= n; i++ {
-		// eBGP import: bogon filter, plus tagging at R1.
-		var actions []policy.Action
-		if i == 1 {
-			actions = []policy.Action{policy.AddCommunity{Comm: CommBad}}
-		}
-		net.SetImport(topology.Edge{From: external(i), To: router(i)}, &policy.RouteMap{
-			Name: fmt.Sprintf("r%d-import-x%d", i, i),
-			Clauses: []policy.Clause{
-				{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(Bogons)}, Permit: false},
-				{Seq: 20, Actions: actions, Permit: true},
-			},
-		})
-		// eBGP export: the transit filter at R2.
-		if i == 2 {
-			net.SetExport(topology.Edge{From: router(i), To: external(i)}, &policy.RouteMap{
-				Name: "r2-export-x2",
-				Clauses: []policy.Clause{
-					{Seq: 10, Matches: []spec.Pred{spec.HasCommunity(CommBad)}, Permit: false},
-					{Seq: 20, Permit: true},
-				},
-			})
-		}
-	}
-	return net
+	return mustParse(FullMeshDSL(n))
 }
-
-func router(i int) topology.NodeID   { return topology.NodeID(fmt.Sprintf("R%d", i)) }
-func external(i int) topology.NodeID { return topology.NodeID(fmt.Sprintf("X%d", i)) }
 
 // FullMeshGhost is the provenance ghost for the scaling networks: true on
 // routes imported from X1.

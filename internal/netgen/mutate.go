@@ -8,8 +8,8 @@ import (
 )
 
 // Mutation helpers for generated suites: small, realistic configuration
-// changes applied in place, used by internal/delta tests and the lybench
-// "delta" experiment to model the operator loop the paper's incremental
+// changes applied in place, used by migration steps, corpus fuzz trails and
+// the delta tests to model the operator loop the paper's incremental
 // story targets (§2: "when a node is updated, only the local checks
 // pertaining to that node must be re-checked").
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lightyear/internal/core"
-	"lightyear/internal/policy"
 	"lightyear/internal/routemodel"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
@@ -105,168 +104,7 @@ func PeerNode(edge, i int) topology.NodeID {
 func regionName(i int) string { return fmt.Sprintf("region-%d", i) }
 
 // WAN builds the synthetic wide-area network.
-func WAN(p WANParams, bugs WANBugs) *topology.Network {
-	n := topology.New()
-	regionals := RegionalComms(p.Regions)
-
-	// Nodes.
-	var backbone []topology.NodeID
-	for r := 0; r < p.Regions; r++ {
-		for i := 0; i < p.RoutersPerRegion; i++ {
-			id := RegionRouter(r, i)
-			node := n.AddRouter(id, WANLocalAS)
-			node.Role = "wan"
-			node.Region = regionName(r)
-			backbone = append(backbone, id)
-		}
-		for d := 0; d < p.DCsPerRegion; d++ {
-			n.AddExternal(DCRouter(r, d), uint32(65100+r)).Role = "dc"
-		}
-	}
-	for e := 0; e < p.EdgeRouters; e++ {
-		id := EdgeRouter(e)
-		n.AddRouter(id, WANLocalAS).Role = "edge"
-		backbone = append(backbone, id)
-		for q := 0; q < p.PeersPerEdge; q++ {
-			n.AddExternal(PeerNode(e, q), uint32(2000+e*100+q)).Role = "peer"
-		}
-	}
-
-	// Full iBGP mesh over the backbone.
-	for i := 0; i < len(backbone); i++ {
-		for j := i + 1; j < len(backbone); j++ {
-			n.AddPeering(backbone[i], backbone[j])
-		}
-	}
-	// DC and peer attachments.
-	for r := 0; r < p.Regions; r++ {
-		for d := 0; d < p.DCsPerRegion; d++ {
-			for i := 0; i < p.RoutersPerRegion; i++ {
-				n.AddPeering(DCRouter(r, d), RegionRouter(r, i))
-			}
-		}
-	}
-	for e := 0; e < p.EdgeRouters; e++ {
-		for q := 0; q < p.PeersPerEdge; q++ {
-			n.AddPeering(PeerNode(e, q), EdgeRouter(e))
-		}
-	}
-
-	// Policies.
-	// 1. DC imports at region routers: reused routes get communities
-	// cleared and the region community added (§6.1: "deleting all
-	// communities on routes coming from the data centers, before adding
-	// the community C").
-	for r := 0; r < p.Regions; r++ {
-		comm := RegionComm(r)
-		if bugs.WrongRegionCommunity && r == 0 && p.Regions > 1 {
-			comm = RegionComm(1) // the metadata-file bug
-		}
-		for d := 0; d < p.DCsPerRegion; d++ {
-			for i := 0; i < p.RoutersPerRegion; i++ {
-				e := topology.Edge{From: DCRouter(r, d), To: RegionRouter(r, i)}
-				n.SetImport(e, &policy.RouteMap{
-					Name: fmt.Sprintf("dc-import-r%d-%d-%d", r, d, i),
-					Clauses: []policy.Clause{
-						{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(ReusedIPs)},
-							Actions: []policy.Action{policy.ClearCommunities{}, policy.AddCommunity{Comm: comm}},
-							Permit:  true},
-						{Seq: 20, Actions: []policy.Action{policy.ClearCommunities{}}, Permit: true},
-					},
-				})
-			}
-		}
-	}
-
-	// 2. Internal (iBGP) imports: region routers accept reused routes only
-	// with their own region community; edge routers accept no reused
-	// routes at all.
-	for _, e := range n.Edges() {
-		if n.IsExternal(e.From) || n.IsExternal(e.To) {
-			continue
-		}
-		dst := n.Node(e.To)
-		var clauses []policy.Clause
-		if dst.Role == "wan" {
-			own := RegionComm(regionIndex(dst.Region))
-			clauses = []policy.Clause{
-				{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(ReusedIPs), spec.Not(spec.HasCommunity(own))}, Permit: false},
-				{Seq: 20, Permit: true},
-			}
-		} else {
-			clauses = []policy.Clause{
-				{Seq: 10, Matches: []spec.Pred{spec.PrefixIn(ReusedIPs)}, Permit: false},
-				{Seq: 20, Permit: true},
-			}
-		}
-		n.SetImport(e, &policy.RouteMap{
-			Name:    fmt.Sprintf("ibgp-import-%s-from-%s", e.To, e.From),
-			Clauses: clauses,
-		})
-	}
-
-	// 3. Peer imports at edge routers: the eleven "bad route" filters of
-	// §6.1 plus attribute normalization.
-	for e := 0; e < p.EdgeRouters; e++ {
-		for q := 0; q < p.PeersPerEdge; q++ {
-			edge := topology.Edge{From: PeerNode(e, q), To: EdgeRouter(e)}
-			var clauses []policy.Clause
-			seq := 10
-			deny := func(preds ...spec.Pred) {
-				clauses = append(clauses, policy.Clause{Seq: seq, Matches: preds, Permit: false})
-				seq += 10
-			}
-			if !(bugs.MissingBogonFilter && e == 0 && q == 0) {
-				deny(spec.PrefixIn(Bogons))
-			}
-			deny(spec.PrefixIn(ClassE))
-			deny(spec.PrefixIn(DefaultRoute))
-			deny(spec.PrefixIn(ReusedIPs))
-			deny(spec.PrefixLenAtLeast(25))
-			deny(spec.Not(spec.PathLenAtMost(30)))
-			deny(spec.PathContains(PrivateASN))
-			deny(spec.PathContains(WANLocalAS))
-			actions := []policy.Action{
-				policy.ClearCommunities{},
-				policy.SetLocalPref{Value: PeerLocalPref},
-				policy.SetMED{Value: PeerMED},
-			}
-			if bugs.MissingLocalPref && e == 0 && q == 1 && p.PeersPerEdge > 1 {
-				actions = []policy.Action{policy.ClearCommunities{}, policy.SetMED{Value: PeerMED}}
-			}
-			clauses = append(clauses, policy.Clause{Seq: seq, Actions: actions, Permit: true})
-			n.SetImport(edge, &policy.RouteMap{
-				Name:    fmt.Sprintf("peer-import-e%d-%d", e, q),
-				Clauses: clauses,
-			})
-		}
-	}
-
-	// 4. Exports towards externals: edge routers never export reused
-	// space or regionally tagged routes to the Internet; region routers
-	// export freely to DCs.
-	for _, e := range n.Edges() {
-		if !n.IsExternal(e.To) || n.IsExternal(e.From) {
-			continue
-		}
-		if n.Node(e.To).Role == "peer" {
-			var matches []spec.Pred
-			matches = append(matches, spec.Or(
-				spec.PrefixIn(ReusedIPs),
-				spec.HasAnyCommunity(regionals...),
-			))
-			n.SetExport(e, &policy.RouteMap{
-				Name: fmt.Sprintf("peer-export-%s-to-%s", e.From, e.To),
-				Clauses: []policy.Clause{
-					{Seq: 10, Matches: matches, Permit: false},
-					{Seq: 20, Permit: true},
-				},
-			})
-		}
-	}
-
-	return n
-}
+func WAN(p WANParams, bugs WANBugs) *topology.Network { return mustParse(WANDSL(p, bugs)) }
 
 func regionIndex(name string) int {
 	var i int
