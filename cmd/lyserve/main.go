@@ -1177,9 +1177,7 @@ type sessionRun struct {
 // here; the binding admission decision is the session worker's (each run
 // reserves its own dirty cost under the session's tenant).
 func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
-	cost := c.Cost()
-	c.ReleasePrepared() // only the scalar is needed; the plan is pinned for the session's lifetime
-	if err := s.eng.AdmitProbe(c.Tenant(), cost); err != nil {
+	if err := s.eng.AdmitProbe(c.Tenant(), c.Cost()); err != nil {
 		if !admissionError(w, err) {
 			httpError(w, http.StatusInternalServerError, err.Error())
 		}

@@ -64,8 +64,8 @@
 // totals are the same numbers either way. The NDJSON event contract under
 // each mode: "start" per problem (with its check total), "check" per check
 // that did not pass (failures) or per check (all), "problem" per finished
-// problem (with its stats; progress jumps to the full count), "property" per
-// property, then "plan". A finished lyserve job retains what its reports
+// problem in plan order (with its stats; progress jumps to the full count),
+// "property" per property, then "plan". A finished lyserve job retains what its reports
 // carry — under the default, a summary per problem plus its failures, all
 // strings — and nothing the engine cache, the store or the job table holds
 // points back into the plan, its network or its obligations. A bare
@@ -86,8 +86,12 @@
 // others; Priority orders workloads within one tenant only.
 //
 // The admission unit is the request, not the check: a compiled plan
-// reports its total check count via plan.Compiled.Cost, and the whole plan
-// is admitted up front (engine.Reserve) or rejected untouched. Surfaces:
+// reports its total check count via plan.Compiled.Cost — counted from the
+// topology and the paths without generating a check — and the whole plan
+// is admitted up front (engine.Reserve) or rejected untouched. An admitted
+// plan is then generated and submitted in batches of 65,536 checks, so a
+// run holds about two batches of checks at a time whatever the plan's
+// size. Surfaces:
 // lyserve derives the tenant from the X-Tenant header / ?tenant= query /
 // plan "tenant" option, answers rejected plans with HTTP 429 plus a
 // Retry-After header, and reports per-tenant counters (admitted, rejected,

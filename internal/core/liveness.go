@@ -152,27 +152,50 @@ func (p *LivenessProblem) Checks(opts Options) ([]Check, error) {
 			if s.Loc.IsEdge() {
 				continue
 			}
-			// The no-interference obligation is itself a safety property
-			// (§5.2): at router R, any acceptable route whose prefix is in
-			// Prefix(C_i) must satisfy C_i. We prove it with the provided
-			// invariants and relabel its checks as InterferenceCheck.
-			sub := &SafetyProblem{
-				Network: n,
-				Property: Property{
-					Loc:  s.Loc,
-					Pred: spec.Implies(s.PrefixPred, s.Constraint),
-					Desc: fmt.Sprintf("no interference at %s", s.Loc),
-				},
-				Invariants: p.InterferenceInvariants,
-				Ghosts:     p.Ghosts,
-			}
+			// The sub-proof's checks are relabeled as InterferenceCheck.
 			at := s.Loc
-			for _, c := range sub.Checks(opts) {
+			for _, c := range p.interference(s).Checks(opts) {
 				checks = append(checks, relabel(c, InterferenceCheck, &at, opts))
 			}
 		}
 	}
 	return checks, nil
+}
+
+// NumChecks returns len(p.Checks(opts)) without generating any check, and
+// the error Checks would return: one propagation check per pair of
+// consecutive steps, the implication and, unless SkipInterference is set,
+// each router step's no-interference safety checks.
+func (p *LivenessProblem) NumChecks() (int, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	count := len(p.Steps)
+	if !p.SkipInterference {
+		for _, s := range p.Steps {
+			if !s.Loc.IsEdge() {
+				count += p.interference(s).NumChecks()
+			}
+		}
+	}
+	return count, nil
+}
+
+// interference is the no-interference obligation at router step s, itself a
+// safety property (§5.2): at router R, any acceptable route whose prefix is
+// in Prefix(C_i) must satisfy C_i. It is proven with the interference
+// invariants.
+func (p *LivenessProblem) interference(s PathStep) *SafetyProblem {
+	return &SafetyProblem{
+		Network: p.Network,
+		Property: Property{
+			Loc:  s.Loc,
+			Pred: spec.Implies(s.PrefixPred, s.Constraint),
+			Desc: fmt.Sprintf("no interference at %s", s.Loc),
+		},
+		Invariants: p.InterferenceInvariants,
+		Ghosts:     p.Ghosts,
+	}
 }
 
 // relabel re-identifies a sub-check as a no-interference obligation of the

@@ -286,10 +286,13 @@ type SolveConfig struct {
 // honoring ctx cancellation cooperatively (a cancelled solve returns
 // StatusUnknown). It is the native execution path shared by Check.Run and
 // internal/solver's backends; portfolio backends call it concurrently with
-// different configs, each solve building its own smt.Context.
-func (ob *Obligation) Solve(ctx context.Context, cfg SolveConfig) CheckResult {
+// different configs, each solve building its own smt.Context. A panic while
+// encoding, solving or building the witness is a defect of this one
+// obligation, not a verdict: the solve returns StatusUnknown with the panic
+// value in the note, so it is never cached and the process survives.
+func (ob *Obligation) Solve(ctx context.Context, cfg SolveConfig) (cr CheckResult) {
 	t0 := time.Now()
-	cr := CheckResult{
+	cr = CheckResult{
 		Kind:    ob.Kind,
 		Loc:     ob.Loc,
 		Desc:    ob.Desc,
@@ -298,6 +301,13 @@ func (ob *Obligation) Solve(ctx context.Context, cfg SolveConfig) CheckResult {
 	if cr.Backend == "" {
 		cr.Backend = "native"
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			cr.OK, cr.Status = false, StatusUnknown
+			cr.Counterexample = &Counterexample{Note: fmt.Sprintf("solve panicked (unknown): %v", v)}
+			cr.TotalTime = time.Since(t0)
+		}
+	}()
 
 	if ob.Concrete() {
 		ok, ce := ob.EvalConcrete()

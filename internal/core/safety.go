@@ -48,6 +48,28 @@ func (p *SafetyProblem) Checks(opts Options) []Check {
 	return append(checks, g.implication())
 }
 
+// NumChecks returns len(p.Checks(opts)) without generating any check: per
+// edge of the policy index, one import check when the receiver is internal,
+// one export check when the sender is internal and one originate check when
+// the sender is internal and originates routes on the edge, plus the
+// implication. Admission prices a plan with it.
+func (p *SafetyProblem) NumChecks() int {
+	n := p.Network
+	count := 1
+	for _, e := range n.Index().Edges {
+		if !n.IsExternal(e.To) {
+			count++
+		}
+		if !n.IsExternal(e.From) {
+			count++
+			if len(n.Originate(e)) > 0 {
+				count++
+			}
+		}
+	}
+	return count
+}
+
 // ChecksAt generates what Checks generates at the given edges only —
 // positions in the network's PolicyIndex, ascending — followed by the
 // implication check, in Checks' order. It is the re-enumeration of an

@@ -1,7 +1,10 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -239,5 +242,56 @@ func TestCancelledUnknownNotSharedWithLiveWaiters(t *testing.T) {
 	}
 	if st := jobB.Stats(); st.Solved == 0 {
 		t.Fatalf("job B solved nothing itself; the re-solve path did not run: %+v", st)
+	}
+}
+
+// panicking is a test backend whose every solve panics.
+type panicking struct{}
+
+func (panicking) Name() string { return "panicking" }
+func (panicking) Solve(context.Context, *core.Obligation, solver.Budget) solver.Outcome {
+	panic("backend defect")
+}
+
+// TestBackendPanicBecomesUnknown: a backend that panics costs its checks a
+// verdict, not the process. Every check of the job ends Unknown with the
+// panic in its note, the stack is logged, nothing is cached, and a later job
+// on the native backend decides every one of the same keys.
+func TestBackendPanicBecomesUnknown(t *testing.T) {
+	var logBuf bytes.Buffer
+	eng := engine.New(engine.Options{Workers: 2, Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
+	defer eng.Close()
+	p := netgen.Fig1NoTransitProblem(netgen.Fig1(netgen.Fig1Options{}))
+	checks := p.Checks(eng.CheckOptions())
+
+	rep := mustSubmit(t, eng, engine.Workload{Safety: p,
+		SubmitOptions: engine.SubmitOptions{Backend: panicking{}}}).Wait()
+	if len(rep.Results) != len(checks) || len(rep.Unknowns()) != len(checks) {
+		t.Fatalf("want all %d checks unknown, got %d results, %d unknown", len(checks), len(rep.Results), len(rep.Unknowns()))
+	}
+	for _, r := range rep.Results {
+		if r.Counterexample == nil || !strings.Contains(r.Counterexample.Note, "backend defect") {
+			t.Fatalf("unknown without the panic in its note: %+v", r)
+		}
+	}
+	if n := eng.Cache().Len(); n != 0 {
+		t.Fatalf("a panicked solve was cached: %d entries", n)
+	}
+	if log := logBuf.String(); !strings.Contains(log, "solve panicked") || !strings.Contains(log, "goroutine") {
+		t.Fatalf("panic stack not logged:\n%s", log)
+	}
+
+	before := eng.Stats().ChecksSolved
+	j := mustSubmit(t, eng, engine.Workload{Safety: p})
+	rep = j.Wait()
+	if !rep.OK() || len(rep.Unknowns()) != 0 {
+		t.Fatalf("native follow-up did not decide the checks:\n%s", rep.Summary())
+	}
+	if st := j.Stats(); st.CacheHits != 0 || eng.Stats().ChecksSolved-before != uint64(len(checks)) {
+		t.Fatalf("follow-up served %d cache hits and solved %d, want 0 and %d",
+			st.CacheHits, eng.Stats().ChecksSolved-before, len(checks))
+	}
+	if n := eng.Cache().Len(); n == 0 {
+		t.Fatal("decided checks were not cached")
 	}
 }

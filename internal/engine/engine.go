@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -617,7 +618,7 @@ func (e *Engine) solve(t task) solver.Outcome {
 	t0 := time.Now()
 	// The solve span rides the context so distributed backends (the fabric's
 	// rpc leg) can hang child spans off the job's trace.
-	out := backend.Solve(telemetry.WithSpan(t.job.ctx, span), t.check.Obligation(), solver.Budget{Conflicts: e.effectiveBudget(t.check)})
+	out := e.backendSolve(telemetry.WithSpan(t.job.ctx, span), backend, t)
 	if out.TotalTime == 0 {
 		out.TotalTime = time.Since(t0)
 	}
@@ -632,6 +633,33 @@ func (e *Engine) solve(t task) solver.Outcome {
 	e.met.solveDone(backend.Name(), out)
 	e.logSlowCheck(t, out)
 	return out
+}
+
+// backendSolve calls the backend on one task's obligation. A panic in the
+// backend is a defect, not a verdict: the check becomes StatusUnknown with
+// the panic value in its note (so it is never cached), the stack goes to the
+// engine log, and the worker lives on.
+func (e *Engine) backendSolve(ctx context.Context, backend solver.Backend, t task) (out solver.Outcome) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		out = solver.Outcome{CheckResult: core.CheckResult{Status: core.StatusUnknown, Backend: backend.Name(),
+			Counterexample: &core.Counterexample{Note: fmt.Sprintf("solve panicked (unknown): %v", v)}}}
+		if e.log != nil {
+			e.log.LogAttrs(ctx, slog.LevelError, "solve panicked",
+				slog.Uint64(logging.KeyJob, t.job.ID),
+				slog.String(logging.KeyTenant, t.job.Tenant),
+				slog.String(logging.KeyTraceID, t.job.TraceID()),
+				slog.String("backend", backend.Name()),
+				slog.String("key", t.check.Key()),
+				slog.String("panic", fmt.Sprint(v)),
+				slog.String("stack", string(debug.Stack())),
+			)
+		}
+	}()
+	return backend.Solve(ctx, t.check.Obligation(), solver.Budget{Conflicts: e.effectiveBudget(t.check)})
 }
 
 // logSlowCheck emits the structured provenance line for checks that were

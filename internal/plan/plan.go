@@ -302,66 +302,65 @@ type Compiled struct {
 	cost     int
 }
 
-// PreparedProblem is one problem's generated check batch (or the error
-// that prevented generation), cached on the Compiled plan so cost
-// estimation and execution share one generation pass.
+// PreparedProblem is one problem's generated check batch, or the error that
+// prevented generation.
 type PreparedProblem struct {
 	Property core.Property
 	Checks   []core.Check
 	Err      error
 }
 
-// Prepared returns the per-unit, per-problem generated check batches,
-// generating (and caching) them if needed. Checks carry no generation-time
-// conflict budget, so the engine's own budget applies when they run
-// (engine check budgets fall back to the engine's) — the same resolution a
-// problem Workload gets. Call ReleasePrepared once the batches have been
-// consumed; a long-pinned Compiled (an lyserve session) should not retain
-// every generated check for its lifetime.
+// Prepared returns the per-unit, per-problem generated check batches of the
+// whole plan, generating (and caching) them if needed. It serves the
+// repository benchmark and tests, which time or inspect enumeration on its
+// own; Run does not call it — it generates one batch of problems at a time.
+// Checks carry no generation-time conflict budget, so the engine's own
+// budget applies when they run. Call ReleasePrepared once the batches have
+// been consumed.
 func (c *Compiled) Prepared() [][]PreparedProblem {
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
 	if c.prepared == nil {
-		c.generateLocked()
+		c.prepared = make([][]PreparedProblem, len(c.Units))
+		for pi, u := range c.Units {
+			c.prepared[pi] = make([]PreparedProblem, len(u.Problems))
+			for i, p := range u.Problems {
+				c.prepared[pi][i] = prepare(p)
+			}
+		}
 	}
 	return c.prepared
 }
 
-// ReleasePrepared drops the cached check batches (the computed Cost is
-// kept). plan.Run releases them once every workload is submitted, and
-// hosts that only needed Cost (lyserve session admission prechecks)
-// release them immediately.
+// ReleasePrepared drops the batches Prepared cached.
 func (c *Compiled) ReleasePrepared() {
 	c.prepMu.Lock()
 	c.prepared = nil
 	c.prepMu.Unlock()
 }
 
-// generateLocked builds the prepared batches and, on first run, the cost
-// sum; prepMu is held.
-func (c *Compiled) generateLocked() {
-	c.prepared = make([][]PreparedProblem, len(c.Units))
-	cost := 0
-	for pi, u := range c.Units {
-		c.prepared[pi] = make([]PreparedProblem, len(u.Problems))
-		for i, p := range u.Problems {
-			pp := &c.prepared[pi][i]
-			switch {
-			case p.Safety != nil:
-				pp.Property, pp.Checks = p.Safety.Property, p.Safety.Checks(core.Options{})
-			case p.Liveness != nil:
-				pp.Property = p.Liveness.Property
-				pp.Checks, pp.Err = p.Liveness.Checks(core.Options{})
-			default:
-				pp.Err = errEmptyProblem
-			}
-			if pp.Err == nil {
-				cost += len(pp.Checks)
-			}
-		}
+// prepare generates one problem's checks.
+func prepare(p netgen.Problem) PreparedProblem {
+	switch {
+	case p.Safety != nil:
+		return PreparedProblem{Property: p.Safety.Property, Checks: p.Safety.Checks(core.Options{})}
+	case p.Liveness != nil:
+		checks, err := p.Liveness.Checks(core.Options{})
+		return PreparedProblem{Property: p.Liveness.Property, Checks: checks, Err: err}
+	default:
+		return PreparedProblem{Err: errEmptyProblem}
 	}
-	if !c.costDone {
-		c.cost, c.costDone = cost, true
+}
+
+// numChecks counts what prepare would generate for p, generating nothing.
+func numChecks(p netgen.Problem) (int, error) {
+	switch {
+	case p.Safety != nil:
+		return p.Safety.NumChecks(), nil
+	case p.Liveness != nil:
+		return p.Liveness.NumChecks()
+	default:
+		return 0, errEmptyProblem
 	}
 }
 
@@ -373,8 +372,8 @@ func (c *Compiled) Backend() solver.Backend { return c.backend }
 func (c *Compiled) Tenant() string { return c.Request.Options.Tenant }
 
 // Cost returns the plan's admission cost: the total number of local checks
-// its scoped problems generate on the compiled network (generated once and
-// shared with Run). Hosts admit the whole plan as one unit —
+// its scoped problems generate on the compiled network, counted without
+// generating any. Hosts admit the whole plan as one unit —
 // engine.Reserve(plan.Tenant(), plan.Cost()) — so a request is either
 // fully admitted or rejected up front (HTTP 429) rather than half-run.
 // Problems whose checks cannot be generated (an invalid liveness path)
@@ -383,7 +382,14 @@ func (c *Compiled) Cost() int {
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
 	if !c.costDone {
-		c.generateLocked()
+		for _, u := range c.Units {
+			for _, p := range u.Problems {
+				if n, err := numChecks(p); err == nil {
+					c.cost += n
+				}
+			}
+		}
+		c.costDone = true
 	}
 	return c.cost
 }

@@ -13,15 +13,19 @@ import (
 	"lightyear/internal/telemetry"
 )
 
-// Event is one progress event of a running plan, in the order emitted: one
-// "start" event per problem as it is submitted (carrying the check Total),
-// "check" events as the engine completes checks — under the default
+// Event is one progress event of a running plan. Each problem's events run
+// "start" when it is submitted (carrying the check Total), then "check"
+// events as the engine completes its checks — under the default
 // results=failures only for checks that did not pass, under results=all for
-// every check — a "problem" event when each problem's report is ready
-// (carrying its stats, so progress jumps to the full check count), one
-// "property" event per request property once all its problems finished, and
-// a final "plan" event. lyserve streams these as NDJSON on
-// GET /v2/jobs/{id}/events.
+// every check — then one "problem" event when its report is ready (carrying
+// its stats, so progress jumps to the full check count). A problem that
+// could not be generated or submitted has no "start" event, only a skipped
+// or failed "problem" event. "problem" events arrive in plan order. Problems
+// are submitted a batch at a time (see Run), so on a plan larger than one
+// batch, later problems' "start" events follow earlier problems' "problem"
+// events. One "property" event per request property follows all of its
+// problems, and a final "plan" event ends the stream. lyserve streams these
+// as NDJSON on GET /v2/jobs/{id}/events.
 type Event struct {
 	Type string `json:"type"` // start | check | problem | property | plan
 
@@ -160,15 +164,27 @@ type RunConfig struct {
 	Trace *telemetry.Trace
 }
 
+// batchChecks is how many checks Run generates before submitting them, and
+// how many may stay outstanding while it generates the next batch. Peak
+// memory follows it rather than the plan's size. A batch is submitted back
+// to back: generating between submits would interleave concurrent plans'
+// problems in their tenant's FIFO queue and share the workers among them.
+const batchChecks = 1 << 16
+
 // Run executes a compiled plan on the engine through the unified
-// engine.Submit path: every problem's checks are generated first so the
-// whole request can be admitted as one unit (the plan's check count is its
-// admission cost), then every problem of every property is submitted
-// before any is awaited, so the engine dedups identical checks across the
-// whole request. A rejected plan returns *engine.ErrAdmission with no work
-// submitted. In delta mode (Options.Baseline) the run goes through an
-// internal/delta verifier instead, re-solving only the checks the
-// baseline→network change dirtied.
+// engine.Submit path. The whole request is admitted as one unit first — its
+// admission cost is the plan's check count, counted without generating any
+// check — so a rejected plan returns *engine.ErrAdmission with no work
+// submitted. Run then walks the problems in plan order, generating their
+// checks into a batch of at least batchChecks checks (or to the end of the
+// plan), submits the batch, and collects finished problems oldest-first
+// until no more than batchChecks checks are outstanding before generating
+// the next batch. A plan of up to batchChecks checks is one batch: every
+// problem is submitted before any is awaited, and the engine dedups
+// identical checks across all of them; a larger plan dedups across the
+// problems in flight and shares the rest through the result cache. In delta
+// mode (Options.Baseline) the run goes through an internal/delta verifier
+// instead, re-solving only the checks the baseline→network change dirtied.
 func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	if c.Baseline != nil {
 		return runDelta(eng, c, cfg)
@@ -195,13 +211,6 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 		cfg.Store.SetFingerprint(c.Network.Fingerprint())
 	}
 
-	// The compiled plan's prepared check batches: generated once, shared
-	// with Cost(), so the admission cost and the submitted work are the
-	// same enumeration. Released once every workload has been handed to
-	// the engine, so a Compiled pinned beyond the run does not retain them.
-	preps := c.Prepared()
-	defer c.ReleasePrepared()
-
 	resv := cfg.Reservation
 	if resv == nil {
 		adm := tr.StartSpan("admit")
@@ -217,84 +226,87 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	}
 	defer resv.Release()
 
-	res := &Result{OK: true, TraceID: traceID}
+	res := &Result{OK: true, TraceID: traceID, Properties: make([]PropertyResult, len(c.Units))}
+	for pi, u := range c.Units {
+		res.Properties[pi] = PropertyResult{Property: u.Property, OK: true, Problems: make([]ProblemResult, len(u.Problems))}
+	}
 
-	// Submit every problem of every property before collecting any. Check
-	// events come straight from the engine's workers as checks complete.
+	// Check events come straight from the engine's workers as checks
+	// complete.
 	template := c.Workload()
 	allChecks := template.Results != engine.ResultsFailures
+	// pending is one problem from generation to collection; job is nil when
+	// its checks could not be generated or submitted.
 	type pending struct {
 		prop, idx int
+		prep      PreparedProblem
+		total     int
 		job       *engine.Job
 		span      *telemetry.Span
 	}
-	var jobs []pending
-	for pi, u := range c.Units {
-		pr := PropertyResult{Property: u.Property, OK: true, Problems: make([]ProblemResult, len(u.Problems))}
-		for i, p := range u.Problems {
-			out := &pr.Problems[i]
-			out.Name = p.Name
-			var job *engine.Job
-			ps := tr.StartSpan("problem:" + p.Name)
-			err := preps[pi][i].Err
-			if err == nil {
-				check := Event{Type: "check", Prop: pi, Property: u.Property.Name, Idx: i, Problem: p.Name}
-				wl := template
-				wl.Kind = engine.KindChecks
-				wl.Property = preps[pi][i].Property
-				wl.Checks = preps[pi][i].Checks
-				wl.Reservation = resv
-				wl.TraceSpan = ps
-				if cfg.Sink != nil {
-					wl.OnResult = func(p engine.Progress) {
-						if ok := p.Result.OK; allChecks || !ok {
-							ev := check
-							ev.Completed, ev.Total, ev.FromCache, ev.Deduped = p.Completed, p.Total, p.FromCache, p.Deduped
-							ev.OK, ev.Status = &ok, p.Result.Status.String()
-							emit(ev)
-						}
+	var batch, queue []*pending // generated, not submitted; submitted, not collected
+	batched, outstanding := 0, 0
+
+	submit := func(pd *pending) {
+		u, p := c.Units[pd.prop], c.Units[pd.prop].Problems[pd.idx]
+		pd.span = tr.StartSpan("problem:" + p.Name)
+		err := pd.prep.Err
+		if err == nil {
+			check := Event{Type: "check", Prop: pd.prop, Property: u.Property.Name, Idx: pd.idx, Problem: p.Name}
+			wl := template
+			wl.Kind = engine.KindChecks
+			wl.Property = pd.prep.Property
+			wl.Checks = pd.prep.Checks
+			wl.Reservation = resv
+			wl.TraceSpan = pd.span
+			if cfg.Sink != nil {
+				wl.OnResult = func(p engine.Progress) {
+					if ok := p.Result.OK; allChecks || !ok {
+						ev := check
+						ev.Completed, ev.Total, ev.FromCache, ev.Deduped = p.Completed, p.Total, p.FromCache, p.Deduped
+						ev.OK, ev.Status = &ok, p.Result.Status.String()
+						emit(ev)
 					}
 				}
-				// Before Submit: a worker may complete (and report) the first
-				// check before Submit returns.
-				emit(Event{Type: "start", Prop: pi, Property: u.Property.Name, Idx: i,
-					Problem: p.Name, Total: len(wl.Checks)})
-				job, err = eng.Submit(context.Background(), wl)
 			}
-			if err != nil {
-				ps.SetAttr("error", err.Error())
-				ps.End()
-				out.SkipReason = err.Error()
-				if p.Optional {
-					out.Skipped, out.OK = true, true
-				} else {
-					out.Failed = true
-					pr.OK = false
-					res.OK = false
-					res.Failures++
-				}
-				continue
-			}
-			jobs = append(jobs, pending{prop: pi, idx: i, job: job, span: ps})
+			// Before Submit: a worker may complete (and report) the first
+			// check before Submit returns.
+			emit(Event{Type: "start", Prop: pd.prop, Property: u.Property.Name, Idx: pd.idx,
+				Problem: p.Name, Total: len(wl.Checks)})
+			pd.job, err = eng.Submit(context.Background(), wl)
 		}
-		res.Properties = append(res.Properties, pr)
+		total := len(pd.prep.Checks)
+		pd.prep = PreparedProblem{} // the engine holds the checks until the job finishes
+		if err != nil {
+			pd.span.SetAttr("error", err.Error())
+			pd.span.End()
+			out := &res.Properties[pd.prop].Problems[pd.idx]
+			out.SkipReason = err.Error()
+			if p.Optional {
+				out.Skipped, out.OK = true, true
+			} else {
+				out.Failed = true
+				res.Properties[pd.prop].OK = false
+				res.OK = false
+				res.Failures++
+			}
+			return
+		}
+		pd.total = total
 	}
 
-	// Emit skip/fail events only after all placeholders exist, keeping the
-	// event order stable relative to the result layout.
-	for pi := range res.Properties {
-		for i, out := range res.Properties[pi].Problems {
-			if out.Skipped || out.Failed {
-				ok := out.OK
-				emit(Event{Type: "problem", Prop: pi, Property: c.Units[pi].Property.Name, Idx: i,
-					Problem: out.Name, OK: &ok, Skipped: out.Skipped, Failed: out.Failed, Reason: out.SkipReason})
-			}
+	// collect records a submitted problem's outcome and emits its problem
+	// event; for a problem that never reached the engine it emits only the
+	// event, at the same place in plan order.
+	collect := func(pd *pending) {
+		out := &res.Properties[pd.prop].Problems[pd.idx]
+		name := c.Units[pd.prop].Property.Name
+		if pd.job == nil {
+			ok := out.OK
+			emit(Event{Type: "problem", Prop: pd.prop, Property: name, Idx: pd.idx,
+				Problem: out.Name, OK: &ok, Skipped: out.Skipped, Failed: out.Failed, Reason: out.SkipReason})
+			return
 		}
-	}
-
-	// Collect every engine job in submission order: record its report and
-	// emit the problem event.
-	for _, pd := range jobs {
 		rep := pd.job.Wait()
 		st := pd.job.Stats()
 		ok := rep.OK()
@@ -304,7 +316,6 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 		}
 		pd.span.End()
 
-		out := &res.Properties[pd.prop].Problems[pd.idx]
 		out.Report, out.Stats, out.OK = rep, &st, ok
 		res.Failures += len(rep.HardFailures())
 		res.Unknowns += len(rep.Unknowns())
@@ -312,9 +323,38 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 			res.Properties[pd.prop].OK = false
 			res.OK = false
 		}
-		emit(Event{Type: "problem", Prop: pd.prop, Property: c.Units[pd.prop].Property.Name, Idx: pd.idx,
+		emit(Event{Type: "problem", Prop: pd.prop, Property: name, Idx: pd.idx,
 			Problem: out.Name, OK: &ok, Stats: &st})
 	}
+
+	// flush submits the batch, then collects oldest-first while more than
+	// batchChecks checks are outstanding — or, at the end of the plan, all.
+	flush := func(final bool) {
+		for _, pd := range batch {
+			submit(pd)
+			outstanding += pd.total
+		}
+		queue = append(queue, batch...)
+		batch, batched = batch[:0], 0
+		for len(queue) > 0 && (final || outstanding > batchChecks || queue[0].job == nil) {
+			collect(queue[0])
+			outstanding -= queue[0].total
+			queue[0] = nil
+			queue = queue[1:]
+		}
+	}
+	for pi, u := range c.Units {
+		for i, p := range u.Problems {
+			res.Properties[pi].Problems[i].Name = p.Name
+			pd := &pending{prop: pi, idx: i, prep: prepare(p)}
+			batch = append(batch, pd)
+			batched += len(pd.prep.Checks)
+			if batched >= batchChecks {
+				flush(false)
+			}
+		}
+	}
+	flush(true)
 
 	// Aggregate per-property stats, emit property summaries, then the final
 	// plan event — the stream's completion marker.
