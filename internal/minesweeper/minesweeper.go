@@ -334,14 +334,15 @@ func eqRoutes(ctx *smt.Context, a, b *spec.SymRoute) *smt.Term {
 		ctx.Eq(a.NextHop, b.NextHop),
 		ctx.Eq(a.PathLen, b.PathLen),
 	}
-	for c, t := range a.Comm {
-		conj = append(conj, ctx.Iff(t, b.Comm[c]))
+	u := a.Universe()
+	for _, c := range u.Communities() {
+		conj = append(conj, ctx.Iff(a.CommTerm(c), b.CommTerm(c)))
 	}
-	for as, t := range a.HasAS {
-		conj = append(conj, ctx.Iff(t, b.HasAS[as]))
+	for _, as := range u.ASNs() {
+		conj = append(conj, ctx.Iff(a.ASTerm(as), b.ASTerm(as)))
 	}
-	for g, t := range a.Ghost {
-		conj = append(conj, ctx.Iff(t, b.Ghost[g]))
+	for _, g := range u.Ghosts() {
+		conj = append(conj, ctx.Iff(a.GhostTerm(g), b.GhostTerm(g)))
 	}
 	return ctx.And(conj...)
 }
@@ -386,20 +387,20 @@ func concreteToSym(ctx *smt.Context, u *spec.Universe, r *routemodel.Route, e to
 	out.MED = ctx.BV(uint64(r.MED), spec.WidthMED)
 	out.NextHop = ctx.BV(uint64(r.NextHop), spec.WidthNextHop)
 	out.PathLen = ctx.BV(uint64(len(r.ASPath)), spec.WidthPathLen)
-	for c := range out.Comm {
-		out.Comm[c] = ctx.Bool(r.HasCommunity(c))
+	for _, c := range u.Communities() {
+		out.SetComm(c, ctx.Bool(r.HasCommunity(c)))
 	}
-	for as := range out.HasAS {
-		out.HasAS[as] = ctx.Bool(r.PathContains(as))
+	for _, as := range u.ASNs() {
+		out.SetAS(as, ctx.Bool(r.PathContains(as)))
 	}
-	for g := range out.Ghost {
+	for _, g := range u.Ghosts() {
 		v := false
 		for _, gd := range ghosts {
 			if gd.Name == g && gd.OnOriginate != nil {
 				v = gd.OnOriginate(e)
 			}
 		}
-		out.Ghost[g] = ctx.Bool(v)
+		out.SetGhost(g, ctx.Bool(v))
 	}
 	return out
 }

@@ -65,7 +65,7 @@ func (SetNextHop) AddToUniverse(u *spec.Universe) {}
 type AddCommunity struct{ Comm routemodel.Community }
 
 func (a AddCommunity) Apply(r *routemodel.Route)      { r.AddCommunity(a.Comm) }
-func (a AddCommunity) ApplySym(sr *spec.SymRoute)     { sr.Comm[mustComm(sr, a.Comm)] = sr.Ctx.True() }
+func (a AddCommunity) ApplySym(sr *spec.SymRoute)     { sr.SetComm(a.Comm, sr.Ctx.True()) }
 func (a AddCommunity) String() string                 { return fmt.Sprintf("set community add %s", a.Comm) }
 func (a AddCommunity) AddToUniverse(u *spec.Universe) { u.AddCommunity(a.Comm) }
 
@@ -73,7 +73,7 @@ func (a AddCommunity) AddToUniverse(u *spec.Universe) { u.AddCommunity(a.Comm) }
 type DeleteCommunity struct{ Comm routemodel.Community }
 
 func (a DeleteCommunity) Apply(r *routemodel.Route)  { r.RemoveCommunity(a.Comm) }
-func (a DeleteCommunity) ApplySym(sr *spec.SymRoute) { sr.Comm[mustComm(sr, a.Comm)] = sr.Ctx.False() }
+func (a DeleteCommunity) ApplySym(sr *spec.SymRoute) { sr.SetComm(a.Comm, sr.Ctx.False()) }
 func (a DeleteCommunity) String() string {
 	return fmt.Sprintf("set community delete %s", a.Comm)
 }
@@ -84,8 +84,8 @@ type ClearCommunities struct{}
 
 func (ClearCommunities) Apply(r *routemodel.Route) { r.ClearCommunities() }
 func (ClearCommunities) ApplySym(sr *spec.SymRoute) {
-	for c := range sr.Comm {
-		sr.Comm[c] = sr.Ctx.False()
+	for _, c := range sr.Universe().Communities() {
+		sr.SetComm(c, sr.Ctx.False())
 	}
 }
 func (ClearCommunities) String() string                 { return "set community none" }
@@ -107,10 +107,7 @@ func (a PrependAS) Apply(r *routemodel.Route) {
 func (a PrependAS) ApplySym(sr *spec.SymRoute) {
 	ctx := sr.Ctx
 	sr.PathLen = ctx.Add(sr.PathLen, ctx.BV(uint64(a.Count), spec.WidthPathLen))
-	if _, ok := sr.HasAS[a.AS]; !ok {
-		panic(fmt.Sprintf("policy: AS %d not in universe", a.AS))
-	}
-	sr.HasAS[a.AS] = ctx.True()
+	sr.SetAS(a.AS, ctx.True())
 }
 
 func (a PrependAS) String() string                 { return fmt.Sprintf("set as-path prepend %d x%d", a.AS, a.Count) }
@@ -126,20 +123,10 @@ type SetGhost struct {
 
 func (a SetGhost) Apply(r *routemodel.Route) { r.SetGhost(a.Name, a.Value) }
 func (a SetGhost) ApplySym(sr *spec.SymRoute) {
-	if _, ok := sr.Ghost[a.Name]; !ok {
-		panic(fmt.Sprintf("policy: ghost %q not in universe", a.Name))
-	}
-	sr.Ghost[a.Name] = sr.Ctx.Bool(a.Value)
+	sr.SetGhost(a.Name, sr.Ctx.Bool(a.Value))
 }
 func (a SetGhost) String() string                 { return fmt.Sprintf("set ghost %s %v", a.Name, a.Value) }
 func (a SetGhost) AddToUniverse(u *spec.Universe) { u.AddGhost(a.Name) }
-
-func mustComm(sr *spec.SymRoute, c routemodel.Community) routemodel.Community {
-	if _, ok := sr.Comm[c]; !ok {
-		panic(fmt.Sprintf("policy: community %s not in universe", c))
-	}
-	return c
-}
 
 // Clause is one term of a route map: if all Matches hold on the input route,
 // the Actions apply and the Verdict decides acceptance.

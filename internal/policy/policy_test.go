@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -130,9 +131,19 @@ func TestActions(t *testing.T) {
 	}
 }
 
+// observation is what encodeAndSolve reads off the symbolic output route.
+type observation struct {
+	accepted               bool
+	lp, med, plen, pathlen uint64
+	comm                   map[routemodel.Community]bool
+	as                     map[uint32]bool
+	ghost                  map[string]bool
+}
+
 // encodeAndSolve runs the symbolic semantics on a concrete input by
-// constraining the input route and extracting the output attributes.
-func encodeAndSolve(t *testing.T, m *RouteMap, in *routemodel.Route, u *spec.Universe) (accepted bool, lp uint64, comm map[routemodel.Community]bool, ghost map[string]bool, med, plen, pathlen uint64) {
+// constraining the input route and reading every output attribute — each
+// community, AS and ghost atom of the universe included — from the model.
+func encodeAndSolve(t testing.TB, m *RouteMap, in *routemodel.Route, u *spec.Universe) observation {
 	t.Helper()
 	ctx := smt.NewContext()
 	sr := spec.NewSymRoute(ctx, "in", u)
@@ -142,42 +153,44 @@ func encodeAndSolve(t *testing.T, m *RouteMap, in *routemodel.Route, u *spec.Uni
 	s.Assert(spec.Constrain(sr, in))
 	// Bind output attributes to fresh observation variables so we can read
 	// them from the model.
-	obsLP := ctx.BVVar("obs.lp", spec.WidthLocalPref)
-	obsMED := ctx.BVVar("obs.med", spec.WidthMED)
-	obsPL := ctx.BVVar("obs.plen", spec.WidthPrefixLen)
-	obsPathLen := ctx.BVVar("obs.pathlen", spec.WidthPathLen)
-	obsAcc := ctx.BoolVar("obs.acc")
-	s.Assert(ctx.Eq(obsLP, out.LocalPref))
-	s.Assert(ctx.Eq(obsMED, out.MED))
-	s.Assert(ctx.Eq(obsPL, out.PrefixLen))
-	s.Assert(ctx.Eq(obsPathLen, out.PathLen))
-	s.Assert(ctx.Iff(obsAcc, acc))
-	obsComm := map[routemodel.Community]*smt.Term{}
-	for c, term := range out.Comm {
-		v := ctx.BoolVar("obs.comm." + c.String())
-		s.Assert(ctx.Iff(v, term))
-		obsComm[c] = v
+	s.Assert(ctx.Eq(ctx.BVVar("obs.lp", spec.WidthLocalPref), out.LocalPref))
+	s.Assert(ctx.Eq(ctx.BVVar("obs.med", spec.WidthMED), out.MED))
+	s.Assert(ctx.Eq(ctx.BVVar("obs.plen", spec.WidthPrefixLen), out.PrefixLen))
+	s.Assert(ctx.Eq(ctx.BVVar("obs.pathlen", spec.WidthPathLen), out.PathLen))
+	s.Assert(ctx.Iff(ctx.BoolVar("obs.acc"), acc))
+	for _, c := range u.Communities() {
+		s.Assert(ctx.Iff(ctx.BoolVar("obs.comm."+c.String()), out.CommTerm(c)))
 	}
-	obsGhost := map[string]*smt.Term{}
-	for g, term := range out.Ghost {
-		v := ctx.BoolVar("obs.ghost." + g)
-		s.Assert(ctx.Iff(v, term))
-		obsGhost[g] = v
+	for _, as := range u.ASNs() {
+		s.Assert(ctx.Iff(ctx.BoolVar(fmt.Sprintf("obs.as.%d", as)), out.ASTerm(as)))
+	}
+	for _, g := range u.Ghosts() {
+		s.Assert(ctx.Iff(ctx.BoolVar("obs.ghost."+g), out.GhostTerm(g)))
 	}
 	res := s.Check()
 	if res.Status != smt.Sat {
 		t.Fatalf("symbolic execution unsat for input %v", in)
 	}
-	comm = map[routemodel.Community]bool{}
-	for c := range obsComm {
-		comm[c] = res.Model.Bool("obs.comm." + c.String())
+	obs := observation{
+		accepted: res.Model.Bool("obs.acc"),
+		lp:       res.Model.BV("obs.lp"),
+		med:      res.Model.BV("obs.med"),
+		plen:     res.Model.BV("obs.plen"),
+		pathlen:  res.Model.BV("obs.pathlen"),
+		comm:     map[routemodel.Community]bool{},
+		as:       map[uint32]bool{},
+		ghost:    map[string]bool{},
 	}
-	ghost = map[string]bool{}
-	for g := range obsGhost {
-		ghost[g] = res.Model.Bool("obs.ghost." + g)
+	for _, c := range u.Communities() {
+		obs.comm[c] = res.Model.Bool("obs.comm." + c.String())
 	}
-	return res.Model.Bool("obs.acc"), res.Model.BV("obs.lp"), comm, ghost,
-		res.Model.BV("obs.med"), res.Model.BV("obs.plen"), res.Model.BV("obs.pathlen")
+	for _, as := range u.ASNs() {
+		obs.as[as] = res.Model.Bool(fmt.Sprintf("obs.as.%d", as))
+	}
+	for _, g := range u.Ghosts() {
+		obs.ghost[g] = res.Model.Bool("obs.ghost." + g)
+	}
+	return obs
 }
 
 // randomRouteMap builds a random but well-formed route map over the test
@@ -257,6 +270,46 @@ func randomRoute(rng *rand.Rand) *routemodel.Route {
 	return r
 }
 
+// agree reports how Encode's symbolic execution of m on in disagrees with
+// Apply: acceptance, every scalar attribute, and every community, AS and
+// ghost atom of u. It returns "" when they agree.
+func agree(t testing.TB, m *RouteMap, in *routemodel.Route, u *spec.Universe) string {
+	wantOut, wantOK := m.Apply(in)
+	got := encodeAndSolve(t, m, in, u)
+	if got.accepted != wantOK {
+		return fmt.Sprintf("acceptance mismatch concrete=%v symbolic=%v", wantOK, got.accepted)
+	}
+	if !wantOK {
+		return ""
+	}
+	switch {
+	case uint32(got.lp) != wantOut.LocalPref:
+		return fmt.Sprintf("lp mismatch %d vs %d", got.lp, wantOut.LocalPref)
+	case uint32(got.med) != wantOut.MED:
+		return fmt.Sprintf("med mismatch %d vs %d", got.med, wantOut.MED)
+	case uint8(got.plen) != wantOut.Prefix.Len:
+		return "prefix len mismatch"
+	case int(got.pathlen) != len(wantOut.ASPath):
+		return fmt.Sprintf("path length mismatch %d vs %d", got.pathlen, len(wantOut.ASPath))
+	}
+	for c, v := range got.comm {
+		if v != wantOut.HasCommunity(c) {
+			return fmt.Sprintf("community %s mismatch sym=%v concrete=%v", c, v, wantOut.HasCommunity(c))
+		}
+	}
+	for as, v := range got.as {
+		if v != wantOut.PathContains(as) {
+			return fmt.Sprintf("AS %d presence mismatch sym=%v concrete=%v", as, v, wantOut.PathContains(as))
+		}
+	}
+	for g, v := range got.ghost {
+		if v != wantOut.GhostValue(g) {
+			return fmt.Sprintf("ghost %s mismatch sym=%v concrete=%v", g, v, wantOut.GhostValue(g))
+		}
+	}
+	return ""
+}
+
 // TestConcreteSymbolicAgreement is the central soundness property for route
 // maps: Apply and Encode must agree on acceptance and on every transformed
 // attribute, for random maps and random routes.
@@ -266,37 +319,27 @@ func TestConcreteSymbolicAgreement(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		m := randomRouteMap(rng)
 		in := randomRoute(rng)
-		wantOut, wantOK := m.Apply(in)
-		gotOK, lp, comm, ghost, med, plen, pathlen := encodeAndSolve(t, m, in, u)
-		if gotOK != wantOK {
-			t.Fatalf("iter %d: acceptance mismatch concrete=%v symbolic=%v\nmap:\n%s\nroute: %v", iter, wantOK, gotOK, m, in)
-		}
-		if !wantOK {
-			continue
-		}
-		if uint32(lp) != wantOut.LocalPref {
-			t.Fatalf("iter %d: lp mismatch %d vs %d\nmap:\n%s\nroute: %v", iter, lp, wantOut.LocalPref, m, in)
-		}
-		if uint32(med) != wantOut.MED {
-			t.Fatalf("iter %d: med mismatch %d vs %d", iter, med, wantOut.MED)
-		}
-		if uint8(plen) != wantOut.Prefix.Len {
-			t.Fatalf("iter %d: prefix len mismatch", iter)
-		}
-		if int(pathlen) != len(wantOut.ASPath) {
-			t.Fatalf("iter %d: path length mismatch %d vs %d\nmap:\n%s\nroute: %v", iter, pathlen, len(wantOut.ASPath), m, in)
-		}
-		for c, got := range comm {
-			if got != wantOut.HasCommunity(c) {
-				t.Fatalf("iter %d: community %s mismatch sym=%v concrete=%v\nmap:\n%s\nroute: %v", iter, c, got, wantOut.HasCommunity(c), m, in)
-			}
-		}
-		for g, got := range ghost {
-			if got != wantOut.GhostValue(g) {
-				t.Fatalf("iter %d: ghost %s mismatch", iter, g)
-			}
+		if msg := agree(t, m, in, u); msg != "" {
+			t.Fatalf("iter %d: %s\nmap:\n%s\nroute: %v", iter, msg, m, in)
 		}
 	}
+}
+
+// FuzzRouteMapAgreement is TestConcreteSymbolicAgreement with the random
+// map and route drawn from a fuzzed seed.
+func FuzzRouteMapAgreement(f *testing.F) {
+	for _, seed := range []int64{0, 1, 31, 1 << 40} {
+		f.Add(seed)
+	}
+	u := testUniverse()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		m := randomRouteMap(rng)
+		in := randomRoute(rng)
+		if msg := agree(t, m, in, u); msg != "" {
+			t.Fatalf("seed %d: %s\nmap:\n%s\nroute: %v", seed, msg, m, in)
+		}
+	})
 }
 
 func TestEncodeAcceptanceFormula(t *testing.T) {

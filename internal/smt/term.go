@@ -12,6 +12,7 @@
 package smt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -166,14 +167,33 @@ func (t *Term) write(b *strings.Builder) {
 	}
 }
 
-// key is the hash-consing key for a term.
+// key is the hash-consing key for a term. It holds the first three kid IDs
+// inline, so interning a term of at most three kids — every operator but
+// And and Or — builds its key without allocating; the IDs of further kids
+// are packed into more, four bytes each. nkids keeps a missing kid apart
+// from a kid with ID 0. Widths, extract offsets and IDs fit 32 bits: a
+// context never holds 2^31 terms.
 type key struct {
-	op    Op
-	width int
-	name  string
-	cval  uint64
-	lo    int
-	kids  string // packed kid ids
+	op, width, lo, nkids int32
+	kids                 [3]int32
+	cval                 uint64
+	name                 string
+	more                 string
+}
+
+func termKey(t *Term) key {
+	k := key{op: int32(t.op), width: int32(t.width), lo: int32(t.lo), nkids: int32(len(t.kids)), cval: t.cval, name: t.name}
+	for i := range min(len(t.kids), len(k.kids)) {
+		k.kids[i] = int32(t.kids[i].id)
+	}
+	if len(t.kids) > len(k.kids) {
+		b := make([]byte, 0, 4*(len(t.kids)-len(k.kids)))
+		for _, kid := range t.kids[len(k.kids):] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(kid.id))
+		}
+		k.more = string(b)
+	}
+	return k
 }
 
 // Context creates and hash-conses terms. A Context is not safe for
@@ -190,31 +210,31 @@ type Context struct {
 // NewContext returns an empty term context.
 func NewContext() *Context {
 	c := &Context{table: make(map[key]*Term)}
-	c.tt = c.intern(&Term{op: OpBoolConst, cval: 1})
-	c.ff = c.intern(&Term{op: OpBoolConst, cval: 0})
+	c.tt = c.intern(Term{op: OpBoolConst, cval: 1})
+	c.ff = c.intern(Term{op: OpBoolConst, cval: 0})
 	return c
 }
 
 // NumTerms returns the number of distinct terms created in this context.
 func (c *Context) NumTerms() int { return c.nextID }
 
-func kidsKey(kids []*Term) string {
-	var b strings.Builder
-	for _, k := range kids {
-		fmt.Fprintf(&b, "%d,", k.id)
-	}
-	return b.String()
-}
-
-func (c *Context) intern(t *Term) *Term {
-	k := key{op: t.op, width: t.width, name: t.name, cval: t.cval, lo: t.lo, kids: kidsKey(t.kids)}
+// intern returns the context's term structurally equal to t, adding a copy
+// of t when there is none. t and its kids slice are not retained, so
+// callers build them on the stack.
+func (c *Context) intern(t Term) *Term {
+	k := termKey(&t)
 	if existing, ok := c.table[k]; ok {
 		return existing
 	}
-	t.id = c.nextID
+	n := new(Term)
+	*n = t
+	if len(t.kids) > 0 {
+		n.kids = append([]*Term(nil), t.kids...)
+	}
+	n.id = c.nextID
 	c.nextID++
-	c.table[k] = t
-	return t
+	c.table[k] = n
+	return n
 }
 
 // True returns the boolean constant true.
@@ -234,7 +254,7 @@ func (c *Context) Bool(v bool) *Term {
 // BoolVar returns the boolean variable with the given name. Calling it twice
 // with the same name yields the same term.
 func (c *Context) BoolVar(name string) *Term {
-	return c.intern(&Term{op: OpBoolVar, name: name})
+	return c.intern(Term{op: OpBoolVar, name: name})
 }
 
 // BV returns a bitvector constant of the given width. The value is truncated
@@ -246,7 +266,7 @@ func (c *Context) BV(value uint64, width int) *Term {
 	if width < 64 {
 		value &= (1 << width) - 1
 	}
-	return c.intern(&Term{op: OpBVConst, width: width, cval: value})
+	return c.intern(Term{op: OpBVConst, width: width, cval: value})
 }
 
 // BVVar returns the bitvector variable with the given name and width.
@@ -254,7 +274,7 @@ func (c *Context) BVVar(name string, width int) *Term {
 	if width <= 0 || width > 64 {
 		panic(fmt.Sprintf("smt: invalid bitvector width %d", width))
 	}
-	t := c.intern(&Term{op: OpBVVar, width: width, name: name})
+	t := c.intern(Term{op: OpBVVar, width: width, name: name})
 	if t.width != width {
 		panic(fmt.Sprintf("smt: bitvector variable %q redeclared with width %d (was %d)", name, width, t.width))
 	}
@@ -285,7 +305,7 @@ func (c *Context) Not(t *Term) *Term {
 	case OpNot:
 		return t.kids[0]
 	}
-	return c.intern(&Term{op: OpNot, kids: []*Term{t}})
+	return c.intern(Term{op: OpNot, kids: []*Term{t}})
 }
 
 // And returns the conjunction of the given boolean terms. And() is true.
@@ -317,7 +337,7 @@ func (c *Context) And(ts ...*Term) *Term {
 			return c.ff
 		}
 	}
-	return c.intern(&Term{op: OpAnd, kids: out})
+	return c.intern(Term{op: OpAnd, kids: out})
 }
 
 // Or returns the disjunction of the given boolean terms. Or() is false.
@@ -349,14 +369,14 @@ func (c *Context) Or(ts ...*Term) *Term {
 			return c.tt
 		}
 	}
-	return c.intern(&Term{op: OpOr, kids: out})
+	return c.intern(Term{op: OpOr, kids: out})
 }
 
 func negOf(c *Context, t *Term) *Term {
 	if t.op == OpNot {
 		return t.kids[0]
 	}
-	return c.intern(&Term{op: OpNot, kids: []*Term{t}})
+	return c.intern(Term{op: OpNot, kids: []*Term{t}})
 }
 
 func dedupe(ts []*Term) []*Term {
@@ -403,7 +423,7 @@ func (c *Context) Xor(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpXor, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpXor, kids: []*Term{a, b}})
 }
 
 // Implies returns a => b.
@@ -422,7 +442,7 @@ func (c *Context) Implies(a, b *Term) *Term {
 	if a == b {
 		return c.tt
 	}
-	return c.intern(&Term{op: OpImplies, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpImplies, kids: []*Term{a, b}})
 }
 
 // Iff returns a <=> b.
@@ -447,7 +467,7 @@ func (c *Context) Iff(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpIff, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpIff, kids: []*Term{a, b}})
 }
 
 // Ite returns if-then-else over booleans or bitvectors, dispatching on the
@@ -473,9 +493,9 @@ func (c *Context) Ite(cond, then, els *Term) *Term {
 		if then == c.ff && els == c.tt {
 			return c.Not(cond)
 		}
-		return c.intern(&Term{op: OpIteBool, kids: []*Term{cond, then, els}})
+		return c.intern(Term{op: OpIteBool, kids: []*Term{cond, then, els}})
 	}
-	return c.intern(&Term{op: OpIteBV, width: then.width, kids: []*Term{cond, then, els}})
+	return c.intern(Term{op: OpIteBV, width: then.width, kids: []*Term{cond, then, els}})
 }
 
 // Eq returns bitvector equality a = b (a boolean term). For boolean operands
@@ -494,7 +514,7 @@ func (c *Context) Eq(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpEq, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpEq, kids: []*Term{a, b}})
 }
 
 // Ult returns unsigned a < b.
@@ -506,7 +526,7 @@ func (c *Context) Ult(a, b *Term) *Term {
 	if a.op == OpBVConst && b.op == OpBVConst {
 		return c.Bool(a.cval < b.cval)
 	}
-	return c.intern(&Term{op: OpUlt, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpUlt, kids: []*Term{a, b}})
 }
 
 // Ule returns unsigned a <= b.
@@ -518,7 +538,7 @@ func (c *Context) Ule(a, b *Term) *Term {
 	if a.op == OpBVConst && b.op == OpBVConst {
 		return c.Bool(a.cval <= b.cval)
 	}
-	return c.intern(&Term{op: OpUle, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpUle, kids: []*Term{a, b}})
 }
 
 // Ugt returns unsigned a > b.
@@ -542,7 +562,7 @@ func (c *Context) Add(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpBVAdd, width: a.width, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpBVAdd, width: a.width, kids: []*Term{a, b}})
 }
 
 // Sub returns bitvector subtraction (modular).
@@ -557,7 +577,7 @@ func (c *Context) Sub(a, b *Term) *Term {
 	if a == b {
 		return c.BV(0, a.width)
 	}
-	return c.intern(&Term{op: OpBVSub, width: a.width, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpBVSub, width: a.width, kids: []*Term{a, b}})
 }
 
 // BVNot returns bitwise complement.
@@ -571,7 +591,7 @@ func (c *Context) BVNot(a *Term) *Term {
 	if a.op == OpBVNot {
 		return a.kids[0]
 	}
-	return c.intern(&Term{op: OpBVNot, width: a.width, kids: []*Term{a}})
+	return c.intern(Term{op: OpBVNot, width: a.width, kids: []*Term{a}})
 }
 
 // BVAnd returns bitwise and.
@@ -586,7 +606,7 @@ func (c *Context) BVAnd(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpBVAnd, width: a.width, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpBVAnd, width: a.width, kids: []*Term{a, b}})
 }
 
 // BVOr returns bitwise or.
@@ -601,7 +621,7 @@ func (c *Context) BVOr(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpBVOr, width: a.width, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpBVOr, width: a.width, kids: []*Term{a, b}})
 }
 
 // BVXor returns bitwise xor.
@@ -616,7 +636,7 @@ func (c *Context) BVXor(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpBVXor, width: a.width, kids: []*Term{a, b}})
+	return c.intern(Term{op: OpBVXor, width: a.width, kids: []*Term{a, b}})
 }
 
 // Extract returns bits [lo+width-1 : lo] of a bitvector.
@@ -633,7 +653,7 @@ func (c *Context) Extract(a *Term, lo, width int) *Term {
 	if a.op == OpBVConst {
 		return c.BV(a.cval>>uint(lo), width)
 	}
-	return c.intern(&Term{op: OpExtract, width: width, lo: lo, kids: []*Term{a}})
+	return c.intern(Term{op: OpExtract, width: width, lo: lo, kids: []*Term{a}})
 }
 
 // Concat returns the concatenation hi ++ lo (hi in the upper bits).
@@ -648,5 +668,5 @@ func (c *Context) Concat(hi, lo *Term) *Term {
 	if hi.op == OpBVConst && lo.op == OpBVConst {
 		return c.BV(hi.cval<<uint(lo.width)|lo.cval, w)
 	}
-	return c.intern(&Term{op: OpConcat, width: w, kids: []*Term{hi, lo}})
+	return c.intern(Term{op: OpConcat, width: w, kids: []*Term{hi, lo}})
 }

@@ -24,14 +24,14 @@ func Constrain(sr *SymRoute, r *routemodel.Route) *smt.Term {
 		ctx.Eq(sr.NextHop, ctx.BV(uint64(r.NextHop), WidthNextHop)),
 		ctx.Eq(sr.PathLen, ctx.BV(uint64(len(r.ASPath)), WidthPathLen)),
 	}
-	for c, t := range sr.Comm {
-		conj = append(conj, ctx.Iff(t, ctx.Bool(r.HasCommunity(c))))
+	for _, c := range sr.u.Communities() {
+		conj = append(conj, ctx.Iff(sr.CommTerm(c), ctx.Bool(r.HasCommunity(c))))
 	}
-	for as, t := range sr.HasAS {
-		conj = append(conj, ctx.Iff(t, ctx.Bool(r.PathContains(as))))
+	for _, as := range sr.u.ASNs() {
+		conj = append(conj, ctx.Iff(sr.ASTerm(as), ctx.Bool(r.PathContains(as))))
 	}
-	for g, t := range sr.Ghost {
-		conj = append(conj, ctx.Iff(t, ctx.Bool(r.GhostValue(g))))
+	for _, g := range sr.u.Ghosts() {
+		conj = append(conj, ctx.Iff(sr.GhostTerm(g), ctx.Bool(r.GhostValue(g))))
 	}
 	return ctx.And(conj...)
 }
