@@ -43,8 +43,6 @@ type readyzJSON struct {
 //
 //   - store: the journal directory still accepts writes (only with -store)
 //   - dispatcher: the engine's dispatcher is live (not closed)
-//   - admission: the admitted-workload queue is not saturated (every further
-//     submission would be shed)
 //   - suites: the netgen registry has registered suites
 func (s *server) probeComponents() readyzJSON {
 	out := readyzJSON{Ready: true, Components: make(map[string]componentHealth)}
@@ -65,11 +63,6 @@ func (s *server) probeComponents() readyzJSON {
 		dispatchErr = errDispatcherClosed
 	}
 	set("dispatcher", dispatchErr)
-	var admitErr error
-	if queued, limit := s.eng.QueueSaturation(); limit > 0 && queued >= limit {
-		admitErr = errAdmissionSaturated
-	}
-	set("admission", admitErr)
 	var suiteErr error
 	if len(netgen.SuiteNames()) == 0 {
 		suiteErr = errNoSuites
@@ -80,9 +73,8 @@ func (s *server) probeComponents() readyzJSON {
 
 // Sentinel probe errors, as errors so probeComponents stays uniform.
 var (
-	errDispatcherClosed   = errString("engine dispatcher is closed")
-	errAdmissionSaturated = errString("admission queue is at its depth limit; submissions are being shed")
-	errNoSuites           = errString("no verification suites registered")
+	errDispatcherClosed = errString("engine dispatcher is closed")
+	errNoSuites         = errString("no verification suites registered")
 )
 
 type errString string

@@ -48,7 +48,7 @@ func TestHealthAndStatus(t *testing.T) {
 		t.Fatalf("fresh server not ready: %v", body)
 	}
 	comps := body["components"].(map[string]any)
-	for _, name := range []string{"dispatcher", "admission", "suites"} {
+	for _, name := range []string{"dispatcher", "suites"} {
 		c, ok := comps[name].(map[string]any)
 		if !ok || c["ok"] != true {
 			t.Errorf("component %s not ok: %v", name, comps[name])
@@ -56,6 +56,10 @@ func TestHealthAndStatus(t *testing.T) {
 	}
 	if _, hasStore := comps["store"]; hasStore {
 		t.Error("store probe reported without a configured store")
+	}
+	// Admission sheds per request (429); it is not a readiness component.
+	if _, hasAdmission := comps["admission"]; hasAdmission {
+		t.Error("admission reported as a readiness component")
 	}
 
 	_, accepted := postJSON(t, ts.URL+"/v2/verify", `{

@@ -7,8 +7,8 @@
 //
 //	lyserve [-addr :8080] [-workers N] [-cache N] [-store DIR] [-store-retain N]
 //	        [-job-ttl 1h] [-session-ttl 24h] [-event-window N]
-//	        [-max-inflight N] [-tenant-quota N] [-max-queue N]
-//	        [-tenant-weights t1=3,t2=1] [-trace-cap N] [-pprof]
+//	        [-max-inflight N] [-tenant-quota N] [-tenant-weights t1=3,t2=1]
+//	        [-trace-cap N] [-pprof]
 //	        [-solver remote:host1:9101,host2:9101]
 //
 // With -store DIR the engine's result cache is the internal/store
@@ -33,22 +33,19 @@
 // engine.tenants) and dispatches admitted workloads weighted-fair across
 // tenants, so one tenant flooding the service cannot starve another.
 //
-// -max-inflight bounds the total in-flight checks across tenants,
-// -tenant-quota the in-flight checks per tenant, and -max-queue the
-// backlog of workloads awaiting dispatch (each 0 = unlimited). A plan is
-// admitted as one unit — its compiled check count (plan.Compiled.Cost) is
-// reserved up front — and a rejected plan is answered synchronously with
-// HTTP 429, a Retry-After header (seconds), and a JSON body carrying the
-// tenant, cost, violated limit, and retry_after_ms; nothing of a rejected
-// plan is enqueued. A body with "permanent": true marks a plan whose cost
-// exceeds the limit outright — retrying at that size can never succeed;
-// split the plan or raise the limit. Session baselines and updates are admitted the same
-// way inside the session worker (an over-quota update fails the run with
-// the admission error in its status); session creation prechecks the
-// baseline cost and answers 429 early when it cannot be admitted. Session
+// -max-inflight bounds the total in-flight checks across tenants and
+// -tenant-quota the in-flight checks per tenant (each 0 = unlimited); every
+// queued check is admitted under them. A plan is admitted as one unit —
+// its compiled check count (plan.Compiled.Cost) is reserved up front — or
+// answered synchronously with HTTP 429, a Retry-After header (seconds),
+// and a JSON body carrying the tenant, cost, violated limit, and
+// retry_after_ms; "permanent": true marks a plan whose cost exceeds the
+// limit outright (split it or raise the limit). Session creation and
+// migration plans are admitted the same way before they are queued, so a
+// 202 (or a stream) means admitted; an update is admitted in the session
+// worker once its diff sizes it, and a refusal fails that run. Session
 // updates and deletion require the caller's tenant to match the session's
-// (403 otherwise) — mutations run under, and are charged to, the session
-// tenant's quota.
+// (403 otherwise): mutations are charged to the session tenant's quota.
 //
 // # API — declarative verification plans
 //
@@ -135,7 +132,8 @@
 //	    delta accounting (dirty checks, reused results, solved).
 //
 //	DELETE /v2/sessions/{id}
-//	    Deletes the session; queued runs are abandoned.
+//	    Deletes the session; queued runs are abandoned and their admission
+//	    grants released.
 //
 // # Observability
 //
@@ -146,8 +144,8 @@
 //	GET /metrics
 //	    Prometheus text exposition (version 0.0.4): lightyear_* counters,
 //	    histograms (solve time per backend, queue wait), and gauges
-//	    (in-flight cost, queue depth, cache occupancy and hit ratio, store
-//	    journal size).
+//	    (in-flight cost, queued workloads, cache occupancy and hit ratio,
+//	    store journal size).
 //
 //	GET /v1/traces[?limit=N]
 //	    The most recent completed workload traces, newest first, from the
@@ -225,24 +223,16 @@ const defaultShutdownGrace = 15 * time.Second
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		cacheSize   = flag.Int("cache", 0, "engine result-cache capacity (0 = default, <0 disables; ignored with -store)")
 		storeDir    = flag.String("store", "", "persistent result-store directory (replaces the in-memory cache)")
 		storeRetain = flag.Int("store-retain", 0, "keep only the N most recently written network fingerprints in the store (0 = all)")
 		jobTTL      = flag.Duration("job-ttl", defaultJobTTL, "retention of completed jobs")
 		sessTTL     = flag.Duration("session-ttl", defaultSessionTTL, "expiry of idle sessions (0 = never)")
 		evWindow    = flag.Int("event-window", defaultEventWindow, "per-job event-history entries retained for /events replay (<=0 = unbounded)")
-		maxInflight = flag.Int("max-inflight", 0, "admission: max in-flight checks across all tenants (0 = unlimited)")
-		tenantQuota = flag.Int("tenant-quota", 0, "admission: max in-flight checks per tenant (0 = unlimited)")
-		maxQueue    = flag.Int("max-queue", 0, "admission: max workloads awaiting dispatch (0 = unlimited)")
-		weightsSpec = flag.String("tenant-weights", "", "per-tenant dispatch weights, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
 		traceCap    = flag.Int("trace-cap", 0, "completed traces retained for /v1/traces (0 = default)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		solverSpec  = flag.String("solver", "", "default solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
-		slowConf    = flag.Int64("slow-conflicts", 0, "log any check burning at least this many CDCL conflicts (0 = default, <0 disables)")
-		slowTime    = flag.Duration("slow-solve", 0, "log any check spending at least this long in the solver (0 = default, <0 disables)")
 		grace       = flag.Duration("shutdown-grace", defaultShutdownGrace, "max wait for in-flight requests to drain on SIGINT/SIGTERM")
 	)
+	engineOptions := engineFlags(flag.CommandLine)
 	var logCfg logging.Config
 	logCfg.RegisterFlags(flag.CommandLine, "json")
 	flag.Parse()
@@ -255,11 +245,6 @@ func main() {
 	slog.SetDefault(logger)
 	srvLog = logging.Component(logger, "lyserve")
 
-	weights, err := engine.ParseWeights(*weightsSpec)
-	if err != nil {
-		srvLog.Error("bad -tenant-weights", slog.Any("error", err))
-		os.Exit(1)
-	}
 	rec := telemetry.New(*traceCap)
 	// Remote solver backends (the -solver flag or per-request solver specs)
 	// report into the same sinks as the engine.
@@ -268,32 +253,14 @@ func main() {
 	// Corpus network sources (plan documents with "corpus") count their
 	// generations into the same /metrics recorder.
 	corpus.SetTelemetry(rec)
-	opts := engine.Options{
-		Workers:   *workers,
-		CacheSize: *cacheSize,
-		Telemetry: rec,
-		Logger:    logger,
-		SlowCheck: engine.SlowCheckPolicy{Conflicts: *slowConf, SolveTime: *slowTime},
-		Admission: engine.Admission{
-			MaxInFlightChecks: *maxInflight,
-			PerTenantQuota:    *tenantQuota,
-			MaxQueueDepth:     *maxQueue,
-			Weights:           weights,
-		},
+	opts, err := engineOptions()
+	if err != nil {
+		srvLog.Error("bad engine flag", slog.Any("error", err))
+		os.Exit(1)
 	}
-	if *solverSpec != "" {
-		spec, err := solver.ParseSpec(*solverSpec)
-		if err != nil {
-			srvLog.Error("bad -solver", slog.Any("error", err))
-			os.Exit(1)
-		}
-		b, err := solver.New(spec)
-		if err != nil {
-			srvLog.Error("bad -solver", slog.Any("error", err))
-			os.Exit(1)
-		}
-		opts.Backend = b
-		srvLog.Info("default solver backend", slog.String("solver", spec.String()))
+	opts.Telemetry, opts.Logger = rec, logger
+	if opts.Backend != nil {
+		srvLog.Info("default solver backend", slog.String("solver", opts.Backend.Name()))
 	}
 	var st *store.Store
 	if *storeDir != "" {
@@ -354,6 +321,48 @@ func main() {
 		}
 	}
 	srvLog.Info("shutdown complete")
+}
+
+// engineFlags registers the flags that configure the engine on fs and
+// returns the function that builds engine.Options from their parsed values
+// (the caller adds telemetry, logger and the -store cache).
+func engineFlags(fs *flag.FlagSet) func() (engine.Options, error) {
+	var (
+		workers     = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
+		cacheSize   = fs.Int("cache", 0, "engine result-cache capacity (0 = default, <0 disables; ignored with -store)")
+		maxInflight = fs.Int("max-inflight", 0, "admission: max in-flight checks across all tenants (0 = unlimited)")
+		tenantQuota = fs.Int("tenant-quota", 0, "admission: max in-flight checks per tenant (0 = unlimited)")
+		weightsSpec = fs.String("tenant-weights", "", "per-tenant dispatch weights, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
+		solverSpec  = fs.String("solver", "", "default solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
+		slowConf    = fs.Int64("slow-conflicts", 0, "log any check burning at least this many CDCL conflicts (0 = default, <0 disables)")
+		slowTime    = fs.Duration("slow-solve", 0, "log any check spending at least this long in the solver (0 = default, <0 disables)")
+	)
+	return func() (engine.Options, error) {
+		weights, err := engine.ParseWeights(*weightsSpec)
+		if err != nil {
+			return engine.Options{}, fmt.Errorf("-tenant-weights: %w", err)
+		}
+		opts := engine.Options{
+			Workers:   *workers,
+			CacheSize: *cacheSize,
+			SlowCheck: engine.SlowCheckPolicy{Conflicts: *slowConf, SolveTime: *slowTime},
+			Admission: engine.Admission{
+				MaxInFlightChecks: *maxInflight,
+				PerTenantQuota:    *tenantQuota,
+				Weights:           weights,
+			},
+		}
+		if *solverSpec != "" {
+			spec, err := solver.ParseSpec(*solverSpec)
+			if err == nil {
+				opts.Backend, err = solver.New(spec)
+			}
+			if err != nil {
+				return engine.Options{}, fmt.Errorf("-solver: %w", err)
+			}
+		}
+		return opts, nil
+	}
 }
 
 // server owns the engine and the in-memory job and session tables.
@@ -1142,19 +1151,14 @@ func (sess *session) expireIfIdle(cutoff time.Time) bool {
 	return true
 }
 
-// queuedRun is one pending run awaiting the session worker: a network to
-// baseline/update against, or a migration plan closure. migrateFn entries
-// carry an abandon hook the session's close() invokes — under the queue's
-// mutual exclusion with the worker's dequeue, so exactly once — to release
-// the plan's reservation and end its event stream when the session is
-// deleted before the plan runs.
+// queuedRun is one pending baseline, update or migration: fn executes it
+// and returns what the run records. abandon, when set, is what close()
+// invokes instead if the session is deleted first (exactly once: close and
+// the worker's dequeue exclude each other) to release the run's grant.
 type queuedRun struct {
-	run      *sessionRun
-	network  *topology.Network
-	baseline bool
-
-	migrateFn func() (*migrate.Result, error)
-	abandon   func()
+	run     *sessionRun
+	fn      func() (*delta.Result, *migrate.Result, error)
+	abandon func()
 }
 
 // sessionRun is one baseline, update, or migration plan applied to a
@@ -1172,15 +1176,13 @@ type sessionRun struct {
 }
 
 // createSession registers and starts a session whose problem source is the
-// compiled plan, pinning c.Network as the baseline. The baseline's cost is
-// prechecked against admission so a session that could never run is 429ed
-// here; the binding admission decision is the session worker's (each run
-// reserves its own dirty cost under the session's tenant).
+// compiled plan, pinning c.Network as the baseline. The baseline is
+// reserved here, like a /v2/verify plan, and the grant handed to its run:
+// a 202 means it is admitted. Updates reserve in the session worker, once
+// the diff has sized them.
 func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
-	if err := s.eng.AdmitProbe(c.Tenant(), c.Cost()); err != nil {
-		if !admissionError(w, err) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
+	resv, ok := s.reservePlan(w, c)
+	if !ok {
 		return
 	}
 	sess := &session{
@@ -1198,13 +1200,19 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 	// the session's tenant and solves on the backend the plan selected.
 	sess.verifier.SetWorkload(c.Workload())
 	go sess.worker()
+	// Queued before the session is published, so no DELETE can refuse it:
+	// the baseline run, or its abandon hook, releases the grant.
+	sess.launch(&sessionRun{baseline: true}, sess.verify(c.Network, func(n *topology.Network) (*delta.Result, error) {
+		sess.verifier.SetReservation(resv)
+		defer resv.Release()
+		defer sess.verifier.SetReservation(nil)
+		return sess.verifier.Baseline(n)
+	}), resv.Release)
 	s.mu.Lock()
 	s.sseq++
 	sess.id = fmt.Sprintf("session-%d", s.sseq)
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
-
-	sess.launch(c.Network, true)
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -1266,7 +1274,7 @@ func sessionTenantAllowed(w http.ResponseWriter, r *http.Request, sess *session,
 // launchUpdate queues a materialized network as a session update and
 // answers 202.
 func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network) {
-	run := sess.launch(n, false)
+	run := sess.launch(&sessionRun{}, sess.verify(n, sess.verifier.Update), nil)
 	if run == nil {
 		httpError(w, http.StatusNotFound, "session deleted")
 		return
@@ -1380,7 +1388,7 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 
 	events := make(chan migrate.Event, 256)
 	clientGone := make(chan struct{})
-	run := sess.launchMigrate(func() (*migrate.Result, error) {
+	run := sess.launch(&sessionRun{migrate: true}, func() (*delta.Result, *migrate.Result, error) {
 		defer close(events)
 		defer tr.Finish()
 		res, err := migrate.Run(context.Background(), s.eng, c, migrate.RunConfig{
@@ -1403,7 +1411,7 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 			case <-clientGone:
 			}
 		}
-		return res, err
+		return nil, res, err
 	}, func() {
 		// Session deleted while the plan was queued: nothing ran, nothing
 		// was reserved beyond the admission we took — hand it back and end
@@ -1449,19 +1457,20 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// launch enqueues a run and returns immediately; the session worker
-// executes queued runs in submission order (run seq and queue position are
-// assigned under one lock hold, so they agree). Returns nil if the session
-// has been deleted.
-func (sess *session) launch(n *topology.Network, baseline bool) *sessionRun {
+// launch enqueues run (see queuedRun for fn and abandon) and returns it;
+// the session worker executes runs one at a time in submission order (seq
+// and queue position are assigned under one lock hold, so they agree).
+// Returns nil if the session is deleted; the caller then keeps what
+// abandon would have released.
+func (sess *session) launch(run *sessionRun, fn func() (*delta.Result, *migrate.Result, error), abandon func()) *sessionRun {
 	sess.mu.Lock()
 	if sess.closed {
 		sess.mu.Unlock()
 		return nil
 	}
-	run := &sessionRun{seq: len(sess.runs), submitted: time.Now(), baseline: baseline, status: "running"}
+	run.seq, run.submitted, run.status = len(sess.runs), time.Now(), "running"
 	sess.runs = append(sess.runs, run)
-	sess.queue = append(sess.queue, &queuedRun{run: run, network: n, baseline: baseline})
+	sess.queue = append(sess.queue, &queuedRun{run: run, fn: fn, abandon: abandon})
 	sess.lastActive = time.Now()
 	sess.mu.Unlock()
 	select {
@@ -1471,34 +1480,20 @@ func (sess *session) launch(n *topology.Network, baseline bool) *sessionRun {
 	return run
 }
 
-// launchMigrate queues a migration plan on the session worker, so it runs
-// in submission order with the session's baselines and updates (never
-// concurrently with them — migration steps and updates mutate the same
-// verifier). fn executes the plan; abandon is invoked instead if the
-// session is deleted while the plan is still queued. Returns nil if the
-// session is already deleted (the caller keeps ownership of the plan's
-// reservation and event stream).
-func (sess *session) launchMigrate(fn func() (*migrate.Result, error), abandon func()) *sessionRun {
-	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		return nil
+// verify returns the body of a baseline or update run on n, which first
+// tags the store with n's fingerprint.
+func (sess *session) verify(n *topology.Network, run func(*topology.Network) (*delta.Result, error)) func() (*delta.Result, *migrate.Result, error) {
+	return func() (*delta.Result, *migrate.Result, error) {
+		if sess.store != nil {
+			sess.store.SetFingerprint(n.Fingerprint())
+		}
+		res, err := run(n)
+		return res, nil, err
 	}
-	run := &sessionRun{seq: len(sess.runs), submitted: time.Now(), migrate: true, status: "running"}
-	sess.runs = append(sess.runs, run)
-	sess.queue = append(sess.queue, &queuedRun{run: run, migrateFn: fn, abandon: abandon})
-	sess.lastActive = time.Now()
-	sess.mu.Unlock()
-	select {
-	case sess.wake <- struct{}{}:
-	default:
-	}
-	return run
 }
 
 // close marks the session deleted and releases its worker. Queued runs are
-// abandoned; a queued migration plan's abandon hook releases its
-// reservation and closes its event stream. The queue is swapped out under
+// abandoned through their abandon hooks. The queue is swapped out under
 // sess.mu — the worker dequeues under the same lock, so an entry is either
 // abandoned here or executed there, never both.
 func (sess *session) close() {
@@ -1536,42 +1531,17 @@ func (sess *session) worker() {
 			sess.running++
 			sess.mu.Unlock()
 
-			if q.migrateFn != nil {
-				mres, err := q.migrateFn()
-				sess.mu.Lock()
-				q.run.migrateResult = mres
-				if err != nil {
-					q.run.status = "failed"
-					q.run.errMsg = err.Error()
-				} else {
-					q.run.status = "done"
-				}
-				sess.running--
-				sess.lastActive = time.Now()
-				sess.mu.Unlock()
-				continue
-			}
-
-			if sess.store != nil {
-				sess.store.SetFingerprint(q.network.Fingerprint())
-			}
-			var res *delta.Result
-			var err error
-			if q.baseline {
-				res, err = sess.verifier.Baseline(q.network)
-			} else {
-				res, err = sess.verifier.Update(q.network)
-			}
+			res, mres, err := q.fn()
 			sess.mu.Lock()
+			q.run.result, q.run.migrateResult = res, mres
 			if err != nil {
-				// Includes admission rejections: the run's dirty subset was
-				// reserved under the session's tenant and refused. The error
-				// (with its retry hint) is the run's recorded status.
+				// Includes admission rejections of updates: the run's dirty
+				// subset was reserved under the session's tenant and refused.
+				// The error (with its retry hint) is the run's recorded status.
 				q.run.status = "failed"
 				q.run.errMsg = err.Error()
 			} else {
 				q.run.status = "done"
-				q.run.result = res
 			}
 			sess.running--
 			sess.lastActive = time.Now()

@@ -35,15 +35,18 @@ func waitDoneV2(t *testing.T, ts *httptest.Server, id string) map[string]any {
 	return nil
 }
 
-// TestV2SolverBackendAndStats: the request's solver option routes the job to
-// the portfolio backend, the per-property stats say so, and /v1/status
-// exposes the per-backend counters.
+// TestV2SolverBackendAndStats: the request's solver option routes a
+// two-property plan (a scoped wan-peering sweep and the sat-stress
+// pigeonholes) to the portfolio backend, every property's stats say so,
+// and /v1/status exposes the per-backend counters.
 func TestV2SolverBackendAndStats(t *testing.T) {
 	ts := newTestServer(t)
 	_, accepted := postJSON(t, ts.URL+"/v2/verify", `{
-		"network": {"generator": {"kind": "fig1"}},
-		"properties": [{"name": "sat-stress"}],
-		"options": {"solver": {"backend": "portfolio"}}
+		"network": {"generator": {"kind": "wan", "regions": 2, "routers_per_region": 1,
+		                          "edge_routers": 1, "peers_per_edge": 2}},
+		"properties": [{"name": "wan-peering", "routers": ["edge-0"]},
+		               {"name": "sat-stress"}],
+		"options": {"wan_regions": 2, "solver": {"backend": "portfolio"}}
 	}`)
 	id, _ := accepted["id"].(string)
 	if id == "" {
@@ -51,15 +54,23 @@ func TestV2SolverBackendAndStats(t *testing.T) {
 	}
 	job := waitDoneV2(t, ts, id)
 	if ok, _ := job["ok"].(bool); !ok {
-		t.Fatalf("stress plan not ok: %+v", job)
+		t.Fatalf("portfolio plan not ok: %+v", job)
 	}
 	props := job["properties"].([]any)
-	stats := props[0].(map[string]any)["stats"].(map[string]any)
-	if stats["backend"] != "portfolio" {
-		t.Fatalf("property stats backend = %v, want portfolio", stats["backend"])
+	if len(props) != 2 {
+		t.Fatalf("%d properties, want 2", len(props))
 	}
-	if raced, _ := stats["raced"].(float64); raced == 0 {
-		t.Fatalf("no racing recorded: %+v", stats)
+	raced := 0.0
+	for _, p := range props {
+		stats := p.(map[string]any)["stats"].(map[string]any)
+		if stats["backend"] != "portfolio" {
+			t.Fatalf("property stats backend = %v, want portfolio", stats["backend"])
+		}
+		r, _ := stats["raced"].(float64)
+		raced += r
+	}
+	if raced == 0 {
+		t.Fatalf("no racing recorded: %+v", props)
 	}
 
 	backends := getStatus(t, ts).Engine.Backends

@@ -24,7 +24,7 @@
 //
 // Submission is one typed entry point: an engine.Workload names what to
 // verify (a safety problem, a liveness problem, or a raw check batch), the
-// Tenant submitting it, a Priority, and an admission Cost, and
+// Tenant submitting it, a Priority, and the Reservation it runs under, and
 // engine.Submit(ctx, workload) returns the running job. Both cmd/lightyear
 // and cmd/lybench submit to an engine, and lyserve exposes one over HTTP.
 //
@@ -75,12 +75,13 @@
 //
 // A production lyserve multiplexes many principals onto one engine, so
 // load is shed before it enters the shared queue, not after the workers
-// are saturated. engine.Options.Admission bounds the admitted, uncompleted
-// check cost globally (MaxInFlightChecks), per tenant (PerTenantQuota),
-// and the backlog of workloads awaiting dispatch (MaxQueueDepth); an
-// over-limit submission fails with the typed engine.ErrAdmission{Tenant,
-// Cost, Limit, RetryAfter}, where RetryAfter is estimated from the
-// engine's observed per-check solve time. Admitted workloads are
+// are saturated. engine.Options.Admission bounds the admitted, unreleased
+// check cost globally (MaxInFlightChecks) and per tenant (PerTenantQuota),
+// and engine.Reserve is the one place that decision is made: every
+// workload runs under exactly one reservation — its unit's, or one Submit
+// takes for its check count. A refusal is the typed engine.ErrAdmission
+// {Tenant, Cost, Limit, RetryAfter, Permanent}; RetryAfter is estimated
+// from the observed per-check solve time. Admitted workloads are
 // dispatched by deficit round-robin across tenants (weights via
 // Admission.Weights), so a tenant flooding the engine cannot starve the
 // others; Priority orders workloads within one tenant only.
@@ -95,8 +96,9 @@
 // lyserve derives the tenant from the X-Tenant header / ?tenant= query /
 // plan "tenant" option, answers rejected plans with HTTP 429 plus a
 // Retry-After header, and reports per-tenant counters (admitted, rejected,
-// queued, in-flight cost) in GET /v1/status; delta sessions admit each
-// baseline or update as one unit under the session's tenant; `lightyear
+// queued, in-flight cost) in GET /v1/status. Session creation reserves
+// the baseline (429 there) and hands the grant to the queued run; an
+// update reserves its dirty checks once its diff is known. `lightyear
 // -tenant ops -max-inflight 500` exercises the same path in-process.
 //
 // # Check obligations and solver backends

@@ -381,9 +381,10 @@ func main() {
 
 	// 7. Tenancy and admission control: the engine's one submission entry
 	// point is a typed Workload — who is submitting (Tenant), how urgent
-	// (Priority), how big (Cost, defaulting to the check count) — and
-	// Options.Admission sheds over-limit work with a typed error carrying a
-	// retry hint, before anything enters the shared queue.
+	// (Priority) — admitted at its check count unless it runs under a
+	// Reservation taken for a larger unit, and Options.Admission sheds
+	// over-limit work with a typed error carrying a retry hint, before
+	// anything enters the shared queue.
 	cost := len(problem.Checks(core.Options{}))
 	eng := engine.New(engine.Options{
 		// Room for exactly one copy of the problem per tenant.

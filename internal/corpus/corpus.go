@@ -180,7 +180,8 @@ func (m Member) validate() error {
 			return err
 		}
 	}
-	return nil
+	routers, sessions := m.size() // refused before anything is synthesized
+	return netgen.CheckSourceSize("corpus member "+m.Ref(), routers, sessions)
 }
 
 // Ref renders the canonical reference: family:seed with the non-default

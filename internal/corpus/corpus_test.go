@@ -368,3 +368,32 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Errorf("planted counter = %d, want 1", planted)
 	}
 }
+
+// TestMemberSizeBoundsTheNetwork: the size a member is bounded by counts
+// its routers exactly and never undercounts its sessions (waxman and zoo
+// links are counted at their ceiling), so nothing over the bound is built.
+func TestMemberSizeBoundsTheNetwork(t *testing.T) {
+	members := append(DefaultRoster(7),
+		Member{Family: "ring", Seed: 1, Size: 3, Peers: 3},
+		Member{Family: "tree", Seed: 1, Depth: 1, Fanout: 5},
+		Member{Family: "fattree", Seed: 1, K: 8, Peers: 2},
+		Member{Family: "waxman", Seed: 1, Size: 40, Degree: 6})
+	for _, m := range members {
+		n, _, err := m.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", m.Ref(), err)
+		}
+		routers, sessions := m.size()
+		exact := m.Family != "waxman" && m.Family != "zoo"
+		if int(routers) != len(n.Routers()) || int(sessions) < len(n.Edges()) ||
+			(exact && int(sessions) != len(n.Edges())) {
+			t.Errorf("%s: counted %v routers and %v sessions, built %d and %d",
+				m.Ref(), routers, sessions, len(n.Routers()), len(n.Edges()))
+		}
+	}
+	for _, ref := range []string{"ring:1:size=9000", "tree:1:depth=30,fanout=10", "waxman:1:size=200", "fattree:1:k=40", "zoo:1:graph=nsfnet,peers=5000"} {
+		if _, err := Parse(ref); err == nil || !strings.Contains(err.Error(), "the bound is") {
+			t.Errorf("%s: got %v, want a size-bound error", ref, err)
+		}
+	}
+}

@@ -56,6 +56,44 @@ func defaultInt(v, def int) int {
 	return v
 }
 
+// size counts the routers and directed sessions the member synthesizes,
+// from the knobs with the synthesizers' defaults and clamps. Waxman links
+// are random and counted at their ceiling, the complete graph; a zoo graph
+// is counted from its text.
+func (m Member) size() (routers, sessions float64) {
+	peers := float64(defaultInt(m.Peers, 1))
+	var links, edgeRouters float64 // edge routers carry the peer sessions
+	switch m.Family {
+	case "ring":
+		routers = float64(max(defaultInt(m.Size, 8), 3))
+		links, edgeRouters = routers, routers
+	case "tree":
+		depth := float64(max(defaultInt(m.Depth, 2), 1))
+		fanout := float64(max(defaultInt(m.Fanout, 2), 2))
+		edgeRouters = math.Pow(fanout, depth) // the leaves
+		routers = (edgeRouters*fanout - 1) / (fanout - 1)
+		links = routers - 1
+	case "fattree":
+		half := float64(defaultInt(m.K, 4) / 2)
+		routers = half*half + 4*half*half // core, then k pods of k routers
+		links, edgeRouters = 4*half*half*half, 2*half*half
+	case "waxman":
+		routers = float64(max(defaultInt(m.Size, 12), 3))
+		links, edgeRouters = routers*(routers-1)/2, routers
+	case "zoo":
+		text := m.GraphText
+		if text == "" {
+			text = builtinGraphs[m.Graph]
+		}
+		nodes, graphEdges, err := ParseGraph(text)
+		if err != nil {
+			return 0, 0 // synthesis reports it
+		}
+		routers, links, edgeRouters = float64(len(nodes)), float64(len(graphEdges)), float64(len(nodes))
+	}
+	return routers, 2 * (links + edgeRouters*peers)
+}
+
 // synthesize dispatches to the member's family.
 func (m Member) synthesize() (*graph, error) {
 	var g *graph

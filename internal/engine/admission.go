@@ -22,23 +22,19 @@ func NormalizeTenant(t string) string {
 	return t
 }
 
-// Admission is the engine's load-shedding policy: workloads are admitted or
-// rejected *before* their checks enter the shared queue, so saturation
+// Admission is the engine's load-shedding policy: work is admitted or
+// rejected *before* its checks enter the shared queue, so saturation
 // surfaces as an explicit, typed ErrAdmission (HTTP 429 in lyserve) instead
 // of unbounded queueing behind saturated workers. The zero value admits
 // everything (per-tenant accounting still runs, so Stats report per-tenant
 // traffic even on unlimited engines).
 type Admission struct {
 	// MaxInFlightChecks caps the total admitted cost (checks) across all
-	// tenants that has not yet completed; 0 means unlimited.
+	// tenants that has not yet been released; 0 means unlimited.
 	MaxInFlightChecks int
-	// PerTenantQuota caps one tenant's admitted, uncompleted cost; 0 means
+	// PerTenantQuota caps one tenant's admitted, unreleased cost; 0 means
 	// unlimited.
 	PerTenantQuota int
-	// MaxQueueDepth caps the number of individually submitted workloads
-	// awaiting dispatch; 0 means unlimited. Workloads under a Reservation
-	// are exempt — their unit was admitted as a whole.
-	MaxQueueDepth int
 	// Weights are per-tenant weighted-fair dispatch weights (default 1): a
 	// tenant with weight 2 dequeues twice the checks per round-robin turn.
 	Weights map[string]int
@@ -85,7 +81,7 @@ type ErrAdmission struct {
 	Tenant     string
 	Cost       int
 	Limit      int
-	Reason     string // which limit refused: "tenant quota" | "engine in-flight" | "queue depth"
+	Reason     string // which limit refused: "tenant quota" | "engine in-flight"
 	RetryAfter time.Duration
 	// Permanent marks a request whose cost exceeds the limit outright —
 	// even an idle engine could never admit it, so retrying (at this cost)
@@ -102,12 +98,12 @@ func (e *ErrAdmission) Error() string {
 		e.Tenant, e.Cost, e.Reason, e.Limit, e.RetryAfter.Round(time.Millisecond))
 }
 
-// Reservation is an admission grant for a multi-job unit — typically one
-// compiled plan, whose whole check count (plan.Compiled.Cost) is admitted
-// up front so a request is either fully admitted or fully rejected, never
-// half-run. The reservation holds its cost against the tenant's quota and
-// the engine budget until Release; workloads submitted with it skip
-// per-workload admission. Release is idempotent.
+// Reservation is an admission grant, and every workload runs under exactly
+// one: its unit's — typically a compiled plan reserved whole at
+// plan.Compiled.Cost, so a request is fully admitted or fully rejected —
+// or, when it carries none, one Submit takes for its check count and its
+// job releases. A grant holds its cost against the tenant's quota and the
+// engine budget until Release, which is idempotent.
 type Reservation struct {
 	e        *Engine
 	tenant   string
@@ -127,15 +123,20 @@ func (r *Reservation) Release() {
 	if r == nil {
 		return
 	}
-	s := &r.e.sched
-	s.mu.Lock()
-	if !r.released {
-		r.released = true
-		tq := s.tenant(r.tenant, r.e.opts.Admission)
-		tq.inflight -= r.cost
-		s.inflight -= r.cost
+	r.e.sched.mu.Lock()
+	r.releaseLocked()
+	r.e.sched.mu.Unlock()
+}
+
+// releaseLocked is Release with sched.mu held.
+func (r *Reservation) releaseLocked() {
+	if r.released {
+		return
 	}
-	s.mu.Unlock()
+	r.released = true
+	s := &r.e.sched
+	s.tenant(r.tenant, r.e.opts.Admission).inflight -= r.cost
+	s.inflight -= r.cost
 }
 
 // Reserve admits cost checks for tenant as one unit ahead of the workloads
@@ -146,107 +147,52 @@ func (e *Engine) Reserve(tenant string, cost int) (*Reservation, error) {
 	if cost < 0 {
 		return nil, fmt.Errorf("engine: reservation cost must be >= 0, got %d", cost)
 	}
-	t := NormalizeTenant(tenant)
 	s := &e.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		panic("engine: Reserve after Close")
 	}
-	tq := s.tenant(t, e.opts.Admission)
-	if err := e.checkLimitsLocked(tq, cost); err != nil {
-		tq.rejected++
-		if ea, ok := err.(*ErrAdmission); ok {
-			e.met.rejected(ea.Tenant, ea.Reason)
-		}
-		return nil, err
-	}
-	tq.inflight += cost
-	s.inflight += cost
-	tq.admitted++
-	return &Reservation{e: e, tenant: t, cost: cost}, nil
+	return e.reserveLocked(NormalizeTenant(tenant), cost)
 }
 
-// AdmitProbe reports whether a unit of the given cost would be admitted for
-// tenant right now, without reserving anything. A rejection is counted in
-// the tenant's counters (the caller is shedding the request); admission is
-// not, since nothing was granted. Hosts that cannot hold a reservation
-// across an asynchronous boundary (lyserve session creation, whose
-// baseline run re-admits inside the session worker) use it for an early
-// 429.
-func (e *Engine) AdmitProbe(tenant string, cost int) error {
-	if cost < 0 {
-		return fmt.Errorf("engine: probe cost must be >= 0, got %d", cost)
-	}
-	t := NormalizeTenant(tenant)
-	s := &e.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tq := s.tenant(t, e.opts.Admission)
-	if err := e.checkLimitsLocked(tq, cost); err != nil {
-		tq.rejected++
-		if ea, ok := err.(*ErrAdmission); ok {
-			e.met.rejected(ea.Tenant, ea.Reason)
-		}
-		return err
-	}
-	return nil
-}
-
-// checkLimitsLocked applies the quota and in-flight limits (not queue
-// depth); sched.mu is held.
-func (e *Engine) checkLimitsLocked(tq *tenantQueue, cost int) error {
+// reserveLocked is the engine's one admission decision, made for Reserve
+// and for every Submit without a Reservation; sched.mu is held and tenant
+// is normalized.
+func (e *Engine) reserveLocked(tenant string, cost int) (*Reservation, error) {
 	a := e.opts.Admission
-	if a.PerTenantQuota > 0 && tq.inflight+cost > a.PerTenantQuota {
-		return e.admissionErrorLocked(tq.name, cost, a.PerTenantQuota, "tenant quota", tq.inflight+cost-a.PerTenantQuota)
+	tq := e.sched.tenant(tenant, a)
+	var ea *ErrAdmission
+	switch {
+	case a.PerTenantQuota > 0 && tq.inflight+cost > a.PerTenantQuota:
+		ea = e.admissionErrorLocked(tenant, cost, a.PerTenantQuota, "tenant quota", tq.inflight+cost-a.PerTenantQuota)
+	case a.MaxInFlightChecks > 0 && e.sched.inflight+cost > a.MaxInFlightChecks:
+		ea = e.admissionErrorLocked(tenant, cost, a.MaxInFlightChecks, "engine in-flight", e.sched.inflight+cost-a.MaxInFlightChecks)
 	}
-	if a.MaxInFlightChecks > 0 && e.sched.inflight+cost > a.MaxInFlightChecks {
-		return e.admissionErrorLocked(tq.name, cost, a.MaxInFlightChecks, "engine in-flight", e.sched.inflight+cost-a.MaxInFlightChecks)
-	}
-	return nil
-}
-
-// admitLocked is the per-workload admission decision made by Submit;
-// sched.mu is held. Reserved workloads were admitted with their unit.
-func (e *Engine) admitLocked(tq *tenantQueue, cost int, resv *Reservation) error {
-	if resv != nil {
-		if resv.released {
-			return fmt.Errorf("engine: submit under an already-released reservation")
-		}
-		return nil
-	}
-	a := e.opts.Admission
-	if a.MaxQueueDepth > 0 && e.sched.queued >= a.MaxQueueDepth {
+	if ea != nil {
 		tq.rejected++
-		return e.admissionErrorLocked(tq.name, cost, a.MaxQueueDepth, "queue depth", cost)
-	}
-	if err := e.checkLimitsLocked(tq, cost); err != nil {
-		tq.rejected++
-		return err
+		e.met.rejected(tenant, ea.Reason)
+		return nil, ea
 	}
 	tq.inflight += cost
 	e.sched.inflight += cost
 	tq.admitted++
-	return nil
+	return &Reservation{e: e, tenant: tenant, cost: cost}, nil
 }
 
 // admissionErrorLocked builds the typed rejection, estimating RetryAfter
 // as the time the worker pool needs to work off everything standing
-// between the rejected request and admission: the capacity deficit plus
-// the cost already admitted but still queued ahead of the dispatcher
-// (sched.queuedCost). A freshly admitted burst holds capacity long before
-// any of it solves, so ignoring queued-ahead cost — as the estimate did
-// before — told clients to retry while the backlog was still untouched.
-// The per-check time is the engine's observed mean solve time.
+// between the rejected request and admission: the capacity deficit (> 0)
+// plus the cost already admitted but still queued ahead of the dispatcher
+// (sched.queuedCost) — a freshly admitted burst holds capacity long before
+// any of it solves. The per-check time is the engine's observed mean solve
+// time.
 func (e *Engine) admissionErrorLocked(tenant string, cost, limit int, reason string, deficit int) *ErrAdmission {
 	avg := 50 * time.Millisecond
 	if solved := e.checksSolved.Load(); solved > 0 {
 		if observed := time.Duration(e.solveNanos.Load() / int64(solved)); observed > 0 {
 			avg = observed
 		}
-	}
-	if deficit < 1 {
-		deficit = 1
 	}
 	backlog := deficit + e.sched.queuedCost
 	retry := avg * time.Duration(backlog) / time.Duration(e.opts.workers())
@@ -258,9 +204,7 @@ func (e *Engine) admissionErrorLocked(tenant string, cost, limit int, reason str
 	}
 	return &ErrAdmission{Tenant: tenant, Cost: cost, Limit: limit, Reason: reason,
 		RetryAfter: retry,
-		// cost > limit cannot be cured by waiting (queue depth is counted
-		// in workloads, not cost, so it is always transient).
-		Permanent: reason != "queue depth" && cost > limit,
+		Permanent:  cost > limit, // waiting cannot cure it
 	}
 }
 
@@ -429,16 +373,14 @@ func (e *Engine) dispatch() {
 	}
 }
 
-// jobDone releases a finished job's admission cost (unless a reservation
-// holds it) and counts the completion.
+// jobDone counts a finished job's completion and releases the grant Submit
+// took for it, if it owns one.
 func (e *Engine) jobDone(j *Job) {
 	s := &e.sched
 	s.mu.Lock()
-	tq := s.tenant(j.Tenant, e.opts.Admission)
-	tq.completed++
-	if j.reservation == nil && j.Cost > 0 {
-		tq.inflight -= j.Cost
-		s.inflight -= j.Cost
+	s.tenant(j.Tenant, e.opts.Admission).completed++
+	if j.grant != nil {
+		j.grant.releaseLocked()
 	}
 	s.mu.Unlock()
 }

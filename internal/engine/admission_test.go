@@ -101,15 +101,9 @@ func TestWorkloadValidation(t *testing.T) {
 	if _, err := eng.Submit(ctx, engine.Workload{Safety: p}); err == nil {
 		t.Error("cancelled context accepted")
 	}
-	// Negative costs would credit the quota accounting; refused everywhere.
-	if _, err := eng.Submit(context.Background(), engine.Workload{Safety: p, Cost: -5}); err == nil {
-		t.Error("negative workload cost accepted")
-	}
+	// A negative cost would credit the quota accounting; refused.
 	if _, err := eng.Reserve("t", -5); err == nil {
 		t.Error("negative reservation cost accepted")
-	}
-	if err := eng.AdmitProbe("t", -5); err == nil {
-		t.Error("negative probe cost accepted")
 	}
 }
 
@@ -166,61 +160,112 @@ func TestAdmissionTenantQuota(t *testing.T) {
 	}
 }
 
-// TestAdmissionMaxInFlight: the engine-wide budget rejects across tenants,
-// and an explicit Workload.Cost overrides the check count.
+// TestAdmissionMaxInFlight: the engine-wide budget rejects across tenants
+// — transiently while another tenant's grant holds it, permanently when
+// the cost exceeds the whole budget — and a released grant frees it.
 func TestAdmissionMaxInFlight(t *testing.T) {
-	g := newGate()
-	eng := engine.New(engine.Options{
-		Workers:   1,
-		Backend:   g,
-		Admission: engine.Admission{MaxInFlightChecks: 10},
-	})
+	eng := engine.New(engine.Options{Workers: 1, Admission: engine.Admission{MaxInFlightChecks: 10}})
 	defer eng.Close()
-	defer g.Open()
 
-	// Declared cost 8 (more than the actual checks) occupies the budget.
-	if _, err := eng.Submit(context.Background(), engine.Workload{Safety: tinyProblem(1), Tenant: "a", Cost: 8}); err != nil {
-		t.Fatalf("first workload rejected: %v", err)
+	a, err := eng.Reserve("a", 8)
+	if err != nil {
+		t.Fatalf("first reservation rejected: %v", err)
 	}
-	_, err := eng.Submit(context.Background(), engine.Workload{Safety: tinyProblem(2), Tenant: "b", Cost: 8})
+	_, err = eng.Reserve("b", 8)
 	var adm *engine.ErrAdmission
-	if !errors.As(err, &adm) || adm.Reason != "engine in-flight" || adm.Limit != 10 {
+	if !errors.As(err, &adm) || adm.Reason != "engine in-flight" || adm.Limit != 10 || adm.Tenant != "b" || adm.Permanent {
 		t.Fatalf("cross-tenant budget rejection: err=%v", err)
 	}
-	g.Open()
+	if _, err := eng.Reserve("b", 11); !errors.As(err, &adm) || !adm.Permanent {
+		t.Fatalf("over-budget reservation not permanent: err=%v", err)
+	}
+	b, err := eng.Reserve("b", 2) // exactly the remainder
+	if err != nil {
+		t.Fatalf("exact-fit reservation rejected: %v", err)
+	}
+	a.Release()
+	b.Release()
+	if _, err := eng.Reserve("b", 10); err != nil {
+		t.Fatalf("reservation after release rejected: %v", err)
+	}
 }
 
-// TestAdmissionQueueDepth: a workload too large to ever finish dispatching
-// (worker gated) keeps the queue occupied, and the backlog bound rejects
-// the next submission.
-func TestAdmissionQueueDepth(t *testing.T) {
-	g := newGate()
-	eng := engine.New(engine.Options{
-		Workers:   1,
-		Backend:   g,
-		Admission: engine.Admission{MaxQueueDepth: 1},
-	})
-	defer eng.Close()
-	defer g.Open()
+// TestUnreservedSubmitIsAReservation: a workload submitted without a
+// Reservation is admitted, counted and released exactly like a Reserve of
+// its check count under which the same workload runs.
+func TestUnreservedSubmitIsAReservation(t *testing.T) {
+	p := tinyProblem(1)
+	cost := len(p.Checks(core.Options{}))
+	type side struct {
+		eng *engine.Engine
+		g   *gate
+		job *engine.Job
+		own *engine.Reservation // the reserved side's grant
+	}
+	sides := [2]*side{}
+	for i := range sides {
+		g := newGate()
+		eng := engine.New(engine.Options{Workers: 1, Backend: g,
+			Admission: engine.Admission{MaxInFlightChecks: cost}})
+		defer eng.Close()
+		defer g.Open()
+		sides[i] = &side{eng: eng, g: g}
+	}
+	unres, res := sides[0], sides[1]
+	var err error
+	if unres.job, err = unres.eng.Submit(context.Background(), engine.Workload{Safety: p, Tenant: "acme"}); err != nil {
+		t.Fatalf("unreserved submit: %v", err)
+	}
+	if res.own, err = res.eng.Reserve("acme", cost); err != nil {
+		t.Fatalf("Reserve: %v", err)
+	}
+	if res.job, err = res.eng.Submit(context.Background(), engine.Workload{Safety: p, Tenant: "acme", Reservation: res.own}); err != nil {
+		t.Fatalf("reserved submit: %v", err)
+	}
+	for _, sd := range sides {
+		// While the job runs its grant holds the whole budget: one more
+		// check from anyone is refused and counted.
+		var adm *engine.ErrAdmission
+		if _, err := sd.eng.Reserve("acme", 1); !errors.As(err, &adm) || adm.Reason != "engine in-flight" {
+			t.Fatalf("reserve inside a held budget: %v", err)
+		}
+		if _, err := sd.eng.Submit(context.Background(), engine.Workload{Safety: tinyProblem(2), Tenant: "acme"}); !errors.As(err, &adm) {
+			t.Fatalf("unreserved submit inside a held budget: %v", err)
+		}
+	}
+	held := [2]engine.Stats{unres.eng.Stats(), res.eng.Stats()}
+	if held[0].InFlightCost != cost || held[0].InFlightCost != held[1].InFlightCost {
+		t.Fatalf("in-flight cost while running: unreserved %d, reserved %d, want %d",
+			held[0].InFlightCost, held[1].InFlightCost, cost)
+	}
+	if u, r := held[0].Tenants["acme"], held[1].Tenants["acme"]; u != r || u.Admitted != 1 || u.Rejected != 2 {
+		t.Fatalf("tenant accounting while running: unreserved %+v, reserved %+v", u, r)
+	}
 
-	// 1 worker + 4 task-channel slots: a 16-check batch can never fully
-	// dispatch while the gate is closed, so it stays queued.
-	prop, checks := manyChecks(100, 16)
-	j1, err := eng.Submit(context.Background(), engine.Workload{Kind: engine.KindChecks, Property: prop, Checks: checks})
-	if err != nil {
-		t.Fatalf("first workload rejected: %v", err)
+	for _, sd := range sides {
+		sd.g.Open()
+		sd.job.Wait()
+		if js := sd.job.Stats(); js.Cost != cost {
+			t.Fatalf("job cost %d, want its check count %d", js.Cost, cost)
+		}
 	}
-	_, err = eng.Submit(context.Background(), engine.Workload{Safety: tinyProblem(1)})
-	var adm *engine.ErrAdmission
-	if !errors.As(err, &adm) || adm.Reason != "queue depth" {
-		t.Fatalf("backlog rejection: err=%v", err)
+	res.own.Release() // the reserved side's owner releases; the job released the other
+	done := [2]engine.Stats{unres.eng.Stats(), res.eng.Stats()}
+	if done[0].InFlightCost != 0 || done[1].InFlightCost != 0 {
+		t.Fatalf("in-flight cost after release: unreserved %d, reserved %d", done[0].InFlightCost, done[1].InFlightCost)
 	}
-	g.Open()
-	j1.Wait()
+	if u, r := done[0].Tenants["acme"], done[1].Tenants["acme"]; u != r || u.Completed != 1 || u.InFlightCost != 0 {
+		t.Fatalf("tenant accounting after release: unreserved %+v, reserved %+v", u, r)
+	}
+	for _, sd := range sides {
+		if _, err := sd.eng.Reserve("acme", cost); err != nil {
+			t.Fatalf("budget not freed: %v", err)
+		}
+	}
 }
 
 // TestReservationAdmitsWholeUnit: Reserve admits a multi-workload unit up
-// front; workloads under the reservation bypass per-workload admission, and
+// front; workloads under the reservation take no grant of their own, and
 // Release returns the capacity.
 func TestReservationAdmitsWholeUnit(t *testing.T) {
 	eng := engine.New(engine.Options{
@@ -252,8 +297,8 @@ func TestReservationAdmitsWholeUnit(t *testing.T) {
 	if _, err := eng.Reserve("acme", 10); err != nil {
 		t.Fatalf("Reserve after Release: %v", err)
 	}
-	if err := eng.AdmitProbe("acme", 1); err == nil {
-		t.Fatal("AdmitProbe fit inside a full budget")
+	if _, err := eng.Reserve("acme", 1); err == nil {
+		t.Fatal("Reserve fit inside a full budget")
 	}
 }
 
@@ -438,12 +483,14 @@ func TestTenantMapBounded(t *testing.T) {
 	if _, err := eng.Submit(context.Background(), engine.Workload{Safety: tinyProblem(1), Tenant: "pinned"}); err != nil {
 		t.Fatal(err)
 	}
-	// Churn far past the bound with probe-only traffic (the cheap spam an
-	// unauthenticated X-Tenant header allows).
+	// Churn far past the bound with reserve-and-release traffic (the cheap
+	// spam an unauthenticated X-Tenant header allows).
 	for i := 0; i < 3000; i++ {
-		if err := eng.AdmitProbe(fmt.Sprintf("spam-%d", i), 1); err != nil {
+		resv, err := eng.Reserve(fmt.Sprintf("spam-%d", i), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		resv.Release()
 	}
 	st := eng.Stats()
 	if len(st.Tenants) > 1100 {

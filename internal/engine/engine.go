@@ -17,14 +17,15 @@
 //	solver → cache fill → report
 //
 // Submission is one typed entry point: build a Workload — a safety or
-// liveness problem, or a raw check batch, plus the submitting Tenant, a
-// Priority, and an admission Cost — and call Submit. Options.Admission
-// bounds how much work may be in flight (globally and per tenant) and how
-// deep the backlog may grow; over-limit submissions are shed *before*
-// entering the shared queue with a typed ErrAdmission carrying a
+// liveness problem, or a raw check batch, plus the submitting Tenant and a
+// Priority — and call Submit. Admission has one door, Reserve:
+// Options.Admission bounds how many checks may be in flight (globally and
+// per tenant), a multi-job unit (a compiled plan) is reserved as a whole
+// and its workloads carry the grant, and a workload without one is
+// reserved at its check count by Submit itself. Over-limit work is shed
+// *before* entering the shared queue with a typed ErrAdmission carrying a
 // RetryAfter hint, and admitted workloads are dispatched weighted-fair
-// across tenants so a flooding tenant cannot starve the others. Reserve
-// admits a multi-job unit (a compiled plan) as a whole.
+// across tenants so a flooding tenant cannot starve the others.
 //
 // What a check costs follows what happened to it, not that it was
 // enumerated: a cache-served check is a key lookup and a counter, and under
@@ -384,13 +385,13 @@ type SubmitOptions struct {
 }
 
 // Submit is the engine's single submission entry point: it validates the
-// workload, generates its checks (for problem payloads), admits it against
-// Options.Admission — returning a typed *ErrAdmission when the tenant's
-// quota, the engine's in-flight budget, or the queue depth refuses it —
-// and enqueues it for weighted-fair dispatch, returning the running job
-// immediately. ctx is attached to the job's solves: cancelling it makes
-// remaining checks finish as Unknown (never cached) instead of burning
-// solver budget. Submitting after Close panics.
+// workload, generates its checks (for problem payloads), and enqueues it
+// for weighted-fair dispatch, returning the running job immediately. The
+// job runs under the workload's Reservation or, without one, under a grant
+// of its check count that Submit reserves (a *ErrAdmission on refusal) and
+// the job releases when it finishes. ctx is attached to the job's solves:
+// cancelling it makes remaining checks finish as Unknown (never cached)
+// instead of burning solver budget. Submitting after Close panics.
 func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -407,15 +408,6 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 		backend = e.backend
 	}
 	tenant := NormalizeTenant(w.Tenant)
-	cost := w.Cost
-	if cost < 0 {
-		// A negative cost would *credit* the quota accounting and disable
-		// load shedding for everyone sharing the engine.
-		return nil, fmt.Errorf("engine: workload cost must be >= 0, got %d", cost)
-	}
-	if cost == 0 {
-		cost = len(checks)
-	}
 	if w.Results != "" && w.Results != ResultsAll && w.Results != ResultsFailures {
 		return nil, fmt.Errorf("engine: unknown results mode %q (want %q or %q)", w.Results, ResultsAll, ResultsFailures)
 	}
@@ -430,15 +422,17 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 		s.mu.Unlock()
 		panic("engine: submit after Close")
 	}
-	tq := s.tenant(tenant, e.opts.Admission)
-	if err := e.admitLocked(tq, cost, w.Reservation); err != nil {
-		s.mu.Unlock()
-		if ea, ok := err.(*ErrAdmission); ok {
-			e.met.rejected(ea.Tenant, ea.Reason)
+	var grant *Reservation // owned by the job
+	if w.Reservation == nil {
+		if grant, err = e.reserveLocked(tenant, len(checks)); err != nil {
+			s.mu.Unlock()
+			return nil, err
 		}
-		return nil, err
+	} else if w.Reservation.released {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("engine: submit under an already-released reservation")
 	}
-	j := newJob(e, e.nextID.Add(1), ctx, prop, len(checks), backend, tenant, w.Priority, cost, w.Reservation)
+	j := newJob(e, e.nextID.Add(1), ctx, prop, len(checks), backend, tenant, w.Priority, grant)
 	j.failuresOnly, j.onResult = w.Results == ResultsFailures, w.OnResult
 	if !j.failuresOnly {
 		j.results = make([]core.CheckResult, len(checks))
@@ -453,7 +447,7 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 		j.finish()
 		return j, nil
 	}
-	s.enqueueLocked(tq, &dispatchEntry{job: j, checks: checks, priority: w.Priority})
+	s.enqueueLocked(s.tenant(tenant, e.opts.Admission), &dispatchEntry{job: j, checks: checks, priority: w.Priority})
 	s.mu.Unlock()
 	return j, nil
 }
@@ -708,16 +702,6 @@ func (e *Engine) Live() bool {
 	e.sched.mu.Lock()
 	defer e.sched.mu.Unlock()
 	return !e.sched.closed
-}
-
-// QueueSaturation reports the admitted-workload backlog against the
-// admission queue-depth limit (limit 0 = unbounded). Readiness probes call
-// the engine not-ready when queued == limit: every further submission is
-// being shed at the door.
-func (e *Engine) QueueSaturation() (queued, limit int) {
-	e.sched.mu.Lock()
-	defer e.sched.mu.Unlock()
-	return e.sched.queued, e.opts.Admission.MaxQueueDepth
 }
 
 // adapt relabels a shared result with the identity of the receiving check.

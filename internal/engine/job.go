@@ -31,8 +31,8 @@ type JobStats struct {
 	CacheHits int `json:"cache_hits"`
 	DedupHits int `json:"dedup_hits"`
 
-	// Tenant is the principal the job was admitted under; Cost its admission
-	// cost; QueueWaitNanos the time between admission and the dispatch of
+	// Tenant is the principal the job was admitted under; Cost its check
+	// count, the admission cost it accounts for; QueueWaitNanos the time between admission and the dispatch of
 	// its first check (0 for empty jobs).
 	Tenant         string `json:"tenant,omitempty"`
 	Cost           int    `json:"cost,omitempty"`
@@ -65,18 +65,18 @@ func (s JobStats) QueueWait() time.Duration { return time.Duration(s.QueueWaitNa
 type Job struct {
 	ID       uint64
 	Property core.Property
-	// Tenant, Priority, and Cost mirror the submitted Workload's admission
-	// identity.
+	// Tenant and Priority mirror the submitted Workload; Cost is the job's
+	// check count, the admission cost it accounts for.
 	Tenant   string
 	Priority int
 	Cost     int
 
-	engine      *Engine
-	ctx         context.Context
-	total       int
-	start       time.Time
-	backend     solver.Backend
-	reservation *Reservation
+	engine  *Engine
+	ctx     context.Context
+	total   int
+	start   time.Time
+	backend solver.Backend
+	grant   *Reservation // Submit's grant for an unreserved workload; released by finish
 
 	failuresOnly bool           // ResultsFailures: keep non-OK results, fold the rest
 	onResult     func(Progress) // SubmitOptions.OnResult
@@ -110,20 +110,20 @@ type Job struct {
 }
 
 func newJob(e *Engine, id uint64, ctx context.Context, prop core.Property, total int,
-	backend solver.Backend, tenant string, priority, cost int, resv *Reservation) *Job {
+	backend solver.Backend, tenant string, priority int, grant *Reservation) *Job {
 	return &Job{
-		ID:          id,
-		Property:    prop,
-		Tenant:      tenant,
-		Priority:    priority,
-		Cost:        cost,
-		engine:      e,
-		ctx:         ctx,
-		total:       total,
-		start:       time.Now(),
-		backend:     backend,
-		reservation: resv,
-		done:        make(chan struct{}),
+		ID:       id,
+		Property: prop,
+		Tenant:   tenant,
+		Priority: priority,
+		Cost:     total,
+		engine:   e,
+		ctx:      ctx,
+		total:    total,
+		start:    time.Now(),
+		backend:  backend,
+		grant:    grant,
+		done:     make(chan struct{}),
 	}
 }
 
@@ -215,8 +215,8 @@ func (j *Job) deliver(idx int, r core.CheckResult, cached, deduped bool, out *so
 	}
 }
 
-// finish assembles the deterministic report, releases the job's admission
-// cost, and releases waiters.
+// finish assembles the deterministic report, releases the grant the job
+// owns (if any), and releases waiters.
 func (j *Job) finish() {
 	j.report = core.NewReport(j.Property, j.results, time.Since(j.start))
 	j.report.Folded = j.folded

@@ -178,10 +178,7 @@ func TestRetryAfterQueuedAhead(t *testing.T) {
 	// Rejection on an idle engine: nothing queued ahead, so the hint is the
 	// clamped minimum (mean solve time defaults to 50ms with nothing solved,
 	// and the deficit is 1 check).
-	_, err := eng.Submit(context.Background(), engine.Workload{
-		Kind: engine.KindChecks, Property: prop,
-		Checks: checks[:1], Cost: len(checks) + 1, // over budget by 1
-	})
+	_, err := eng.Reserve("", len(checks)+1) // over budget by 1
 	var idle *engine.ErrAdmission
 	if !errors.As(err, &idle) {
 		t.Fatalf("idle-engine overcommit: %v", err)

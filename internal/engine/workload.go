@@ -28,8 +28,8 @@ const (
 
 // Workload is the engine's one typed submission descriptor: what to verify
 // (exactly one of Safety, Liveness, or Checks), who is submitting (Tenant),
-// how urgently (Priority, ordered within the tenant), how much admission
-// capacity it consumes (Cost), and per-job execution overrides
+// how urgently (Priority, ordered within the tenant), the admission grant
+// it runs under (Reservation), and per-job execution overrides
 // (SubmitOptions). Every entry point — plan runs, delta sessions, lyserve,
 // the CLIs — builds one of these and calls Engine.Submit.
 type Workload struct {
@@ -56,13 +56,10 @@ type Workload struct {
 	// FIFO among equals). It does not let one tenant preempt another — the
 	// cross-tenant order is the fair dispatcher's.
 	Priority int
-	// Cost is the admission cost charged against the tenant's quota and the
-	// engine's in-flight budget; 0 means the number of checks.
-	Cost int
 	// Reservation, when non-nil, marks the workload as part of a larger
 	// unit (e.g. one compiled plan) already admitted via Engine.Reserve:
-	// admission is skipped and no per-workload cost is charged — the
-	// reservation holds the unit's whole cost until it is released.
+	// the reservation holds the unit's whole cost until its owner releases
+	// it. When nil, Submit reserves the workload's check count itself.
 	Reservation *Reservation
 
 	// TraceSpan, when non-nil, is the parent span under which the engine

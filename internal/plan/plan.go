@@ -218,6 +218,13 @@ func (ns Network) validate() error {
 	case set > 1:
 		return requestErrorf("plan: exactly one network source must be set (config, config_path, generator, corpus, or baseline)")
 	}
+	// A generator or corpus source is sized from its parameters before it
+	// is built (netgen.MaxSourceSize): Compile runs ahead of admission.
+	if ns.Generator != nil {
+		if err := ns.Generator.CheckSize(); err != nil {
+			return requestErrorf("plan: %v", err)
+		}
+	}
 	if ns.Corpus != "" {
 		if _, err := corpus.Parse(ns.Corpus); err != nil {
 			return requestErrorf("plan: %v", err)

@@ -8,7 +8,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"lightyear/internal/corpus"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/topology"
@@ -616,5 +618,51 @@ func TestDeltaPlanReleasesHostReservation(t *testing.T) {
 	}
 	if st := eng.Stats(); st.InFlightCost != 0 {
 		t.Fatalf("delta run leaked %d in-flight cost from the host reservation", st.InFlightCost)
+	}
+}
+
+// TestSourceBoundBeforeBuild: Compile runs before admission, so generator
+// and corpus sources are sized from their parameters and refused as
+// request errors before anything is built — the hundred-byte full mesh of
+// 1000 routers (about a million sessions) is refused at once — while the
+// 20-region benchmark WAN and every default roster member still compile.
+func TestSourceBoundBeforeBuild(t *testing.T) {
+	for _, body := range []string{
+		`{"network":{"generator":{"kind":"fullmesh","size":1000}},"properties":[{"name":"fullmesh"}]}`,
+		`{"network":{"generator":{"kind":"wan","regions":1000000000,"routers_per_region":1000000000}},"properties":[{"name":"wan-peering"}]}`,
+		`{"network":{"corpus":"tree:1:depth=30,fanout=10"},"properties":[{"name":"wan-peering"}]}`,
+		`{"network":{"corpus":"ring:1:size=9000"},"properties":[{"name":"wan-peering"}]}`,
+		`{"network":{"corpus":"zoo:1:graph=abilene,peers=100000"},"properties":[{"name":"wan-peering"}]}`,
+	} {
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err := Compile(req, nil)
+		took := time.Since(start)
+		var reqErr *RequestError
+		if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "the bound is") {
+			t.Errorf("%s: got %v, want a size-bound request error", body, err)
+		}
+		if took > 50*time.Millisecond {
+			t.Errorf("%s: refused after %v, want under 50ms", body, took)
+		}
+	}
+
+	wan20 := netgen.GeneratorSpec{Kind: "wan", Regions: 20, RoutersPerRegion: 4, EdgeRouters: 6, DCsPerRegion: 1, PeersPerEdge: 6}
+	c, err := Compile(Request{Network: Network{Generator: &wan20},
+		Properties: []Property{{Name: "wan-peering"}}, Options: Options{WANRegions: 20}}, nil)
+	if err != nil {
+		t.Fatalf("20-region WAN: %v", err)
+	}
+	if r, e := len(c.Network.Routers()), len(c.Network.Edges()); r != 86 || e != 7542 {
+		t.Fatalf("20-region WAN has %d routers and %d sessions, want 86 and 7,542", r, e)
+	}
+	for _, m := range corpus.DefaultRoster(7) {
+		if _, err := Compile(Request{Network: Network{Corpus: m.Ref()},
+			Properties: []Property{{Name: corpus.PropertySuite}}}, nil); err != nil {
+			t.Errorf("roster member %s: %v", m.Ref(), err)
+		}
 	}
 }

@@ -147,13 +147,9 @@ type RunConfig struct {
 	// 429, then hands the grant to the asynchronous run. Run submits every
 	// workload under it and releases it when the run completes. When nil,
 	// Run reserves for itself and a rejection aborts the run before any
-	// work is submitted (the error is a *engine.ErrAdmission). Delta-mode
-	// plans (Options.Baseline) are the exception: the delta verifier admits
-	// each of its runs — whose cost is the baseline's, then the update's
-	// dirty subset, not the compiled plan's — so Run returns a host grant
-	// immediately and either run may still fail with ErrAdmission. Hosts
-	// wanting a synchronous admission answer should not pre-reserve
-	// delta-mode plans (lyserve does not serve them asynchronously at all).
+	// work is submitted (the error is a *engine.ErrAdmission). A delta-mode
+	// plan (Options.Baseline) releases a host grant at once: its delta
+	// verifier reserves each of its two runs itself.
 	Reservation *engine.Reservation
 	// Trace, when non-nil, is the telemetry trace the run records into —
 	// lyserve opens it in the HTTP handler (with a "compile" span) so the
