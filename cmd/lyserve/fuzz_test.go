@@ -33,6 +33,7 @@ func FuzzPlanRequest(f *testing.F) {
 		  "properties": [{"name": "wan-peering", "routers": ["edge-0"]}, {"name": "sat-stress"}], "options": {"wan_regions": 2, "solver": {"backend": "tiered", "budget": 50}}}`,
 		`{"network": {"corpus": "ring:3:size=4,bug=no-class-e"}, "properties": [{"name": "wan-peering"}], "options": {"tenant": "acme"}}`,
 		`{"network": {"corpus": "tree:1:depth=30,fanout=10"}, "properties": [{"name": "wan-peering"}]}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "wan-ip-liveness"}, {"name": "wan-ip-reuse"}], "options": {"wan_regions": 16384}}`,
 		`{"network": {"config": "node R1 { as 65000 role edge }\nexternal X1 { as 100 role peer }\npeering X1 R1\n"}, "properties": [{"name": "wan-peering"}]}`,
 		`{"network": {"baseline": "session-99"}, "properties": [{"name": "fig1-no-transit"}]}`,
 		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "routers": ["bogus"]}]}`,

@@ -296,8 +296,8 @@ func main() {
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections, wake
 	// every NDJSON event stream so it flushes and closes, wait up to the
-	// grace period for in-flight requests, then close the engine (draining
-	// admitted jobs) and flush the store journal.
+	// grace period for in-flight requests, then close every session and the
+	// engine (draining admitted jobs) and flush the store journal.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	select {
@@ -314,7 +314,7 @@ func main() {
 	if err := httpSrv.Shutdown(sctx); err != nil {
 		srvLog.Warn("shutdown grace period expired with requests in flight", slog.Any("error", err))
 	}
-	eng.Close()
+	srv.stop()
 	if st != nil {
 		if err := st.Close(); err != nil {
 			srvLog.Warn("store close failed", slog.Any("error", err))
@@ -429,6 +429,24 @@ func (s *server) retainedCheckResults() int {
 // process is draining. Safe to call more than once.
 func (s *server) beginShutdown() {
 	s.shutdownOnce.Do(func() { close(s.shutdown) })
+}
+
+// stop ends the server's work once its listener has shut down: it closes
+// every session, failing the runs still queued there, and then the engine,
+// which drains the jobs already admitted. A run executing meanwhile
+// finishes on its session's worker; a problem it had not yet submitted when
+// the engine closed records engine.ErrClosed as its failure.
+func (s *server) stop() {
+	s.mu.Lock()
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
+	}
+	s.mu.Unlock()
+	for _, sess := range sessions {
+		sess.close("server shutting down")
+	}
+	s.eng.Close()
 }
 
 // requestTenant resolves the tenant a request runs as: the X-Tenant
@@ -666,7 +684,7 @@ func (s *server) gc(now time.Time) int {
 	}
 	s.mu.Unlock()
 	for _, sess := range expired {
-		sess.close() // releases the worker; closed was already set
+		sess.close("session expired") // releases the worker; closed was already set
 		srvLog.Info("session expired",
 			slog.String("session", sess.id),
 			slog.String(logging.KeyTenant, sess.tenant),
@@ -1493,14 +1511,18 @@ func (sess *session) verify(n *topology.Network, run func(*topology.Network) (*d
 }
 
 // close marks the session deleted and releases its worker. Queued runs are
-// abandoned through their abandon hooks. The queue is swapped out under
-// sess.mu — the worker dequeues under the same lock, so an entry is either
-// abandoned here or executed there, never both.
-func (sess *session) close() {
+// abandoned through their abandon hooks and recorded as failed for reason.
+// The queue is swapped out under sess.mu — the worker dequeues under the
+// same lock, so an entry is either abandoned here or executed there, never
+// both.
+func (sess *session) close(reason string) {
 	sess.mu.Lock()
 	sess.closed = true
 	abandoned := sess.queue
 	sess.queue = nil
+	for _, q := range abandoned {
+		q.run.status, q.run.errMsg = "failed", reason
+	}
 	sess.mu.Unlock()
 	for _, q := range abandoned {
 		if q.abandon != nil {
@@ -1616,7 +1638,7 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
-	sess.close()
+	sess.close("session deleted")
 	writeJSON(w, map[string]string{"deleted": sess.id})
 }
 

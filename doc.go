@@ -92,7 +92,8 @@
 // is admitted up front (engine.Reserve) or rejected untouched. An admitted
 // plan is then generated and submitted in batches of 65,536 checks, so a
 // run holds about two batches of checks at a time whatever the plan's
-// size. Surfaces:
+// size; a delta baseline is admitted and streamed the same way, and an
+// update is admitted at its dirty count. Surfaces:
 // lyserve derives the tenant from the X-Tenant header / ?tenant= query /
 // plan "tenant" option, answers rejected plans with HTTP 429 plus a
 // Retry-After header, and reports per-tenant counters (admitted, rejected,
@@ -155,11 +156,15 @@
 // memoised policy fingerprints), reuses every check whose semantic key
 // already has a retained result, and submits only the dirty subset to the
 // engine, reporting {changed routers, dirty checks, reused results,
-// solved}. When the diff only changed edge policies, a safety problem whose
-// frame digest (core.SafetyProblem.Frame: every key input but the per-edge
-// policy fingerprints) is unchanged regenerates only the changed edges'
-// checks and its implication check; every other check is served from the
-// location index of keys the last run kept, so an update costs the edit,
+// solved}. Every run — a plan (a one-shot pass that retains nothing), a
+// session baseline or update, a `-diff` run, a migration step — goes
+// through one loop in internal/delta that streams problem checks to the
+// engine a batch at a time, so a baseline's memory follows a batch, not
+// the network. When the diff only changed edge policies, a safety problem
+// whose frame digest (core.SafetyProblem.Frame: every key input but the
+// per-edge policy fingerprints) is unchanged regenerates only the changed
+// edges' checks and its implication check; every other check is served
+// from the location index the last run kept, so an update costs the edit,
 // not the network. Liveness problems, results=all sessions and any other
 // change enumerate in full. Surfaces: `lightyear -diff old.cfg` for incremental
 // CLI runs, the lyserve session API (POST /v2/sessions, POST

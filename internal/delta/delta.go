@@ -1,7 +1,7 @@
 // Package delta implements config-diff-driven incremental re-verification —
-// the paper's §2 argument that modular decomposition makes re-verification
-// after a configuration change proportional to the change, not the network,
-// turned into a measurable artifact.
+// the paper's §2 argument that re-verification after a configuration change
+// costs work proportional to the change, not the network — and the one loop
+// every verification run goes through.
 //
 // A Verifier pins a baseline network state for a problem source (a registry
 // suite, netgen.Lookup, or a compiled plan) and re-verifies successive
@@ -11,38 +11,40 @@
 //	base, _ := v.Baseline(oldNet) // full cold run, results retained by key
 //	res, _ := v.Update(newNet)    // re-solves only the dirty subset
 //
-// Update computes the per-router/per-edge semantic diff between the pinned
-// state and the new one (topology.DiffNetworks) and files every check of
-// the new state by its semantic key (core.Check.Key): a check whose key
-// already has a retained result is clean — equal keys decide the same
-// formula — and is served without touching the engine; everything else is
-// the dirty subset, submitted to the shared engine as one job per problem so
-// cross-problem dedup still applies. The returned Result reports {changed
-// routers, dirty checks, reused results, solved} alongside the per-problem
-// reports.
+// Update diffs the pinned state against the new one (topology.DiffNetworks)
+// and files every check of the new state by its semantic key: a check whose
+// key has a retained result is served without touching the engine — equal
+// keys decide the same formula — and the rest is the dirty subset. Result
+// reports {changed routers, dirty checks, reused results, solved}.
 //
-// An update does not generate every check to find the few dirty ones. Each
+// Every run — Baseline, Update, and the one-shot Run that internal/plan
+// executes a plan with — walks its problems in order, generating and
+// splitting their checks into a batch of BatchChecks dirty checks,
+// submitting it as one engine job per problem, and collecting problems
+// oldest-first until no more than a batch is outstanding before it
+// generates the next; peak memory follows a batch, not the run. A run is
+// admitted before it submits anything: Run and Baseline at their counted
+// cost before generating a check, Update at its dirty count. Run retains
+// nothing; Hooks report each problem's start, checks and outcome.
+//
+// An update does not generate every check to find the few dirty ones. A
 // failures-only run keeps, per safety problem, a location index: the
-// problem's frame digest (core.SafetyProblem.Frame — every input of its
-// check keys but the per-edge policy fingerprints) and the kind and key of
-// each check at each edge, never the checks or their obligations. When the
-// diff changed only edge policies and a problem's frame equals that of the
-// problem at its position, under its name, in the last run, its checks at
-// unchanged edges keep their keys: Update serves them from the index and
-// generates only the changed edges' checks and the implication check
-// (core.SafetyProblem.ChecksAt). An edge whose retained result was Unknown
-// (never retained) is generated and solved again. Liveness problems,
-// results=all sessions, and any diff that adds, removes or changes a node
-// or an edge enumerate in full. Either way the run reports the same
-// numbers, the same failures and retains the same results.
+// problem's frame digest (core.SafetyProblem.Frame — every key input but
+// the per-edge policy fingerprints) and the kind and retained result of
+// each check at each edge, never the checks. When the diff changed only
+// edge policies and a problem's frame is unchanged, Update serves its
+// unchanged edges from the index and generates only the changed edges'
+// checks and the implication check (core.SafetyProblem.ChecksAt); an edge
+// whose result was Unknown is solved again. Liveness problems, results=all
+// sessions and any other diff enumerate in full, with the same numbers,
+// failures and retained results.
 //
-// The Verifier's retained results live in process memory; pairing the
-// engine with an internal/store persistent cache (engine.Options.Cache)
-// additionally makes the dirty subset's solves survive restarts.
+// Retained results live in process memory; an internal/store persistent
+// cache behind the engine (engine.Options.Cache) makes the dirty subset's
+// solves survive restarts as well.
 package delta
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -170,21 +172,22 @@ type Verifier struct {
 	mu          sync.Mutex // guards the pinned state below
 	network     *topology.Network
 	fingerprint string
-	results     map[string]*core.CheckResult
+	results     map[string]*kept
 	index       []*problemIndex // per problem position; nil where not kept
 	last        *Result         // last completed run, for the unchanged fast path
 	served      int             // problems the last run served from an index
 
-	full bool // never serve from an index (the reference tests compare with)
+	full  bool  // never serve from an index (the reference tests compare with)
+	hooks Hooks // observe every run (tests)
 }
 
 // problemIndex is what a run keeps of one safety problem for the next
 // update's restricted enumeration: the problem's frame digest
 // (core.SafetyProblem.Frame) and, per edge of the pinned network's
-// PolicyIndex, the kind and key of each check generated there and the
-// result the run retained for that key — never the checks or their
-// obligations. fails holds the rendered description of every proven
-// violation the run reported, so a reused failure reads as it did.
+// PolicyIndex, the kind of each check generated there and the result the
+// run retained for its key — never the checks or their obligations. fails
+// holds the rendered description of every proven violation the run
+// reported, so a reused failure reads as it did.
 type problemIndex struct {
 	name  string
 	frame spec.Fingerprint
@@ -197,8 +200,15 @@ type problemIndex struct {
 
 type indexEntry struct {
 	kind core.CheckKind
-	key  string
-	res  *core.CheckResult // the Verifier's retained result for key; nil if undecided
+	res  *kept // the Verifier's retained result for the check's key; nil if undecided
+}
+
+// kept is a retained result and the key it is retained under. Index
+// entries point at it instead of each holding the key: a run retains one
+// result per distinct key, and indexes one entry per check.
+type kept struct {
+	key string
+	core.CheckResult
 }
 
 // checkAt names a safety check within its problem: one per kind and location.
@@ -296,31 +306,15 @@ func (v *Verifier) Update(n *topology.Network) (*Result, error) {
 	return v.run(prev, prevResults, prevIndex, n, false)
 }
 
-// problemRun carries one problem through the prepare → submit → wait
-// pipeline.
-type problemRun struct {
-	outcome ProblemOutcome
-	prop    core.Property
-	dirty   []core.Check
-	reused  []core.CheckResult // reused results the report materialises
-	folded  core.Folded        // reused OK results it only counts (failures-only reports)
-	job     *engine.Job
-	start   time.Time
-	index   *problemIndex // kept for the next update (failures-only safety problems)
-	old     *problemIndex // the last run's index this run is served from, if any
-	// dirtyAt is, with an index, the entry of each dirty check in
-	// index.checks (-1 for the implication check), where its result goes.
-	dirtyAt []int32
-}
-
 // run is the shared Baseline/Update body; v.runMu is held, so prev,
 // prevResults and prevIndex are stable. v.mu is only taken briefly at the
 // end to publish the new pinned state, keeping the state accessors
-// responsive while the run waits on the engine. The whole run is admitted as
-// one unit: the sum of all problems' dirty checks is reserved against the
-// session's tenant before anything is submitted, so an over-quota
-// incremental run fails with engine.ErrAdmission instead of half-running.
-func (v *Verifier) run(prev *topology.Network, prevResults map[string]*core.CheckResult,
+// responsive while the run waits on the engine. The run is admitted as one
+// unit before anything is submitted: a baseline at its counted cost, before
+// it generates anything; an update at its dirty count, once every problem
+// is split — so an over-quota run fails with engine.ErrAdmission instead of
+// half-running.
+func (v *Verifier) run(prev *topology.Network, prevResults map[string]*kept,
 	prevIndex []*problemIndex, n *topology.Network, baseline bool) (*Result, error) {
 	start := time.Now()
 	res := &Result{Suite: v.source.Label(), Baseline: baseline, Fingerprint: n.Fingerprint(), OK: true}
@@ -334,314 +328,41 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]*core.Chec
 	}
 
 	problems := v.source.Problems(n)
-	runs := make([]*problemRun, len(problems))
-	opts := v.eng.CheckOptions()
-	// Only failures-only runs keep a location index: a reused passing check
-	// is then counted, never shown, so an update can serve it without
-	// generating it.
-	failuresOnly := v.workload.Results == engine.ResultsFailures
-	var changed []int // positions of the diff's changed edges in n's PolicyIndex
-	restrict := failuresOnly && prevIndex != nil && !v.full
-	if restrict {
-		changed, restrict = changedPositions(res.Diff, n)
+	r := &runner{
+		eng: v.eng, wl: v.workload, hooks: v.hooks, opts: v.eng.CheckOptions(), res: res,
+		keep: true, failuresOnly: v.workload.Results == engine.ResultsFailures, n: n,
+		prevResults: prevResults, prevIndex: prevIndex,
+		retained: make(map[string]*kept, len(prevResults)),
+		index:    make([]*problemIndex, len(problems)),
 	}
-
-	// The results this run retains, re-indexed from scratch so entries for
-	// removed locations do not accumulate: reused ones are carried over
-	// here, fresh ones arrive from the engine's workers as they complete.
-	// Retained results carry no identity (it is re-stamped on reuse), so they
-	// do not keep this state's network or obligations alive.
-	var retainedMu sync.Mutex
-	retained := make(map[string]*core.CheckResult, len(prevResults))
-
-	// Prepare every problem: generate its checks — all of them, or, served
-	// from an index, those of the changed edges — and split them into the
-	// reused and dirty subsets. The summed dirty cost is this run's
-	// admission unit.
-	dirtyCost := 0
-	for i, p := range problems {
-		pr := &problemRun{outcome: ProblemOutcome{Name: p.Name}, start: time.Now()}
-		runs[i] = pr
-		// Every failures-only safety problem over n keeps an index; on an
-		// update whose diff only changed edge policies, one whose frame
-		// equals that of the problem at its position in the last run, under
-		// the same name, is served from that run's index.
-		if failuresOnly && p.Safety != nil && p.Safety.Network == n {
-			pr.index = &problemIndex{name: p.Name, frame: p.Safety.Frame()}
-			if restrict && i < len(prevIndex) {
-				old := prevIndex[i]
-				if old != nil && old.name == p.Name && old.frame == pr.index.frame && len(old.at) == len(n.Index().Edges)+1 {
-					pr.old = old
-				}
-			}
-		}
-		// take files one generated check as reused or dirty, and its
-		// result under entry of the index, if it has one there (>= 0).
-		take := func(c core.Check, entry int) {
-			pr.outcome.Checks++
-			r, ok := prevResults[c.Key()]
-			if !ok || c.Key() == "" {
-				pr.dirty = append(pr.dirty, c)
-				if pr.index != nil {
-					pr.dirtyAt = append(pr.dirtyAt, int32(entry))
-				}
-				return
-			}
-			if entry >= 0 {
-				pr.index.checks[entry].res = r
-			}
-			pr.reuse(retained, c.Key(), r, c.Kind, c.Loc, c.Desc, failuresOnly)
-		}
-		var err error
-		switch {
-		case p.Safety != nil:
-			pr.prop = p.Safety.Property
-			if pr.index == nil {
-				for _, c := range p.Safety.Checks(opts) {
-					take(c, -1)
-				}
-				break
-			}
-			pr.enumerate(p.Safety, opts, changed, retained, take)
-		case p.Liveness != nil:
-			pr.prop = p.Liveness.Property
-			var checks []core.Check
-			checks, err = p.Liveness.Checks(opts)
-			for _, c := range checks {
-				take(c, -1)
-			}
-		default:
-			err = fmt.Errorf("suite produced an empty problem")
-		}
-		if err != nil {
-			if p.Optional {
-				pr.outcome.Skipped = true
-			} else {
-				pr.outcome.Failed = true
-				res.OK = false
-				res.Failures++
-			}
-			pr.outcome.SkipReason = err.Error()
-			continue
-		}
-		pr.outcome.Dirty = len(pr.dirty)
-		res.TotalChecks += pr.outcome.Checks
-		res.DirtyChecks += len(pr.dirty)
-		res.ReusedResults += pr.outcome.Reused
-		dirtyCost += len(pr.dirty)
+	if r.failuresOnly && prevIndex != nil && !v.full {
+		r.changed, r.restrict = changedPositions(res.Diff, n)
 	}
-
-	resv := v.resv
-	if resv == nil {
-		owned, err := v.eng.Reserve(v.workload.Tenant, dirtyCost)
-		if err != nil {
-			return nil, err
-		}
-		defer owned.Release()
-		resv = owned
-	}
-
-	// Submit the dirty subset of every problem before waiting on any, so
-	// the engine dedups identical dirty checks across the whole suite.
-	for _, pr := range runs {
-		if pr.outcome.Skipped || pr.outcome.Failed {
-			continue
-		}
-		dirty, index, dirtyAt := pr.dirty, pr.index, pr.dirtyAt
-		wl := v.workload
-		wl.Kind = engine.KindChecks
-		wl.Property = pr.prop
-		wl.Checks = dirty
-		wl.Reservation = resv
-		wl.OnResult = func(p engine.Progress) {
-			// Unknown is not a verdict: retaining it would freeze
-			// "insufficient budget" as the key's answer across updates.
-			// Equal keys decide alike, so the first verdict is kept.
-			if key := dirty[p.Index].Key(); key != "" && p.Result.Status != core.StatusUnknown {
-				retainedMu.Lock()
-				r, ok := retained[key]
-				if !ok {
-					anon := p.Result.Anonymous()
-					r = &anon
-					retained[key] = r
-				}
-				if index != nil && dirtyAt[p.Index] >= 0 {
-					index.checks[dirtyAt[p.Index]].res = r
-				}
-				retainedMu.Unlock()
-			}
-		}
-		job, err := v.eng.Submit(context.Background(), wl)
-		if err != nil {
-			pr.outcome.Failed = true
-			pr.outcome.SkipReason = err.Error()
-			res.OK = false
-			res.Failures++
-			continue
-		}
-		pr.job = job
-	}
-
-	// Collect and merge reused + fresh.
-	for _, pr := range runs {
-		if pr.job == nil {
-			res.Problems = append(res.Problems, pr.outcome)
-			continue
-		}
-		fresh := pr.job.Wait()
-		st := pr.job.Stats()
-		res.Solved += st.Checks - st.CacheHits - st.DedupHits
-		rep := core.NewReport(pr.prop, append(pr.reused, fresh.Results...), time.Since(pr.start))
-		rep.Folded = fresh.Folded
-		rep.Folded.Merge(pr.folded)
-		pr.outcome.Report = rep
-		pr.outcome.OK = rep.OK()
-		hard := rep.HardFailures()
-		if pr.index != nil && len(hard) > 0 {
-			pr.index.fails = make(map[checkAt]core.Desc, len(hard))
-			for _, r := range hard {
-				pr.index.fails[checkAt{r.Loc, r.Kind}] = r.Desc.Rendered()
-			}
-		}
-		res.Failures += len(hard)
-		res.Unknown += len(rep.Unknowns())
-		if !pr.outcome.OK {
-			res.OK = false
-		}
-		res.Problems = append(res.Problems, pr.outcome)
-	}
-
-	index := make([]*problemIndex, len(runs))
-	served := 0
-	for i, pr := range runs {
-		if pr.job != nil {
-			index[i] = pr.index
-		}
-		if pr.old != nil {
-			served++
+	var prepared []*problemRun
+	cost := CountChecks(problems)
+	if !baseline {
+		prepared, cost = make([]*problemRun, len(problems)), 0
+		for i, p := range problems {
+			prepared[i] = r.prepare(i, p)
+			cost += len(prepared[i].dirty)
 		}
 	}
+	release, err := r.admit(v.resv, cost)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	r.stream(problems, prepared)
+
 	v.mu.Lock()
-	v.results = retained
-	v.index, v.served = index, served
+	v.results = r.retained
+	v.index, v.served = r.index, r.served
 	v.network = n
 	v.fingerprint = res.Fingerprint
 	v.last = res
 	v.mu.Unlock()
 	res.ElapsedNanos = time.Since(start).Nanoseconds()
 	return res, nil
-}
-
-// reuse serves a retained result for the check at (kind, loc) with key:
-// the result is retained again, counted, and — unless a failures-only run
-// only folds it — stamped with the check's identity.
-func (pr *problemRun) reuse(retained map[string]*core.CheckResult, key string, r *core.CheckResult,
-	kind core.CheckKind, loc core.Location, desc core.Desc, failuresOnly bool) {
-	retained[key] = r
-	pr.outcome.Reused++
-	if failuresOnly && r.OK {
-		pr.folded.Add(r)
-		return
-	}
-	out := *r
-	out.Kind, out.Loc, out.Desc = kind, loc, desc
-	if failuresOnly {
-		out.Desc = desc.Rendered()
-	}
-	pr.reused = append(pr.reused, out)
-}
-
-// enumerate files a failures-only safety problem's checks through take and
-// records them in pr.index. With no old index it generates every check.
-// With one — the same problem, an equal frame, and an update whose diff
-// changed edge policies only — it regenerates the changed edges, any edge
-// whose retained results cannot all be served (an Unknown was not retained,
-// or a failure's description is missing) and the implication check; every
-// other edge's checks are served by the keys the old index holds, without
-// being generated. Equal frames and equal policy fingerprints give those
-// edges the keys they had, so both ways file the same checks, and the
-// dirty ones in the same order.
-func (pr *problemRun) enumerate(p *core.SafetyProblem, opts core.Options, changed []int,
-	retained map[string]*core.CheckResult, take func(core.Check, int)) {
-	edges := p.Network.Index().Edges
-	idx, old := pr.index, pr.old
-	idx.at = make([]int32, len(edges)+1)
-	if old == nil {
-		checks := p.Checks(opts)
-		edgeChecks := checks[:len(checks)-1] // the implication check is last
-		idx.checks = make([]indexEntry, len(edgeChecks))
-		k := 0
-		for i, e := range edges {
-			for loc := core.AtEdge(e); k < len(edgeChecks) && edgeChecks[k].Loc == loc; k++ {
-				idx.checks[k] = indexEntry{kind: edgeChecks[k].Kind, key: edgeChecks[k].Key()}
-			}
-			idx.at[i+1] = int32(k)
-		}
-		if k != len(edgeChecks) {
-			pr.index = nil // not in edge order: keep no index, enumerate in full next time
-		}
-		for i, c := range checks {
-			if i == len(edgeChecks) || pr.index == nil {
-				i = -1
-			}
-			take(c, i)
-		}
-		return
-	}
-
-	regen := make([]int, 0, len(changed))
-	for i, c := 0, 0; i < len(edges); i++ {
-		if c < len(changed) && changed[c] == i {
-			c++
-		} else if pr.serve(old, i, edges[i], retained) {
-			continue
-		}
-		regen = append(regen, i)
-	}
-	fresh := p.ChecksAt(opts, regen)
-	idx.checks = make([]indexEntry, 0, len(old.checks))
-	f := 0
-	for i, e := range edges {
-		if len(regen) > 0 && regen[0] == i {
-			regen = regen[1:]
-			for loc := core.AtEdge(e); f < len(fresh)-1 && fresh[f].Loc == loc; f++ {
-				idx.checks = append(idx.checks, indexEntry{kind: fresh[f].Kind, key: fresh[f].Key()})
-				take(fresh[f], len(idx.checks)-1)
-			}
-		} else {
-			idx.checks = append(idx.checks, old.checks[old.at[i]:old.at[i+1]]...)
-		}
-		idx.at[i+1] = int32(len(idx.checks))
-	}
-	take(fresh[len(fresh)-1], -1)
-}
-
-// serve reuses every check the old index holds at edge e, the i-th edge, if
-// all of them can be: each has a retained result (the Verifier's for its
-// key, which the index entry points at), and each failure its description.
-// Otherwise it serves none.
-func (pr *problemRun) serve(old *problemIndex, i int, e topology.Edge, retained map[string]*core.CheckResult) bool {
-	group := old.checks[old.at[i]:old.at[i+1]]
-	loc := core.AtEdge(e)
-	for _, en := range group {
-		if en.res == nil {
-			return false
-		}
-		if !en.res.OK {
-			if _, ok := old.fails[checkAt{loc, en.kind}]; !ok {
-				return false
-			}
-		}
-	}
-	for _, en := range group {
-		pr.outcome.Checks++
-		var desc core.Desc
-		if !en.res.OK {
-			desc = old.fails[checkAt{loc, en.kind}]
-		}
-		pr.reuse(retained, en.key, en.res, en.kind, loc, desc, true)
-	}
-	return true
 }
 
 // changedPositions returns the positions, in n's PolicyIndex, of the edges

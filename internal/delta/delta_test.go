@@ -270,3 +270,34 @@ func TestVerifierRunsUnderWorkloadTenant(t *testing.T) {
 		t.Fatalf("rejected run submitted %d checks", st.ChecksSubmitted)
 	}
 }
+
+// TestRunsAfterEngineClosed: a baseline under a grant taken before the
+// engine closed records engine.ErrClosed as every problem's failure, and
+// an update, which reserves its own grant, returns it.
+func TestRunsAfterEngineClosed(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	resv, err := eng.Reserve("", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	v := delta.NewVerifier(eng, wanSuite(t), netgen.SuiteParams{Regions: testWANParams.Regions})
+	v.SetReservation(resv)
+	n := netgen.WAN(testWANParams, netgen.WANBugs{})
+	res, err := v.Baseline(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK || res.Failures != len(res.Problems) || len(res.Problems) == 0 {
+		t.Fatalf("baseline on a closed engine: ok=%v, %d failures over %d problems", res.OK, res.Failures, len(res.Problems))
+	}
+	for _, p := range res.Problems {
+		if !p.Failed || p.SkipReason != engine.ErrClosed.Error() {
+			t.Fatalf("%s: failed=%v, reason %q", p.Name, p.Failed, p.SkipReason)
+		}
+	}
+	v.SetReservation(nil)
+	if _, err := v.Update(netgen.WAN(testWANParams, netgen.WANBugs{MissingBogonFilter: true})); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("update on a closed engine: %v, want ErrClosed", err)
+	}
+}

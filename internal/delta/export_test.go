@@ -11,3 +11,6 @@ func (v *Verifier) Served() int {
 	defer v.mu.Unlock()
 	return v.served
 }
+
+// SetHooks makes every later run of v report to h.
+func (v *Verifier) SetHooks(h Hooks) { v.hooks = h }

@@ -142,7 +142,8 @@ func (r *Reservation) releaseLocked() {
 // Reserve admits cost checks for tenant as one unit ahead of the workloads
 // that will perform them. On success the cost is held until the returned
 // reservation is released; on rejection it returns ErrAdmission and
-// records the rejection in the tenant's counters.
+// records the rejection in the tenant's counters. After Close it returns
+// ErrClosed.
 func (e *Engine) Reserve(tenant string, cost int) (*Reservation, error) {
 	if cost < 0 {
 		return nil, fmt.Errorf("engine: reservation cost must be >= 0, got %d", cost)
@@ -151,7 +152,7 @@ func (e *Engine) Reserve(tenant string, cost int) (*Reservation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		panic("engine: Reserve after Close")
+		return nil, ErrClosed
 	}
 	return e.reserveLocked(NormalizeTenant(tenant), cost)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"lightyear/internal/core"
 	"lightyear/internal/engine"
@@ -105,6 +107,27 @@ func TestWorkloadValidation(t *testing.T) {
 	if _, err := eng.Reserve("t", -5); err == nil {
 		t.Error("negative reservation cost accepted")
 	}
+}
+
+// TestSubmitAfterClose: once the engine has closed, Submit and Reserve
+// return ErrClosed, with or without a grant taken before Close.
+func TestSubmitAfterClose(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	resv, err := eng.Reserve("t", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	p := tinyProblem(1)
+	for _, w := range []engine.Workload{{Safety: p}, {Safety: p, Tenant: "t", Reservation: resv}} {
+		if _, err := eng.Submit(context.Background(), w); !errors.Is(err, engine.ErrClosed) {
+			t.Errorf("Submit after Close (reservation %v): %v, want ErrClosed", w.Reservation != nil, err)
+		}
+	}
+	if _, err := eng.Reserve("t", 1); !errors.Is(err, engine.ErrClosed) {
+		t.Errorf("Reserve after Close: %v, want ErrClosed", err)
+	}
+	resv.Release()
 }
 
 // TestAdmissionTenantQuota: per-tenant token accounting admits up to the
@@ -231,6 +254,18 @@ func TestUnreservedSubmitIsAReservation(t *testing.T) {
 		}
 		if _, err := sd.eng.Submit(context.Background(), engine.Workload{Safety: tinyProblem(2), Tenant: "acme"}); !errors.As(err, &adm) {
 			t.Fatalf("unreserved submit inside a held budget: %v", err)
+		}
+	}
+	// Compare once each dispatcher has handed its job's checks to the
+	// (gated) worker pool: before that a snapshot can catch one side's
+	// workload still queued and the other's not.
+	deadline := time.Now().Add(time.Minute)
+	for _, sd := range sides {
+		for sd.eng.Stats().QueuedWorkloads != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("a job's checks were never dispatched")
+			}
+			runtime.Gosched()
 		}
 	}
 	held := [2]engine.Stats{unres.eng.Stats(), res.eng.Stats()}

@@ -36,6 +36,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -277,8 +278,12 @@ func New(opts Options) *Engine {
 	return e
 }
 
+// ErrClosed is what Submit and Reserve return once Close has begun.
+var ErrClosed = errors.New("engine: closed")
+
 // Close drains queued work and stops the dispatcher and workers. Jobs
-// admitted before Close still complete; submitting after Close panics.
+// admitted before Close still complete; Submit and Reserve after Close
+// return ErrClosed.
 func (e *Engine) Close() {
 	s := &e.sched
 	s.mu.Lock()
@@ -391,7 +396,7 @@ type SubmitOptions struct {
 // of its check count that Submit reserves (a *ErrAdmission on refusal) and
 // the job releases when it finishes. ctx is attached to the job's solves:
 // cancelling it makes remaining checks finish as Unknown (never cached)
-// instead of burning solver budget. Submitting after Close panics.
+// instead of burning solver budget. After Close it returns ErrClosed.
 func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -420,7 +425,7 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		panic("engine: submit after Close")
+		return nil, ErrClosed
 	}
 	var grant *Reservation // owned by the job
 	if w.Reservation == nil {

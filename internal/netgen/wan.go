@@ -199,7 +199,7 @@ func IPReuseSafetyProblem(n *topology.Network, p WANParams, r int, outside topol
 		inv.SetRouter(id, inRegionInv)
 	}
 	// Edges inherit the sender's invariant (Table 4b, row "R1 → R2").
-	for _, e := range n.Edges() {
+	for _, e := range n.Index().Edges {
 		if n.IsExternal(e.From) {
 			continue // automatically True
 		}
@@ -257,7 +257,7 @@ func IPReuseLivenessProblem(n *topology.Network, p WANParams, r int) *core.Liven
 		}
 	}
 	// Edge locations inherit the sending router's invariant.
-	for _, e := range n.Edges() {
+	for _, e := range n.Index().Edges {
 		if n.IsExternal(e.From) {
 			continue
 		}

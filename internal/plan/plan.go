@@ -103,7 +103,8 @@ type Options struct {
 	// Store is a persistent result-store directory replacing the LRU.
 	Store string `json:"store,omitempty"`
 	// WANRegions is the region count WAN suites assume (0 = the generator's
-	// region count, or the netgen default of 3).
+	// region count, or the netgen default of 3). It may not exceed the
+	// network's router count.
 	WANRegions int `json:"wan_regions,omitempty"`
 	// Solver selects the solver backend the request's checks are routed to
 	// ({"backend": "native"|"portfolio"|"tiered", "budget": N}); nil means
@@ -348,27 +349,8 @@ func (c *Compiled) ReleasePrepared() {
 
 // prepare generates one problem's checks.
 func prepare(p netgen.Problem) PreparedProblem {
-	switch {
-	case p.Safety != nil:
-		return PreparedProblem{Property: p.Safety.Property, Checks: p.Safety.Checks(core.Options{})}
-	case p.Liveness != nil:
-		checks, err := p.Liveness.Checks(core.Options{})
-		return PreparedProblem{Property: p.Liveness.Property, Checks: checks, Err: err}
-	default:
-		return PreparedProblem{Err: errEmptyProblem}
-	}
-}
-
-// numChecks counts what prepare would generate for p, generating nothing.
-func numChecks(p netgen.Problem) (int, error) {
-	switch {
-	case p.Safety != nil:
-		return p.Safety.NumChecks(), nil
-	case p.Liveness != nil:
-		return p.Liveness.NumChecks()
-	default:
-		return 0, errEmptyProblem
-	}
+	prop, checks, err := delta.Generate(p, core.Options{})
+	return PreparedProblem{Property: prop, Checks: checks, Err: err}
 }
 
 // Backend returns the solver backend the request selected, nil for the
@@ -390,11 +372,7 @@ func (c *Compiled) Cost() int {
 	defer c.prepMu.Unlock()
 	if !c.costDone {
 		for _, u := range c.Units {
-			for _, p := range u.Problems {
-				if n, err := numChecks(p); err == nil {
-					c.cost += n
-				}
-			}
+			c.cost += delta.CountChecks(u.Problems)
 		}
 		c.costDone = true
 	}
@@ -430,7 +408,12 @@ func Compile(req Request, res Resolver) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The WAN suites build per-region problems before admission, so the
+	// region count is bounded by the network: each region needs a router.
 	regions := req.Options.WANRegions
+	if routers := len(n.Routers()); regions > routers {
+		return nil, requestErrorf("plan: wan_regions %d exceeds the network's %d routers; the bound is one region per router", regions, routers)
+	}
 	if regions == 0 {
 		regions = genRegions
 	}

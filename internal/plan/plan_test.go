@@ -666,3 +666,34 @@ func TestSourceBoundBeforeBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestWANRegionsBoundedByTheNetwork: the WAN suites build per-region
+// problems before admission, so wan_regions above the network's router
+// count is a request error, refused at once; the 20-region WAN still
+// compiles with its 20 regions.
+func TestWANRegionsBoundedByTheNetwork(t *testing.T) {
+	var req Request
+	body := `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "wan-ip-liveness"}, {"name": "wan-ip-reuse"}], "options": {"wan_regions": 16384}}`
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err := Compile(req, nil)
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("refused after %v, want within 250ms", took)
+	}
+	var reqErr *RequestError
+	if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "wan_regions") {
+		t.Fatalf("fig1 with 16,384 regions: got %v, want a wan_regions request error", err)
+	}
+
+	wan20 := netgen.GeneratorSpec{Kind: "wan", Regions: 20, RoutersPerRegion: 4, EdgeRouters: 6, DCsPerRegion: 1, PeersPerEdge: 6}
+	c, err := Compile(Request{Network: Network{Generator: &wan20},
+		Properties: []Property{{Name: "wan-ip-liveness"}}, Options: Options{WANRegions: 20}}, nil)
+	if err != nil {
+		t.Fatalf("20-region WAN: %v", err)
+	}
+	if n := len(c.Units[0].Problems); n != 20 {
+		t.Fatalf("20-region WAN: %d wan-ip-liveness problems, want one per region", n)
+	}
+}

@@ -1,14 +1,13 @@
 package plan
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"sync"
 
 	"lightyear/internal/core"
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
+	"lightyear/internal/netgen"
 	"lightyear/internal/store"
 	"lightyear/internal/telemetry"
 )
@@ -18,9 +17,10 @@ import (
 // events as the engine completes its checks — under the default
 // results=failures only for checks that did not pass, under results=all for
 // every check — then one "problem" event when its report is ready (carrying
-// its stats, so progress jumps to the full check count). A problem that
-// could not be generated or submitted has no "start" event, only a skipped
-// or failed "problem" event. "problem" events arrive in plan order. Problems
+// its stats, so progress jumps to the full check count). A problem whose
+// checks could not be generated has no "start" event, only a skipped or
+// failed "problem" event; one the engine refused (engine.ErrClosed) fails
+// after its "start". "problem" events arrive in plan order. Problems
 // are submitted a batch at a time (see Run), so on a plan larger than one
 // batch, later problems' "start" events follow earlier problems' "problem"
 // events. One "property" event per request property follows all of its
@@ -148,8 +148,8 @@ type RunConfig struct {
 	// workload under it and releases it when the run completes. When nil,
 	// Run reserves for itself and a rejection aborts the run before any
 	// work is submitted (the error is a *engine.ErrAdmission). A delta-mode
-	// plan (Options.Baseline) releases a host grant at once: its delta
-	// verifier reserves each of its two runs itself.
+	// plan (Options.Baseline) releases a host grant at once: its baseline
+	// reserves its counted cost and its update its dirty count.
 	Reservation *engine.Reservation
 	// Trace, when non-nil, is the telemetry trace the run records into —
 	// lyserve opens it in the HTTP handler (with a "compile" span) so the
@@ -160,27 +160,18 @@ type RunConfig struct {
 	Trace *telemetry.Trace
 }
 
-// batchChecks is how many checks Run generates before submitting them, and
-// how many may stay outstanding while it generates the next batch. Peak
-// memory follows it rather than the plan's size. A batch is submitted back
-// to back: generating between submits would interleave concurrent plans'
-// problems in their tenant's FIFO queue and share the workers among them.
-const batchChecks = 1 << 16
-
-// Run executes a compiled plan on the engine through the unified
-// engine.Submit path. The whole request is admitted as one unit first — its
-// admission cost is the plan's check count, counted without generating any
-// check — so a rejected plan returns *engine.ErrAdmission with no work
-// submitted. Run then walks the problems in plan order, generating their
-// checks into a batch of at least batchChecks checks (or to the end of the
-// plan), submits the batch, and collects finished problems oldest-first
-// until no more than batchChecks checks are outstanding before generating
-// the next batch. A plan of up to batchChecks checks is one batch: every
-// problem is submitted before any is awaited, and the engine dedups
-// identical checks across all of them; a larger plan dedups across the
-// problems in flight and shares the rest through the result cache. In delta
-// mode (Options.Baseline) the run goes through an internal/delta verifier
-// instead, re-solving only the checks the baseline→network change dirtied.
+// Run executes a compiled plan on the engine. The whole request is admitted
+// as one unit first — its admission cost is the plan's check count, counted
+// without generating any check — so a rejected plan returns
+// *engine.ErrAdmission with no work submitted. Run then makes one one-shot
+// pass of internal/delta's run loop (delta.Run) over the problems in plan
+// order, streaming them in batches of delta.BatchChecks checks. A plan of
+// up to one batch has every problem submitted before any is awaited, so the
+// engine dedups identical checks across all of them; a larger plan dedups
+// across the problems in flight and shares the rest through the result
+// cache. In delta mode (Options.Baseline) the run goes through a
+// delta.Verifier instead, re-solving only the checks the baseline→network
+// change dirtied.
 func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	if c.Baseline != nil {
 		return runDelta(eng, c, cfg)
@@ -223,134 +214,68 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	defer resv.Release()
 
 	res := &Result{OK: true, TraceID: traceID, Properties: make([]PropertyResult, len(c.Units))}
+	type ref struct{ prop, idx int }
+	var refs []ref
+	var problems []netgen.Problem
 	for pi, u := range c.Units {
 		res.Properties[pi] = PropertyResult{Property: u.Property, OK: true, Problems: make([]ProblemResult, len(u.Problems))}
+		for i := range u.Problems {
+			refs = append(refs, ref{pi, i})
+		}
+		problems = append(problems, u.Problems...)
 	}
-
+	event := func(typ string, i int, name string) Event {
+		r := refs[i]
+		return Event{Type: typ, Prop: r.prop, Property: c.Units[r.prop].Property.Name, Idx: r.idx, Problem: name}
+	}
+	hooks := delta.Hooks{
+		Begin: func(i int, o *delta.ProblemOutcome) *telemetry.Span {
+			sp := tr.StartSpan("problem:" + o.Name)
+			if !o.Skipped && !o.Failed {
+				// Before Submit: a worker may complete (and report) the
+				// first check before Submit returns.
+				ev := event("start", i, o.Name)
+				ev.Total = o.Dirty
+				emit(ev)
+			}
+			return sp
+		},
+		Done: func(i int, o *delta.ProblemOutcome, st *engine.JobStats) {
+			pr := &res.Properties[refs[i].prop]
+			out := &pr.Problems[refs[i].idx]
+			*out = ProblemResult{Name: o.Name, OK: o.OK || o.Skipped, Skipped: o.Skipped, Failed: o.Failed,
+				SkipReason: o.SkipReason, Stats: st, Report: o.Report}
+			if !out.OK {
+				pr.OK = false
+			}
+			ok := out.OK
+			ev := event("problem", i, o.Name)
+			ev.OK, ev.Stats = &ok, st
+			if st == nil {
+				ev.Skipped, ev.Failed, ev.Reason = o.Skipped, o.Failed, o.SkipReason
+			}
+			emit(ev)
+		},
+	}
 	// Check events come straight from the engine's workers as checks
 	// complete.
 	template := c.Workload()
-	allChecks := template.Results != engine.ResultsFailures
-	// pending is one problem from generation to collection; job is nil when
-	// its checks could not be generated or submitted.
-	type pending struct {
-		prop, idx int
-		prep      PreparedProblem
-		total     int
-		job       *engine.Job
-		span      *telemetry.Span
-	}
-	var batch, queue []*pending // generated, not submitted; submitted, not collected
-	batched, outstanding := 0, 0
-
-	submit := func(pd *pending) {
-		u, p := c.Units[pd.prop], c.Units[pd.prop].Problems[pd.idx]
-		pd.span = tr.StartSpan("problem:" + p.Name)
-		err := pd.prep.Err
-		if err == nil {
-			check := Event{Type: "check", Prop: pd.prop, Property: u.Property.Name, Idx: pd.idx, Problem: p.Name}
-			wl := template
-			wl.Kind = engine.KindChecks
-			wl.Property = pd.prep.Property
-			wl.Checks = pd.prep.Checks
-			wl.Reservation = resv
-			wl.TraceSpan = pd.span
-			if cfg.Sink != nil {
-				wl.OnResult = func(p engine.Progress) {
-					if ok := p.Result.OK; allChecks || !ok {
-						ev := check
-						ev.Completed, ev.Total, ev.FromCache, ev.Deduped = p.Completed, p.Total, p.FromCache, p.Deduped
-						ev.OK, ev.Status = &ok, p.Result.Status.String()
-						emit(ev)
-					}
-				}
-			}
-			// Before Submit: a worker may complete (and report) the first
-			// check before Submit returns.
-			emit(Event{Type: "start", Prop: pd.prop, Property: u.Property.Name, Idx: pd.idx,
-				Problem: p.Name, Total: len(wl.Checks)})
-			pd.job, err = eng.Submit(context.Background(), wl)
-		}
-		total := len(pd.prep.Checks)
-		pd.prep = PreparedProblem{} // the engine holds the checks until the job finishes
-		if err != nil {
-			pd.span.SetAttr("error", err.Error())
-			pd.span.End()
-			out := &res.Properties[pd.prop].Problems[pd.idx]
-			out.SkipReason = err.Error()
-			if p.Optional {
-				out.Skipped, out.OK = true, true
-			} else {
-				out.Failed = true
-				res.Properties[pd.prop].OK = false
-				res.OK = false
-				res.Failures++
-			}
-			return
-		}
-		pd.total = total
-	}
-
-	// collect records a submitted problem's outcome and emits its problem
-	// event; for a problem that never reached the engine it emits only the
-	// event, at the same place in plan order.
-	collect := func(pd *pending) {
-		out := &res.Properties[pd.prop].Problems[pd.idx]
-		name := c.Units[pd.prop].Property.Name
-		if pd.job == nil {
-			ok := out.OK
-			emit(Event{Type: "problem", Prop: pd.prop, Property: name, Idx: pd.idx,
-				Problem: out.Name, OK: &ok, Skipped: out.Skipped, Failed: out.Failed, Reason: out.SkipReason})
-			return
-		}
-		rep := pd.job.Wait()
-		st := pd.job.Stats()
-		ok := rep.OK()
-		pd.span.SetAttrInt("checks", int64(st.Checks))
-		if !ok {
-			pd.span.SetAttr("ok", "false")
-		}
-		pd.span.End()
-
-		out.Report, out.Stats, out.OK = rep, &st, ok
-		res.Failures += len(rep.HardFailures())
-		res.Unknowns += len(rep.Unknowns())
-		if !ok {
-			res.Properties[pd.prop].OK = false
-			res.OK = false
-		}
-		emit(Event{Type: "problem", Prop: pd.prop, Property: name, Idx: pd.idx,
-			Problem: out.Name, OK: &ok, Stats: &st})
-	}
-
-	// flush submits the batch, then collects oldest-first while more than
-	// batchChecks checks are outstanding — or, at the end of the plan, all.
-	flush := func(final bool) {
-		for _, pd := range batch {
-			submit(pd)
-			outstanding += pd.total
-		}
-		queue = append(queue, batch...)
-		batch, batched = batch[:0], 0
-		for len(queue) > 0 && (final || outstanding > batchChecks || queue[0].job == nil) {
-			collect(queue[0])
-			outstanding -= queue[0].total
-			queue[0] = nil
-			queue = queue[1:]
-		}
-	}
-	for pi, u := range c.Units {
-		for i, p := range u.Problems {
-			res.Properties[pi].Problems[i].Name = p.Name
-			pd := &pending{prop: pi, idx: i, prep: prepare(p)}
-			batch = append(batch, pd)
-			batched += len(pd.prep.Checks)
-			if batched >= batchChecks {
-				flush(false)
+	if cfg.Sink != nil {
+		allChecks := template.Results != engine.ResultsFailures
+		hooks.Check = func(i int, p engine.Progress) {
+			if ok := p.Result.OK; allChecks || !ok {
+				ev := event("check", i, c.Units[refs[i].prop].Problems[refs[i].idx].Name)
+				ev.Completed, ev.Total, ev.FromCache, ev.Deduped = p.Completed, p.Total, p.FromCache, p.Deduped
+				ev.OK, ev.Status = &ok, p.Result.Status.String()
+				emit(ev)
 			}
 		}
 	}
-	flush(true)
+	dres, err := delta.Run(eng, problems, template, resv, hooks)
+	if err != nil {
+		return nil, err
+	}
+	res.OK, res.Failures, res.Unknowns = dres.OK, dres.Failures, dres.Unknown
 
 	// Aggregate per-property stats, emit property summaries, then the final
 	// plan event — the stream's completion marker.
@@ -394,9 +319,9 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 }
 
 // runDelta is the delta-vs-baseline body: verify the baseline in full, then
-// re-verify the request's network incrementally against it. Per-check
-// events are not streamed in this mode (the delta verifier batches dirty
-// subsets internally); the property and plan events still are.
+// re-verify the request's network incrementally against it, both through a
+// delta.Verifier, which runs the same loop as Run. Only the final plan
+// event is emitted in this mode: no per-problem or per-check events.
 func runDelta(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	// The delta verifier admits each of its runs (baseline, then update) as
 	// its own unit under the plan's tenant, so a host-made whole-plan grant
@@ -478,7 +403,3 @@ func Execute(req Request, res Resolver) (*Result, error) {
 	defer eng.Close()
 	return Run(eng, c, RunConfig{Store: st})
 }
-
-// errEmptyProblem mirrors the legacy entry points' guard for suites that
-// produce a Problem with neither half set.
-var errEmptyProblem = errors.New("suite produced an empty problem")

@@ -332,10 +332,8 @@ func (c *Context) And(ts ...*Term) *Term {
 	case 1:
 		return out[0]
 	}
-	for _, t := range out {
-		if contains(out, negOf(c, t)) {
-			return c.ff
-		}
+	if complementary(out) {
+		return c.ff
 	}
 	return c.intern(Term{op: OpAnd, kids: out})
 }
@@ -364,19 +362,22 @@ func (c *Context) Or(ts ...*Term) *Term {
 	case 1:
 		return out[0]
 	}
-	for _, t := range out {
-		if contains(out, negOf(c, t)) {
-			return c.tt
-		}
+	if complementary(out) {
+		return c.tt
 	}
 	return c.intern(Term{op: OpOr, kids: out})
 }
 
-func negOf(c *Context, t *Term) *Term {
-	if t.op == OpNot {
-		return t.kids[0]
+// complementary reports whether ts holds a term and its negation: a kid
+// Not(x) looks for x, which covers every pair, so no Not is interned to
+// ask.
+func complementary(ts []*Term) bool {
+	for _, t := range ts {
+		if t.op == OpNot && contains(ts, t.kids[0]) {
+			return true
+		}
 	}
-	return c.intern(Term{op: OpNot, kids: []*Term{t}})
+	return false
 }
 
 func dedupe(ts []*Term) []*Term {
