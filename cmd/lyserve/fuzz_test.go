@@ -5,17 +5,23 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"time"
 
 	"lightyear/internal/plan"
 )
 
+// compileBound is how long compiling and costing one plan body may take:
+// both run before the request is admitted, so no admission limit bounds them.
+const compileBound = time.Second
+
 // FuzzPlanRequest drives the path every plan body takes before admission —
 // decode, the HTTP surface's refusals, plan.Request.Validate, then
 // plan.Compile and the admission cost — on arbitrary bytes. Nothing may
-// panic, and a body Validate refuses is a request error (a 400). Compile
-// runs before the request is admitted, so generator and corpus sources are
-// sized from their parameters first (netgen.MaxSourceSize): a short body
-// cannot name a network too large to build.
+// panic, a body Validate refuses is a request error (a 400), and compiling
+// and costing a plan takes at most compileBound. Compile runs before the
+// request is admitted, so generator and corpus sources are sized from their
+// parameters first (netgen.MaxSourceSize): a short body cannot name a
+// network too large to build.
 //
 //	go test ./cmd/lyserve -run '^$' -fuzz FuzzPlanRequest -fuzztime 10s
 func FuzzPlanRequest(f *testing.F) {
@@ -59,11 +65,16 @@ func FuzzPlanRequest(f *testing.F) {
 			}
 			return
 		}
+		start := time.Now()
 		c, err := plan.Compile(req, nil)
 		if err != nil {
 			return
 		}
-		if cost := c.Cost(); cost < 0 {
+		cost := c.Cost()
+		if took := time.Since(start); took > compileBound {
+			t.Fatalf("compiling and costing the plan took %v, over %v before admission", took, compileBound)
+		}
+		if cost < 0 {
 			t.Fatalf("negative admission cost %d", cost)
 		}
 	})

@@ -103,12 +103,12 @@ func newCheck(ob *Obligation, opts Options) Check {
 }
 
 // Key returns the check's semantic cache key: a hash of everything the
-// check's verdict depends on — kind, location, polarity, and the content
-// fingerprints of the filter's policy, the predicates involved and the ghost
-// updates (see composeKey). Two checks with the same key decide the same formula,
-// so a result may be shared between them — the hook the engine's
-// cross-problem dedup and result cache are built on. An empty key means the
-// check is not cacheable.
+// check's verdict depends on — kind, polarity, and the content fingerprints
+// of the filter's policy, the predicates involved and the ghost updates (see
+// composeKey). The location is not part of it: two checks with the same key
+// decide the same formula wherever they sit, so a result may be shared
+// between them — the hook the engine's cross-problem dedup and result cache
+// are built on. An empty key means the check is not cacheable.
 func (c Check) Key() string { return c.key }
 
 // Obligation returns the check's declarative content. Execution substrates
@@ -455,7 +455,7 @@ func filterCheck(kind CheckKind, e topology.Edge, f filterObligation, mFP spec.F
 	}{f: f}
 	a.f.ghostActs, a.f.pre, a.f.post = ghosts.acts, pre, post
 	a.ob = Obligation{Kind: kind, Loc: AtEdge(e), filter: &a.f}
-	a.ob.key = composeKey(kind, a.ob.Loc, f.mustAccept, mFP, ghosts.fp, pre.memo().fp, post.memo().fp)
+	a.ob.key = composeKey(kind, f.mustAccept, mFP, ghosts.fp, pre.memo().fp, post.memo().fp)
 	return newCheck(&a.ob, opts)
 }
 
@@ -465,7 +465,7 @@ func implicationCheck(loc Location, u *spec.Universe, pre, post *predicate, fina
 	ob := &Obligation{
 		Kind:        ImplicationCheck,
 		Loc:         loc,
-		key:         composeKey(ImplicationCheck, loc, false, pre.memo().fp, post.memo().fp),
+		key:         composeKey(ImplicationCheck, false, pre.memo().fp, post.memo().fp),
 		implication: &implicationObligation{u: u, pre: pre, post: post, final: final},
 	}
 	return newCheck(ob, opts)
@@ -482,24 +482,27 @@ func originateCheck(e topology.Edge, routes []*routemodel.Route, routesFP spec.F
 	ob := &Obligation{
 		Kind:      OriginateCheck,
 		Loc:       AtEdge(e),
-		key:       composeKey(OriginateCheck, AtEdge(e), false, routesFP, ghostsFP, inv.memo().fp),
+		key:       composeKey(OriginateCheck, false, routesFP, ghostsFP, inv.memo().fp),
 		originate: &originateObligation{e: e, routes: routes, ghosts: ghosts, inv: inv},
 	}
 	return newCheck(ob, opts)
 }
 
 // composeKey composes a check's semantic cache key from fixed-width parts: the
-// kind, the location's node IDs, the polarity, and the content fingerprints
-// of everything else the verdict depends on. The key is the first 128 bits
-// of a SHA-256 over them, hex-encoded. Keys gate result sharing across jobs
-// and persistent stores, so a collision would silently return one check's
+// kind, the polarity, and the content fingerprints of everything else the
+// verdict depends on. The location is left out: a local check's verdict
+// reads the filter, the ghost updates and the invariants on either side of
+// it, each fingerprinted here, never the session it sits on, so every
+// session posing the same check shares one verdict. Descriptions and
+// witnesses stay per check (the engine stamps a shared result with the
+// receiving check's identity). The key is the first 128 bits of a SHA-256
+// over the parts, hex-encoded. Keys gate result sharing across jobs and
+// persistent stores, so a collision would silently return one check's
 // verdict for another; 128 bits of SHA-256 make that cryptographically
 // negligible where a 64-bit hash leaves it to birthday luck.
-func composeKey(kind CheckKind, loc Location, mustAccept bool, fps ...spec.Fingerprint) string {
-	var buf [256]byte
-	b := append(buf[:0], byte(kind), boolByte(loc.isEdge), boolByte(mustAccept))
-	b = append(append(b, loc.a...), 0)
-	b = append(append(b, loc.b...), 0)
+func composeKey(kind CheckKind, mustAccept bool, fps ...spec.Fingerprint) string {
+	var buf [128]byte
+	b := append(buf[:0], byte(kind), boolByte(mustAccept))
 	for i := range fps {
 		b = append(b, fps[i][:]...)
 	}

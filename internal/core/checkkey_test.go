@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
 
@@ -24,7 +25,10 @@ func checkKey(parts ...string) string {
 }
 
 // OldKey recomputes the key the rendered-text scheme gave a generated check,
-// from the same obligation content. Exported to the package's external tests.
+// from the same obligation content, with the location left out as the
+// composed keys leave it out, and an originate check's routes rendered with
+// the ghost values they take on its edge. Exported to the package's
+// external tests.
 func OldKey(c Check) string {
 	ob := c.ob
 	var inner string
@@ -42,23 +46,23 @@ func OldKey(c Check) string {
 		for _, a := range f.ghostActs {
 			ghostStr += a.String() + ";"
 		}
-		inner = checkKey(kind.String(), ob.Loc.String(), f.m.String(), ghostStr,
+		inner = checkKey(kind.String(), f.m.String(), ghostStr,
 			f.pre.pred.String(), f.post.pred.String(), fmt.Sprint(f.mustAccept))
 	case ob.implication != nil:
-		inner = checkKey("implication", ob.Loc.String(), ob.implication.pre.pred.String(), ob.implication.post.pred.String())
+		inner = checkKey("implication", ob.implication.pre.pred.String(), ob.implication.post.pred.String())
 	case ob.originate != nil:
 		o := ob.originate
 		routeStr, ghostStr := "", ""
 		for _, r := range o.routes {
-			routeStr += r.String() + ";"
+			routeStr += originatedWithGhosts(r, o.e, o.ghosts).String() + ";"
 		}
 		for _, g := range o.ghosts {
 			ghostStr += g.Name + ";"
 		}
-		inner = checkKey("originate", ob.Loc.String(), routeStr, ghostStr, o.inv.pred.String())
+		inner = checkKey("originate", routeStr, ghostStr, o.inv.pred.String())
 	}
 	if ob.relabeledFor != nil {
-		return checkKey("relabel", fmt.Sprint(int(ob.Kind)), ob.relabeledFor.String(), inner)
+		return checkKey("relabel", fmt.Sprint(int(ob.Kind)), inner)
 	}
 	return inner
 }
@@ -112,9 +116,19 @@ func TestCheckKeyShapeAndSeparation(t *testing.T) {
 	if checkKey("ab", "c") == checkKey("a", "bc") {
 		t.Fatal("checkKey must separate parts")
 	}
-	// The composed keys keep the shape, and keep node IDs apart the same way.
-	k = composeKey(ImportCheck, AtEdge(topology.Edge{From: "ab", To: "c"}), false)
-	if len(k) != 32 || k == composeKey(ImportCheck, AtEdge(topology.Edge{From: "a", To: "bc"}), false) {
+	// The composed keys keep the shape and the order of their fingerprints.
+	fa, fb := spec.Sum("a"), spec.Sum("b")
+	k = composeKey(ImportCheck, false, fa, fb)
+	if len(k) != 32 || k == composeKey(ImportCheck, false, fb, fa) {
 		t.Fatalf("composeKey shape or separation: %q", k)
+	}
+	// They leave the location out: one filter content at two sessions is
+	// one key.
+	pre, post := &predicate{pred: spec.True()}, &predicate{pred: spec.False()}
+	at := func(e topology.Edge) string {
+		return filterCheck(ImportCheck, e, filterObligation{importSide: true}, fa, ghostSet{}, pre, post, Options{}).Key()
+	}
+	if at(topology.Edge{From: "ab", To: "c"}) != at(topology.Edge{From: "a", To: "bc"}) {
+		t.Fatal("composeKey reads the location")
 	}
 }

@@ -201,16 +201,16 @@ func (p *LivenessProblem) interference(s PathStep) *SafetyProblem {
 // relabel re-identifies a sub-check as a no-interference obligation of the
 // liveness proof while keeping its own location in the description. The
 // relabeled check shares the inner check's obligation content — it decides
-// the same formula — but reports a different identity, so it caches under a
-// key derived from (kind, path location, inner key) rather than the inner
-// key itself. With declarative obligations this is a pure identity rewrite:
-// no wrapping closure is needed.
+// the same formula — but reports a different kind, so it caches under a key
+// derived from (kind, inner key) rather than the inner key itself; like
+// every key, it leaves the path location out. With declarative obligations
+// this is a pure identity rewrite: no wrapping closure is needed.
 func relabel(c Check, kind CheckKind, at *Location, opts Options) Check {
 	ob := *c.ob // shallow copy: content pointers shared, identity rewritten
 	ob.Kind, ob.relabeledFor = kind, at
 	if c.key != "" {
 		// One fingerprint where every other family has two or more.
-		ob.key = composeKey(kind, *at, false, spec.Sum(c.key))
+		ob.key = composeKey(kind, false, spec.Sum(c.key))
 	}
 	return newCheck(&ob, opts)
 }

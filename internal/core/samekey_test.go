@@ -16,11 +16,16 @@ import (
 // problems render equal root terms; a rendering that differs within a key
 // class is a fact the key leaves out.
 
-// keyClass is the first check of a key and one other drawn uniformly from
-// the rest.
+// sampled is how many members of a key class besides the first are kept
+// for comparison, drawn uniformly from the rest.
+const sampled = 8
+
+// keyClass is the first check of a key and up to sampled others drawn
+// uniformly from the rest.
 type keyClass struct {
-	first, other *core.Obligation
-	n            int
+	first  *core.Obligation
+	others []*core.Obligation
+	n      int
 }
 
 type keyClasses struct {
@@ -34,7 +39,7 @@ func newKeyClasses(seed int64) *keyClasses {
 }
 
 // suite adds every check of suite name over n, one problem at a time, so
-// that only two obligations per key stay reachable. With invertGhosts it
+// that only the sampled obligations per key stay reachable. With invertGhosts it
 // adds each problem a second time with every import ghost value inverted:
 // the same filters and invariants at the same locations under other ghost
 // updates, which only the key's ghost-set part tells apart.
@@ -72,8 +77,11 @@ func (k *keyClasses) add(checks []core.Check) {
 			continue
 		}
 		cl.n++
-		if k.rng.Intn(cl.n-1) == 0 { // reservoir sampling over members 2..n
-			cl.other = c.Obligation()
+		// Reservoir sampling over members 2..n.
+		if len(cl.others) < sampled {
+			cl.others = append(cl.others, c.Obligation())
+		} else if j := k.rng.Intn(cl.n - 1); j < sampled {
+			cl.others[j] = c.Obligation()
 		}
 	}
 }
@@ -97,36 +105,45 @@ func render(ob *core.Obligation) string {
 func (k *keyClasses) check(t *testing.T) {
 	t.Helper()
 	keysOf := map[string]int{}
-	compared, bad := 0, 0
+	classes, compared, bad := 0, 0, 0
 	for _, key := range k.order {
 		cl := k.classes[key]
 		first := render(cl.first)
 		keysOf[first]++
-		if cl.other == nil {
-			continue
+		if len(cl.others) > 0 {
+			classes++
 		}
-		compared++
-		if other := render(cl.other); other != first {
-			if bad++; bad <= 5 {
-				t.Errorf("one key, two problems:\n  %s\n    %.300s\n  %s\n    %.300s", cl.first.Desc, first, cl.other.Desc, other)
+		for _, ob := range cl.others {
+			compared++
+			if other := render(ob); other != first {
+				if bad++; bad <= 5 {
+					t.Errorf("one key, two problems:\n  %s\n    %.300s\n  %s\n    %.300s", cl.first.Desc, first, ob.Desc, other)
+				}
 			}
 		}
 	}
 	if bad > 0 {
-		t.Errorf("%d of %d key classes pose two problems", bad, compared)
+		t.Errorf("%d of %d sampled members pose another problem than their class's first", bad, compared)
 	}
-	t.Logf("%d key classes (%d with two or more checks compared), %d distinct problems: %d classes repeat a problem another class poses",
-		len(k.order), compared, len(keysOf), len(k.order)-len(keysOf))
+	t.Logf("%d key classes (%d with two or more checks, %d members compared), %d distinct problems: %d classes repeat a problem another class poses",
+		len(k.order), classes, compared, len(keysOf), len(k.order)-len(keysOf))
 }
 
 func TestSameKeySameProblemOnWAN(t *testing.T) {
 	if testing.Short() {
-		t.Skip("encodes two members of each of the 15,818 key classes of the 5-region sweep")
+		t.Skip("encodes up to nine members of each key class of the 5-region sweep, clean and with a planted bug")
 	}
 	k := newKeyClasses(1)
-	k.suite(t, "wan-peering", netgen.WAN(benchWAN, netgen.WANBugs{}), netgen.SuiteParams{Regions: benchWAN.Regions}, false)
-	if len(k.order) != 15818 {
-		t.Fatalf("the 5-region sweep has %d key classes, want 15818", len(k.order))
+	params := netgen.SuiteParams{Regions: benchWAN.Regions}
+	k.suite(t, "wan-peering", netgen.WAN(benchWAN, netgen.WANBugs{}), params, false)
+	if len(k.order) != 1100 {
+		t.Fatalf("the 5-region sweep has %d key classes, want 1100", len(k.order))
+	}
+	// The missing-bogon variant adds the classes of its edited filter; its
+	// other checks join the clean sweep's classes.
+	k.suite(t, "wan-peering", netgen.WAN(benchWAN, netgen.WANBugs{MissingBogonFilter: true}), params, false)
+	if len(k.order) != 1111 {
+		t.Fatalf("the clean and missing-bogon sweeps have %d key classes, want 1111", len(k.order))
 	}
 	k.check(t)
 }

@@ -62,12 +62,16 @@ func replay(ob *core.Obligation, ce *core.Counterexample) string {
 	return ""
 }
 
-// TestEveryWitnessReplays solves every check of the planted-property
-// problems of the small WAN bug variants and of the default roster, under
-// the stock solve configuration and the positive-phase portfolio variant
-// (whose models set every unconstrained atom), and replays every witness.
-// A witness that does not replay describes a violation the network does not
-// have — the AS-path filler once contradicted the model it came from.
+// TestEveryWitnessReplays solves, per source, one check of every key class
+// of the planted-property problems of the small WAN bug variants and of the
+// default roster, under the stock solve configuration and the positive-phase
+// portfolio variant (whose models set every unconstrained atom), and replays
+// every witness against every member of its class, each on its own route
+// map, ghost actions and predicates — what a failure the cache serves to
+// another session shows. A witness that does not replay describes a
+// violation the network does not have: the AS-path filler once contradicted
+// the model it came from, and a member that does not replay its class's
+// witness poses another problem than the key says.
 func TestEveryWitnessReplays(t *testing.T) {
 	type source struct {
 		name     string
@@ -100,35 +104,53 @@ func TestEveryWitnessReplays(t *testing.T) {
 		sources = append(sources, source{name: m.Ref(), problems: planted})
 	}
 
+	// Every check of every source, by key: a class spans the sessions,
+	// problems and networks that pose one check, as the engine's cache does.
+	// Each source solves the first of its own members of each class.
+	type member struct {
+		src string
+		ob  *core.Obligation
+	}
+	classes := map[string][]member{}
+	firsts := make([][]member, len(sources))
+	for i, src := range sources {
+		seen := map[string]bool{}
+		for _, p := range src.problems {
+			var checks []core.Check
+			if p.Safety != nil {
+				checks = p.Safety.Checks(core.Options{})
+			} else if cs, err := p.Liveness.Checks(core.Options{}); err == nil {
+				checks = cs
+			}
+			for _, c := range checks {
+				m := member{src.name + " " + p.Name, c.Obligation()}
+				classes[c.Key()] = append(classes[c.Key()], m)
+				if !seen[c.Key()] {
+					seen[c.Key()] = true
+					firsts[i] = append(firsts[i], m)
+				}
+			}
+		}
+	}
+
 	configs := []struct {
 		name string
 		cfg  core.SolveConfig
 	}{{"default", core.SolveConfig{}}, {"positive-phase", core.SolveConfig{PositivePhase: true}}}
-	fails := 0
-	for _, src := range sources {
-		for _, cfg := range configs {
-			seen := map[string]bool{}
-			for _, p := range src.problems {
-				var checks []core.Check
-				if p.Safety != nil {
-					checks = p.Safety.Checks(core.Options{})
-				} else if cs, err := p.Liveness.Checks(core.Options{}); err == nil {
-					checks = cs
+	fails, replayed := 0, 0
+	for _, cfg := range configs {
+		for _, first := range firsts {
+			for _, f := range first {
+				cr := f.ob.Solve(context.Background(), cfg.cfg)
+				if cr.Status != core.StatusFail {
+					continue
 				}
-				for _, c := range checks {
-					if seen[c.Key()] {
-						continue
-					}
-					seen[c.Key()] = true
-					ob := c.Obligation()
-					cr := ob.Solve(context.Background(), cfg.cfg)
-					if cr.Status != core.StatusFail {
-						continue
-					}
-					fails++
-					if why := replay(ob, cr.Counterexample); why != "" {
-						t.Errorf("%s %s under %s: witness does not replay: %s\n%s\n%s",
-							src.name, p.Name, cfg.name, why, cr.Desc, cr.Counterexample)
+				fails++
+				for _, m := range classes[f.ob.Key()] {
+					replayed++
+					if why := replay(m.ob, cr.Counterexample); why != "" {
+						t.Errorf("%s under %s: the witness of %s (%s) does not replay at %s: %s\n%s",
+							m.src, cfg.name, f.ob.Desc, f.src, m.ob.Desc, why, cr.Counterexample)
 					}
 				}
 			}
@@ -137,5 +159,5 @@ func TestEveryWitnessReplays(t *testing.T) {
 	if fails == 0 {
 		t.Fatal("no check failed: the planted bugs went undetected")
 	}
-	t.Logf("%d failing checks replayed", fails)
+	t.Logf("%d key classes; %d failing solves, their witnesses replayed %d times across their classes", len(classes), fails, replayed)
 }

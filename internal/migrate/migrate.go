@@ -193,15 +193,6 @@ func (c *Compiled) compileSteps() error {
 // NumSteps returns the number of compiled steps.
 func (c *Compiled) NumSteps() int { return len(c.steps) }
 
-// StepLabels returns the labels of the compiled steps in submission order.
-func (c *Compiled) StepLabels() []string {
-	out := make([]string, len(c.steps))
-	for i := range c.steps {
-		out[i] = c.steps[i].label
-	}
-	return out
-}
-
 // budget returns the effective search budget.
 func (c *Compiled) budget() int {
 	if c.Plan.SearchBudget > 0 {

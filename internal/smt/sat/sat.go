@@ -801,10 +801,6 @@ func (s *Solver) ModelValue(v int) bool {
 	return s.model[v]
 }
 
-// Okay reports whether the solver is still in a consistent state (i.e., no
-// top-level conflict has been derived).
-func (s *Solver) Okay() bool { return s.okay }
-
 // varHeap is a binary max-heap over variable activity.
 type varHeap struct {
 	s       *Solver

@@ -115,9 +115,6 @@ type Term struct {
 // Op returns the operator of the term.
 func (t *Term) Op() Op { return t.op }
 
-// Width returns the bit width for bitvector terms, 0 for boolean terms.
-func (t *Term) Width() int { return t.width }
-
 // IsBool reports whether the term has boolean sort.
 func (t *Term) IsBool() bool { return t.width == 0 }
 
@@ -129,9 +126,6 @@ func (t *Term) ID() int { return t.id }
 
 // Kids returns the operand terms. The returned slice must not be modified.
 func (t *Term) Kids() []*Term { return t.kids }
-
-// ConstValue returns the constant value of OpBVConst/OpBoolConst terms.
-func (t *Term) ConstValue() uint64 { return t.cval }
 
 // String renders the term as an s-expression (for debugging and tests).
 func (t *Term) String() string {

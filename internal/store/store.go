@@ -9,9 +9,9 @@
 // policy, the predicates, the ghost updates and origination values), so it
 // is sound across network states, processes, and suites — the same property
 // the engine's in-memory cache and cross-job dedup rest on. Each record is
-// filed under the key scheme's version (keyVersion, now 3: version 2 keys
-// missed the ghosts' origination values on originate checks); records of
-// another version are never served. Each record additionally carries the
+// filed under the key scheme's version (keyVersion, now 4: version 3 keys
+// hashed the check's location, version 2 keys missed the ghosts' origination
+// values on originate checks); records of another version are never served. Each record additionally carries the
 // fingerprint of the network state that produced it (topology.Fingerprint)
 // as provenance, which retention (Options.MaxFingerprints) and future
 // sharded/remote stores use to scope what is kept without affecting lookup
@@ -56,14 +56,16 @@ import (
 // journalName is the journal file created inside the store directory.
 const journalName = "results.jsonl"
 
-// keyVersion names the check-key scheme records are filed under. Version 3
-// is core's fingerprint-composed key with the ghosts' origination values in
-// originate checks' keys; version 2 keyed those checks on the ghost names
-// alone, and journals written before version 2 (no "v" field) hashed
-// rendered text. A key of another scheme can never be asked for again, so
-// replay skips such records — they are never served — and the compaction on
-// Open drops them from the file.
-const keyVersion = 3
+// keyVersion names the check-key scheme records are filed under. Version 4
+// is core's fingerprint-composed key without the check's location, so every
+// session posing one check shares its record; version 3 hashed the
+// location's node IDs into the same parts, version 2 keyed originate checks
+// on the ghost names alone where version 3 added their origination values,
+// and journals written before version 2 (no "v" field) hashed rendered
+// text. A key of another scheme can never be asked for again, so replay
+// skips such records — they are never served — and the compaction on Open
+// drops them from the file.
+const keyVersion = 4
 
 // record is one journal line. Its json tags define the line format; the
 // codec in codec.go writes and reads exactly that format without reflection.

@@ -87,7 +87,7 @@ func TestStoreSkipsDuplicatesAndTornLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"v":3,"key":"torn","result":{"ok`)
+	f.WriteString(`{"v":4,"key":"torn","result":{"ok`)
 	f.Close()
 
 	s2, err := Open(dir)
@@ -110,10 +110,10 @@ func TestStoreSkipsDuplicatesAndTornLines(t *testing.T) {
 func TestCompactOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)
-	journal := `{"v":3,"key":"a","fp":"fp-old","result":{"ok":false,"witness":"stale"}}
-{"v":3,"key":"b","fp":"fp-1","result":{"ok":true}}
-{"v":3,"key":"a","fp":"fp-new","result":{"ok":true,"vars":7}}
-{"v":3,"key":"torn","result":{"ok
+	journal := `{"v":4,"key":"a","fp":"fp-old","result":{"ok":false,"witness":"stale"}}
+{"v":4,"key":"b","fp":"fp-1","result":{"ok":true}}
+{"v":4,"key":"a","fp":"fp-new","result":{"ok":true,"vars":7}}
+{"v":4,"key":"torn","result":{"ok
 `
 	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestLegacyUnknownRecordsNotServed(t *testing.T) {
 }
 
 // TestKeyVersionBump: a journal written under an old key scheme (records
-// without "v", or of versions 1 and 2) is ignored — never served, even for a key that happens to
+// without "v", or of versions 1, 2 and 3) is ignored — never served, even for a key that happens to
 // repeat — and compacted away on Open, a torn final record across the bump
 // does not stop the replay, and what the new scheme writes round-trips
 // through the same results.jsonl and the same Get/Add.
@@ -220,6 +220,7 @@ func TestKeyVersionBump(t *testing.T) {
 {"key":"k2","fp":"fp-a","result":{"ok":true,"vars":3}}
 {"v":1,"key":"k3","result":{"ok":true}}
 {"v":2,"key":"k5","fp":"fp-a","result":{"ok":true}}
+{"v":3,"key":"k6","fp":"fp-a","result":{"ok":false,"witness":"located verdict"}}
 {"key":"k4","result":{"ok":tr`
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
@@ -231,7 +232,7 @@ func TestKeyVersionBump(t *testing.T) {
 	if s.Len() != 0 || s.Stats().Loaded != 0 {
 		t.Fatalf("old-version records loaded: len %d, stats %+v", s.Len(), s.Stats())
 	}
-	for _, k := range []string{"k1", "k2", "k3", "k4", "k5"} {
+	for _, k := range []string{"k1", "k2", "k3", "k4", "k5", "k6"} {
 		if _, ok := s.Get(k); ok {
 			t.Fatalf("old-version record %s served", k)
 		}
@@ -248,7 +249,7 @@ func TestKeyVersionBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ = os.ReadFile(path)
-	if want := `{"v":3,"key":"k1","fp":"fp-b","result":{"ok":true,"vars":9}}` + "\n"; string(data) != want {
+	if want := `{"v":4,"key":"k1","fp":"fp-b","result":{"ok":true,"vars":9}}` + "\n"; string(data) != want {
 		t.Fatalf("journal after the bump:\n%swant\n%s", data, want)
 	}
 	s2, err := Open(dir)
