@@ -76,8 +76,8 @@
 // internal/store persistent journal in DIR: results recorded by earlier
 // runs (of any suite) are served without re-solving, so a rerun after a
 // process restart reports reused results. -cache is ignored when -store is
-// set. -store-retain N keeps only the results of the N most recently
-// verified network fingerprints when the journal is compacted on open.
+// set. The store is keyed by check content alone and keeps every verdict
+// that holds; it has no retention bound.
 //
 // -tenant names the principal the run's workloads are admitted and
 // accounted under (the plan document's "tenant" execution option; the same
@@ -198,7 +198,6 @@ type cliFlags struct {
 	Workers     int
 	Cache       int
 	Store       string
-	StoreRetain int
 	Solver      string
 	Results     string // which check results reports carry: failures | all
 	Verbose     bool   // print every check; implies Results = all
@@ -364,9 +363,6 @@ func applyOptionFlags(f cliFlags, saved bool, o *plan.Options) error {
 	if override("store") {
 		o.Store = f.Store
 	}
-	if override("store-retain") {
-		o.StoreRetain = f.StoreRetain
-	}
 	if override("wan-regions") {
 		o.WANRegions = f.WANRegions
 	}
@@ -472,7 +468,6 @@ func main() {
 	flag.IntVar(&f.Workers, "workers", 0, "parallel check workers (0 = GOMAXPROCS)")
 	flag.IntVar(&f.Cache, "cache", 0, "engine result-cache capacity (0 = default, <0 disables; ignored with -store)")
 	flag.StringVar(&f.Store, "store", "", "persistent result-store directory (replaces the in-memory cache)")
-	flag.IntVar(&f.StoreRetain, "store-retain", 0, "keep only the N most recently written network fingerprints in the store (0 = all)")
 	flag.StringVar(&f.Solver, "solver", "", "solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
 	flag.StringVar(&f.Results, "results", "", "check results the reports carry: failures (default) or all")
 	flag.BoolVar(&f.Verbose, "verbose", false, "print every check result (implies -results all)")
@@ -659,7 +654,7 @@ func newEngine(o plan.Options, maxInflight int, rec *telemetry.Recorder, logger 
 	var st *store.Store
 	if o.Store != "" {
 		var err error
-		st, err = store.OpenOptions(o.Store, store.Options{MaxFingerprints: o.StoreRetain})
+		st, err = store.Open(o.Store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -931,7 +926,7 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 		sink = printMigrateEvent
 	}
 	res, err := migrate.Run(context.Background(), eng, c, migrate.RunConfig{
-		Sink: sink, Store: resultStore, Recorder: rec, Trace: tr,
+		Sink: sink, Recorder: rec, Trace: tr,
 	})
 	if err != nil {
 		return fail(err)

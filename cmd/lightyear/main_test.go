@@ -227,23 +227,19 @@ func TestExitCodeContract(t *testing.T) {
 	}
 }
 
-// TestBuildRequestTenantFlags: -tenant and -store-retain flow into the
-// plan's execution options (and override a saved plan's values only when
-// set, like every other flag).
+// TestBuildRequestTenantFlags: -tenant flows into the plan's execution
+// options (and overrides a saved plan's value only when set, like every
+// other flag).
 func TestBuildRequestTenantFlags(t *testing.T) {
 	f := baseFlags()
 	f.ConfigPath = writeConfig(t)
 	f.Tenant = "netops"
-	f.StoreRetain = 3
 	req, err := buildRequest(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Options.Tenant != "netops" {
 		t.Errorf("tenant = %q, want netops", req.Options.Tenant)
-	}
-	if req.Options.StoreRetain != 3 {
-		t.Errorf("store_retain = %d, want 3", req.Options.StoreRetain)
 	}
 
 	// A saved plan's tenant survives unless -tenant was set explicitly.

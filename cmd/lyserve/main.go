@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lyserve [-addr :8080] [-workers N] [-cache N] [-store DIR] [-store-retain N]
+//	lyserve [-addr :8080] [-workers N] [-cache N] [-store DIR]
 //	        [-job-ttl 1h] [-session-ttl 24h] [-event-window N]
 //	        [-max-inflight N] [-tenant-quota N] [-tenant-weights t1=3,t2=1]
 //	        [-trace-cap N] [-pprof]
@@ -13,9 +13,9 @@
 //
 // With -store DIR the engine's result cache is the internal/store
 // persistent journal in DIR, so a redeployed lyserve serves previously
-// solved checks without re-solving them; -store-retain N keeps only the
-// results of the N most recently verified network fingerprints when the
-// journal is compacted on startup. Completed jobs are garbage-collected
+// solved checks without re-solving them. The store is keyed by check
+// content alone, so every job and session shares it; it keeps every verdict
+// that holds, with no retention bound. Completed jobs are garbage-collected
 // -job-ttl after completion (default 1h); sessions idle longer than
 // -session-ttl (default 24h; 0 disables) are expired and deleted — an
 // update to an expired session is 404, like an explicit DELETE.
@@ -222,15 +222,14 @@ const defaultShutdownGrace = 15 * time.Second
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		storeDir    = flag.String("store", "", "persistent result-store directory (replaces the in-memory cache)")
-		storeRetain = flag.Int("store-retain", 0, "keep only the N most recently written network fingerprints in the store (0 = all)")
-		jobTTL      = flag.Duration("job-ttl", defaultJobTTL, "retention of completed jobs")
-		sessTTL     = flag.Duration("session-ttl", defaultSessionTTL, "expiry of idle sessions (0 = never)")
-		evWindow    = flag.Int("event-window", defaultEventWindow, "per-job event-history entries retained for /events replay (<=0 = unbounded)")
-		traceCap    = flag.Int("trace-cap", 0, "completed traces retained for /v1/traces (0 = default)")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		grace       = flag.Duration("shutdown-grace", defaultShutdownGrace, "max wait for in-flight requests to drain on SIGINT/SIGTERM")
+		addr     = flag.String("addr", ":8080", "listen address")
+		storeDir = flag.String("store", "", "persistent result-store directory (replaces the in-memory cache)")
+		jobTTL   = flag.Duration("job-ttl", defaultJobTTL, "retention of completed jobs")
+		sessTTL  = flag.Duration("session-ttl", defaultSessionTTL, "expiry of idle sessions (0 = never)")
+		evWindow = flag.Int("event-window", defaultEventWindow, "per-job event-history entries retained for /events replay (<=0 = unbounded)")
+		traceCap = flag.Int("trace-cap", 0, "completed traces retained for /v1/traces (0 = default)")
+		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		grace    = flag.Duration("shutdown-grace", defaultShutdownGrace, "max wait for in-flight requests to drain on SIGINT/SIGTERM")
 	)
 	engineOptions := engineFlags(flag.CommandLine)
 	var logCfg logging.Config
@@ -264,7 +263,7 @@ func main() {
 	}
 	var st *store.Store
 	if *storeDir != "" {
-		st, err = store.OpenOptions(*storeDir, store.Options{MaxFingerprints: *storeRetain})
+		st, err = store.Open(*storeDir)
 		if err != nil {
 			srvLog.Error("store open failed", slog.String("dir", *storeDir), slog.Any("error", err))
 			os.Exit(1)
@@ -273,8 +272,7 @@ func main() {
 		st.SetLogger(logger)
 		srvLog.Info("store opened",
 			slog.String("dir", *storeDir),
-			slog.Int("results", st.Len()),
-			slog.Int("evicted", st.Stats().Evicted))
+			slog.Int("results", st.Len()))
 		opts.Cache = st
 	}
 	eng := engine.New(opts)
@@ -369,7 +367,7 @@ func engineFlags(fs *flag.FlagSet) func() (engine.Options, error) {
 type server struct {
 	eng         *engine.Engine
 	rec         *telemetry.Recorder // the engine's recorder; nil disables /metrics and traces
-	store       *store.Store        // nil without -store; provenance tagging only
+	store       *store.Store        // nil without -store; readiness probe and plan stats
 	ttl         time.Duration       // completed-job retention
 	sessionTTL  time.Duration       // idle-session expiry (0 = never)
 	eventWindow int                 // per-job event-history bound (<=0 = unbounded)
@@ -1141,7 +1139,6 @@ type session struct {
 	created time.Time
 
 	verifier *delta.Verifier
-	store    *store.Store // nil without -store; provenance tagging only
 	wake     chan struct{}
 
 	mu         sync.Mutex
@@ -1210,7 +1207,6 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 		created:    time.Now(),
 		lastActive: time.Now(),
 		verifier:   delta.NewVerifierFor(s.eng, c),
-		store:      s.store,
 		wake:       make(chan struct{}, 1),
 	}
 	// The request's tenant, priority, and solver backend follow the
@@ -1220,12 +1216,13 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 	go sess.worker()
 	// Queued before the session is published, so no DELETE can refuse it:
 	// the baseline run, or its abandon hook, releases the grant.
-	sess.launch(&sessionRun{baseline: true}, sess.verify(c.Network, func(n *topology.Network) (*delta.Result, error) {
+	sess.launch(&sessionRun{baseline: true}, func() (*delta.Result, *migrate.Result, error) {
 		sess.verifier.SetReservation(resv)
 		defer resv.Release()
 		defer sess.verifier.SetReservation(nil)
-		return sess.verifier.Baseline(n)
-	}), resv.Release)
+		res, err := sess.verifier.Baseline(c.Network)
+		return res, nil, err
+	}, resv.Release)
 	s.mu.Lock()
 	s.sseq++
 	sess.id = fmt.Sprintf("session-%d", s.sseq)
@@ -1292,7 +1289,10 @@ func sessionTenantAllowed(w http.ResponseWriter, r *http.Request, sess *session,
 // launchUpdate queues a materialized network as a session update and
 // answers 202.
 func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network) {
-	run := sess.launch(&sessionRun{}, sess.verify(n, sess.verifier.Update), nil)
+	run := sess.launch(&sessionRun{}, func() (*delta.Result, *migrate.Result, error) {
+		res, err := sess.verifier.Update(n)
+		return res, nil, err
+	}, nil)
 	if run == nil {
 		httpError(w, http.StatusNotFound, "session deleted")
 		return
@@ -1412,7 +1412,6 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 		res, err := migrate.Run(context.Background(), s.eng, c, migrate.RunConfig{
 			Verifier:    sess.verifier,
 			Reservation: resv, // released by Run
-			Store:       s.store,
 			Recorder:    s.rec,
 			Trace:       tr,
 			Sink: func(ev migrate.Event) {
@@ -1496,18 +1495,6 @@ func (sess *session) launch(run *sessionRun, fn func() (*delta.Result, *migrate.
 	default: // worker already signaled
 	}
 	return run
-}
-
-// verify returns the body of a baseline or update run on n, which first
-// tags the store with n's fingerprint.
-func (sess *session) verify(n *topology.Network, run func(*topology.Network) (*delta.Result, error)) func() (*delta.Result, *migrate.Result, error) {
-	return func() (*delta.Result, *migrate.Result, error) {
-		if sess.store != nil {
-			sess.store.SetFingerprint(n.Fingerprint())
-		}
-		res, err := run(n)
-		return res, nil, err
-	}
 }
 
 // close marks the session deleted and releases its worker. Queued runs are

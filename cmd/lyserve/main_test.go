@@ -260,6 +260,7 @@ type sessionStatus struct {
 	Runs        []struct {
 		Seq      int    `json:"seq"`
 		Baseline bool   `json:"baseline"`
+		Migrate  bool   `json:"migrate"`
 		Status   string `json:"status"`
 		Error    string `json:"error"`
 		Result   *struct {

@@ -141,14 +141,16 @@
 //
 // The result cache is a pluggable seam (engine.ResultCache): the default is
 // an in-memory LRU, and internal/store provides a disk-persistent
-// JSON-journal implementation keyed by check key (with the originating
-// network's fingerprint as provenance), so warm starts survive process
-// restarts and lyserve redeploys (-store DIR on both commands). The journal
-// is read and written by a hand-written codec for its one line shape,
+// JSON-journal implementation keyed by check key alone, so warm starts
+// survive process restarts and lyserve redeploys (-store DIR on both
+// commands) and every run, job and session shares one record per key. It
+// journals only verdicts that hold, so a failure always carries the
+// counterexample of a solve, and it has no retention bound. The journal is
+// read and written by a hand-written codec for its one line shape,
 // byte-identical to encoding/json's, so opening a warm store does not pay
-// for reflection. Journal records carry the key scheme's version (3: an
-// originate check's key covers the ghosts' origination values); records of
-// another version are never served and are compacted away on open.
+// for reflection. Journal records carry the key scheme's version (4: the
+// key leaves the check's location out); records of another version are
+// never served and are compacted away on open.
 //
 // # Delta verification
 //

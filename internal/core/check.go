@@ -61,8 +61,7 @@ type Check struct {
 	Desc Desc
 	key  string // semantic cache key
 
-	ob     *Obligation
-	budget int64 // conflict budget from the generating Options
+	ob *Obligation
 }
 
 // Desc is a check's human-readable description. Generated checks render it
@@ -88,17 +87,16 @@ func (d Desc) String() string {
 // the obligation, so a retained result does not pin the plan it came from.
 func (d Desc) Rendered() Desc { return Desc{text: d.String()} }
 
-// newCheck binds an obligation to the generating options' execution
-// parameters, mirroring the obligation's identity onto the check.
-func newCheck(ob *Obligation, opts Options) Check {
+// newCheck binds an obligation to a check, mirroring the obligation's
+// identity onto it.
+func newCheck(ob *Obligation) Check {
 	ob.Desc = Desc{ob: ob}
 	return Check{
-		Kind:   ob.Kind,
-		Loc:    ob.Loc,
-		Desc:   ob.Desc,
-		key:    ob.key,
-		ob:     ob,
-		budget: opts.ConflictBudget,
+		Kind: ob.Kind,
+		Loc:  ob.Loc,
+		Desc: ob.Desc,
+		key:  ob.key,
+		ob:   ob,
 	}
 }
 
@@ -116,21 +114,15 @@ func (c Check) Key() string { return c.key }
 // obligation directly and stamp the result with the check's identity.
 func (c Check) Obligation() *Obligation { return c.ob }
 
-// Budget returns the conflict budget the check was generated under
-// (Options.ConflictBudget; 0 = unlimited). External execution substrates
-// honor it so a check batch generated with a bounded budget keeps that
-// bound wherever it runs.
-func (c Check) Budget() int64 { return c.budget }
-
 // Run executes the check and returns its result. Checks are self-contained
 // and independent, so Run may be called from any goroutine.
 func (c Check) Run() CheckResult { return c.RunContext(context.Background()) }
 
 // RunContext executes the check with cooperative cancellation: when ctx is
-// cancelled mid-solve the result has StatusUnknown. The check's generating
-// Options decide the conflict budget.
+// cancelled mid-solve the result has StatusUnknown. The solve is unbounded;
+// a budget is a solver backend's (internal/solver) to set.
 func (c Check) RunContext(ctx context.Context) CheckResult {
-	return c.ob.Solve(ctx, SolveConfig{ConflictBudget: c.budget})
+	return c.ob.Solve(ctx, SolveConfig{})
 }
 
 // Counterexample is a concrete witness for a failed local check: an input
@@ -358,14 +350,15 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// Options controls check execution.
+// Options controls how VerifySafety and VerifyLiveness run checks. A solve
+// is bounded only by the solver backend that decides it (internal/solver's
+// native:N, portfolio:N, tiered:N); these in-process runners solve
+// unbounded.
 type Options struct {
 	// Workers is the number of checks run concurrently; 0 means GOMAXPROCS.
 	// Local checks are independent, so parallelism is safe (§2's
 	// "trivially parallelizable" observation).
 	Workers int
-	// ConflictBudget bounds SAT effort per check; 0 means unlimited.
-	ConflictBudget int64
 }
 
 func (o Options) workers() int {
@@ -447,7 +440,7 @@ func runChecks(prop Property, checks []Check, opts Options) *Report {
 // nothing is encoded, rendered or solved until something asks. mFP is the
 // fingerprint of the filter f.m, memoised by its network.
 func filterCheck(kind CheckKind, e topology.Edge, f filterObligation, mFP spec.Fingerprint,
-	ghosts ghostSet, pre, post *predicate, opts Options) Check {
+	ghosts ghostSet, pre, post *predicate) Check {
 	// One allocation carries the obligation and its content.
 	a := &struct {
 		ob Obligation
@@ -456,19 +449,19 @@ func filterCheck(kind CheckKind, e topology.Edge, f filterObligation, mFP spec.F
 	a.f.ghostActs, a.f.pre, a.f.post = ghosts.acts, pre, post
 	a.ob = Obligation{Kind: kind, Loc: AtEdge(e), filter: &a.f}
 	a.ob.key = composeKey(kind, f.mustAccept, mFP, ghosts.fp, pre.memo().fp, post.memo().fp)
-	return newCheck(&a.ob, opts)
+	return newCheck(&a.ob)
 }
 
 // implicationCheck decides pre ⊆ post (i.e., ∀r: pre(r) ⇒ post(r)) as a
 // standalone check, used for I_ℓ ⊆ P (final=false) and C_n ⊆ P (final=true).
-func implicationCheck(loc Location, u *spec.Universe, pre, post *predicate, final bool, opts Options) Check {
+func implicationCheck(loc Location, u *spec.Universe, pre, post *predicate, final bool) Check {
 	ob := &Obligation{
 		Kind:        ImplicationCheck,
 		Loc:         loc,
 		key:         composeKey(ImplicationCheck, false, pre.memo().fp, post.memo().fp),
 		implication: &implicationObligation{u: u, pre: pre, post: post, final: final},
 	}
-	return newCheck(ob, opts)
+	return newCheck(ob)
 }
 
 // originateCheck validates every originated route on edge e against the
@@ -478,14 +471,14 @@ func implicationCheck(loc Location, u *spec.Universe, pre, post *predicate, fina
 // the ghost names with the values they take on routes originated on e
 // (ghostTable.onOriginate).
 func originateCheck(e topology.Edge, routes []*routemodel.Route, routesFP spec.Fingerprint,
-	ghosts []GhostDef, ghostsFP spec.Fingerprint, inv *predicate, opts Options) Check {
+	ghosts []GhostDef, ghostsFP spec.Fingerprint, inv *predicate) Check {
 	ob := &Obligation{
 		Kind:      OriginateCheck,
 		Loc:       AtEdge(e),
 		key:       composeKey(OriginateCheck, false, routesFP, ghostsFP, inv.memo().fp),
 		originate: &originateObligation{e: e, routes: routes, ghosts: ghosts, inv: inv},
 	}
-	return newCheck(ob, opts)
+	return newCheck(ob)
 }
 
 // composeKey composes a check's semantic cache key from fixed-width parts: the

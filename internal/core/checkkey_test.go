@@ -126,7 +126,7 @@ func TestCheckKeyShapeAndSeparation(t *testing.T) {
 	// one key.
 	pre, post := &predicate{pred: spec.True()}, &predicate{pred: spec.False()}
 	at := func(e topology.Edge) string {
-		return filterCheck(ImportCheck, e, filterObligation{importSide: true}, fa, ghostSet{}, pre, post, Options{}).Key()
+		return filterCheck(ImportCheck, e, filterObligation{importSide: true}, fa, ghostSet{}, pre, post).Key()
 	}
 	if at(topology.Edge{From: "ab", To: "c"}) != at(topology.Edge{From: "a", To: "bc"}) {
 		t.Fatal("composeKey reads the location")

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"lightyear/internal/core"
 	"lightyear/internal/netgen"
+	"lightyear/internal/solver"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
@@ -73,12 +75,23 @@ func TestCheckKindStrings(t *testing.T) {
 	}
 }
 
+// verifyBudgeted is VerifySafety with every check decided by the native
+// backend bounded to budget conflicts, the one place a solve is bounded.
+func verifyBudgeted(p *core.SafetyProblem, budget int64) *core.Report {
+	b := solver.Native(budget)
+	var results []core.CheckResult
+	for _, c := range p.Checks(core.Options{}) {
+		results = append(results, b.Solve(context.Background(), c.Obligation(), solver.Budget{}).CheckResult)
+	}
+	return core.NewReport(p.Property, results, 0)
+}
+
 func TestConflictBudgetMarksUnknownAsFailure(t *testing.T) {
 	// An absurdly small budget cannot prove UNSAT for nontrivial checks;
 	// the check must conservatively report failure (never a false "pass").
 	n := netgen.Fig1(netgen.Fig1Options{})
 	p := netgen.Fig1NoTransitProblem(n)
-	rep := core.VerifySafety(p, core.Options{ConflictBudget: 1})
+	rep := verifyBudgeted(p, 1)
 	for _, f := range rep.Failures() {
 		if f.Counterexample == nil {
 			t.Fatal("budget-exhausted checks must carry an explanatory note")

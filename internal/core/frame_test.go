@@ -120,7 +120,7 @@ func TestChecksAtIsChecksRestricted(t *testing.T) {
 	for i := range every {
 		every[i] = i
 	}
-	if got, want := keys(p.ChecksAt(Options{}, every)), keys(all); !equalStrings(got, want) {
+	if got, want := keys(p.ChecksAt(every)), keys(all); !equalStrings(got, want) {
 		t.Fatalf("ChecksAt(every edge)\n%v\nChecks\n%v", got, want)
 	}
 	var some []int
@@ -136,7 +136,7 @@ func TestChecksAtIsChecksRestricted(t *testing.T) {
 		}
 	}
 	want = append(want, all[len(all)-1])
-	if got := keys(p.ChecksAt(Options{}, some)); !equalStrings(got, keys(want)) {
+	if got := keys(p.ChecksAt(some)); !equalStrings(got, keys(want)) {
 		t.Fatalf("ChecksAt(R2's edges)\n%v\nwant\n%v", got, keys(want))
 	}
 }

@@ -120,7 +120,7 @@ func goldenScenarios(t *testing.T) []string {
 	section("originate", reportLines("p", core.VerifySafety(&core.SafetyProblem{Network: n,
 		Property: core.Property{Loc: core.AtRouter("B"), Pred: spec.True()}, Invariants: inv}, core.Options{Workers: 1})))
 
-	section("unknown", reportLines("p", core.VerifySafety(netgen.StressProblem(fig1, 4), core.Options{Workers: 1, ConflictBudget: 1})))
+	section("unknown", reportLines("p", verifyBudgeted(netgen.StressProblem(fig1, 4), 1)))
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/policy"
+	"lightyear/internal/solver"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
@@ -20,7 +21,7 @@ import (
 // problem for a network state; budget bounds conflicts per check.
 func session(t *testing.T, budget int64, build func(*topology.Network) *core.SafetyProblem) *delta.Verifier {
 	t.Helper()
-	eng := engine.New(engine.Options{Workers: 2, ConflictBudget: budget})
+	eng := engine.New(engine.Options{Workers: 2, Backend: solver.Native(budget)})
 	t.Cleanup(eng.Close)
 	return delta.NewVerifier(eng, netgen.Suite{Name: "test",
 		Problems: func(n *topology.Network, _ netgen.SuiteParams, _ netgen.Scope) []netgen.Problem {

@@ -181,9 +181,9 @@ func TestKeyChangesWithEveryVerdictRelevantField(t *testing.T) {
 	// propagation obligation.
 	pre, post := &predicate{pred: a}, &predicate{pred: b}
 	var mFP spec.Fingerprint
-	safety := filterCheck(ImportCheck, topology.Edge{From: "A", To: "B"}, filterObligation{importSide: true}, mFP, ghostSet{}, pre, post, Options{})
-	must := filterCheck(ImportCheck, topology.Edge{From: "A", To: "B"}, filterObligation{importSide: true, mustAccept: true}, mFP, ghostSet{}, pre, post, Options{})
-	export := filterCheck(ExportCheck, topology.Edge{From: "A", To: "B"}, filterObligation{}, mFP, ghostSet{}, pre, post, Options{})
+	safety := filterCheck(ImportCheck, topology.Edge{From: "A", To: "B"}, filterObligation{importSide: true}, mFP, ghostSet{}, pre, post)
+	must := filterCheck(ImportCheck, topology.Edge{From: "A", To: "B"}, filterObligation{importSide: true, mustAccept: true}, mFP, ghostSet{}, pre, post)
+	export := filterCheck(ExportCheck, topology.Edge{From: "A", To: "B"}, filterObligation{}, mFP, ghostSet{}, pre, post)
 	if safety.Key() == must.Key() || safety.Key() == export.Key() {
 		t.Error("polarity or kind does not reach the key")
 	}

@@ -140,12 +140,12 @@ func (p *LivenessProblem) Checks(opts Options) ([]Check, error) {
 			f.m = n.Import(e)
 		}
 		checks = append(checks, filterCheck(PropagationCheck, e, f, f.m.Fingerprint(), ghosts.onFilter(e, importSide),
-			&predicate{pred: cur.Constraint}, &predicate{pred: next.Constraint}, opts))
+			&predicate{pred: cur.Constraint}, &predicate{pred: next.Constraint}))
 	}
 
 	lastStep := p.Steps[len(p.Steps)-1]
 	checks = append(checks, implicationCheck(p.Property.Loc, u,
-		&predicate{pred: lastStep.Constraint}, &predicate{pred: p.Property.Pred}, true, opts))
+		&predicate{pred: lastStep.Constraint}, &predicate{pred: p.Property.Pred}, true))
 
 	if !p.SkipInterference {
 		for _, s := range p.Steps {
@@ -155,14 +155,14 @@ func (p *LivenessProblem) Checks(opts Options) ([]Check, error) {
 			// The sub-proof's checks are relabeled as InterferenceCheck.
 			at := s.Loc
 			for _, c := range p.interference(s).Checks(opts) {
-				checks = append(checks, relabel(c, InterferenceCheck, &at, opts))
+				checks = append(checks, relabel(c, InterferenceCheck, &at))
 			}
 		}
 	}
 	return checks, nil
 }
 
-// NumChecks returns len(p.Checks(opts)) without generating any check, and
+// NumChecks returns len(p.Checks(Options{})) without generating any check, and
 // the error Checks would return: one propagation check per pair of
 // consecutive steps, the implication and, unless SkipInterference is set,
 // each router step's no-interference safety checks.
@@ -205,14 +205,14 @@ func (p *LivenessProblem) interference(s PathStep) *SafetyProblem {
 // derived from (kind, inner key) rather than the inner key itself; like
 // every key, it leaves the path location out. With declarative obligations
 // this is a pure identity rewrite: no wrapping closure is needed.
-func relabel(c Check, kind CheckKind, at *Location, opts Options) Check {
+func relabel(c Check, kind CheckKind, at *Location) Check {
 	ob := *c.ob // shallow copy: content pointers shared, identity rewritten
 	ob.Kind, ob.relabeledFor = kind, at
 	if c.key != "" {
 		// One fingerprint where every other family has two or more.
 		ob.key = composeKey(kind, false, spec.Sum(c.key))
 	}
-	return newCheck(&ob, opts)
+	return newCheck(&ob)
 }
 
 // VerifyLiveness runs all liveness checks. If the report is OK, then for

@@ -38,9 +38,10 @@ func (p *SafetyProblem) universe() *spec.Universe {
 //
 // The number of checks is linear in the number of edges; each check's size
 // depends only on one filter's policy, which is the source of Lightyear's
-// scalability (Figure 3b).
-func (p *SafetyProblem) Checks(opts Options) []Check {
-	g := p.generator(opts)
+// scalability (Figure 3b). Generation reads nothing from Options, whose
+// only setting (Workers) is VerifySafety's.
+func (p *SafetyProblem) Checks(Options) []Check {
+	g := p.generator()
 	checks := make([]Check, 0, 2*len(g.idx.Edges)+1)
 	for i := range g.idx.Edges {
 		checks = g.edge(checks, i)
@@ -48,7 +49,7 @@ func (p *SafetyProblem) Checks(opts Options) []Check {
 	return append(checks, g.implication())
 }
 
-// NumChecks returns len(p.Checks(opts)) without generating any check: per
+// NumChecks returns len(p.Checks(Options{})) without generating any check: per
 // edge of the policy index, one import check when the receiver is internal,
 // one export check when the sender is internal and one originate check when
 // the sender is internal and originates routes on the edge, plus the
@@ -75,8 +76,8 @@ func (p *SafetyProblem) NumChecks() int {
 // implication check, in Checks' order. It is the re-enumeration of an
 // incremental update that knows, from equal Frames and equal per-edge policy
 // fingerprints, that every other edge's checks keep their keys.
-func (p *SafetyProblem) ChecksAt(opts Options, edges []int) []Check {
-	g := p.generator(opts)
+func (p *SafetyProblem) ChecksAt(edges []int) []Check {
+	g := p.generator()
 	checks := make([]Check, 0, 2*len(edges)+1)
 	for _, i := range edges {
 		checks = g.edge(checks, i)
@@ -93,12 +94,11 @@ type checkGen struct {
 	idx       *topology.PolicyIndex
 	ghosts    *ghostTable
 	routerInv map[topology.NodeID]*predicate
-	opts      Options
 }
 
-func (p *SafetyProblem) generator(opts Options) *checkGen {
+func (p *SafetyProblem) generator() *checkGen {
 	return &checkGen{p: p, u: p.universe(), idx: p.Network.Index(), ghosts: newGhostTable(p.Ghosts),
-		routerInv: make(map[topology.NodeID]*predicate), opts: opts}
+		routerInv: make(map[topology.NodeID]*predicate)}
 }
 
 func (g *checkGen) atRouter(id topology.NodeID) *predicate {
@@ -112,20 +112,20 @@ func (g *checkGen) atRouter(id topology.NodeID) *predicate {
 
 // edge appends the checks of the i-th edge of the policy index.
 func (g *checkGen) edge(checks []Check, i int) []Check {
-	n, e, idx, opts := g.p.Network, g.idx.Edges[i], g.idx, g.opts
+	n, e, idx := g.p.Network, g.idx.Edges[i], g.idx
 	edgeInv := g.p.Invariants.at(n, AtEdge(e))
 	if !n.IsExternal(e.To) {
 		checks = append(checks, filterCheck(ImportCheck, e,
 			filterObligation{u: g.u, m: n.Import(e), importSide: true}, idx.Import[i],
-			g.ghosts.onFilter(e, true), edgeInv, g.atRouter(e.To), opts))
+			g.ghosts.onFilter(e, true), edgeInv, g.atRouter(e.To)))
 	}
 	if !n.IsExternal(e.From) {
 		checks = append(checks, filterCheck(ExportCheck, e,
 			filterObligation{u: g.u, m: n.Export(e)}, idx.Export[i],
-			g.ghosts.onFilter(e, false), g.atRouter(e.From), edgeInv, opts))
+			g.ghosts.onFilter(e, false), g.atRouter(e.From), edgeInv))
 		if routes := n.Originate(e); len(routes) > 0 {
 			checks = append(checks, originateCheck(e, routes, idx.Originate[i],
-				g.p.Ghosts, g.ghosts.onOriginate(e).fp, edgeInv, opts))
+				g.p.Ghosts, g.ghosts.onOriginate(e).fp, edgeInv))
 		}
 	}
 	return checks
@@ -135,7 +135,7 @@ func (g *checkGen) edge(checks []Check, i int) []Check {
 func (g *checkGen) implication() Check {
 	p := g.p
 	return implicationCheck(p.Property.Loc, g.u, p.Invariants.at(p.Network, p.Property.Loc),
-		&predicate{pred: p.Property.Pred}, false, g.opts)
+		&predicate{pred: p.Property.Pred}, false)
 }
 
 // Frame returns the problem's frame digest: a fingerprint of every input of

@@ -67,10 +67,13 @@ type ProblemOutcome struct {
 	Skipped    bool   `json:"skipped,omitempty"`
 	Failed     bool   `json:"failed,omitempty"`
 	SkipReason string `json:"skip_reason,omitempty"`
-	Checks     int    `json:"checks"`
-	Dirty      int    `json:"dirty"`  // checks submitted to the engine
-	Reused     int    `json:"reused"` // results served from the pinned session
-	OK         bool   `json:"ok"`
+	// Err is the error behind SkipReason, for errors.Is (e.g.
+	// engine.ErrClosed).
+	Err    error `json:"-"`
+	Checks int   `json:"checks"`
+	Dirty  int   `json:"dirty"`  // checks submitted to the engine
+	Reused int   `json:"reused"` // results served from the pinned session
+	OK     bool  `json:"ok"`
 
 	// Report is the assembled verification report (nil when skipped or
 	// failed); encode with engine.EncodeReport for the wire.
@@ -329,7 +332,7 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]*kept,
 
 	problems := v.source.Problems(n)
 	r := &runner{
-		eng: v.eng, wl: v.workload, hooks: v.hooks, opts: v.eng.CheckOptions(), res: res,
+		eng: v.eng, wl: v.workload, hooks: v.hooks, res: res,
 		keep: true, failuresOnly: v.workload.Results == engine.ResultsFailures, n: n,
 		prevResults: prevResults, prevIndex: prevIndex,
 		retained: make(map[string]*kept, len(prevResults)),

@@ -149,7 +149,6 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFingerprint(net().Fingerprint())
 	eng := engine.New(engine.Options{Cache: st})
 	v := delta.NewVerifier(eng, wanSuite(t), netgen.SuiteParams{Regions: testWANParams.Regions})
 	cold, err := v.Baseline(net())

@@ -12,6 +12,7 @@ import (
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
+	"lightyear/internal/solver"
 	"lightyear/internal/spec"
 	"lightyear/internal/topology"
 )
@@ -199,7 +200,7 @@ func TestRestrictedReSolvesUnknowns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw := newTwinsOn(t, suiteSource(t, corpus.PropertySuite, netgen.SuiteParams{}), engine.Options{Workers: 2, ConflictBudget: 1})
+	tw := newTwinsOn(t, suiteSource(t, corpus.PropertySuite, netgen.SuiteParams{}), engine.Options{Workers: 2, Backend: solver.Native(1)})
 	served, results := tw.run(t, m.Ref(), walk(t, n, fz.Trail))
 	for k, s := range served {
 		if r := results[k+1]; s == 0 || r.Unknown == 0 || r.DirtyChecks < r.Unknown {

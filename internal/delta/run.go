@@ -38,7 +38,7 @@ type Hooks struct {
 // resv, or, when that is nil, under a grant of the problems' counted cost
 // reserved before any check is generated.
 func Run(eng *engine.Engine, problems []netgen.Problem, wl engine.Workload, resv *engine.Reservation, h Hooks) (*Result, error) {
-	r := &runner{eng: eng, wl: wl, hooks: h, opts: eng.CheckOptions(), res: &Result{OK: true}}
+	r := &runner{eng: eng, wl: wl, hooks: h, res: &Result{OK: true}}
 	release, err := r.admit(resv, CountChecks(problems))
 	if err != nil {
 		return nil, err
@@ -56,7 +56,6 @@ type runner struct {
 	wl    engine.Workload
 	resv  *engine.Reservation
 	hooks Hooks
-	opts  core.Options
 	res   *Result
 
 	// The rest is a Verifier's; a one-shot run (keep false) retains nothing.
@@ -95,13 +94,13 @@ type problemRun struct {
 
 var errEmptyProblem = errors.New("suite produced an empty problem")
 
-// Generate builds one problem's checks under opts.
-func Generate(p netgen.Problem, opts core.Options) (core.Property, []core.Check, error) {
+// Generate builds one problem's checks.
+func Generate(p netgen.Problem) (core.Property, []core.Check, error) {
 	switch {
 	case p.Safety != nil:
-		return p.Safety.Property, p.Safety.Checks(opts), nil
+		return p.Safety.Property, p.Safety.Checks(core.Options{}), nil
 	case p.Liveness != nil:
-		checks, err := p.Liveness.Checks(opts)
+		checks, err := p.Liveness.Checks(core.Options{})
 		return p.Liveness.Property, checks, err
 	}
 	return core.Property{}, nil, errEmptyProblem
@@ -203,7 +202,7 @@ func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 	if pr.index != nil {
 		pr.prop = p.Safety.Property
 		r.enumerate(pr, p.Safety)
-	} else if pr.prop, checks, err = Generate(p, r.opts); r.prevResults == nil {
+	} else if pr.prop, checks, err = Generate(p); r.prevResults == nil {
 		pr.dirty, pr.outcome.Checks = checks, len(checks)
 	} else {
 		for _, c := range checks {
@@ -224,7 +223,7 @@ func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 // fail records that a problem's checks could not be generated (a skip if
 // it is optional) or submitted.
 func (r *runner) fail(pr *problemRun, err error, optional bool) {
-	pr.outcome.SkipReason = err.Error()
+	pr.outcome.SkipReason, pr.outcome.Err = err.Error(), err
 	pr.outcome.Skipped, pr.outcome.Failed = optional, !optional
 	if !optional {
 		r.res.OK = false
@@ -381,7 +380,7 @@ func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
 	idx, old := pr.index, pr.old
 	idx.at = make([]int32, len(edges)+1)
 	if old == nil {
-		checks := p.Checks(r.opts)
+		checks := p.Checks(core.Options{})
 		edgeChecks := checks[:len(checks)-1] // the implication check is last
 		idx.checks = make([]indexEntry, len(edgeChecks))
 		k := 0
@@ -412,7 +411,7 @@ func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
 		}
 		regen = append(regen, i)
 	}
-	fresh := p.ChecksAt(r.opts, regen)
+	fresh := p.ChecksAt(regen)
 	idx.checks = make([]indexEntry, 0, len(old.checks))
 	f := 0
 	for i, e := range edges {

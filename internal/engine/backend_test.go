@@ -61,7 +61,7 @@ func TestEngineBackendRoutingAndStats(t *testing.T) {
 // re-solved on resubmission — caching it would pin "insufficient budget" as
 // the formula's verdict — while decided checks are still served from cache.
 func TestUnknownResultsAreNotCached(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 2, ConflictBudget: 1})
+	eng := engine.New(engine.Options{Workers: 2, Backend: solver.Native(1)})
 	defer eng.Close()
 	p := netgen.StressProblem(netgen.Fig1(netgen.Fig1Options{}), 3)
 
@@ -166,21 +166,6 @@ func TestUnknownNotSharedAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestRawSubmittedChecksKeepGenerationBudget: a check batch generated with
-// a bounded budget keeps that bound when submitted raw to an engine whose
-// own budget is unlimited (the core.NewIncrementalVerifierOn /
-// raw-checks Workload seam).
-func TestRawSubmittedChecksKeepGenerationBudget(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 2}) // unlimited engine budget
-	defer eng.Close()
-	p := netgen.StressProblem(netgen.Fig1(netgen.Fig1Options{}), 4)
-	checks := p.Checks(core.Options{ConflictBudget: 1})
-	rep := mustSubmit(t, eng, engine.Workload{Kind: engine.KindChecks, Property: p.Property, Checks: checks}).Wait()
-	if len(rep.Unknowns()) == 0 {
-		t.Fatalf("generation-time budget ignored: the engine solved the pigeonhole check unbounded:\n%s", rep.Summary())
-	}
-}
-
 // cancelAware blocks the hard pigeonhole check like blockingUnknown, but
 // gives up (budget 1) only on its FIRST implication solve — the one the
 // cancelled job runs — and solves later calls in full, so a re-solving
@@ -262,7 +247,7 @@ func TestBackendPanicBecomesUnknown(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2, Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
 	defer eng.Close()
 	p := netgen.Fig1NoTransitProblem(netgen.Fig1(netgen.Fig1Options{}))
-	checks := p.Checks(eng.CheckOptions())
+	checks := p.Checks(core.Options{})
 
 	rep := mustSubmit(t, eng, engine.Workload{Safety: p,
 		SubmitOptions: engine.SubmitOptions{Backend: panicking{}}}).Wait()

@@ -105,11 +105,9 @@ type Options struct {
 	// results survive process restarts. The engine does not close or
 	// flush a custom cache; its owner does.
 	Cache ResultCache
-	// ConflictBudget bounds SAT effort per check when the engine generates
-	// checks from a problem; 0 means unlimited.
-	ConflictBudget int64
 	// Backend is the default solver backend obligations are routed to;
-	// nil means solver.Native. Jobs may override it per submission
+	// nil means solver.Native. Its spec (native:N, portfolio:N, tiered:N)
+	// is the only bound on a solve. Jobs may override it per submission
 	// (Workload.SubmitOptions.Backend).
 	Backend solver.Backend
 	// Admission is the load-shedding policy applied at Submit/Reserve; the
@@ -345,21 +343,6 @@ func (e *Engine) Stats() Stats {
 // reach their implementation for stats.
 func (e *Engine) Cache() ResultCache { return e.cache }
 
-// checkOptions are the options used when generating checks from a problem.
-func (e *Engine) checkOptions() core.Options {
-	return core.Options{ConflictBudget: e.opts.ConflictBudget}
-}
-
-// effectiveBudget resolves a check's conflict budget: its generation-time
-// budget when it has one (raw-submitted batches keep their producer's
-// bound), falling back to the engine's.
-func (e *Engine) effectiveBudget(c core.Check) int64 {
-	if b := c.Budget(); b != 0 {
-		return b
-	}
-	return e.opts.ConflictBudget
-}
-
 // ResultsMode selects which check results a job's report materialises.
 type ResultsMode string
 
@@ -404,7 +387,7 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prop, checks, err := w.resolve(e.checkOptions())
+	prop, checks, err := w.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -455,14 +438,6 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	s.enqueueLocked(s.tenant(tenant, e.opts.Admission), &dispatchEntry{job: j, checks: checks, priority: w.Priority})
 	s.mu.Unlock()
 	return j, nil
-}
-
-// CheckOptions returns the core.Options the engine uses when generating
-// checks from a problem, so external check producers (internal/delta,
-// internal/plan) enumerate exactly the same checks a problem Workload
-// would.
-func (e *Engine) CheckOptions() core.Options {
-	return e.checkOptions()
 }
 
 // execute runs one scheduled task through the cache → dedup → solve
@@ -529,9 +504,8 @@ func (e *Engine) execute(t task) {
 // deliverWaiters hands a completed solve's result to the tasks that
 // coalesced onto its flight. A decided result is shared with everyone. An
 // Unknown is not a verdict: it is shared only with waiters whose solve
-// would be configured identically — same backend configuration AND same
-// effective conflict budget (the budget lives on the check, not the
-// backend), AND only when the solve ran under a live context — since only
+// would be configured identically — same backend configuration — AND only
+// when the solve ran under a live context — since only
 // then would an identical attempt reproduce the give-up. An Unknown caused
 // by the solving job's cancelled submission context says nothing about the
 // formula, so waiters from live jobs always re-solve it. Re-solves happen
@@ -544,13 +518,9 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 	var decided *core.CheckResult
 	type gaveUp struct {
 		backend solver.Backend
-		budget  int64
 		result  core.CheckResult
 	}
 	var unknowns []gaveUp
-	sameSolve := func(b solver.Backend, budget int64, w task) bool {
-		return e.effectiveBudget(w.check) == budget && solver.SameConfig(w.job.backend, b)
-	}
 	for _, w := range waiters {
 		if r.Status != core.StatusUnknown || decided != nil {
 			shared := r
@@ -562,7 +532,7 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 			w.job.deliver(w.idx, adapt(shared, w.check), false, true, nil)
 			continue
 		}
-		if t.job.ctx.Err() == nil && sameSolve(t.job.backend, e.effectiveBudget(t.check), w) {
+		if t.job.ctx.Err() == nil && solver.SameConfig(w.job.backend, t.job.backend) {
 			e.dedupHits.Add(1)
 			e.met.dedupHit.Inc()
 			w.job.deliver(w.idx, adapt(r, w.check), false, true, nil)
@@ -570,7 +540,7 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 		}
 		prior := -1
 		for i := range unknowns {
-			if sameSolve(unknowns[i].backend, unknowns[i].budget, w) {
+			if solver.SameConfig(w.job.backend, unknowns[i].backend) {
 				prior = i
 				break
 			}
@@ -591,11 +561,7 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 			// Only a live job's give-up is representative of the
 			// configuration; a cancelled job's Unknown is not replayed to
 			// later waiters.
-			unknowns = append(unknowns, gaveUp{
-				backend: w.job.backend,
-				budget:  e.effectiveBudget(w.check),
-				result:  wout.CheckResult,
-			})
+			unknowns = append(unknowns, gaveUp{backend: w.job.backend, result: wout.CheckResult})
 		}
 		w.job.deliver(w.idx, wout.CheckResult, false, false, &wout)
 	}
@@ -658,7 +624,7 @@ func (e *Engine) backendSolve(ctx context.Context, backend solver.Backend, t tas
 			)
 		}
 	}()
-	return backend.Solve(ctx, t.check.Obligation(), solver.Budget{Conflicts: e.effectiveBudget(t.check)})
+	return backend.Solve(ctx, t.check.Obligation(), solver.Budget{})
 }
 
 // logSlowCheck emits the structured provenance line for checks that were

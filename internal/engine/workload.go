@@ -40,9 +40,8 @@ type Workload struct {
 	Safety *core.SafetyProblem
 	// Liveness is a liveness problem; check generation validates the path.
 	Liveness *core.LivenessProblem
-	// Checks is a pre-generated raw check batch (KindChecks). The checks
-	// keep the conflict budget they were generated under. A non-nil empty
-	// slice (or Kind == KindChecks with no checks) is a valid empty job.
+	// Checks is a pre-generated raw check batch (KindChecks). A non-nil
+	// empty slice (or Kind == KindChecks with no checks) is a valid empty job.
 	Checks []core.Check
 	// Property labels a KindChecks batch's report; ignored for problem
 	// payloads, which carry their own.
@@ -75,7 +74,7 @@ type Workload struct {
 }
 
 // resolve validates the workload shape and materializes its checks.
-func (w Workload) resolve(opts core.Options) (core.Property, []core.Check, error) {
+func (w Workload) resolve() (core.Property, []core.Check, error) {
 	kind := w.Kind
 	set := 0
 	if w.Safety != nil {
@@ -98,9 +97,9 @@ func (w Workload) resolve(opts core.Options) (core.Property, []core.Check, error
 	}
 	switch kind {
 	case KindSafety:
-		return w.Safety.Property, w.Safety.Checks(opts), nil
+		return w.Safety.Property, w.Safety.Checks(core.Options{}), nil
 	case KindLiveness:
-		checks, err := w.Liveness.Checks(opts)
+		checks, err := w.Liveness.Checks(core.Options{})
 		if err != nil {
 			return core.Property{}, nil, err
 		}

@@ -2,13 +2,13 @@ package migrate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
-	"lightyear/internal/store"
 	"lightyear/internal/telemetry"
 	"lightyear/internal/topology"
 )
@@ -79,9 +79,6 @@ type RunConfig struct {
 	Reservation *engine.Reservation
 	// Sink receives progress events synchronously and in order. Optional.
 	Sink func(Event)
-	// Store, when set, is told each intermediate state's fingerprint before
-	// it is verified, attributing persisted results to the right state.
-	Store *store.Store
 	// Recorder, when set, receives lightyear_migrate_steps / _reorders.
 	Recorder *telemetry.Recorder
 	// Trace, when set, gets a "migrate" span with one "step:<label>" child
@@ -261,10 +258,7 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 
 	r.origNet = v.PinnedNetwork()
 	if r.origNet == nil {
-		if r.cfg.Store != nil {
-			r.cfg.Store.SetFingerprint(c.Inner.Network.Fingerprint())
-		}
-		bres, err := v.Baseline(c.Inner.Network)
+		bres, err := verified(v.Baseline(c.Inner.Network))
 		if err != nil {
 			return nil, err
 		}
@@ -309,14 +303,26 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 	return r.res, nil
 }
 
+// verified passes a delta run through, unless the engine closed under it:
+// a problem refused for that reason was never verified, so the migration
+// fails with engine.ErrClosed instead of reading the state as violating.
+func verified(dres *delta.Result, err error) (*delta.Result, error) {
+	if err != nil {
+		return dres, err
+	}
+	for _, p := range dres.Problems {
+		if errors.Is(p.Err, engine.ErrClosed) {
+			return dres, p.Err
+		}
+	}
+	return dres, nil
+}
+
 func (r *runner) rollback() error {
 	if r.v.Fingerprint() == r.origNet.Fingerprint() {
 		return nil
 	}
-	if r.cfg.Store != nil {
-		r.cfg.Store.SetFingerprint(r.origNet.Fingerprint())
-	}
-	_, err := r.v.Update(r.origNet)
+	_, err := verified(r.v.Update(r.origNet))
 	return err
 }
 
@@ -348,10 +354,7 @@ func (r *runner) ordered(ctx context.Context) error {
 			next = n2
 		}
 
-		if r.cfg.Store != nil {
-			r.cfg.Store.SetFingerprint(next.Fingerprint())
-		}
-		dres, err := r.v.Update(next)
+		dres, err := verified(r.v.Update(next))
 		if err != nil {
 			sp.End()
 			return err

@@ -93,10 +93,7 @@ func (r *runner) search(ctx context.Context) error {
 				depth := len(order)
 				r.emit(Event{Type: EvStepStarted, Step: depth, PlanStep: i, Label: st.label, Search: true})
 				sp := r.span.StartSpan("step:" + st.label)
-				if r.cfg.Store != nil {
-					r.cfg.Store.SetFingerprint(fp)
-				}
-				dres, derr := r.v.Update(next)
+				dres, derr := verified(r.v.Update(next))
 				if derr != nil {
 					sp.End()
 					return false, derr
@@ -194,10 +191,7 @@ func (r *runner) search(ctx context.Context) error {
 	// network.
 	finalFP := cur.Fingerprint()
 	if r.v.Fingerprint() != finalFP {
-		if r.cfg.Store != nil {
-			r.cfg.Store.SetFingerprint(finalFP)
-		}
-		if _, err := r.v.Update(cur); err != nil {
+		if _, err := verified(r.v.Update(cur)); err != nil {
 			return err
 		}
 	}

@@ -120,9 +120,6 @@ type Options struct {
 	// Priority orders this request's workloads within the tenant's queue
 	// (higher first); it never preempts other tenants.
 	Priority int `json:"priority,omitempty"`
-	// StoreRetain bounds Store retention: on open, only results from the N
-	// most recently written network fingerprints are kept (0 = keep all).
-	StoreRetain int `json:"store_retain,omitempty"`
 	// Results selects what per-problem reports and the event stream carry:
 	// "failures" (the default) keeps the checks that did not pass — in full,
 	// witness included — and counts the rest; "all" keeps every check, as
@@ -194,9 +191,6 @@ func (r Request) Validate() error {
 	default:
 		return requestErrorf("plan: unknown results mode %q (want %q or %q)",
 			r.Options.Results, engine.ResultsFailures, engine.ResultsAll)
-	}
-	if r.Options.StoreRetain < 0 {
-		return requestErrorf("plan: store_retain must be >= 0, got %d", r.Options.StoreRetain)
 	}
 	if b := r.Options.Baseline; b != nil {
 		if err := b.validate(); err != nil {
@@ -349,7 +343,7 @@ func (c *Compiled) ReleasePrepared() {
 
 // prepare generates one problem's checks.
 func prepare(p netgen.Problem) PreparedProblem {
-	prop, checks, err := delta.Generate(p, core.Options{})
+	prop, checks, err := delta.Generate(p)
 	return PreparedProblem{Property: prop, Checks: checks, Err: err}
 }
 

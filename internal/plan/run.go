@@ -137,9 +137,8 @@ type RunConfig struct {
 	// the sink needs no locking of its own and events form one total order
 	// ending with the "plan" event.
 	Sink func(Event)
-	// Store, when non-nil, is tagged with the fingerprints of the networks
-	// the run verifies (provenance on journaled results); the store itself
-	// must already be plugged into the engine by the caller.
+	// Store, when non-nil, is the persistent store the caller plugged into
+	// the engine; the result reports its traffic (Result.Store).
 	Store *store.Store
 	// Reservation, when non-nil, is the admission grant the host already
 	// obtained for this plan (engine.Reserve with the compiled Cost) —
@@ -193,9 +192,6 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 		sinkMu.Lock()
 		cfg.Sink(ev)
 		sinkMu.Unlock()
-	}
-	if cfg.Store != nil {
-		cfg.Store.SetFingerprint(c.Network.Fingerprint())
 	}
 
 	resv := cfg.Reservation
@@ -343,9 +339,6 @@ func runDelta(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	defer del.End()
 	wl.TraceSpan = del
 	v.SetWorkload(wl)
-	if cfg.Store != nil {
-		cfg.Store.SetFingerprint(c.Baseline.Fingerprint())
-	}
 	bs := tr.StartSpan("baseline")
 	base, err := v.Baseline(c.Baseline)
 	if err != nil {
@@ -354,9 +347,6 @@ func runDelta(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	}
 	bs.SetAttrInt("solved", int64(base.Solved))
 	bs.End()
-	if cfg.Store != nil {
-		cfg.Store.SetFingerprint(c.Network.Fingerprint())
-	}
 	us := tr.StartSpan("update")
 	upd, err := v.Update(c.Network)
 	if err != nil {
@@ -392,7 +382,7 @@ func Execute(req Request, res Resolver) (*Result, error) {
 	opts := engine.Options{Workers: req.Options.Workers, CacheSize: req.Options.Cache}
 	var st *store.Store
 	if req.Options.Store != "" {
-		st, err = store.OpenOptions(req.Options.Store, store.Options{MaxFingerprints: req.Options.StoreRetain})
+		st, err = store.Open(req.Options.Store)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,117 @@
+package plan
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"lightyear/internal/engine"
+	"lightyear/internal/netgen"
+)
+
+// execute runs req through Execute, the entry point that opens Options.Store
+// the way the CLI does.
+func execute(t *testing.T, req Request) *Result {
+	t.Helper()
+	res, err := Execute(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// failureWitnesses renders every failing check of res twice: as the text
+// the CLI prints (the report summary's FAIL line and its witness) and as
+// the -json entry without timings.
+func failureWitnesses(res *Result) (text []string, js []engine.CheckResultJSON) {
+	for _, pr := range res.Properties {
+		for _, p := range pr.Problems {
+			if p.Report == nil {
+				continue
+			}
+			for _, f := range p.Report.HardFailures() {
+				text = append(text, fmt.Sprintf("%s: FAIL [%s] at %s: %s\n%s", p.Name, f.Kind, f.Loc, f.Desc, f.Counterexample))
+			}
+			for _, c := range p.EncodeReport().Checks {
+				if c.Status == "fail" {
+					c.SolveNanos, c.TotalNanos = 0, 0
+					js = append(js, c)
+				}
+			}
+		}
+	}
+	return text, js
+}
+
+// TestStoreServedFailuresMatchSolved: a failure on a warm store prints the
+// same witness, in text and in -json, as a run without a store. The store
+// journals only verdicts that hold, so every failure is solved (or shared
+// in flight) and carries a structured, replayable counterexample.
+func TestStoreServedFailuresMatchSolved(t *testing.T) {
+	wan := netgen.WANParams{Regions: 2, RoutersPerRegion: 2, EdgeRouters: 2, DCsPerRegion: 1, PeersPerEdge: 2}
+	req := Request{
+		Network:    Network{Config: netgen.WANDSL(wan, netgen.WANBugs{MissingBogonFilter: true})},
+		Properties: []Property{{Name: "wan-peering"}},
+		Options:    Options{WANRegions: 2},
+	}
+	refText, refJSON := failureWitnesses(execute(t, req))
+	if len(refText) == 0 {
+		t.Fatal("the missing-bogon WAN verified")
+	}
+	for _, c := range refJSON {
+		if c.Counterexample == nil || c.Counterexample.Input == "" {
+			t.Fatalf("solved failure without a structured witness: %+v", c)
+		}
+	}
+
+	req.Options.Store = t.TempDir()
+	cold := execute(t, req)
+	warm := execute(t, req)
+	if warm.Store == nil || warm.Store.Loaded == 0 || warm.Store.Hits == 0 {
+		t.Fatalf("warm run was not served from the store: %+v", warm.Store)
+	}
+	if cold.Store.Puts != warm.Store.Loaded || warm.Store.Puts != 0 {
+		t.Fatalf("store: cold %+v, warm %+v; want the warm run to load what the cold one recorded and record nothing", cold.Store, warm.Store)
+	}
+	for name, res := range map[string]*Result{"cold": cold, "warm": warm} {
+		text, js := failureWitnesses(res)
+		if !reflect.DeepEqual(text, refText) {
+			t.Errorf("%s store run prints\n%q\nwithout a store\n%q", name, text, refText)
+		}
+		if !reflect.DeepEqual(js, refJSON) {
+			t.Errorf("%s store run's -json failures\n%+v\nwithout a store\n%+v", name, js, refJSON)
+		}
+	}
+}
+
+// TestStoreWarmRestartAndDiff is the store round trip a CLI user sees: a
+// cold run records verdicts, a rerun in a new engine (a process restart)
+// loads and reuses them, and an incremental run against a baseline reuses
+// retained results.
+func TestStoreWarmRestartAndDiff(t *testing.T) {
+	spec := func(edgeRouters int) *netgen.GeneratorSpec {
+		return &netgen.GeneratorSpec{Kind: "wan", Regions: 2, RoutersPerRegion: 1, EdgeRouters: edgeRouters, PeersPerEdge: 2}
+	}
+	dir := t.TempDir()
+	req := Request{
+		Network:    Network{Generator: spec(1)},
+		Properties: []Property{{Name: "wan-peering"}},
+		Options:    Options{WANRegions: 2, Store: dir},
+	}
+
+	cold := execute(t, req)
+	if !cold.OK || cold.Store == nil || cold.Store.Loaded != 0 || cold.Store.Puts == 0 {
+		t.Fatalf("cold run: ok=%v store %+v; want 0 loaded and some recorded", cold.OK, cold.Store)
+	}
+	warm := execute(t, req)
+	if !warm.OK || warm.Store.Loaded == 0 || warm.Store.Hits == 0 {
+		t.Fatalf("warm run: ok=%v store %+v; want results loaded and reused", warm.OK, warm.Store)
+	}
+
+	req.Network = Network{Generator: spec(2)}
+	req.Options.Baseline = &Network{Generator: spec(1)}
+	diff := execute(t, req)
+	if !diff.OK || diff.Update == nil || diff.Update.ReusedResults == 0 {
+		t.Fatalf("diff run: ok=%v update %+v; want reused results", diff.OK, diff.Update)
+	}
+}

@@ -16,6 +16,8 @@ import (
 // form and nothing else; whatever it accepts decodes to the record
 // json.Unmarshal would produce, and a line it rejects is skipped on replay
 // like a torn one (FuzzJournal checks all three against encoding/json).
+// The reader also accepts, and discards, the network fingerprint ("fp")
+// that older writers put after the key, so their journals stay warm.
 
 // appendRecord appends rec's journal line, without the newline.
 func appendRecord(b []byte, rec *record) []byte {
@@ -25,9 +27,6 @@ func appendRecord(b []byte, rec *record) []byte {
 		b = append(b, ',')
 	}
 	b = appendString(append(b, `"key":`...), rec.Key)
-	if rec.Fingerprint != "" {
-		b = appendString(append(b, `,"fp":`...), rec.Fingerprint)
-	}
 	r := &rec.Result
 	b = strconv.AppendBool(append(b, `,"result":{"ok":`...), r.OK)
 	b = appendNonZero(b, `,"vars":`, int64(r.NumVars))
@@ -43,9 +42,6 @@ func appendRecord(b []byte, rec *record) []byte {
 	}
 	b = appendNonZero(b, `,"solve_ns":`, r.SolveNS)
 	b = appendNonZero(b, `,"total_ns":`, r.TotalNS)
-	if r.Witness != "" {
-		b = appendString(append(b, `,"witness":`...), r.Witness)
-	}
 	return append(b, "}}"...)
 }
 
@@ -57,10 +53,10 @@ func appendNonZero(b []byte, field string, v int64) []byte {
 	return strconv.AppendInt(append(b, field...), v, 10)
 }
 
-// appendString writes s as a JSON string. Keys and fingerprints are hex, so
-// they are copied between quotes; anything that needs escaping (witnesses
-// quote predicates and span lines) goes through encoding/json, whose HTML
-// escaping and invalid-UTF-8 replacement the journal has always had.
+// appendString writes s as a JSON string. Keys are hex, so they are copied
+// between quotes; anything that needs escaping goes through encoding/json,
+// whose HTML escaping and invalid-UTF-8 replacement the journal has always
+// had.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plain(s[i]) {
@@ -81,9 +77,9 @@ func plain(c byte) bool {
 }
 
 // decodeRecord parses one journal line in the canonical form appendRecord
-// writes. Fingerprints are interned through fps: a journal repeats one
-// network state's fingerprint on every line it wrote.
-func decodeRecord(line []byte, fps map[string]string) (rec record, ok bool) {
+// writes, or in that form with an older writer's "fp" field, which it
+// skips and reports (hadFP) so that Open rewrites the journal without it.
+func decodeRecord(line []byte) (rec record, hadFP, ok bool) {
 	p := lineParser{b: line, ok: true}
 	p.lit(`{`)
 	if p.opt(`"v":`) {
@@ -91,9 +87,9 @@ func decodeRecord(line []byte, fps map[string]string) (rec record, ok bool) {
 		p.lit(`,`)
 	}
 	p.lit(`"key":`)
-	rec.Key = p.str(nil)
-	if p.opt(`,"fp":`) {
-		rec.Fingerprint = p.str(fps)
+	rec.Key = p.str()
+	if hadFP = p.opt(`,"fp":`); hadFP {
+		p.str()
 	}
 	r := &rec.Result
 	p.lit(`,"result":{"ok":`)
@@ -126,11 +122,8 @@ func decodeRecord(line []byte, fps map[string]string) (rec record, ok bool) {
 	if p.opt(`,"total_ns":`) {
 		r.TotalNS = p.int(64)
 	}
-	if p.opt(`,"witness":`) {
-		r.Witness = p.str(nil)
-	}
 	p.lit(`}}`)
-	return rec, p.ok && p.i == len(p.b)
+	return rec, hadFP, p.ok && p.i == len(p.b)
 }
 
 // lineParser is a cursor over one line. The first mismatch clears ok; every
@@ -198,10 +191,10 @@ func (p *lineParser) int(bits int) int64 {
 	return 0
 }
 
-// str reads a JSON string. One of printable ASCII without escapes is copied
-// (or, with an intern table, shared); anything else is handed to
-// encoding/json, which is what json.Unmarshal would have produced.
-func (p *lineParser) str(intern map[string]string) string {
+// str reads a JSON string. One of printable ASCII without escapes is
+// copied; anything else is handed to encoding/json, which is what
+// json.Unmarshal would have produced.
+func (p *lineParser) str() string {
 	if !p.ok || p.i >= len(p.b) || p.b[p.i] != '"' {
 		p.ok = false
 		return ""
@@ -211,16 +204,7 @@ func (p *lineParser) str(intern map[string]string) string {
 		c := p.b[j]
 		if c == '"' {
 			p.i = j + 1
-			raw := p.b[start:j]
-			if intern == nil {
-				return string(raw)
-			}
-			if s, ok := intern[string(raw)]; ok {
-				return s
-			}
-			s := string(raw)
-			intern[s] = s
-			return s
+			return string(p.b[start:j])
 		}
 		if c == '\\' || c < 0x20 || c >= 0x80 {
 			return p.escaped(start - 1)

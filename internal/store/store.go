@@ -8,14 +8,19 @@
 // the key already hashes everything the verdict depends on (the filter
 // policy, the predicates, the ghost updates and origination values), so it
 // is sound across network states, processes, and suites — the same property
-// the engine's in-memory cache and cross-job dedup rest on. Each record is
+// the engine's in-memory cache and cross-job dedup rest on. A record is the
+// key and its verdict, nothing else: it carries no network state, so every
+// run, job and session that poses a check shares its record. Each record is
 // filed under the key scheme's version (keyVersion, now 4: version 3 keys
 // hashed the check's location, version 2 keys missed the ghosts' origination
-// values on originate checks); records of another version are never served. Each record additionally carries the
-// fingerprint of the network state that produced it (topology.Fingerprint)
-// as provenance, which retention (Options.MaxFingerprints) and future
-// sharded/remote stores use to scope what is kept without affecting lookup
-// correctness.
+// values on originate checks); records of another version are never served.
+// The store has no retention bound: it keeps every verdict it was given.
+//
+// Only verdicts that hold are journaled. A failure is re-solved (or served
+// by the engine's in-flight dedup) each run, so its witness is always the
+// structured counterexample a solve produces, never a replayed rendering of
+// one; a failing key costs a few dozen microseconds to solve, and a run
+// with failures is the one somebody reads.
 //
 // The journal has one line shape, written and read by a hand-written codec
 // (codec.go) rather than encoding/json's reflection: its bytes are exactly
@@ -26,15 +31,15 @@
 //
 // Persisted results deliberately drop the per-check identity
 // (Kind/Loc/Desc): the engine relabels shared results for the receiving
-// check anyway (engine.adapt), and a counterexample's routes are kept as
-// their rendered text. The journal is append-only and crash-tolerant: every
-// Add is flushed on its own, a truncated final line is ignored on replay,
-// and re-recording an already-known key is skipped to keep warm reruns from
-// growing the file. Journals that nevertheless accumulate superseded
-// duplicate keys, unparsable lines or records of an older key scheme
-// (crashes, older writers, concatenated directories) are compacted on Open:
-// the file is atomically rewritten with exactly one record per key, so
-// long-lived store directories stop growing unboundedly.
+// check anyway (engine.adapt). The journal is append-only and
+// crash-tolerant: every Add is flushed on its own, a truncated final line
+// is ignored on replay, and re-recording an already-known key is skipped to
+// keep warm reruns from growing the file. Journals that nevertheless carry
+// superseded duplicate keys, unparsable lines, failures, records of an
+// older key scheme, or the network fingerprint older writers attached to
+// each record (crashes, older writers, concatenated directories) are
+// compacted on Open: the file is atomically rewritten with exactly one
+// record per key, in key order.
 package store
 
 import (
@@ -70,13 +75,14 @@ const keyVersion = 4
 // record is one journal line. Its json tags define the line format; the
 // codec in codec.go writes and reads exactly that format without reflection.
 type record struct {
-	V           int          `json:"v,omitempty"`
-	Key         string       `json:"key"`
-	Fingerprint string       `json:"fp,omitempty"`
-	Result      resultRecord `json:"result"`
+	V      int          `json:"v,omitempty"`
+	Key    string       `json:"key"`
+	Result resultRecord `json:"result"`
 }
 
-// resultRecord is the persisted portion of a core.CheckResult.
+// resultRecord is the persisted portion of a core.CheckResult. OK is always
+// true on what the store writes; replay drops the failures older writers
+// recorded.
 type resultRecord struct {
 	OK      bool `json:"ok"`
 	NumVars int  `json:"vars,omitempty"`
@@ -88,7 +94,6 @@ type resultRecord struct {
 	Solver   *core.SolveStats `json:"solver,omitempty"`
 	SolveNS  int64            `json:"solve_ns,omitempty"`
 	TotalNS  int64            `json:"total_ns,omitempty"`
-	Witness  string           `json:"witness,omitempty"` // rendered counterexample, failures only
 }
 
 func encodeResult(r core.CheckResult) resultRecord {
@@ -104,15 +109,15 @@ func encodeResult(r core.CheckResult) resultRecord {
 		s := r.Solver
 		out.Solver = &s
 	}
-	if r.Counterexample != nil {
-		out.Witness = r.Counterexample.String()
-	}
 	return out
 }
 
+// decode returns the recorded verdict, which holds: only OK results are
+// journaled or replayed.
 func (rr resultRecord) decode() core.CheckResult {
 	out := core.CheckResult{
-		OK:        rr.OK,
+		OK:        true,
+		Status:    core.StatusOK,
 		NumVars:   rr.NumVars,
 		NumCons:   rr.NumCons,
 		NumTerms:  rr.NumTerms,
@@ -121,16 +126,6 @@ func (rr resultRecord) decode() core.CheckResult {
 	}
 	if rr.Solver != nil {
 		out.Solver = *rr.Solver
-	}
-	// Only decided verdicts are ever journaled (Unknown results are not
-	// cacheable), so Status follows directly from OK.
-	if rr.OK {
-		out.Status = core.StatusOK
-	} else {
-		out.Status = core.StatusFail
-	}
-	if rr.Witness != "" {
-		out.Counterexample = &core.Counterexample{Note: rr.Witness}
 	}
 	return out
 }
@@ -141,22 +136,7 @@ type Stats struct {
 	Hits      int `json:"hits"`                // Get calls served
 	Misses    int `json:"misses"`              // Get calls not served
 	Puts      int `json:"puts"`                // new results appended to the journal
-	Compacted int `json:"compacted,omitempty"` // superseded journal lines dropped on Open
-	Evicted   int `json:"evicted,omitempty"`   // results dropped by fingerprint retention on Open
-}
-
-// Options configure Open's replay and compaction behavior.
-type Options struct {
-	// MaxFingerprints, when positive, bounds retention by provenance: on
-	// Open only results recorded under the N most recently written network
-	// fingerprints are kept, and the journal is compacted to match — the
-	// knob that stops a long-lived store directory from accumulating
-	// results for network states that no longer exist. Recency is write
-	// order, which survives compaction: the journal is rewritten with the
-	// oldest fingerprint's records first and the newest last. Results
-	// recorded without a fingerprint carry no provenance and are always
-	// kept. 0 keeps everything.
-	MaxFingerprints int
+	Compacted int `json:"compacted,omitempty"` // journal lines dropped on Open
 }
 
 // Store is a disk-backed ResultCache. It is safe for concurrent use by one
@@ -166,19 +146,15 @@ type Store struct {
 	path string
 
 	mu        sync.Mutex
-	mem       map[string]record // full records, so compaction keeps provenance
+	mem       map[string]resultRecord
 	f         *os.File
 	w         *bufio.Writer
-	buf       []byte         // append's line buffer
-	fp        string         // provenance fingerprint attached to subsequent Puts
-	fpSeq     map[string]int // fingerprint → last write tick, for retention recency
-	fpTick    int
+	buf       []byte // append's line buffer
 	loaded    int
 	hits      int
 	misses    int
 	puts      int
 	compacted int
-	evicted   int
 
 	// Telemetry handles (nil without SetTelemetry; emission is nil-safe).
 	metHits   *telemetry.Counter
@@ -245,25 +221,19 @@ func (s *Store) SetTelemetry(rec *telemetry.Recorder) {
 		})
 }
 
-// Open opens dir with default options (no fingerprint retention bound).
-func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
-
-// OpenOptions creates the directory if needed, replays the journal —
-// applying the fingerprint retention bound and compacting the file in
-// place when it carries superseded duplicate keys or evicted results, so
-// long-lived store directories stop growing unboundedly — and returns a
-// store ready to serve Gets from memory and append Puts to disk.
-func OpenOptions(dir string, opts Options) (*Store, error) {
+// Open creates the directory if needed, replays the journal — compacting
+// the file in place when it carries anything but one current record per
+// key (see the package doc) — and returns a store ready to serve Gets from
+// memory and append Puts to disk.
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	path := filepath.Join(dir, journalName)
-	s := &Store{path: path, mem: make(map[string]record), fpSeq: make(map[string]int)}
+	s := &Store{path: path, mem: make(map[string]resultRecord)}
 
-	lines := 0
-	fpSeq := s.fpSeq // fingerprint → last journal line it was written on
+	lines, legacy := 0, false
 	if f, err := os.Open(path); err == nil {
-		fps := make(map[string]string) // interned provenance fingerprints
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 		for sc.Scan() {
@@ -272,17 +242,16 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 				continue
 			}
 			lines++
-			rec, ok := decodeRecord(line, fps)
-			if !ok || rec.Key == "" || rec.V != keyVersion {
-				// Torn or foreign line (e.g. a crash mid-append), or a record
-				// of another key scheme: skip it rather than refuse the rest
-				// of the journal.
+			rec, hadFP, ok := decodeRecord(line)
+			if !ok || rec.Key == "" || rec.V != keyVersion || !rec.Result.OK {
+				// Torn or foreign line (e.g. a crash mid-append), a record
+				// of another key scheme, or a failure an older writer
+				// journaled: skip it rather than refuse the rest of the
+				// journal.
 				continue
 			}
-			s.mem[rec.Key] = rec // last record for a key wins, as in Get
-			if rec.Fingerprint != "" {
-				fpSeq[rec.Fingerprint] = lines
-			}
+			legacy = legacy || hadFP
+			s.mem[rec.Key] = rec.Result // last record for a key wins, as in Get
 		}
 		err := sc.Err()
 		f.Close()
@@ -292,20 +261,16 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.fpTick = lines
-	s.evicted = s.retain(opts.MaxFingerprints, fpSeq)
 	s.loaded = len(s.mem)
 
-	if lines > len(s.mem) {
-		// The journal carries superseded duplicates, torn lines, records of
-		// an older key scheme, or retention-evicted results: rewrite it with exactly one record per
-		// retained key. Best-effort — a failed compaction leaves the
-		// original journal in place (evicted results stay dropped from
-		// memory either way).
+	if lines > len(s.mem) || legacy {
+		// Rewrite the journal with exactly one record per key and no
+		// network fingerprints. Best-effort — a failed compaction leaves
+		// the original journal in place, which replays the same way.
 		if err := s.compact(); err != nil {
 			s.warn("journal compaction failed", err)
 		} else {
-			s.compacted = lines - len(s.mem) - s.evicted
+			s.compacted = lines - len(s.mem)
 		}
 	}
 
@@ -317,58 +282,15 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// retain applies the MaxFingerprints bound to the replayed records: only
-// results whose provenance is among the max most recently written
-// fingerprints (by last journal appearance) survive; fingerprint-less
-// records always do. Evicted fingerprints are dropped from the recency
-// index too. Returns the number of evicted results.
-func (s *Store) retain(max int, fpSeq map[string]int) int {
-	if max <= 0 || len(fpSeq) <= max {
-		return 0
-	}
-	fps := make([]string, 0, len(fpSeq))
-	for fp := range fpSeq {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fpSeq[fps[i]] > fpSeq[fps[j]] })
-	keep := make(map[string]bool, max)
-	for _, fp := range fps[:max] {
-		keep[fp] = true
-	}
-	evicted := 0
-	for key, rec := range s.mem {
-		if rec.Fingerprint != "" && !keep[rec.Fingerprint] {
-			delete(s.mem, key)
-			evicted++
-		}
-	}
-	for fp := range fpSeq {
-		if !keep[fp] {
-			delete(fpSeq, fp)
-		}
-	}
-	return evicted
-}
-
 // compact atomically rewrites the journal from memory: one record per key,
-// written to a temp file and renamed over the original. Records are
-// ordered by their fingerprint's write recency (oldest first,
-// provenance-less records before all), then by key for determinism — so
-// the rewritten journal preserves the write-order recency that
-// fingerprint retention (Options.MaxFingerprints) reads back on the next
-// Open. Called before the append handle is opened.
+// in key order, written to a temp file and renamed over the original.
+// Called before the append handle is opened.
 func (s *Store) compact() error {
 	keys := make([]string, 0, len(s.mem))
 	for k := range s.mem {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		si, sj := s.fpSeq[s.mem[keys[i]].Fingerprint], s.fpSeq[s.mem[keys[j]].Fingerprint]
-		if si != sj {
-			return si < sj
-		}
-		return keys[i] < keys[j]
-	})
+	sort.Strings(keys)
 
 	tmp, err := os.CreateTemp(filepath.Dir(s.path), journalName+".compact-*")
 	if err != nil {
@@ -378,7 +300,7 @@ func (s *Store) compact() error {
 	w := bufio.NewWriter(tmp)
 	var b []byte
 	for _, k := range keys {
-		rec := s.mem[k]
+		rec := record{V: keyVersion, Key: k, Result: s.mem[k]}
 		b = append(appendRecord(b[:0], &rec), '\n')
 		if _, err := w.Write(b); err != nil {
 			tmp.Close()
@@ -395,20 +317,12 @@ func (s *Store) compact() error {
 	return os.Rename(tmp.Name(), s.path)
 }
 
-// SetFingerprint sets the network-state fingerprint recorded as provenance
-// on subsequent Puts (see topology.Fingerprint).
-func (s *Store) SetFingerprint(fp string) {
-	s.mu.Lock()
-	s.fp = fp
-	s.mu.Unlock()
-}
-
 // Get implements engine.ResultCache. The returned result carries no
 // Kind/Loc/Desc; the engine relabels it for the receiving check.
 func (s *Store) Get(key string) (core.CheckResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.mem[key]
+	rr, ok := s.mem[key]
 	if !ok {
 		s.misses++
 		s.metMisses.Inc()
@@ -416,17 +330,17 @@ func (s *Store) Get(key string) (core.CheckResult, bool) {
 	}
 	s.hits++
 	s.metHits.Inc()
-	return rec.Result.decode(), true
+	return rr.decode(), true
 }
 
-// Add implements engine.ResultCache: record the result in memory and append
-// it to the journal. Keys already present are left untouched — results are
-// content-addressed, so the first verdict recorded for a key is the
-// verdict.
+// Add implements engine.ResultCache: record a verdict that holds in memory
+// and append it to the journal. Failures and Unknowns are not recorded (see
+// the package doc; an Unknown is not a verdict at all, and journaling it
+// would pin "insufficient budget" as the key's answer forever). Keys
+// already present are left untouched — results are content-addressed, so
+// the first verdict recorded for a key is the verdict.
 func (s *Store) Add(key string, val core.CheckResult) {
-	if key == "" || val.Status == core.StatusUnknown {
-		// Unknown is not a verdict: journaling it would pin "insufficient
-		// budget" as the key's answer forever.
+	if key == "" || !val.OK {
 		return
 	}
 	s.mu.Lock()
@@ -437,12 +351,8 @@ func (s *Store) Add(key string, val core.CheckResult) {
 	if _, dup := s.mem[key]; dup {
 		return
 	}
-	rec := record{V: keyVersion, Key: key, Fingerprint: s.fp, Result: encodeResult(val)}
-	s.mem[key] = rec
-	if s.fp != "" {
-		s.fpTick++
-		s.fpSeq[s.fp] = s.fpTick // recency for retention on a later Open
-	}
+	rec := record{V: keyVersion, Key: key, Result: encodeResult(val)}
+	s.mem[key] = rec.Result
 	s.puts++
 	s.metPuts.Inc()
 	if err := s.append(&rec); err != nil {
@@ -474,7 +384,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{Loaded: s.loaded, Hits: s.hits, Misses: s.misses, Puts: s.puts,
-		Compacted: s.compacted, Evicted: s.evicted}
+		Compacted: s.compacted}
 }
 
 // Close flushes and closes the journal. The store must not be used after

@@ -3,65 +3,64 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"lightyear/internal/core"
 )
 
+// TestStoreRoundTripAcrossReopen: a verdict that holds survives a restart
+// with its solve statistics; a failure, an Unknown and a keyless result are
+// never journaled.
 func TestStoreRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetFingerprint("fp-1")
 
 	pass := core.CheckResult{OK: true, NumVars: 12, NumCons: 34,
 		SolveTime: 5 * time.Millisecond, TotalTime: 9 * time.Millisecond}
-	fail := core.CheckResult{OK: false,
+	fail := core.CheckResult{OK: false, Status: core.StatusFail,
 		Counterexample: &core.Counterexample{Note: "filter accepts a bogon"}}
 	s.Add("key-pass", pass)
 	s.Add("key-fail", fail)
+	s.Add("key-unknown", core.CheckResult{Status: core.StatusUnknown})
 	s.Add("", core.CheckResult{OK: true}) // uncacheable: must be ignored
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	if st := s.Stats(); st.Puts != 2 || st.Loaded != 0 {
-		t.Fatalf("stats = %+v, want 2 puts, 0 loaded", st)
+	if st := s.Stats(); st.Puts != 1 || st.Loaded != 0 {
+		t.Fatalf("stats = %+v, want 1 put, 0 loaded", st)
+	}
+	if _, ok := s.Get("key-fail"); ok {
+		t.Fatal("a failure is served from the store")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Process restart": reopen and serve both results from the journal.
+	// "Process restart": reopen and serve the verdict from the journal.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("after reopen Len = %d, want 2", s2.Len())
-	}
-	if st := s2.Stats(); st.Loaded != 2 {
-		t.Fatalf("after reopen stats = %+v, want 2 loaded", st)
+	if st := s2.Stats(); st.Loaded != 1 || s2.Len() != 1 {
+		t.Fatalf("after reopen Len = %d, stats = %+v, want 1 loaded", s2.Len(), st)
 	}
 	got, ok := s2.Get("key-pass")
-	if !ok || !got.OK || got.NumVars != 12 || got.NumCons != 34 ||
+	if !ok || !got.OK || got.Status != core.StatusOK || got.NumVars != 12 || got.NumCons != 34 ||
 		got.SolveTime != 5*time.Millisecond || got.TotalTime != 9*time.Millisecond {
 		t.Fatalf("key-pass round trip = %+v/%v", got, ok)
 	}
-	gotFail, ok := s2.Get("key-fail")
-	if !ok || gotFail.OK || gotFail.Counterexample == nil ||
-		gotFail.Counterexample.String() == "" {
-		t.Fatalf("key-fail round trip = %+v/%v", gotFail, ok)
+	for _, key := range []string{"key-fail", "absent"} {
+		if _, ok := s2.Get(key); ok {
+			t.Fatalf("%s must miss", key)
+		}
 	}
-	if _, ok := s2.Get("absent"); ok {
-		t.Fatal("absent key must miss")
-	}
-	if st := s2.Stats(); st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 hits / 1 miss", st)
+	if st := s2.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 hit / 2 misses", st)
 	}
 }
 
@@ -103,15 +102,17 @@ func TestStoreSkipsDuplicatesAndTornLines(t *testing.T) {
 	}
 }
 
-// TestCompactOnOpen: a journal carrying superseded duplicate keys is
-// rewritten on Open with exactly one record per key, the latest verdict
-// winning and fingerprint provenance preserved; a clean journal is left
+// TestCompactOnOpen: a journal an older writer left — superseded duplicate
+// keys, a journaled failure, network fingerprints on every record and a
+// torn line — is rewritten on Open with exactly one record per key that
+// holds, in key order and without fingerprints; a clean journal is left
 // byte-identical.
 func TestCompactOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalName)
-	journal := `{"v":4,"key":"a","fp":"fp-old","result":{"ok":false,"witness":"stale"}}
+	journal := `{"v":4,"key":"d","fp":"fp-old","result":{"ok":false,"witness":"input:  stale"}}
 {"v":4,"key":"b","fp":"fp-1","result":{"ok":true}}
+{"v":4,"key":"a","fp":"fp-1","result":{"ok":true,"vars":3}}
 {"v":4,"key":"a","fp":"fp-new","result":{"ok":true,"vars":7}}
 {"v":4,"key":"torn","result":{"ok
 `
@@ -123,11 +124,14 @@ func TestCompactOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Loaded != 2 || st.Compacted != 2 {
-		t.Fatalf("stats = %+v, want 2 loaded / 2 compacted", st)
+	if st := s.Stats(); st.Loaded != 2 || st.Compacted != 3 {
+		t.Fatalf("stats = %+v, want 2 loaded / 3 compacted", st)
 	}
 	if r, ok := s.Get("a"); !ok || !r.OK || r.NumVars != 7 {
 		t.Fatalf("compaction must keep the superseding record: %+v/%v", r, ok)
+	}
+	if _, ok := s.Get("d"); ok {
+		t.Fatal("a journaled failure is served")
 	}
 	// Appends after compaction must still work.
 	s.Add("c", core.CheckResult{OK: true})
@@ -139,17 +143,12 @@ func TestCompactOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := 0
-	for _, l := range splitLines(string(data)) {
-		if l != "" {
-			lines++
-		}
-	}
-	if lines != 3 {
-		t.Fatalf("compacted journal has %d records, want 3 (a, b, c):\n%s", lines, data)
-	}
-	if want := `"fp":"fp-new"`; !contains(string(data), want) {
-		t.Fatalf("compaction dropped fingerprint provenance:\n%s", data)
+	want := `{"v":4,"key":"a","result":{"ok":true,"vars":7}}
+{"v":4,"key":"b","result":{"ok":true}}
+{"v":4,"key":"c","result":{"ok":true}}
+`
+	if string(data) != want {
+		t.Fatalf("compacted journal:\n%swant\n%s", data, want)
 	}
 
 	// Reopen: nothing left to compact, everything still served.
@@ -170,8 +169,29 @@ func TestCompactOnOpen(t *testing.T) {
 	}
 }
 
-func splitLines(s string) []string { return strings.Split(s, "\n") }
-func contains(s, sub string) bool  { return strings.Contains(s, sub) }
+// TestFingerprintOnlyJournalRewritten: a journal whose only legacy content
+// is the network fingerprint on each record stays warm, and Open rewrites
+// it without the field although no line is dropped.
+func TestFingerprintOnlyJournalRewritten(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	journal := `{"v":4,"key":"a","fp":"fp-1","result":{"ok":true,"vars":3}}` + "\n"
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if r, ok := s.Get("a"); !ok || r.NumVars != 3 || s.Stats().Compacted != 0 {
+		t.Fatalf("legacy record: %+v/%v, stats %+v", r, ok, s.Stats())
+	}
+	data, err := os.ReadFile(path)
+	if want := `{"v":4,"key":"a","result":{"ok":true,"vars":3}}` + "\n"; err != nil || string(data) != want {
+		t.Fatalf("journal after open (%v):\n%swant\n%s", err, data, want)
+	}
+}
 
 // TestLegacyUnknownRecordsNotServed: journals written before results carried
 // a Status could record budget-exhausted checks as plain failures. Serving
@@ -243,13 +263,12 @@ func TestKeyVersionBump(t *testing.T) {
 	}
 
 	// Same key, new scheme: the new verdict is the one filed and served.
-	s.SetFingerprint("fp-b")
 	s.Add("k1", core.CheckResult{OK: true, Status: core.StatusOK, NumVars: 9})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data, _ = os.ReadFile(path)
-	if want := `{"v":4,"key":"k1","fp":"fp-b","result":{"ok":true,"vars":9}}` + "\n"; string(data) != want {
+	if want := `{"v":4,"key":"k1","result":{"ok":true,"vars":9}}` + "\n"; string(data) != want {
 		t.Fatalf("journal after the bump:\n%swant\n%s", data, want)
 	}
 	s2, err := Open(dir)
@@ -259,93 +278,5 @@ func TestKeyVersionBump(t *testing.T) {
 	defer s2.Close()
 	if r, ok := s2.Get("k1"); !ok || !r.OK || r.NumVars != 9 || s2.Stats().Compacted != 0 {
 		t.Fatalf("new-version record not replayed cleanly: %+v/%v, stats %+v", r, ok, s2.Stats())
-	}
-}
-
-// TestRetentionByFingerprint: OpenOptions with MaxFingerprints keeps only
-// the results of the N most recently written network fingerprints, drops
-// the rest from memory and (via compaction) from the journal, and always
-// keeps provenance-less records. Keys deliberately sort lexicographically
-// *against* write order (z, m, a), so the test also proves recency is
-// write order — not accidental key order — and survives compaction.
-func TestRetentionByFingerprint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three fingerprint generations plus one provenance-less record, in
-	// write order fp-1, fp-2, fp-3 — with keys sorting in reverse.
-	keys := map[string]string{"fp-1": "key-z1", "fp-2": "key-m2", "fp-3": "key-a3"}
-	for i, fp := range []string{"fp-1", "fp-2", "fp-3"} {
-		s.SetFingerprint(fp)
-		s.Add(keys[fp], core.CheckResult{OK: true, NumVars: i})
-	}
-	s.SetFingerprint("")
-	s.Add("key-nofp", core.CheckResult{OK: true})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenOptions(dir, Options{MaxFingerprints: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.Get(keys["fp-1"]); ok {
-		t.Error("oldest fingerprint's result survived retention")
-	}
-	for _, key := range []string{keys["fp-2"], keys["fp-3"], "key-nofp"} {
-		if _, ok := s2.Get(key); !ok {
-			t.Errorf("%s should survive retention", key)
-		}
-	}
-	if st := s2.Stats(); st.Evicted != 1 || st.Loaded != 3 {
-		t.Errorf("stats = %+v, want 1 evicted, 3 loaded", st)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The eviction was compacted out of the journal: an unbounded reopen
-	// must not resurrect fp-1.
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s3.Get(keys["fp-1"]); ok {
-		t.Error("evicted result resurrected after reopen — journal not compacted")
-	}
-	if s3.Len() != 3 {
-		t.Errorf("Len = %d after retention+compaction, want 3", s3.Len())
-	}
-	if err := s3.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recency must survive the compaction above: tightening to 1
-	// fingerprint must keep fp-3 (the most recently written), not whichever
-	// record happens to sort last in the rewritten file.
-	s4, err := OpenOptions(dir, Options{MaxFingerprints: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s4.Get(keys["fp-3"]); !ok {
-		t.Error("newest fingerprint evicted after compaction — recency lost in the rewrite")
-	}
-	if _, ok := s4.Get(keys["fp-2"]); ok {
-		t.Error("older fingerprint survived a 1-fingerprint bound")
-	}
-	if err := s4.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A bound wider than the journal keeps everything.
-	s5, err := OpenOptions(t.TempDir(), Options{MaxFingerprints: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s5.Close()
-	if st := s5.Stats(); st.Evicted != 0 {
-		t.Errorf("empty store evicted %d", st.Evicted)
 	}
 }
