@@ -72,12 +72,12 @@
 // -property/-routers/-regions the property list, -diff the baseline, and
 // -workers/-cache/-store/-solver/-wan-regions the execution options.
 //
-// With -store DIR the engine's result cache is replaced by the
-// internal/store persistent journal in DIR: results recorded by earlier
+// With -store DIR the internal/store persistent journal in DIR sits behind
+// the engine's in-memory result cache (-cache): results recorded by earlier
 // runs (of any suite) are served without re-solving, so a rerun after a
-// process restart reports reused results. -cache is ignored when -store is
-// set. The store is keyed by check content alone and keeps every verdict
-// that holds; it has no retention bound.
+// process restart reports reused results. The store is keyed by check
+// content alone and keeps every verdict that holds; it has no retention
+// bound.
 //
 // -tenant names the principal the run's workloads are admitted and
 // accounted under (the plan document's "tenant" execution option; the same
@@ -99,9 +99,9 @@
 //
 // -log-level and -log-format configure the structured logger every
 // component (engine, store) emits through: levels debug|info|warn|error,
-// formats text (default for this CLI) or json. Slow or undecided checks
-// are logged with their full solver provenance; see cmd/lyserve's
-// -slow-conflicts/-slow-solve for the threshold knobs on the service.
+// formats text (default for this CLI) or json. Slow (10,000 conflicts or
+// 2 s in the solver) or undecided checks are logged with their full solver
+// provenance.
 //
 // With -diff old.cfg the command runs incrementally via internal/delta: it
 // first verifies old.cfg as the baseline, then re-verifies -config against
@@ -466,8 +466,8 @@ func main() {
 	flag.StringVar(&f.MigratePath, "migrate", "", "verify a migration plan (migrate.Plan JSON: baseline, properties, ordered steps)")
 	flag.StringVar(&f.DiffPath, "diff", "", "baseline configuration: verify -config incrementally against it")
 	flag.IntVar(&f.Workers, "workers", 0, "parallel check workers (0 = GOMAXPROCS)")
-	flag.IntVar(&f.Cache, "cache", 0, "engine result-cache capacity (0 = default, <0 disables; ignored with -store)")
-	flag.StringVar(&f.Store, "store", "", "persistent result-store directory (replaces the in-memory cache)")
+	flag.IntVar(&f.Cache, "cache", 0, "engine in-memory result-cache capacity (0 = default, <0 disables)")
+	flag.StringVar(&f.Store, "store", "", "persistent result-store directory, behind the in-memory cache")
 	flag.StringVar(&f.Solver, "solver", "", "solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
 	flag.StringVar(&f.Results, "results", "", "check results the reports carry: failures (default) or all")
 	flag.BoolVar(&f.Verbose, "verbose", false, "print every check result (implies -results all)")
@@ -641,8 +641,8 @@ func printTrace(rec *telemetry.Recorder, tr *telemetry.Trace) {
 
 // newEngine builds the run's engine from the plan options and the
 // -max-inflight admission bound, which no plan document carries. With a
-// store directory the persistent result store is the engine's cache; the
-// caller closes both.
+// store directory the persistent result store sits behind the engine's
+// in-memory cache; the caller closes both.
 func newEngine(o plan.Options, maxInflight int, rec *telemetry.Recorder, logger *slog.Logger) (*engine.Engine, *store.Store, error) {
 	opts := engine.Options{
 		Workers:   o.Workers,

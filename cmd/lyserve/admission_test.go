@@ -144,13 +144,13 @@ func TestEngineFlagsReachTheEngine(t *testing.T) {
 		return build()
 	}
 	opts, err := parse("-workers", "2", "-max-inflight", "100", "-tenant-quota", "60",
-		"-tenant-weights", "acme=3", "-solver", "portfolio", "-slow-conflicts", "7")
+		"-tenant-weights", "acme=3", "-solver", "portfolio")
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := opts.Admission
 	if opts.Workers != 2 || a.MaxInFlightChecks != 100 || a.PerTenantQuota != 60 || a.Weights["acme"] != 3 ||
-		opts.Backend == nil || opts.Backend.Name() != "portfolio" || opts.SlowCheck.Conflicts != 7 {
+		opts.Backend == nil || opts.Backend.Name() != "portfolio" {
 		t.Fatalf("engine options from flags: %+v", opts)
 	}
 	for _, bad := range [][]string{{"-max-inflight", "many"}, {"-tenant-weights", "acme=0"}, {"-solver", "bogus"}} {

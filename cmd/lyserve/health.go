@@ -165,8 +165,8 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !out.Ready.Ready {
 		out.Status = "degraded"
 	}
-	if st, ok := s.eng.Cache().(*store.Store); ok {
-		stats := st.Stats()
+	if s.store != nil {
+		stats := s.store.Stats()
 		out.Store = &stats
 	}
 	if s.rec != nil {

@@ -11,14 +11,15 @@
 //	        [-trace-cap N] [-pprof]
 //	        [-solver remote:host1:9101,host2:9101]
 //
-// With -store DIR the engine's result cache is the internal/store
-// persistent journal in DIR, so a redeployed lyserve serves previously
-// solved checks without re-solving them. The store is keyed by check
-// content alone, so every job and session shares it; it keeps every verdict
-// that holds, with no retention bound. Completed jobs are garbage-collected
-// -job-ttl after completion (default 1h); sessions idle longer than
-// -session-ttl (default 24h; 0 disables) are expired and deleted — an
-// update to an expired session is 404, like an explicit DELETE.
+// With -store DIR the internal/store persistent journal in DIR sits behind
+// the engine's in-memory result cache (-cache), so a redeployed lyserve
+// serves previously solved checks without re-solving them. The store is
+// keyed by check content alone, so every job and session shares it; it
+// keeps every verdict that holds, with no retention bound. Completed jobs
+// are garbage-collected -job-ttl after completion (default 1h); sessions
+// idle longer than -session-ttl (default 24h; 0 disables) are expired and
+// deleted — an update to an expired session is 404, like an explicit
+// DELETE.
 // -event-window N (default 4096) bounds the per-job event history retained
 // for GET /v2/jobs/{id}/events replay: when a large plan emits more events
 // than the window, the oldest are evicted and late subscribers receive a
@@ -223,7 +224,7 @@ const defaultShutdownGrace = 15 * time.Second
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		storeDir = flag.String("store", "", "persistent result-store directory (replaces the in-memory cache)")
+		storeDir = flag.String("store", "", "persistent result-store directory, behind the in-memory cache")
 		jobTTL   = flag.Duration("job-ttl", defaultJobTTL, "retention of completed jobs")
 		sessTTL  = flag.Duration("session-ttl", defaultSessionTTL, "expiry of idle sessions (0 = never)")
 		evWindow = flag.Int("event-window", defaultEventWindow, "per-job event-history entries retained for /events replay (<=0 = unbounded)")
@@ -327,13 +328,11 @@ func main() {
 func engineFlags(fs *flag.FlagSet) func() (engine.Options, error) {
 	var (
 		workers     = fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		cacheSize   = fs.Int("cache", 0, "engine result-cache capacity (0 = default, <0 disables; ignored with -store)")
+		cacheSize   = fs.Int("cache", 0, "engine in-memory result-cache capacity (0 = default, <0 disables)")
 		maxInflight = fs.Int("max-inflight", 0, "admission: max in-flight checks across all tenants (0 = unlimited)")
 		tenantQuota = fs.Int("tenant-quota", 0, "admission: max in-flight checks per tenant (0 = unlimited)")
 		weightsSpec = fs.String("tenant-weights", "", "per-tenant dispatch weights, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
 		solverSpec  = fs.String("solver", "", "default solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
-		slowConf    = fs.Int64("slow-conflicts", 0, "log any check burning at least this many CDCL conflicts (0 = default, <0 disables)")
-		slowTime    = fs.Duration("slow-solve", 0, "log any check spending at least this long in the solver (0 = default, <0 disables)")
 	)
 	return func() (engine.Options, error) {
 		weights, err := engine.ParseWeights(*weightsSpec)
@@ -343,7 +342,6 @@ func engineFlags(fs *flag.FlagSet) func() (engine.Options, error) {
 		opts := engine.Options{
 			Workers:   *workers,
 			CacheSize: *cacheSize,
-			SlowCheck: engine.SlowCheckPolicy{Conflicts: *slowConf, SolveTime: *slowTime},
 			Admission: engine.Admission{
 				MaxInFlightChecks: *maxInflight,
 				PerTenantQuota:    *tenantQuota,

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 
 	"lightyear/internal/migrate"
@@ -170,6 +172,64 @@ func TestSessionMigrate(t *testing.T) {
 	}
 	if len(r.ChangedRouters) != 1 || r.ChangedRouters[0] != "R2" {
 		t.Fatalf("changed routers = %v, want [R2]", r.ChangedRouters)
+	}
+}
+
+// rolloutBody is a three-step rollout with the bug at step 2: the first two
+// steps tighten unrelated routers' imports, the third retires R2's transit
+// filter with no shield in place.
+const rolloutBody = `{"steps": [
+	{"label": "tighten-r1", "mutation": {"kind": "tighten-imports", "at": "R1"}},
+	{"label": "tighten-r3", "mutation": {"kind": "tighten-imports", "at": "R3"}},
+	{"label": "retire", "mutation": {"kind": "remove-export-clause", "from": "R2", "to": "ISP2", "seq": 10}}
+]}`
+
+// TestSessionMigrateRolloutStream drives restricted delta updates through a
+// session on a server wired like production lyserve: steps 0 and 1 verify
+// as incremental re-solves, the walk stops at step 2 and streams the
+// failing check with its witness, and both step outcomes reach /metrics.
+func TestSessionMigrateRolloutStream(t *testing.T) {
+	ts, _ := newTelemetryTestServer(t)
+	id := createFig1Session(t, ts)
+	events := postMigrate(t, ts, id, rolloutBody, http.StatusOK)
+
+	ok := 0
+	for _, ev := range events {
+		if ev.Type == migrate.EvStepOK {
+			ok++
+		}
+	}
+	if ok != 2 {
+		t.Errorf("%d step_ok events, want 2", ok)
+	}
+	if viol := eventOfType(events, migrate.EvStepViolated); viol == nil || viol.Step != 2 {
+		t.Errorf("want step_violated at step 2, got %+v", viol)
+	}
+	witnessed := false
+	for _, ev := range events {
+		witnessed = witnessed || ev.Type == migrate.EvCheck && ev.Status == "fail" && ev.Witness != ""
+	}
+	if !witnessed {
+		t.Error("no failing check event with a witness")
+	}
+	if done := eventOfType(events, migrate.EvDone); done == nil || done.Result == nil || done.Result.ViolatedStep != 2 {
+		t.Errorf("want done with violated_step 2, got %+v", done)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, outcome := range []string{"ok", "violated"} {
+		re := regexp.MustCompile(`(?m)^lightyear_migrate_steps\{outcome="` + outcome + `"\} [1-9]`)
+		if !re.Match(body) {
+			t.Errorf("/metrics has no lightyear_migrate_steps{outcome=%q} count:\n%s", outcome, body)
+		}
 	}
 }
 

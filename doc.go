@@ -139,13 +139,15 @@
 // backends end-to-end; the repository benchmark's solver.* layer metrics
 // (bench/) compare the backends on the WAN and pigeonhole obligations.
 //
-// The result cache is a pluggable seam (engine.ResultCache): the default is
-// an in-memory LRU, and internal/store provides a disk-persistent
-// JSON-journal implementation keyed by check key alone, so warm starts
-// survive process restarts and lyserve redeploys (-store DIR on both
-// commands) and every run, job and session shares one record per key. It
-// journals only verdicts that hold, so a failure always carries the
-// counterexample of a solve, and it has no retention bound. The journal is
+// The engine's result cache is an in-memory LRU, and behind it an optional
+// persistent tier (engine.ResultCache): internal/store provides a
+// disk-persistent JSON-journal implementation keyed by check key alone, so
+// warm starts survive process restarts and lyserve redeploys (-store DIR on
+// both commands) and every run, job and session shares one record per key.
+// The engine probes it when the LRU misses and copies a hit into the LRU.
+// It journals only verdicts that hold, so a failure always carries the
+// counterexample of a solve (once per process: the LRU then serves it), and
+// it has no retention bound. The journal is
 // read and written by a hand-written codec for its one line shape,
 // byte-identical to encoding/json's, so opening a warm store does not pay
 // for reflection. Journal records carry the key scheme's version (4: the
@@ -166,12 +168,15 @@
 // session baseline or update, a `-diff` run, a migration step — goes
 // through one loop in internal/delta that streams problem checks to the
 // engine a batch at a time, so a baseline's memory follows a batch, not
-// the network. When the diff only changed edge policies, a safety problem
-// whose frame digest (core.SafetyProblem.Frame: every key input but the
-// per-edge policy fingerprints) is unchanged regenerates only the changed
-// edges' checks and its implication check; every other check is served
-// from the location index the last run kept, so an update costs the edit,
-// not the network. Liveness problems, results=all sessions and any other
+// the network. A failures-only run keeps one location index per edge frame
+// (core.SafetyProblem.Frame: every input of an edge check's key but the
+// per-edge policy fingerprints — not the property's location, so the
+// problems posing one property at every router share it) holding each
+// edge's passing results. When the diff only changed edge policies, a
+// safety problem whose frame had an index regenerates only the changed
+// edges, the edges that held a failure or an Unknown, and its implication
+// check; every other edge is folded from the index, so an update costs the
+// edit, not the network. Liveness problems, results=all sessions and any other
 // change enumerate in full. Surfaces: `lightyear -diff old.cfg` for incremental
 // CLI runs, the lyserve session API (POST /v2/sessions, POST
 // /v2/sessions/{id}/update, GET /v2/sessions/{id}), examples/incremental,
@@ -278,9 +283,8 @@
 // on /metrics — so "this run was slow" can be split into "the
 // formulas got bigger" vs "the search got deeper" at whichever granularity
 // the investigation needs. Checks that cross a slow-check policy threshold
-// (engine.Options.SlowCheck; -slow-conflicts / -slow-solve on lyserve), and
-// every check left Unknown, are additionally logged with the full counter
-// set.
+// (10,000 conflicts or 2 s in the solver), and every check left Unknown,
+// are additionally logged with the full counter set.
 //
 // # Structured logging
 //

@@ -211,9 +211,9 @@
 // (GET /v1/status), on the job's solve span as trace
 // attributes, and as the lightyear_conflicts_per_check /
 // lightyear_clauses_per_check histograms on /metrics. Checks exceeding the
-// server's -slow-conflicts / -slow-solve thresholds — and every check left
-// "unknown" — are logged with the full counter set (step 9 below reads the
-// provenance in the library).
+// engine's slow-check thresholds (10,000 conflicts or 2 s in the solver) —
+// and every check left "unknown" — are logged with the full counter set
+// (step 9 below reads the provenance in the library).
 //
 // # Health and status endpoints
 //

@@ -54,8 +54,8 @@ func baseFrame(n *topology.Network) frameFields {
 }
 
 // TestFrameCoversEveryKeyInputButPolicies: the frame digest moves with every
-// input of a check key except the per-edge policy fingerprints, and does not
-// move with those.
+// input of an edge check's key except the per-edge policy fingerprints, and
+// does not move with those or with the property's location.
 func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
 	n := frameNet()
 	base := frameProblem(n, baseFrame(n)).Frame()
@@ -64,7 +64,6 @@ func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
 	}
 	e12 := topology.Edge{From: "R1", To: "R2"}
 	mutations := map[string]func(*frameFields){
-		"property location":  func(f *frameFields) { f.loc = AtRouter("R2") },
 		"property predicate": func(f *frameFields) { f.pred = spec.Not(spec.Ghost("Via")) },
 		"default invariant":  func(f *frameFields) { f.def = spec.Ghost("Via") },
 		"explicit entry":     func(f *frameFields) { f.explicit[AtRouter("R3")] = spec.True() },
@@ -99,6 +98,31 @@ func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
 	edited.AddOriginate(topology.Edge{From: "R2", To: "R3"}, routemodel.NewRoute(routemodel.MustPrefix("11.0.0.0/8")))
 	if frameProblem(edited, baseFrame(edited)).Frame() != base {
 		t.Error("a policy edit moved the frame")
+	}
+
+	// Nor is the property's location: only the implication check reads it,
+	// and every edge check keeps its key.
+	moved := baseFrame(n)
+	moved.loc = AtRouter("R2")
+	atR2 := frameProblem(n, moved)
+	if atR2.Frame() != base {
+		t.Error("moving the property moved the frame")
+	}
+	every := make([]int, len(n.Index().Edges))
+	for i := range every {
+		every[i] = i
+	}
+	here, there := frameProblem(n, baseFrame(n)).ChecksAt(every), atR2.ChecksAt(every)
+	if len(here) != len(there) {
+		t.Fatalf("%d checks at R3, %d at R2", len(here), len(there))
+	}
+	for i := range here[:len(here)-1] {
+		if here[i].Key() != there[i].Key() || here[i].Loc != there[i].Loc {
+			t.Errorf("edge check %d: %s %s at R3, %s %s at R2", i, here[i].Loc, here[i].Key(), there[i].Loc, there[i].Key())
+		}
+	}
+	if last := len(here) - 1; here[last].Loc == there[last].Loc {
+		t.Errorf("both implication checks are at %s", here[last].Loc)
 	}
 }
 

@@ -138,21 +138,23 @@ func (g *checkGen) implication() Check {
 		&predicate{pred: p.Property.Pred}, false)
 }
 
-// Frame returns the problem's frame digest: a fingerprint of every input of
-// its check keys other than the per-edge policy fingerprints of the
-// network's PolicyIndex. It covers the property's location and predicate,
-// the invariants' default and every explicit entry, the ghost names and, per
-// edge, the ghost updates on its import and export filters and the ghosts'
-// origination values. Two problems over networks with the same nodes and
-// edges and equal frames generate, at every edge whose policy fingerprints
-// are equal, the same checks with the same keys, and equal implication
-// checks — what lets an incremental update regenerate only the edges a diff
-// changed (ChecksAt).
+// Frame returns the problem's edge frame digest: a fingerprint of every
+// input of its edge checks' keys other than the per-edge policy
+// fingerprints of the network's PolicyIndex. It covers the property's
+// predicate (it feeds the attribute universe), the invariants' default and
+// every explicit entry, the ghost names and, per edge, the ghost updates on
+// its import and export filters and the ghosts' origination values. Two
+// problems over networks with the same nodes and edges and equal frames
+// generate, at every edge whose policy fingerprints are equal, the same
+// checks with the same keys — what lets an incremental update regenerate
+// only the edges a diff changed (ChecksAt). The property's location is left
+// out: only the implication check reads it, and ChecksAt regenerates that
+// check every time, so problems that differ only in where the property is
+// posed share one frame.
 func (p *SafetyProblem) Frame() spec.Fingerprint {
 	idx := p.Network.Index()
 	ghosts := newGhostTable(p.Ghosts)
 	b := make([]byte, 0, 256+3*len(idx.Edges))
-	b = appendLocation(b, p.Property.Loc)
 	b = append(b, (&predicate{pred: p.Property.Pred}).memo().fp[:]...)
 	b = append(b, p.Invariants.def.memo().fp[:]...)
 	locs := make([]Location, 0, len(p.Invariants.byLocation))

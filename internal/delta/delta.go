@@ -28,16 +28,19 @@
 // nothing; Hooks report each problem's start, checks and outcome.
 //
 // An update does not generate every check to find the few dirty ones. A
-// failures-only run keeps, per safety problem, a location index: the
-// problem's frame digest (core.SafetyProblem.Frame — every key input but
-// the per-edge policy fingerprints) and the kind and retained result of
-// each check at each edge, never the checks. When the diff changed only
-// edge policies and a problem's frame is unchanged, Update serves its
-// unchanged edges from the index and generates only the changed edges'
-// checks and the implication check (core.SafetyProblem.ChecksAt); an edge
-// whose result was Unknown is solved again. Liveness problems, results=all
-// sessions and any other diff enumerate in full, with the same numbers,
-// failures and retained results.
+// failures-only run keeps one location index per edge frame
+// (core.SafetyProblem.Frame — every input of an edge check's key but the
+// per-edge policy fingerprints; the property's location is not one), built
+// by the first safety problem of that frame: per edge, the retained result
+// of each check there that passed, never the checks. When the diff changed
+// only edge policies, every problem whose frame had an index in the last
+// run is served from it: an unchanged edge whose checks all passed is
+// folded without being generated, and the changed edges, every edge that
+// held a failure or an Unknown, and the implication check are generated
+// again (core.SafetyProblem.ChecksAt), so a reused failure reads as the
+// regenerated check describes it. Liveness problems, results=all sessions
+// and any other diff enumerate in full, with the same numbers, failures and
+// retained results.
 //
 // Retained results live in process memory; an internal/store persistent
 // cache behind the engine (engine.Options.Cache) makes the dirty subset's
@@ -176,34 +179,25 @@ type Verifier struct {
 	network     *topology.Network
 	fingerprint string
 	results     map[string]*kept
-	index       []*problemIndex // per problem position; nil where not kept
-	last        *Result         // last completed run, for the unchanged fast path
-	served      int             // problems the last run served from an index
+	index       map[spec.Fingerprint]*frameIndex // per edge frame
+	last        *Result                          // last completed run, for the unchanged fast path
+	served      int                              // problems the last run served from an index
 
 	full  bool  // never serve from an index (the reference tests compare with)
 	hooks Hooks // observe every run (tests)
 }
 
-// problemIndex is what a run keeps of one safety problem for the next
-// update's restricted enumeration: the problem's frame digest
-// (core.SafetyProblem.Frame) and, per edge of the pinned network's
-// PolicyIndex, the kind of each check generated there and the result the
-// run retained for its key — never the checks or their obligations. fails
-// holds the rendered description of every proven violation the run
-// reported, so a reused failure reads as it did.
-type problemIndex struct {
-	name  string
-	frame spec.Fingerprint
-	// checks lists the edge checks in enumeration order; the i-th edge's
-	// are checks[at[i]:at[i+1]].
-	checks []indexEntry
-	at     []int32
-	fails  map[checkAt]core.Desc
-}
-
-type indexEntry struct {
-	kind core.CheckKind
-	res  *kept // the Verifier's retained result for the check's key; nil if undecided
+// frameIndex is what a run keeps of one edge frame for the next update's
+// restricted enumeration: per edge of the pinned network's PolicyIndex, the
+// result the run retained for each check generated there, if it passed —
+// never the checks or their obligations. Served results are only folded,
+// so nothing else is needed.
+type frameIndex struct {
+	// results lists the edge checks' results in enumeration order, nil
+	// where a check failed or was undecided; the i-th edge's are
+	// results[at[i]:at[i+1]].
+	results []*kept
+	at      []int32
 }
 
 // kept is a retained result and the key it is retained under. Index
@@ -212,12 +206,6 @@ type indexEntry struct {
 type kept struct {
 	key string
 	core.CheckResult
-}
-
-// checkAt names a safety check within its problem: one per kind and location.
-type checkAt struct {
-	loc  core.Location
-	kind core.CheckKind
 }
 
 // NewVerifier creates a session for the given suite on the shared engine.
@@ -318,7 +306,7 @@ func (v *Verifier) Update(n *topology.Network) (*Result, error) {
 // is split — so an over-quota run fails with engine.ErrAdmission instead of
 // half-running.
 func (v *Verifier) run(prev *topology.Network, prevResults map[string]*kept,
-	prevIndex []*problemIndex, n *topology.Network, baseline bool) (*Result, error) {
+	prevIndex map[spec.Fingerprint]*frameIndex, n *topology.Network, baseline bool) (*Result, error) {
 	start := time.Now()
 	res := &Result{Suite: v.source.Label(), Baseline: baseline, Fingerprint: n.Fingerprint(), OK: true}
 	if !baseline {
@@ -336,9 +324,9 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]*kept,
 		keep: true, failuresOnly: v.workload.Results == engine.ResultsFailures, n: n,
 		prevResults: prevResults, prevIndex: prevIndex,
 		retained: make(map[string]*kept, len(prevResults)),
-		index:    make([]*problemIndex, len(problems)),
+		index:    make(map[spec.Fingerprint]*frameIndex),
 	}
-	if r.failuresOnly && prevIndex != nil && !v.full {
+	if r.failuresOnly && len(prevIndex) > 0 && !v.full {
 		r.changed, r.restrict = changedPositions(res.Diff, n)
 	}
 	var prepared []*problemRun

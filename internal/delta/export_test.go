@@ -12,5 +12,13 @@ func (v *Verifier) Served() int {
 	return v.served
 }
 
+// Indexes returns how many location indexes the last run kept: one per
+// edge frame of its failures-only safety problems.
+func (v *Verifier) Indexes() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.index)
+}
+
 // SetHooks makes every later run of v report to h.
 func (v *Verifier) SetHooks(h Hooks) { v.hooks = h }

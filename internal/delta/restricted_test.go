@@ -306,6 +306,9 @@ func TestRestrictedMatchesFullOnDeltaCLIEdits(t *testing.T) {
 	if served[0] != 8 || served[1] != 8 {
 		t.Errorf("updates served %v problems from the index, want all 8 each time", served)
 	}
+	if n := tw.restricted.Indexes(); n != 2 {
+		t.Errorf("%d indexes for 8 problems of 2 properties, want one per edge frame: 2", n)
+	}
 	if !results[1].OK || results[2].OK {
 		t.Errorf("verdicts: tightened ok=%v, bogon term dropped ok=%v; want true, false", results[1].OK, results[2].OK)
 	}
@@ -343,5 +346,27 @@ func TestRestrictedFallsBackWhenTheFrameMoves(t *testing.T) {
 	// on R1 -> R3, whose invariant moved with it.
 	if upd.DirtyChecks != 4 {
 		t.Fatalf("%d checks dirty, want the edited import at %s and the three checks at %s", upd.DirtyChecks, isp, r1r3)
+	}
+}
+
+// TestOneIndexPerEdgeFrame: wan-peering over every router of a generated
+// 3-region WAN poses each peering property at every router; problems that
+// differ only in the property's location share an edge frame, and the
+// verifier keeps one index per frame.
+func TestOneIndexPerEdgeFrame(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	n := netgen.WAN(netgen.DefaultWANParams(), netgen.WANBugs{})
+	v := delta.NewVerifierFor(eng, suiteSource(t, "wan-peering", netgen.SuiteParams{}))
+	v.SetWorkload(engine.Workload{SubmitOptions: engine.SubmitOptions{Results: engine.ResultsFailures}})
+	res, err := v.Baseline(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK || len(res.Problems) <= 11 {
+		t.Fatalf("baseline ok=%v over %d problems", res.OK, len(res.Problems))
+	}
+	if got := v.Indexes(); got != 11 {
+		t.Errorf("%d indexes for %d problems, want 11", got, len(res.Problems))
 	}
 }

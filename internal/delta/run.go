@@ -8,6 +8,7 @@ import (
 	"lightyear/internal/core"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
+	"lightyear/internal/spec"
 	"lightyear/internal/telemetry"
 	"lightyear/internal/topology"
 )
@@ -62,7 +63,7 @@ type runner struct {
 	keep, failuresOnly bool
 	n                  *topology.Network
 	prevResults        map[string]*kept
-	prevIndex          []*problemIndex
+	prevIndex          map[spec.Fingerprint]*frameIndex
 	changed            []int // positions of the diff's changed edges in n's PolicyIndex
 	restrict           bool  // the diff changed edge policies only: serve from prevIndex
 
@@ -73,7 +74,7 @@ type runner struct {
 	// takes no lock.
 	mu       sync.Mutex
 	retained map[string]*kept
-	index    []*problemIndex // per problem position; nil where not kept
+	index    map[spec.Fingerprint]*frameIndex // per edge frame, built by its first problem
 	served   int
 }
 
@@ -87,9 +88,9 @@ type problemRun struct {
 	folded  core.Folded        // reused OK results it only counts (failures-only reports)
 	job     *engine.Job        // nil when not generated or not submitted
 	span    *telemetry.Span
-	index   *problemIndex // kept for the next update (failures-only safety problems)
-	old     *problemIndex // the last run's index this run is served from, if any
-	dirtyAt []int32       // with an index, each dirty check's entry in it (-1: the implication check)
+	index   *frameIndex // built for the next update (the first problem of its frame)
+	old     *frameIndex // the last run's index of its frame this run is served from, if any
+	dirtyAt []int32     // with an index, each dirty check's entry in it (-1: the implication check)
 }
 
 var errEmptyProblem = errors.New("suite produced an empty problem")
@@ -183,23 +184,22 @@ func (r *runner) stream(problems []netgen.Problem, prepared []*problemRun) {
 // dirty subsets.
 func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 	pr := &problemRun{i: i, outcome: ProblemOutcome{Name: p.Name}}
-	// Only failures-only runs keep a location index: a reused passing check
-	// is then counted, never shown, so an update can serve it without
-	// generating it. A problem whose frame equals that of the problem at its
-	// position in the last run, under the same name, is served from that
-	// run's index when the diff only changed edge policies.
-	if r.keep && r.failuresOnly && p.Safety != nil && p.Safety.Network == r.n {
-		pr.index = &problemIndex{name: p.Name, frame: p.Safety.Frame()}
-		if r.restrict && i < len(r.prevIndex) {
-			old := r.prevIndex[i]
-			if old != nil && old.name == p.Name && old.frame == pr.index.frame && len(old.at) == len(r.n.Index().Edges)+1 {
-				pr.old = old
-			}
-		}
-	}
 	var checks []core.Check
 	var err error
-	if pr.index != nil {
+	// Only failures-only runs keep location indexes: a reused passing check
+	// is then counted, never shown, so an update can serve it without
+	// generating it. Problems with equal edge frames share one index, built
+	// by the first of them; when the diff only changed edge policies, every
+	// problem whose frame had an index in the last run is served from it.
+	if r.keep && r.failuresOnly && p.Safety != nil && p.Safety.Network == r.n {
+		frame := p.Safety.Frame()
+		if old := r.prevIndex[frame]; r.restrict && old != nil && len(old.at) == len(r.n.Index().Edges)+1 {
+			pr.old = old
+		}
+		if r.index[frame] == nil {
+			pr.index = &frameIndex{}
+			r.index[frame] = pr.index
+		}
 		pr.prop = p.Safety.Property
 		r.enumerate(pr, p.Safety)
 	} else if pr.prop, checks, err = Generate(p); r.prevResults == nil {
@@ -272,8 +272,8 @@ func (r *runner) observe(pr *problemRun) func(engine.Progress) {
 				res = &kept{key, p.Result.Anonymous()}
 				r.retained[key] = res
 			}
-			if index != nil && dirtyAt[p.Index] >= 0 {
-				index.checks[dirtyAt[p.Index]].res = res
+			if index != nil && dirtyAt[p.Index] >= 0 && res.OK {
+				index.results[dirtyAt[p.Index]] = res
 			}
 			r.mu.Unlock()
 		}
@@ -301,17 +301,7 @@ func (r *runner) collect(pr *problemRun) {
 			rep.Folded = folded
 		}
 		o.Report, o.OK = rep, rep.OK()
-		hard := rep.HardFailures()
-		if pr.index != nil {
-			for _, h := range hard {
-				if pr.index.fails == nil {
-					pr.index.fails = make(map[checkAt]core.Desc, len(hard))
-				}
-				pr.index.fails[checkAt{h.Loc, h.Kind}] = h.Desc.Rendered()
-			}
-			r.index[pr.i] = pr.index
-		}
-		r.res.Failures += len(hard)
+		r.res.Failures += len(rep.HardFailures())
 		r.res.Unknown += len(rep.Unknowns())
 		if !o.OK {
 			r.res.OK = false
@@ -329,8 +319,10 @@ func (r *runner) collect(pr *problemRun) {
 	}
 }
 
-// take files one generated check as reused or dirty, and its result under
-// entry of the index, if it has one there (>= 0).
+// take files one generated check as reused or dirty, and a reused passing
+// result under entry of the index, if it has one there (>= 0). A reused
+// result is retained again, counted, and — unless a failures-only run only
+// folds it — stamped with the check's identity.
 func (r *runner) take(pr *problemRun, c core.Check, entry int) {
 	pr.outcome.Checks++
 	res, ok := r.prevResults[c.Key()]
@@ -341,119 +333,85 @@ func (r *runner) take(pr *problemRun, c core.Check, entry int) {
 		}
 		return
 	}
-	if entry >= 0 {
-		pr.index.checks[entry].res = res
-	}
-	r.reuse(pr, res, c.Kind, c.Loc, c.Desc)
-}
-
-// reuse serves a retained result for the check at (kind, loc): the result
-// is retained again, counted, and — unless a failures-only run only folds
-// it — stamped with the check's identity.
-func (r *runner) reuse(pr *problemRun, res *kept, kind core.CheckKind, loc core.Location, desc core.Desc) {
 	r.retained[res.key] = res
 	pr.outcome.Reused++
 	if r.failuresOnly && res.OK {
+		if entry >= 0 {
+			pr.index.results[entry] = res
+		}
 		pr.folded.Add(&res.CheckResult)
 		return
 	}
 	out := res.CheckResult
-	out.Kind, out.Loc, out.Desc = kind, loc, desc
+	out.Kind, out.Loc, out.Desc = c.Kind, c.Loc, c.Desc
 	if r.failuresOnly {
-		out.Desc = desc.Rendered()
+		out.Desc = c.Desc.Rendered()
 	}
 	pr.reused = append(pr.reused, out)
 }
 
 // enumerate files a failures-only safety problem's checks through take and
-// records them in pr.index. With no old index it generates every check.
-// With one — the same problem, an equal frame, and an update whose diff
-// changed edge policies only — it regenerates the changed edges, any edge
-// whose retained results cannot all be served (an Unknown was not retained,
-// or a failure's description is missing) and the implication check; every
-// other edge's checks are served by the keys the old index holds, without
-// being generated. Equal frames and equal policy fingerprints give those
-// edges the keys they had, so both ways file the same checks, and the
-// dirty ones in the same order.
+// records them in pr.index, if it builds one. Served from an old index — an
+// equal frame, and an update whose diff changed edge policies only — it
+// folds every unchanged edge whose checks all passed without generating
+// them, and regenerates the changed edges, the edges that held a failure or
+// an Unknown, and the implication check; otherwise it generates every
+// check. Equal frames and equal policy fingerprints give the served edges
+// the keys they had, so both ways file the same checks, and the dirty ones
+// in the same order.
 func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
 	edges := p.Network.Index().Edges
-	idx, old := pr.index, pr.old
-	idx.at = make([]int32, len(edges)+1)
-	if old == nil {
-		checks := p.Checks(core.Options{})
-		edgeChecks := checks[:len(checks)-1] // the implication check is last
-		idx.checks = make([]indexEntry, len(edgeChecks))
-		k := 0
-		for i, e := range edges {
-			for loc := core.AtEdge(e); k < len(edgeChecks) && edgeChecks[k].Loc == loc; k++ {
-				idx.checks[k] = indexEntry{kind: edgeChecks[k].Kind}
-			}
-			idx.at[i+1] = int32(k)
-		}
-		if k != len(edgeChecks) {
-			pr.index = nil // not in edge order: keep no index, enumerate in full next time
-		}
-		for i, c := range checks {
-			if i == len(edgeChecks) || pr.index == nil {
-				i = -1
-			}
-			r.take(pr, c, i)
-		}
-		return
-	}
-
-	regen := make([]int, 0, len(r.changed))
+	regen := make([]int, 0, len(edges))
 	for i, c := 0, 0; i < len(edges); i++ {
 		if c < len(r.changed) && r.changed[c] == i {
 			c++
-		} else if r.serve(pr, i, edges[i]) {
+		} else if pr.old != nil && r.serve(pr, i) {
 			continue
 		}
 		regen = append(regen, i)
 	}
 	fresh := p.ChecksAt(regen)
-	idx.checks = make([]indexEntry, 0, len(old.checks))
+	idx := pr.index
+	if idx != nil {
+		idx.at = make([]int32, len(edges)+1)
+		idx.results = make([]*kept, 0, p.NumChecks()-1)
+	}
 	f := 0
 	for i, e := range edges {
 		if len(regen) > 0 && regen[0] == i {
 			regen = regen[1:]
 			for loc := core.AtEdge(e); f < len(fresh)-1 && fresh[f].Loc == loc; f++ {
-				idx.checks = append(idx.checks, indexEntry{kind: fresh[f].Kind})
-				r.take(pr, fresh[f], len(idx.checks)-1)
+				entry := -1
+				if idx != nil {
+					entry = len(idx.results)
+					idx.results = append(idx.results, nil)
+				}
+				r.take(pr, fresh[f], entry)
 			}
-		} else {
-			idx.checks = append(idx.checks, old.checks[old.at[i]:old.at[i+1]]...)
+		} else if idx != nil {
+			idx.results = append(idx.results, pr.old.results[pr.old.at[i]:pr.old.at[i+1]]...)
 		}
-		idx.at[i+1] = int32(len(idx.checks))
+		if idx != nil {
+			idx.at[i+1] = int32(len(idx.results))
+		}
 	}
 	r.take(pr, fresh[len(fresh)-1], -1)
 }
 
-// serve reuses every check the old index holds at edge e, the i-th edge, if
-// all of them can be: each has a retained result (the Verifier's for its
-// key, which the index entry points at), and each failure its description.
-// Otherwise it serves none.
-func (r *runner) serve(pr *problemRun, i int, e topology.Edge) bool {
-	old := pr.old
-	group := old.checks[old.at[i]:old.at[i+1]]
-	loc := core.AtEdge(e)
-	for _, en := range group {
-		if en.res == nil {
+// serve folds every result the old index holds at its i-th edge if all of
+// them passed; otherwise it serves none, and the edge is regenerated.
+func (r *runner) serve(pr *problemRun, i int) bool {
+	group := pr.old.results[pr.old.at[i]:pr.old.at[i+1]]
+	for _, res := range group {
+		if res == nil {
 			return false
 		}
-		if !en.res.OK {
-			if _, ok := old.fails[checkAt{loc, en.kind}]; !ok {
-				return false
-			}
-		}
 	}
-	for _, en := range group {
-		pr.outcome.Checks++
-		var desc core.Desc
-		if !en.res.OK {
-			desc = old.fails[checkAt{loc, en.kind}]
-		}
-		r.reuse(pr, en.res, en.kind, loc, desc)
+	pr.outcome.Checks += len(group)
+	pr.outcome.Reused += len(group)
+	for _, res := range group {
+		r.retained[res.key] = res
+		pr.folded.Add(&res.CheckResult)
 	}
 	return true
 }

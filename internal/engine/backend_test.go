@@ -259,7 +259,7 @@ func TestBackendPanicBecomesUnknown(t *testing.T) {
 			t.Fatalf("unknown without the panic in its note: %+v", r)
 		}
 	}
-	if n := eng.Cache().Len(); n != 0 {
+	if n := eng.Stats().CacheLen; n != 0 {
 		t.Fatalf("a panicked solve was cached: %d entries", n)
 	}
 	if log := logBuf.String(); !strings.Contains(log, "solve panicked") || !strings.Contains(log, "goroutine") {
@@ -283,7 +283,7 @@ func TestBackendPanicBecomesUnknown(t *testing.T) {
 		t.Fatalf("follow-up solved %d and shared %d, want %d (the distinct keys) and %d",
 			solved, shared, len(keys), len(checks)-len(keys))
 	}
-	if n := eng.Cache().Len(); n == 0 {
+	if n := eng.Stats().CacheLen; n == 0 {
 		t.Fatal("decided checks were not cached")
 	}
 }

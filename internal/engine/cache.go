@@ -7,13 +7,12 @@ import (
 	"lightyear/internal/core"
 )
 
-// ResultCache is the engine's pluggable result-cache seam: a concurrency-
-// safe map from semantic check key (core.Check.Key) to check result. The
-// engine probes Get before solving and calls Add after every solve. The
-// default implementation is the in-memory lruCache below; internal/store
-// provides a disk-persistent implementation so warm starts survive process
-// restarts. Implementations may additionally expose Cap() int to report a
-// capacity bound in engine stats.
+// ResultCache is the engine's persistent-tier seam (Options.Cache): a
+// concurrency-safe map from semantic check key (core.Check.Key) to check
+// result behind the in-memory lruCache below. The engine probes Get when
+// the LRU misses and calls Add with every decided result; internal/store
+// provides the disk-persistent implementation, so warm starts survive
+// process restarts.
 //
 // Contract: a result stored under a key may be returned for any check with
 // that key — checks with equal keys decide the same formula, and the engine
@@ -22,7 +21,6 @@ import (
 type ResultCache interface {
 	Get(key string) (core.CheckResult, bool)
 	Add(key string, val core.CheckResult)
-	Len() int
 }
 
 // lruCache is a concurrency-safe, capacity-bounded LRU map from check key
@@ -90,6 +88,3 @@ func (c *lruCache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Cap returns the capacity bound, surfaced in engine stats.
-func (c *lruCache) Cap() int { return c.capacity }

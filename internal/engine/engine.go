@@ -13,8 +13,8 @@
 //
 // The pipeline per admitted check is
 //
-//	admission → per-tenant fair queue → LRU cache probe → in-flight dedup →
-//	solver → cache fill → report
+//	admission → per-tenant fair queue → LRU (then persistent-tier) probe →
+//	in-flight dedup → solver → cache fill → report
 //
 // Submission is one typed entry point: build a Workload — a safety or
 // liveness problem, or a raw check batch, plus the submitting Tenant and a
@@ -55,55 +55,30 @@ import (
 // Options.CacheSize is zero.
 const DefaultCacheSize = 1 << 16
 
-// Default slow-check thresholds (SlowCheckPolicy zero values). A check
-// burning 10k conflicts or 2s of wall clock is far outside Lightyear's
-// modular fast path and worth a structured explanation in the log.
-const (
-	DefaultSlowCheckConflicts int64 = 10000
-	DefaultSlowCheckTime            = 2 * time.Second
+// Slow-check thresholds: a decided check burning this many conflicts or
+// this much solver time is far outside Lightyear's modular fast path and
+// earns a structured provenance line in the log. Unknown results always
+// do — an undecided check is precisely the event an operator must be able
+// to explain.
+var (
+	slowCheckConflicts int64 = 10000
+	slowCheckTime            = 2 * time.Second
 )
-
-// SlowCheckPolicy decides which executed checks get a structured log line
-// carrying their full solve provenance (conflicts, decisions, restarts,
-// encoding size). Unknown results are always logged — an undecided check is
-// precisely the event an operator must be able to explain. Zero fields
-// select the defaults; negative fields disable that threshold.
-type SlowCheckPolicy struct {
-	// Conflicts logs any check whose CDCL search hit at least this many
-	// conflicts. 0 means DefaultSlowCheckConflicts; < 0 disables.
-	Conflicts int64
-	// SolveTime logs any check that spent at least this long in the solver.
-	// 0 means DefaultSlowCheckTime; < 0 disables.
-	SolveTime time.Duration
-}
-
-func (p SlowCheckPolicy) conflicts() int64 {
-	if p.Conflicts == 0 {
-		return DefaultSlowCheckConflicts
-	}
-	return p.Conflicts
-}
-
-func (p SlowCheckPolicy) solveTime() time.Duration {
-	if p.SolveTime == 0 {
-		return DefaultSlowCheckTime
-	}
-	return p.SolveTime
-}
 
 // Options configures an Engine.
 type Options struct {
 	// Workers is the size of the worker pool shared by all jobs;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the LRU result cache (number of cached check
-	// results). 0 means DefaultCacheSize; negative disables caching
-	// entirely (in-flight dedup still applies). Ignored when Cache is set.
+	// CacheSize bounds the in-memory LRU result cache (number of cached
+	// check results). 0 means DefaultCacheSize; negative disables it
+	// (in-flight dedup still applies).
 	CacheSize int
-	// Cache, when non-nil, replaces the built-in LRU with a custom
-	// ResultCache — e.g. an internal/store disk-persistent store, so
-	// results survive process restarts. The engine does not close or
-	// flush a custom cache; its owner does.
+	// Cache, when non-nil, is a persistent tier behind the LRU — e.g. an
+	// internal/store disk-persistent store, so results survive process
+	// restarts. The engine probes it when the LRU misses, copies a hit into
+	// the LRU, and hands it every decided result. The engine does not close
+	// or flush it; its owner does.
 	Cache ResultCache
 	// Backend is the default solver backend obligations are routed to;
 	// nil means solver.Native. Its spec (native:N, portfolio:N, tiered:N)
@@ -121,9 +96,6 @@ type Options struct {
 	// most importantly the slow/Unknown-check lines carrying full solve
 	// provenance. Nil disables logging.
 	Logger *slog.Logger
-	// SlowCheck tunes which checks earn a provenance log line; the zero
-	// value applies the package defaults.
-	SlowCheck SlowCheckPolicy
 }
 
 func (o Options) workers() int {
@@ -167,7 +139,7 @@ type Stats struct {
 	JobsCompleted   uint64 `json:"jobs_completed"`
 	ChecksSubmitted uint64 `json:"checks_submitted"` // checks enqueued across all jobs
 	ChecksSolved    uint64 `json:"checks_solved"`    // checks actually executed
-	CacheHits       uint64 `json:"cache_hits"`       // results served from the LRU cache
+	CacheHits       uint64 `json:"cache_hits"`       // results served from the LRU cache or the persistent tier
 	DedupHits       uint64 `json:"dedup_hits"`       // results shared via in-flight dedup
 	CacheLen        int    `json:"cache_len"`
 	CacheCap        int    `json:"cache_cap"`
@@ -192,7 +164,8 @@ type Stats struct {
 type Engine struct {
 	opts    Options
 	tasks   chan task
-	cache   ResultCache    // nil when caching is disabled
+	cache   *lruCache      // memory tier; nil when disabled
+	store   ResultCache    // persistent tier (Options.Cache); may be nil
 	backend solver.Backend // default backend (Options.Backend or native)
 
 	workers sync.WaitGroup
@@ -204,9 +177,7 @@ type Engine struct {
 
 	met *engineMetrics // pre-resolved telemetry handles; emission is nil-safe
 
-	log           *slog.Logger // nil disables logging
-	slowConflicts int64        // resolved SlowCheckPolicy thresholds
-	slowSolve     time.Duration
+	log *slog.Logger // nil disables logging
 
 	statsMu      sync.Mutex
 	backendStats map[string]BackendStats
@@ -240,19 +211,15 @@ func New(opts Options) *Engine {
 		opts:         opts,
 		tasks:        make(chan task, 4*opts.workers()),
 		inflight:     make(map[string]*flight),
+		store:        opts.Cache,
 		backend:      opts.Backend,
 		backendStats: make(map[string]BackendStats),
 	}
 	e.log = logging.Component(opts.Logger, "engine")
-	e.slowConflicts = opts.SlowCheck.conflicts()
-	e.slowSolve = opts.SlowCheck.solveTime()
 	if e.backend == nil {
 		e.backend = solver.Native(0)
 	}
-	switch {
-	case opts.Cache != nil:
-		e.cache = opts.Cache
-	case opts.CacheSize >= 0:
+	if opts.CacheSize >= 0 {
 		size := opts.CacheSize
 		if size == 0 {
 			size = DefaultCacheSize
@@ -308,7 +275,7 @@ func (e *Engine) Stats() Stats {
 		DedupHits:       e.dedupHits.Load(),
 	}
 	if e.cache != nil {
-		s.CacheLen, s.CacheCap = e.cache.Len(), cacheCap(e.cache)
+		s.CacheLen, s.CacheCap = e.cache.Len(), e.cache.capacity
 	}
 	e.statsMu.Lock()
 	if len(e.backendStats) > 0 {
@@ -337,11 +304,6 @@ func (e *Engine) Stats() Stats {
 	sc.mu.Unlock()
 	return s
 }
-
-// Cache returns the engine's result cache, nil when caching is disabled —
-// owners of a custom cache (e.g. lyserve's persistent store) use it to
-// reach their implementation for stats.
-func (e *Engine) Cache() ResultCache { return e.cache }
 
 // ResultsMode selects which check results a job's report materialises.
 type ResultsMode string
@@ -450,13 +412,11 @@ func (e *Engine) execute(t task) {
 		t.job.deliver(t.idx, out.CheckResult, false, false, &out)
 		return
 	}
-	if e.cache != nil {
-		if r, ok := e.cache.Get(key); ok {
-			e.cacheHits.Add(1)
-			e.met.cacheHit.Inc()
-			t.job.deliver(t.idx, adapt(r, t.check), true, false, nil)
-			return
-		}
+	if r, ok := e.lookup(key); ok {
+		e.cacheHits.Add(1)
+		e.met.cacheHit.Inc()
+		t.job.deliver(t.idx, adapt(r, t.check), true, false, nil)
+		return
 	}
 	e.mu.Lock()
 	if f, ok := e.inflight[key]; ok {
@@ -469,14 +429,12 @@ func (e *Engine) execute(t task) {
 	// Re-probe the cache under the lock: a flight for this key may have
 	// filled the cache and retired between the lock-free probe above and
 	// acquiring e.mu, and solving again here would be redundant.
-	if e.cache != nil {
-		if r, ok := e.cache.Get(key); ok {
-			e.mu.Unlock()
-			e.cacheHits.Add(1)
-			e.met.cacheHit.Inc()
-			t.job.deliver(t.idx, adapt(r, t.check), true, false, nil)
-			return
-		}
+	if r, ok := e.lookup(key); ok {
+		e.mu.Unlock()
+		e.cacheHits.Add(1)
+		e.met.cacheHit.Inc()
+		t.job.deliver(t.idx, adapt(r, t.check), true, false, nil)
+		return
 	}
 	f := &flight{}
 	e.inflight[key] = f
@@ -484,12 +442,12 @@ func (e *Engine) execute(t task) {
 
 	out := e.solve(t)
 	r := out.CheckResult
-	if e.cache != nil && r.Status != core.StatusUnknown {
+	if r.Status != core.StatusUnknown {
 		// Fill the cache before retiring the flight so a concurrent
 		// identical task either joins the flight or hits the cache.
 		// Unknown is not a verdict, so it is never cached: a later job with
 		// a bigger budget (or a stronger backend) must get to re-solve.
-		e.cache.Add(key, r.Anonymous())
+		e.fill(key, r)
 	}
 	e.mu.Lock()
 	delete(e.inflight, key)
@@ -499,6 +457,35 @@ func (e *Engine) execute(t task) {
 
 	t.job.deliver(t.idx, r, false, false, &out)
 	e.deliverWaiters(key, r, t, waiters)
+}
+
+// lookup probes the memory tier, then the persistent one, copying a
+// persistent hit into memory so the next probe of the key stops there.
+func (e *Engine) lookup(key string) (core.CheckResult, bool) {
+	if e.cache != nil {
+		if r, ok := e.cache.Get(key); ok {
+			return r, true
+		}
+	}
+	if e.store == nil {
+		return core.CheckResult{}, false
+	}
+	r, ok := e.store.Get(key)
+	if ok && e.cache != nil {
+		e.cache.Add(key, r)
+	}
+	return r, ok
+}
+
+// fill records a decided result in both tiers.
+func (e *Engine) fill(key string, r core.CheckResult) {
+	r = r.Anonymous()
+	if e.cache != nil {
+		e.cache.Add(key, r)
+	}
+	if e.store != nil {
+		e.store.Add(key, r)
+	}
 }
 
 // deliverWaiters hands a completed solve's result to the tasks that
@@ -553,9 +540,7 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 		}
 		wout := e.solve(w)
 		if wout.Status != core.StatusUnknown {
-			if e.cache != nil {
-				e.cache.Add(key, wout.Anonymous())
-			}
+			e.fill(key, wout.CheckResult)
 			decided = &wout.CheckResult
 		} else if w.job.ctx.Err() == nil {
 			// Only a live job's give-up is representative of the
@@ -637,8 +622,7 @@ func (e *Engine) logSlowCheck(t task, out solver.Outcome) {
 		return
 	}
 	unknown := out.Status == core.StatusUnknown
-	slow := (e.slowConflicts > 0 && out.Solver.Conflicts >= e.slowConflicts) ||
-		(e.slowSolve > 0 && out.SolveTime >= e.slowSolve)
+	slow := out.Solver.Conflicts >= slowCheckConflicts || out.SolveTime >= slowCheckTime
 	if !unknown && !slow {
 		return
 	}
@@ -687,16 +671,7 @@ func adapt(r core.CheckResult, c core.Check) core.CheckResult {
 func (e *Engine) String() string {
 	cap := -1
 	if e.cache != nil {
-		cap = cacheCap(e.cache)
+		cap = e.cache.capacity
 	}
 	return fmt.Sprintf("engine(workers=%d, cache=%d)", e.opts.workers(), cap)
-}
-
-// cacheCap reports a cache's capacity bound, or -1 for unbounded caches
-// (custom ResultCache implementations without a Cap method).
-func cacheCap(c ResultCache) int {
-	if b, ok := c.(interface{ Cap() int }); ok {
-		return b.Cap()
-	}
-	return -1
 }

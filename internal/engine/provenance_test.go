@@ -106,7 +106,7 @@ func TestSolveProvenance(t *testing.T) {
 	}
 }
 
-// TestSlowCheckLog: a check crossing the configured conflict threshold is
+// TestSlowCheckLog: a check crossing the conflict threshold is
 // logged as a structured "slow check" line carrying the same provenance
 // counters the CheckResult records.
 func TestSlowCheckLog(t *testing.T) {
@@ -115,11 +115,8 @@ func TestSlowCheckLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Options{
-		Workers: 1, CacheSize: -1,
-		Logger:    logger,
-		SlowCheck: engine.SlowCheckPolicy{Conflicts: 1, SolveTime: -1},
-	})
+	defer engine.SetSlowCheckConflicts(1)()
+	eng := engine.New(engine.Options{Workers: 1, CacheSize: -1, Logger: logger})
 	defer eng.Close()
 
 	n := netgen.Fig1(netgen.Fig1Options{})

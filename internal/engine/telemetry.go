@@ -90,14 +90,14 @@ func newEngineMetrics(rec *telemetry.Recorder, e *Engine) *engineMetrics {
 		})
 	if e.cache != nil {
 		rec.GaugeFunc("lightyear_cache_entries",
-			"Result-cache occupancy.", nil,
+			"In-memory result-cache occupancy.", nil,
 			func() []telemetry.Sample {
 				return []telemetry.Sample{{Value: float64(e.cache.Len())}}
 			})
 		rec.GaugeFunc("lightyear_cache_capacity",
-			"Result-cache capacity (-1 = unbounded).", nil,
+			"In-memory result-cache capacity.", nil,
 			func() []telemetry.Sample {
-				return []telemetry.Sample{{Value: float64(cacheCap(e.cache))}}
+				return []telemetry.Sample{{Value: float64(e.cache.capacity)}}
 			})
 	}
 	rec.GaugeFunc("lightyear_cache_hit_ratio",

@@ -100,7 +100,7 @@ type Options struct {
 	Workers int `json:"workers,omitempty"`
 	// Cache bounds the engine LRU result cache (0 = default, <0 disables).
 	Cache int `json:"cache,omitempty"`
-	// Store is a persistent result-store directory replacing the LRU.
+	// Store is a persistent result-store directory behind the LRU.
 	Store string `json:"store,omitempty"`
 	// WANRegions is the region count WAN suites assume (0 = the generator's
 	// region count, or the netgen default of 3). It may not exceed the

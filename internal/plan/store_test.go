@@ -115,3 +115,25 @@ func TestStoreWarmRestartAndDiff(t *testing.T) {
 		t.Fatalf("diff run: ok=%v update %+v; want reused results", diff.OK, diff.Update)
 	}
 }
+
+// TestStoreSolvesEachFailingKeyOnce: the store journals only verdicts that
+// hold, and the engine's in-memory tier sits in front of it, so a run on a
+// warm store solves each failing key once, however many checks pose it.
+// The 2-region missing-bogon WAN fails several checks that share one key;
+// one worker solves them in turn, so in-flight dedup cannot hide a re-solve.
+func TestStoreSolvesEachFailingKeyOnce(t *testing.T) {
+	wan := netgen.WANParams{Regions: 2, RoutersPerRegion: 2, EdgeRouters: 2, DCsPerRegion: 1, PeersPerEdge: 2}
+	req := Request{
+		Network:    Network{Config: netgen.WANDSL(wan, netgen.WANBugs{MissingBogonFilter: true})},
+		Properties: []Property{{Name: "wan-peering"}},
+		Options:    Options{WANRegions: 2, Store: t.TempDir(), Workers: 1},
+	}
+	execute(t, req) // warms the store
+	warm := execute(t, req)
+	if warm.Store.Loaded == 0 || warm.Store.Puts != 0 {
+		t.Fatalf("store %+v; want a warm run that records nothing", warm.Store)
+	}
+	if warm.Failures < 2 || warm.Engine.ChecksSolved != 1 {
+		t.Fatalf("%d failures, %d solved; want the one failing key solved once", warm.Failures, warm.Engine.ChecksSolved)
+	}
+}

@@ -1,5 +1,6 @@
 // Package store is the disk-persistent, content-addressed check-result
-// store behind the engine's ResultCache seam: a JSON-lines journal of
+// store behind the engine's ResultCache seam — the tier the engine probes
+// when its in-memory LRU misses: a JSON-lines journal of
 // {check key → verdict} records that is replayed into memory on Open, so a
 // warm start — a CLI rerun with -store, or an lyserve redeploy — serves
 // previously solved checks without touching the solver.
@@ -16,11 +17,11 @@
 // values on originate checks); records of another version are never served.
 // The store has no retention bound: it keeps every verdict it was given.
 //
-// Only verdicts that hold are journaled. A failure is re-solved (or served
-// by the engine's in-flight dedup) each run, so its witness is always the
-// structured counterexample a solve produces, never a replayed rendering of
-// one; a failing key costs a few dozen microseconds to solve, and a run
-// with failures is the one somebody reads.
+// Only verdicts that hold are journaled. A failure is solved once per
+// process (the engine's in-memory tier then serves it), so its witness is
+// always the structured counterexample a solve produces, never a replayed
+// rendering of one; a failing key costs a few dozen microseconds to solve,
+// and a run with failures is the one somebody reads.
 //
 // The journal has one line shape, written and read by a hand-written codec
 // (codec.go) rather than encoding/json's reflection: its bytes are exactly
