@@ -168,16 +168,24 @@
 // session baseline or update, a `-diff` run, a migration step — goes
 // through one loop in internal/delta that streams problem checks to the
 // engine a batch at a time, so a baseline's memory follows a batch, not
-// the network. A failures-only run keeps one location index per edge frame
-// (core.SafetyProblem.Frame: every input of an edge check's key but the
-// per-edge policy fingerprints — not the property's location, so the
-// problems posing one property at every router share it) holding each
-// edge's passing results. When the diff only changed edge policies, a
-// safety problem whose frame had an index regenerates only the changed
-// edges, the edges that held a failure or an Unknown, and its implication
-// check; every other edge is folded from the index, so an update costs the
-// edit, not the network. Liveness problems, results=all sessions and any other
-// change enumerate in full. Surfaces: `lightyear -diff old.cfg` for incremental
+// the network. The loop enumerates each edge frame once per run: problems
+// over one network with equal frames (core.SafetyProblem.Frame: every
+// input of an edge check's key but the per-edge policy fingerprints — not
+// the property's location, so the problems posing one property at every
+// router share it) pose the same edge checks
+// (core.SafetyProblem.EdgeChecks), so the loop generates them for the first
+// problem of the frame and submits them with each problem's own
+// implication check (core.SafetyProblem.ImplicationCheck); the submitted
+// count is unchanged, the generating and keying is not repeated per
+// problem. Suites emit their problems grouped by frame, so the loop
+// remembers one frame's checks at a time. A failures-only run also keeps
+// one location index per edge frame, holding each edge's passing results.
+// When the diff only changed edge policies, a safety problem whose frame
+// had an index regenerates only the changed edges, the edges that held a
+// failure or an Unknown, and its implication check; every other edge is
+// folded from the index, so an update costs the edit, not the network.
+// Liveness problems, results=all sessions and any other change enumerate
+// in full. Surfaces: `lightyear -diff old.cfg` for incremental
 // CLI runs, the lyserve session API (POST /v2/sessions, POST
 // /v2/sessions/{id}/update, GET /v2/sessions/{id}), examples/incremental,
 // and the repository benchmark's delta-cli workload.

@@ -128,7 +128,8 @@ func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
 
 // TestChecksAtIsChecksRestricted: ChecksAt over every edge is Checks, and
 // over a subset it is the subset of Checks' edge checks plus the implication
-// check, with the same keys.
+// check, with the same keys; either way it is EdgeChecks, then
+// ImplicationCheck.
 func TestChecksAtIsChecksRestricted(t *testing.T) {
 	n := frameNet()
 	p := frameProblem(n, baseFrame(n))
@@ -162,6 +163,12 @@ func TestChecksAtIsChecksRestricted(t *testing.T) {
 	want = append(want, all[len(all)-1])
 	if got := keys(p.ChecksAt(some)); !equalStrings(got, keys(want)) {
 		t.Fatalf("ChecksAt(R2's edges)\n%v\nwant\n%v", got, keys(want))
+	}
+	for _, at := range [][]int{every, some, nil} {
+		halves := append(p.EdgeChecks(at), p.ImplicationCheck())
+		if got, want := keys(halves), keys(p.ChecksAt(at)); !equalStrings(got, want) {
+			t.Fatalf("EdgeChecks(%v) + ImplicationCheck\n%v\nChecksAt\n%v", at, got, want)
+		}
 	}
 }
 

@@ -73,16 +73,29 @@ func (p *SafetyProblem) NumChecks() int {
 
 // ChecksAt generates what Checks generates at the given edges only —
 // positions in the network's PolicyIndex, ascending — followed by the
-// implication check, in Checks' order. It is the re-enumeration of an
-// incremental update that knows, from equal Frames and equal per-edge policy
-// fingerprints, that every other edge's checks keep their keys.
+// implication check, in Checks' order: EdgeChecks(edges), then
+// ImplicationCheck. It is the re-enumeration of an incremental update that
+// knows, from equal Frames and equal per-edge policy fingerprints, that
+// every other edge's checks keep their keys.
 func (p *SafetyProblem) ChecksAt(edges []int) []Check {
 	g := p.generator()
-	checks := make([]Check, 0, 2*len(edges)+1)
-	for _, i := range edges {
-		checks = g.edge(checks, i)
-	}
-	return append(checks, g.implication())
+	return append(g.edges(edges, 1), g.implication())
+}
+
+// EdgeChecks generates the import, export and originate checks of the
+// given edges — positions in the network's PolicyIndex, ascending — in
+// Checks' order, without the implication check. Edge checks never read the
+// property's location, so every problem over one network with an equal
+// Frame generates the same edge checks: a run over many such problems may
+// generate them once and pose them for each.
+func (p *SafetyProblem) EdgeChecks(edges []int) []Check {
+	return p.generator().edges(edges, 0)
+}
+
+// ImplicationCheck generates the I_ℓ ⊆ P check alone: the one check of
+// Checks that reads the property's location.
+func (p *SafetyProblem) ImplicationCheck() Check {
+	return (&checkGen{p: p, u: p.universe()}).implication()
 }
 
 // checkGen is what generating one problem's checks shares across edges: the
@@ -108,6 +121,16 @@ func (g *checkGen) atRouter(id topology.NodeID) *predicate {
 		g.routerInv[id] = inv
 	}
 	return inv
+}
+
+// edges returns the checks of the given edges of the policy index, with
+// room for extra more.
+func (g *checkGen) edges(edges []int, extra int) []Check {
+	checks := make([]Check, 0, 2*len(edges)+extra)
+	for _, i := range edges {
+		checks = g.edge(checks, i)
+	}
+	return checks
 }
 
 // edge appends the checks of the i-th edge of the policy index.

@@ -27,17 +27,26 @@
 // cost before generating a check, Update at its dirty count. Run retains
 // nothing; Hooks report each problem's start, checks and outcome.
 //
+// A run generates each edge frame's checks once. Safety problems over one
+// network with equal frames (core.SafetyProblem.Frame — every input of an
+// edge check's key but the per-edge policy fingerprints; the property's
+// location is not one) pose the same edge checks, so a run generates them
+// (core.SafetyProblem.EdgeChecks) for the first problem of a frame and
+// submits them again, with each problem's own implication check
+// (core.SafetyProblem.ImplicationCheck), for the problems that follow it.
+// Suites emit problems grouped by frame, so a run remembers only the last
+// frame's checks. Sharing changes what is generated, not what is
+// submitted: the engine's cache and in-flight dedup decide the repeats.
+//
 // An update does not generate every check to find the few dirty ones. A
-// failures-only run keeps one location index per edge frame
-// (core.SafetyProblem.Frame — every input of an edge check's key but the
-// per-edge policy fingerprints; the property's location is not one), built
-// by the first safety problem of that frame: per edge, the retained result
-// of each check there that passed, never the checks. When the diff changed
+// failures-only run keeps one location index per edge frame, built by the
+// first safety problem of that frame: per edge, the retained result of
+// each check there that passed, never the checks. When the diff changed
 // only edge policies, every problem whose frame had an index in the last
 // run is served from it: an unchanged edge whose checks all passed is
 // folded without being generated, and the changed edges, every edge that
 // held a failure or an Unknown, and the implication check are generated
-// again (core.SafetyProblem.ChecksAt), so a reused failure reads as the
+// again — the edges once per frame — so a reused failure reads as the
 // regenerated check describes it. Liveness problems, results=all sessions
 // and any other diff enumerate in full, with the same numbers, failures and
 // retained results.

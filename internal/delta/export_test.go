@@ -1,5 +1,7 @@
 package delta
 
+import "lightyear/internal/core"
+
 // EnumerateInFull makes every later run of v generate all of its checks: the
 // reference a restricted update is compared with.
 func (v *Verifier) EnumerateInFull() { v.full = true }
@@ -22,3 +24,11 @@ func (v *Verifier) Indexes() int {
 
 // SetHooks makes every later run of v report to h.
 func (v *Verifier) SetHooks(h Hooks) { v.hooks = h }
+
+// Tap makes h also observe the loop itself: enumerated is called each time
+// a run generates a frame's edge checks, submitted with each problem's
+// checks as they are submitted.
+func Tap(h Hooks, enumerated func(), submitted func(i int, checks []core.Check)) Hooks {
+	h.enumerated, h.submitted = enumerated, submitted
+	return h
+}

@@ -32,6 +32,11 @@ type Hooks struct {
 	// Done is called in order with each problem's outcome and its job's
 	// accounting (nil when it had no job).
 	Done func(i int, o *ProblemOutcome, st *engine.JobStats)
+
+	// The loop's own steps, observed by this package's tests: a frame's
+	// edge checks being generated, and each problem's checks as submitted.
+	enumerated func()
+	submitted  func(i int, checks []core.Check)
 }
 
 // Run verifies problems once, each submission inheriting wl, and retains
@@ -76,6 +81,25 @@ type runner struct {
 	retained map[string]*kept
 	index    map[spec.Fingerprint]*frameIndex // per edge frame, built by its first problem
 	served   int
+
+	last frameChecks
+}
+
+// frameChecks is the edge frame a run generated edge checks for last: the
+// network, its Frame and the checks. Edge checks read neither the property's
+// location nor anything else a frame leaves out, so every problem over that
+// network with that frame poses the same ones — each problem submits them,
+// then its own implication check, and they are generated once per run of
+// such problems. Suites emit their problems grouped by frame (every
+// peering property at every router, then the next property), so one entry
+// catches all the sharing a map over every frame would, and holds one
+// problem's checks rather than a whole plan's. Within a run the edges
+// regenerated for a frame are fixed too: the diff's changed edges and the
+// last run's index of the frame decide them.
+type frameChecks struct {
+	n      *topology.Network
+	frame  spec.Fingerprint
+	checks []core.Check
 }
 
 // problemRun carries one problem from generation to collection.
@@ -95,7 +119,8 @@ type problemRun struct {
 
 var errEmptyProblem = errors.New("suite produced an empty problem")
 
-// Generate builds one problem's checks.
+// Generate builds one problem's checks on its own; a run shares a safety
+// problem's edge checks with the problems of its frame (runner.generate).
 func Generate(p netgen.Problem) (core.Property, []core.Check, error) {
 	switch {
 	case p.Safety != nil:
@@ -119,11 +144,21 @@ func NumChecks(p netgen.Problem) (int, error) {
 }
 
 // CountChecks is the admission cost of a full run over problems; those
-// whose checks cannot be generated count nothing and fail in their turn.
+// whose checks cannot be generated count nothing and fail in their turn. A
+// safety problem's count reads only its network, so it is counted once per
+// network: a plan poses hundreds of problems on one.
 func CountChecks(problems []netgen.Problem) int {
 	cost := 0
+	safety := make(map[*topology.Network]int)
 	for _, p := range problems {
-		if n, err := NumChecks(p); err == nil {
+		if p.Safety != nil {
+			n, ok := safety[p.Safety.Network]
+			if !ok {
+				n = p.Safety.NumChecks()
+				safety[p.Safety.Network] = n
+			}
+			cost += n
+		} else if n, err := NumChecks(p); err == nil {
 			cost += n
 		}
 	}
@@ -201,8 +236,8 @@ func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 			r.index[frame] = pr.index
 		}
 		pr.prop = p.Safety.Property
-		r.enumerate(pr, p.Safety)
-	} else if pr.prop, checks, err = Generate(p); r.prevResults == nil {
+		r.enumerate(pr, p.Safety, frame)
+	} else if pr.prop, checks, err = r.generate(p); r.prevResults == nil {
 		pr.dirty, pr.outcome.Checks = checks, len(checks)
 	} else {
 		for _, c := range checks {
@@ -218,6 +253,38 @@ func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 	r.res.DirtyChecks += len(pr.dirty)
 	r.res.ReusedResults += pr.outcome.Reused
 	return pr
+}
+
+// generate builds one problem's checks as Generate does, but a safety
+// problem's edge checks are those of its frame (edgeChecks).
+func (r *runner) generate(p netgen.Problem) (core.Property, []core.Check, error) {
+	if p.Safety == nil {
+		return Generate(p)
+	}
+	edges := r.edgeChecks(p.Safety, p.Safety.Frame(), func() []int {
+		every := make([]int, len(p.Safety.Network.Index().Edges))
+		for i := range every {
+			every[i] = i
+		}
+		return every
+	})
+	checks := make([]core.Check, len(edges), len(edges)+1)
+	copy(checks, edges)
+	return p.Safety.Property, append(checks, p.Safety.ImplicationCheck()), nil
+}
+
+// edgeChecks returns p's edge checks at the PolicyIndex positions at()
+// lists, generating them only when the problem before it had another
+// network or frame (frameChecks). The checks are shared: callers copy
+// them, never write to them.
+func (r *runner) edgeChecks(p *core.SafetyProblem, frame spec.Fingerprint, at func() []int) []core.Check {
+	if r.last.n != p.Network || r.last.frame != frame {
+		r.last = frameChecks{n: p.Network, frame: frame, checks: p.EdgeChecks(at())}
+		if r.hooks.enumerated != nil {
+			r.hooks.enumerated()
+		}
+	}
+	return r.last.checks
 }
 
 // fail records that a problem's checks could not be generated (a skip if
@@ -245,6 +312,9 @@ func (r *runner) submit(pr *problemRun) {
 		wl.TraceSpan = pr.span
 	}
 	wl.OnResult = r.observe(pr)
+	if r.hooks.submitted != nil {
+		r.hooks.submitted(pr.i, pr.dirty)
+	}
 	job, err := r.eng.Submit(context.Background(), wl)
 	pr.dirty = nil // the engine holds the checks until the job finishes
 	if err != nil {
@@ -358,8 +428,9 @@ func (r *runner) take(pr *problemRun, c core.Check, entry int) {
 // an Unknown, and the implication check; otherwise it generates every
 // check. Equal frames and equal policy fingerprints give the served edges
 // the keys they had, so both ways file the same checks, and the dirty ones
-// in the same order.
-func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
+// in the same order. The regenerated edges are the same for every problem
+// of the frame, and so are their checks (edgeChecks).
+func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem, frame spec.Fingerprint) {
 	edges := p.Network.Index().Edges
 	regen := make([]int, 0, len(edges))
 	for i, c := 0, 0; i < len(edges); i++ {
@@ -370,7 +441,7 @@ func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
 		}
 		regen = append(regen, i)
 	}
-	fresh := p.ChecksAt(regen)
+	fresh := r.edgeChecks(p, frame, func() []int { return regen })
 	idx := pr.index
 	if idx != nil {
 		idx.at = make([]int32, len(edges)+1)
@@ -380,7 +451,7 @@ func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
 	for i, e := range edges {
 		if len(regen) > 0 && regen[0] == i {
 			regen = regen[1:]
-			for loc := core.AtEdge(e); f < len(fresh)-1 && fresh[f].Loc == loc; f++ {
+			for loc := core.AtEdge(e); f < len(fresh) && fresh[f].Loc == loc; f++ {
 				entry := -1
 				if idx != nil {
 					entry = len(idx.results)
@@ -395,7 +466,7 @@ func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem) {
 			idx.at[i+1] = int32(len(idx.results))
 		}
 	}
-	r.take(pr, fresh[len(fresh)-1], -1)
+	r.take(pr, p.ImplicationCheck(), -1)
 }
 
 // serve folds every result the old index holds at its i-th edge if all of

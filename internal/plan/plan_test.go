@@ -667,6 +667,36 @@ func TestSourceBoundBeforeBuild(t *testing.T) {
 	}
 }
 
+// TestCostOfTheLargestRing: a 90-byte body within every source bound poses
+// 29,700 wan-peering problems on one ring of 2,700 routers. Admission
+// prices it before granting anything, so the price must not walk every
+// edge once per problem: a safety problem's count reads only its network,
+// and Cost counts each network once.
+func TestCostOfTheLargestRing(t *testing.T) {
+	var req Request
+	body := `{"network":{"corpus":"ring:1:size=2700,peers=2"},"properties":[{"name":"wan-peering"}]}`
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	cost := c.Cost()
+	took := time.Since(start)
+	problems := c.Units[0].Problems
+	if len(problems) != 29700 {
+		t.Fatalf("%d problems, want 11 properties at each of 2,700 routers", len(problems))
+	}
+	if per := problems[0].Safety.NumChecks(); cost != len(problems)*per || cost != 641549700 {
+		t.Fatalf("Cost() = %d, want %d problems × %d checks = 641,549,700", cost, len(problems), per)
+	}
+	if !raceEnabled && took > time.Second {
+		t.Errorf("Cost() took %v, want under 1s", took)
+	}
+}
+
 // TestWANRegionsBoundedByTheNetwork: the WAN suites build per-region
 // problems before admission, so wan_regions above the network's router
 // count is a request error, refused at once; the 20-region WAN still

@@ -6,6 +6,7 @@ import (
 
 	"lightyear/internal/core"
 	"lightyear/internal/corpus"
+	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/topology"
@@ -71,6 +72,45 @@ func TestNumChecksMatchesChecks(t *testing.T) {
 	}
 	if problems == 0 || failing == 0 {
 		t.Fatalf("swept %d problems, %d with generation errors; want both kinds", problems, failing)
+	}
+}
+
+// TestCountChecksIsThePerProblemSum: admission counts a safety problem's
+// checks once per network; over every suite on every counted network at
+// once — safety and liveness problems, invalid paths among them, the
+// networks interleaved — the cost is still the sum of every problem's own
+// count.
+func TestCountChecksIsThePerProblemSum(t *testing.T) {
+	params := netgen.SuiteParams{Regions: netgen.DefaultWANParams().Regions}
+	var lists [][]netgen.Problem
+	for _, n := range countNetworks(t) {
+		for _, s := range netgen.Suites() {
+			lists = append(lists, s.Build(n, params))
+		}
+	}
+	var problems []netgen.Problem
+	sum, liveness, nets := 0, 0, map[*topology.Network]bool{}
+	for i := 0; len(lists) > 0; i++ {
+		k := i % len(lists)
+		p := lists[k][0]
+		if lists[k] = lists[k][1:]; len(lists[k]) == 0 {
+			lists = append(lists[:k], lists[k+1:]...)
+		}
+		problems = append(problems, p)
+		if count, err := numChecks(p); err == nil {
+			sum += count
+		}
+		if p.Liveness != nil {
+			liveness++
+		} else {
+			nets[p.Safety.Network] = true
+		}
+	}
+	if liveness == 0 || len(nets) < 2 {
+		t.Fatalf("%d liveness problems over %d networks; want both kinds, several networks", liveness, len(nets))
+	}
+	if got := delta.CountChecks(problems); got != sum {
+		t.Fatalf("CountChecks = %d, the problems' own counts sum to %d", got, sum)
 	}
 }
 

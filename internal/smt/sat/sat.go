@@ -14,6 +14,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -267,7 +268,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Normalize: sort, dedupe, drop false literals, detect tautologies.
 	ls := make([]Lit, len(lits))
 	copy(ls, lits)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit
 	for _, l := range ls {
