@@ -11,7 +11,6 @@
 //	lightyear -config net.cfg -store DIR                               # persistent result store
 //	lightyear -config net.cfg -solver portfolio                        # race solver heuristics per check
 //	lightyear -config net.cfg -solver tiered:1000                      # small budget first, escalate on Unknown
-//	lightyear -config net.cfg -solver remote:h1:9101,h2:9101           # ship checks to a lyworker fleet
 //	lightyear -config net.cfg -tenant ops -max-inflight 500            # tenancy + admission control
 //	lightyear -plan plan.json                                          # run a saved verification plan
 //	lightyear -migrate steps.json                                      # verify a migration plan step by step
@@ -172,7 +171,6 @@ import (
 	"lightyear/internal/corpus"
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
-	"lightyear/internal/fabric"
 	"lightyear/internal/logging"
 	"lightyear/internal/migrate"
 	"lightyear/internal/netgen"
@@ -468,7 +466,7 @@ func main() {
 	flag.IntVar(&f.Workers, "workers", 0, "parallel check workers (0 = GOMAXPROCS)")
 	flag.IntVar(&f.Cache, "cache", 0, "engine in-memory result-cache capacity (0 = default, <0 disables)")
 	flag.StringVar(&f.Store, "store", "", "persistent result-store directory, behind the in-memory cache")
-	flag.StringVar(&f.Solver, "solver", "", "solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
+	flag.StringVar(&f.Solver, "solver", "", "solver backend: native, portfolio, or tiered as backend[:budget]")
 	flag.StringVar(&f.Results, "results", "", "check results the reports carry: failures (default) or all")
 	flag.BoolVar(&f.Verbose, "verbose", false, "print every check result (implies -results all)")
 	flag.IntVar(&f.WANRegions, "wan-regions", 3, "region count assumed for WAN properties")
@@ -526,7 +524,7 @@ func main() {
 	if err != nil {
 		os.Exit(fail(err))
 	}
-	rec, tr := startTelemetry(*traceOut, "cli", req.Options.Tenant, logger)
+	rec, tr := startTelemetry(*traceOut, "cli", req.Options.Tenant)
 	cs := tr.StartSpan("compile")
 	compiled, err := plan.Compile(req, nil)
 	cs.End()
@@ -613,18 +611,15 @@ func fail(err error) int {
 }
 
 // startTelemetry opens the run's recorder and trace under -trace (both nil
-// otherwise) and points the process-wide fabric and corpus sinks at them.
-// The trace covers the whole run, compilation included; remote solver
-// backends (-solver remote:…) are constructed at compilation.
-func startTelemetry(on bool, label, tenant string, logger *slog.Logger) (*telemetry.Recorder, *telemetry.Trace) {
+// otherwise) and points the process-wide corpus sink at them. The trace
+// covers the whole run, compilation included.
+func startTelemetry(on bool, label, tenant string) (*telemetry.Recorder, *telemetry.Trace) {
 	var rec *telemetry.Recorder
 	var tr *telemetry.Trace
 	if on {
 		rec = telemetry.New(0)
 		tr = rec.StartTrace(label, tenant)
 	}
-	fabric.SetTelemetry(rec)
-	fabric.SetLogger(logger)
 	corpus.SetTelemetry(rec)
 	return rec, tr
 }
@@ -896,7 +891,7 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 		return fail(err)
 	}
 
-	rec, tr := startTelemetry(traceOut, "cli-migrate", p.Options.Tenant, logger)
+	rec, tr := startTelemetry(traceOut, "cli-migrate", p.Options.Tenant)
 	c, err := migrate.Compile(p, nil)
 	if err != nil {
 		return fail(err)

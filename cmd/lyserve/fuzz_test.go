@@ -37,6 +37,7 @@ func FuzzPlanRequest(f *testing.F) {
 		  "properties": [{"name": "wan-peering", "routers": ["wan-r0-0"]}, {"name": "wan-ip-reuse", "regions": [1]}], "options": {"wan_regions": 2, "results": "all"}}`,
 		`{"network": {"generator": {"kind": "wan", "regions": 2, "routers_per_region": 1, "edge_routers": 1, "peers_per_edge": 2}},
 		  "properties": [{"name": "wan-peering", "routers": ["edge-0"]}, {"name": "sat-stress"}], "options": {"wan_regions": 2, "solver": {"backend": "tiered", "budget": 50}}}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "sat-stress"}], "options": {"solver": {"backend": "remote", "workers": ["127.0.0.1:1"]}}}`,
 		`{"network": {"corpus": "ring:3:size=4,bug=no-class-e"}, "properties": [{"name": "wan-peering"}], "options": {"tenant": "acme"}}`,
 		`{"network": {"corpus": "tree:1:depth=30,fanout=10"}, "properties": [{"name": "wan-peering"}]}`,
 		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "wan-ip-liveness"}, {"name": "wan-ip-reuse"}], "options": {"wan_regions": 16384}}`,

@@ -2,10 +2,9 @@ package main
 
 // The health/status plane: GET /healthz (liveness), GET /readyz (component
 // readiness probes), and GET /v1/status (the single JSON rollup a dashboard
-// or a shard coordinator polls): identity (uptime, build info), component
-// health, engine, tenant, backend and solver-depth counters, job and session
-// counts, store and fabric counters, and trace-ring occupancy in one
-// document.
+// polls): identity (uptime, build info), component health, engine, tenant,
+// backend and solver-depth counters, job and session counts, store
+// counters, and trace-ring occupancy in one document.
 
 import (
 	"net/http"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"lightyear/internal/engine"
-	"lightyear/internal/fabric"
 	"lightyear/internal/netgen"
 	"lightyear/internal/store"
 )
@@ -137,7 +135,6 @@ type statusJSONV1 struct {
 	Jobs          int            `json:"jobs"`
 	Sessions      int            `json:"sessions"`
 	Store         *store.Stats   `json:"store,omitempty"`
-	Fabric        *fabric.Stats  `json:"fabric,omitempty"`
 	Suites        []string       `json:"suites"`
 	Traces        *traceRingJSON `json:"traces,omitempty"`
 	// Retained counts the per-check entries the job table holds in finished
@@ -158,7 +155,6 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Engine:        s.eng.Stats(),
 		Jobs:          jobs,
 		Sessions:      sessions,
-		Fabric:        fabric.Snapshot(),
 		Suites:        netgen.SuiteNames(),
 		Retained:      s.retainedCheckResults(),
 	}

@@ -8,8 +8,7 @@
 //	lyserve [-addr :8080] [-workers N] [-cache N] [-store DIR]
 //	        [-job-ttl 1h] [-session-ttl 24h] [-event-window N]
 //	        [-max-inflight N] [-tenant-quota N] [-tenant-weights t1=3,t2=1]
-//	        [-trace-cap N] [-pprof]
-//	        [-solver remote:host1:9101,host2:9101]
+//	        [-trace-cap N] [-pprof] [-solver backend[:budget]]
 //
 // With -store DIR the internal/store persistent journal in DIR sits behind
 // the engine's in-memory result cache (-cache), so a redeployed lyserve
@@ -188,7 +187,6 @@ import (
 	"lightyear/internal/corpus"
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
-	"lightyear/internal/fabric"
 	"lightyear/internal/logging"
 	"lightyear/internal/migrate"
 	"lightyear/internal/netgen"
@@ -246,10 +244,6 @@ func main() {
 	srvLog = logging.Component(logger, "lyserve")
 
 	rec := telemetry.New(*traceCap)
-	// Remote solver backends (the -solver flag or per-request solver specs)
-	// report into the same sinks as the engine.
-	fabric.SetTelemetry(rec)
-	fabric.SetLogger(logger)
 	// Corpus network sources (plan documents with "corpus") count their
 	// generations into the same /metrics recorder.
 	corpus.SetTelemetry(rec)
@@ -332,7 +326,7 @@ func engineFlags(fs *flag.FlagSet) func() (engine.Options, error) {
 		maxInflight = fs.Int("max-inflight", 0, "admission: max in-flight checks across all tenants (0 = unlimited)")
 		tenantQuota = fs.Int("tenant-quota", 0, "admission: max in-flight checks per tenant (0 = unlimited)")
 		weightsSpec = fs.String("tenant-weights", "", "per-tenant dispatch weights, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
-		solverSpec  = fs.String("solver", "", "default solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
+		solverSpec  = fs.String("solver", "", "default solver backend: native, portfolio, or tiered as backend[:budget]")
 	)
 	return func() (engine.Options, error) {
 		weights, err := engine.ParseWeights(*weightsSpec)

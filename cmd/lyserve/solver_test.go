@@ -3,12 +3,16 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"lightyear/internal/engine"
+	"lightyear/internal/plan"
 )
 
 // waitDoneV2 polls the v2 snapshot until the job completes.
@@ -117,6 +121,47 @@ func TestV2UnknownStatusOverHTTP(t *testing.T) {
 	}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown backend = %d (%v), want 400", resp.StatusCode, body)
+	}
+}
+
+// remotePlan is a plan body whose solver spec names the deleted remote
+// backend and a worker list.
+func remotePlan(worker string) string {
+	return fmt.Sprintf(`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "sat-stress"}],
+		"options": {"solver": {"backend": "remote", "workers": [%q]}}}`, worker)
+}
+
+// TestRemoteSolverRefused: there is no remote backend, so a body naming one
+// is a 400 on both plan endpoints, and compiling such bodies — which
+// happens before admission — starts no goroutine however many distinct
+// worker lists callers send.
+func TestRemoteSolverRefused(t *testing.T) {
+	ts := newTestServer(t)
+	for _, path := range []string{"/v2/verify", "/v2/sessions"} {
+		if resp, out := postJSON(t, ts.URL+path, remotePlan("127.0.0.1:1")); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a remote solver: status %d (%v), want 400", path, resp.StatusCode, out)
+		}
+	}
+
+	compile := func(i int) {
+		var req plan.Request
+		if err := json.Unmarshal([]byte(remotePlan(fmt.Sprintf("10.0.0.%d:6379", i))), &req); err != nil {
+			t.Fatal(err)
+		}
+		_, err := plan.Compile(req, nil)
+		var reqErr *plan.RequestError
+		if !errors.As(err, &reqErr) {
+			t.Fatalf("compile %d: err = %v, want a request error", i, err)
+		}
+	}
+	compile(0)
+	before := runtime.NumGoroutine()
+	for i := 1; i <= 50; i++ {
+		compile(i)
+	}
+	time.Sleep(10 * time.Millisecond) // let any started goroutine show
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("50 remote compiles grew goroutines from %d to %d", before, after)
 	}
 }
 

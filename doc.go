@@ -115,7 +115,7 @@
 // producing the violation formula in any smt.Context — and internal/solver
 // decides obligations through the solver.Backend interface
 // (Solve(ctx, obligation, budget) → outcome). Three in-process backends
-// ship, plus remote (internal/fabric: obligations shipped to a lyworker fleet):
+// ship:
 //
 //   - native: one in-process CDCL solve per obligation (the default);
 //   - portfolio: races heuristic variants of the solver (VSIDS vs static

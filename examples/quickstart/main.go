@@ -116,36 +116,6 @@
 //	  => {..., "engine": {..., "backends": {"portfolio":
 //	      {"solved": 24, "raced": 87, "solve_ns": ...}}}, ...}
 //
-// # Running a solver fleet
-//
-// The "remote" backend shards those same solves across a fleet of worker
-// processes (internal/fabric): the coordinator consistent-hashes each
-// check key onto a worker, so a given obligation always lands on the same
-// shard and the worker-side cache and dedup keep firing. Start two
-// workers, point any coordinator binary at them, and run a suite:
-//
-//	lyworker -listen :9101 &
-//	lyworker -listen :9102 &
-//	lightyear -config net.cfg -property sat-stress \
-//	    -solver remote:localhost:9101,localhost:9102
-//
-// lyserve takes the same spec (-solver remote:...) as its default backend,
-// and the per-worker view shows where checks actually ran:
-//
-//	curl -s localhost:8080/v1/status
-//	  => {..., "fabric": {"workers": [
-//	        {"addr": "localhost:9101", "healthy": true, "solved": 231, ...},
-//	        {"addr": "localhost:9102", "healthy": true, "solved": 213, ...}],
-//	      "failovers": 0, "fallbacks": 0}}
-//	curl -s localhost:9101/v1/status          # the worker's own counters
-//
-// Fleets degrade instead of failing: killing a worker trips its circuit
-// breaker after a few failed solves, its keys re-shard to the remaining
-// workers with bounded-backoff retries, and an empty or exhausted pool
-// falls back to the local backend — verdicts stay ok/fail/unknown-correct
-// throughout, and each solve's result records which worker and backend
-// decided it ("remote(localhost:9101)/native").
-//
 // # Tenancy and admission
 //
 // Every submission runs as a tenant, and the engine sheds load at the door

@@ -112,7 +112,9 @@ func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
 	for i := range every {
 		every[i] = i
 	}
-	here, there := frameProblem(n, baseFrame(n)).ChecksAt(every), atR2.ChecksAt(every)
+	atR3 := frameProblem(n, baseFrame(n))
+	here := append(atR3.EdgeChecks(every), atR3.ImplicationCheck())
+	there := append(atR2.EdgeChecks(every), atR2.ImplicationCheck())
 	if len(here) != len(there) {
 		t.Fatalf("%d checks at R3, %d at R2", len(here), len(there))
 	}
@@ -126,10 +128,10 @@ func TestFrameCoversEveryKeyInputButPolicies(t *testing.T) {
 	}
 }
 
-// TestChecksAtIsChecksRestricted: ChecksAt over every edge is Checks, and
-// over a subset it is the subset of Checks' edge checks plus the implication
-// check, with the same keys; either way it is EdgeChecks, then
-// ImplicationCheck.
+// TestChecksAtIsChecksRestricted: the checks at a set of edges —
+// EdgeChecks, then ImplicationCheck — are Checks over every edge, and over a
+// subset they are the subset of Checks' edge checks plus the implication
+// check, with the same keys.
 func TestChecksAtIsChecksRestricted(t *testing.T) {
 	n := frameNet()
 	p := frameProblem(n, baseFrame(n))
@@ -140,13 +142,14 @@ func TestChecksAtIsChecksRestricted(t *testing.T) {
 		}
 		return out
 	}
+	checksAt := func(edges []int) []Check { return append(p.EdgeChecks(edges), p.ImplicationCheck()) }
 	edges := n.Index().Edges
 	every := make([]int, len(edges))
 	for i := range every {
 		every[i] = i
 	}
-	if got, want := keys(p.ChecksAt(every)), keys(all); !equalStrings(got, want) {
-		t.Fatalf("ChecksAt(every edge)\n%v\nChecks\n%v", got, want)
+	if got, want := keys(checksAt(every)), keys(all); !equalStrings(got, want) {
+		t.Fatalf("EdgeChecks(every edge) + ImplicationCheck\n%v\nChecks\n%v", got, want)
 	}
 	var some []int
 	var want []Check
@@ -161,14 +164,11 @@ func TestChecksAtIsChecksRestricted(t *testing.T) {
 		}
 	}
 	want = append(want, all[len(all)-1])
-	if got := keys(p.ChecksAt(some)); !equalStrings(got, keys(want)) {
-		t.Fatalf("ChecksAt(R2's edges)\n%v\nwant\n%v", got, keys(want))
+	if got := keys(checksAt(some)); !equalStrings(got, keys(want)) {
+		t.Fatalf("EdgeChecks(R2's edges) + ImplicationCheck\n%v\nwant\n%v", got, keys(want))
 	}
-	for _, at := range [][]int{every, some, nil} {
-		halves := append(p.EdgeChecks(at), p.ImplicationCheck())
-		if got, want := keys(halves), keys(p.ChecksAt(at)); !equalStrings(got, want) {
-			t.Fatalf("EdgeChecks(%v) + ImplicationCheck\n%v\nChecksAt\n%v", at, got, want)
-		}
+	if got := checksAt(nil); len(got) != 1 || got[0].Kind != all[len(all)-1].Kind {
+		t.Fatalf("no edges: %v, want the implication check alone", keys(got))
 	}
 }
 

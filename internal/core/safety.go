@@ -71,17 +71,6 @@ func (p *SafetyProblem) NumChecks() int {
 	return count
 }
 
-// ChecksAt generates what Checks generates at the given edges only —
-// positions in the network's PolicyIndex, ascending — followed by the
-// implication check, in Checks' order: EdgeChecks(edges), then
-// ImplicationCheck. It is the re-enumeration of an incremental update that
-// knows, from equal Frames and equal per-edge policy fingerprints, that
-// every other edge's checks keep their keys.
-func (p *SafetyProblem) ChecksAt(edges []int) []Check {
-	g := p.generator()
-	return append(g.edges(edges, 1), g.implication())
-}
-
 // EdgeChecks generates the import, export and originate checks of the
 // given edges — positions in the network's PolicyIndex, ascending — in
 // Checks' order, without the implication check. Edge checks never read the
@@ -89,7 +78,12 @@ func (p *SafetyProblem) ChecksAt(edges []int) []Check {
 // Frame generates the same edge checks: a run over many such problems may
 // generate them once and pose them for each.
 func (p *SafetyProblem) EdgeChecks(edges []int) []Check {
-	return p.generator().edges(edges, 0)
+	g := p.generator()
+	checks := make([]Check, 0, 2*len(edges))
+	for _, i := range edges {
+		checks = g.edge(checks, i)
+	}
+	return checks
 }
 
 // ImplicationCheck generates the I_ℓ ⊆ P check alone: the one check of
@@ -121,16 +115,6 @@ func (g *checkGen) atRouter(id topology.NodeID) *predicate {
 		g.routerInv[id] = inv
 	}
 	return inv
-}
-
-// edges returns the checks of the given edges of the policy index, with
-// room for extra more.
-func (g *checkGen) edges(edges []int, extra int) []Check {
-	checks := make([]Check, 0, 2*len(edges)+extra)
-	for _, i := range edges {
-		checks = g.edge(checks, i)
-	}
-	return checks
 }
 
 // edge appends the checks of the i-th edge of the policy index.
@@ -170,10 +154,10 @@ func (g *checkGen) implication() Check {
 // problems over networks with the same nodes and edges and equal frames
 // generate, at every edge whose policy fingerprints are equal, the same
 // checks with the same keys — what lets an incremental update regenerate
-// only the edges a diff changed (ChecksAt). The property's location is left
-// out: only the implication check reads it, and ChecksAt regenerates that
-// check every time, so problems that differ only in where the property is
-// posed share one frame.
+// only the edges a diff changed (EdgeChecks). The property's location is
+// left out: only the implication check reads it, and ImplicationCheck
+// regenerates that check for every problem, so problems that differ only in
+// where the property is posed share one frame.
 func (p *SafetyProblem) Frame() spec.Fingerprint {
 	idx := p.Network.Index()
 	ghosts := newGhostTable(p.Ghosts)

@@ -11,9 +11,8 @@ import (
 )
 
 // This file defines the wire forms that let obligations and check results
-// travel between processes: the distributed solver fabric (internal/fabric)
-// serializes an Obligation on the coordinator, ships it to a worker, and
-// ships the CheckResult back. The encoding is plain JSON-tagged structs —
+// travel between processes: internal/fabric serializes an Obligation on
+// the coordinator, ships it to a worker, and ships the CheckResult back. The encoding is plain JSON-tagged structs —
 // no registry, no reflection — because the obligation grammar is closed:
 // three content families over the closed predicate/action unions of
 // internal/spec and internal/policy.
@@ -21,8 +20,8 @@ import (
 // Two invariants matter:
 //
 //   - Key is shipped verbatim. Check keys are the identity under which the
-//     engine caches and dedups; a worker-side engine must see the same key
-//     the coordinator hashed, or shard-local caching would silently miss.
+//     engine caches and dedups, so a decoded obligation keeps the key the
+//     coordinator computed.
 //   - Originate obligations ship their routes with origination ghosts
 //     pre-applied (GhostDef holds funcs, which do not serialize). By
 //     originatedWithGhosts semantics the decoded obligation evaluates
@@ -105,8 +104,8 @@ type ObligationWire struct {
 
 // EncodeObligation converts an obligation to wire form. It fails when the
 // obligation references predicates or actions defined outside the closed
-// spec/policy unions (no wire tag); the fabric treats that as "not
-// remotable" and solves locally.
+// spec/policy unions (no wire tag); the fabric answers such an obligation
+// Unknown.
 func EncodeObligation(ob *Obligation) (*ObligationWire, error) {
 	if ob == nil {
 		return nil, fmt.Errorf("core: nil obligation")
@@ -187,8 +186,8 @@ func kindFromString(s string) (CheckKind, error) {
 }
 
 // Obligation reconstructs the obligation a wire form describes. The decoded
-// obligation reports the shipped Key verbatim, so worker-side caching and
-// dedup share identity with the coordinator.
+// obligation reports the shipped Key verbatim, so it keeps the identity the
+// coordinator caches and dedups it under.
 func (w *ObligationWire) Obligation() (*Obligation, error) {
 	if w == nil {
 		return nil, fmt.Errorf("core: nil obligation wire")

@@ -432,7 +432,7 @@ func (m Member) Build() (*topology.Network, *GroundTruth, error) {
 }
 
 // Telemetry: per-family generation and per-property planting counters,
-// shared by every host the way internal/fabric shares its recorder.
+// shared by every host through one process-wide recorder.
 
 var (
 	telMu  sync.RWMutex

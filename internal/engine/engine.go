@@ -555,20 +555,15 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 // solve routes one task's obligation to its job's solver backend and
 // records per-backend accounting. Results are stamped with the running
 // check's identity (relabeled checks share obligations with rewritten
-// identities, and the backend reports the obligation's own). The conflict
-// budget is the check's own generation-time budget when it has one —
-// checks the engine generated itself carry the engine's budget, and
-// raw-submitted batches (KindChecks workloads) keep the budget their producer chose — falling back to the engine's. The
-// solve runs under the job's submission context, so cancelling it turns
-// the job's remaining checks into Unknowns.
+// identities, and the backend reports the obligation's own). The backend
+// solves under its own configured budget, and under the job's submission
+// context, so cancelling the job turns its remaining checks into Unknowns.
 func (e *Engine) solve(t task) solver.Outcome {
 	e.checksSolved.Add(1)
 	backend := t.job.backend
-	span := t.job.ensureSolveSpan(backend.Name())
+	t.job.ensureSolveSpan(backend.Name())
 	t0 := time.Now()
-	// The solve span rides the context so distributed backends (the fabric's
-	// rpc leg) can hang child spans off the job's trace.
-	out := e.backendSolve(telemetry.WithSpan(t.job.ctx, span), backend, t)
+	out := e.backendSolve(t.job.ctx, backend, t)
 	if out.TotalTime == 0 {
 		out.TotalTime = time.Since(t0)
 	}

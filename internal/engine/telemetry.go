@@ -190,15 +190,14 @@ func (j *Job) spanDrained() {
 }
 
 // ensureSolveSpan opens the job's solve:<backend> span on its first
-// executed check and returns it for context propagation into the backend.
-func (j *Job) ensureSolveSpan(backend string) *telemetry.Span {
+// executed check.
+func (j *Job) ensureSolveSpan(backend string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.solveSpanSet {
 		j.solveSpanSet = true
 		j.solveSpan = j.startSpan("solve:" + backend)
 	}
-	return j.solveSpan
 }
 
 // finishJobTelemetry closes the job's spans with their summary attributes

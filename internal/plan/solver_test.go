@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"lightyear/internal/engine"
@@ -31,6 +32,15 @@ func TestSolverSpecValidation(t *testing.T) {
 	err = stressRequest(&solver.Spec{Backend: "tiered", Budget: -100}).Validate()
 	if err == nil || !errors.As(err, &reqErr) {
 		t.Fatalf("negative budget: err = %v, want RequestError", err)
+	}
+	// There is no remote backend: naming it is a request error that lists
+	// exactly the in-process backends.
+	err = stressRequest(&solver.Spec{Backend: "remote"}).Validate()
+	if err == nil || !errors.As(err, &reqErr) {
+		t.Fatalf("remote backend: err = %v, want RequestError", err)
+	}
+	if !strings.HasSuffix(err.Error(), "(have: native, portfolio, tiered)") {
+		t.Fatalf("remote backend: error %q does not name exactly native, portfolio and tiered", err)
 	}
 }
 

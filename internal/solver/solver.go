@@ -87,24 +87,16 @@ type Spec struct {
 	// Budget is the per-check conflict budget. For native and portfolio it
 	// caps every solve (0 = unlimited, or the caller's budget); for tiered
 	// it is the quick tier's budget (0 = DefaultTierBudget), with escalation
-	// running at the caller's budget. The remote backend forwards it to
-	// workers per solve.
+	// running at the caller's budget.
 	Budget int64 `json:"budget,omitempty"`
-	// Workers is the worker pool for the remote backend ("host:port"
-	// addresses); ignored by local backends. The -solver flag form is
-	// "remote:host1,host2".
-	Workers []string `json:"workers,omitempty"`
 }
 
-// String renders the spec as the CLI accepts it: "backend",
-// "backend:budget", or "remote:host1,host2".
+// String renders the spec as the CLI accepts it: "backend" or
+// "backend:budget".
 func (s Spec) String() string {
 	name := s.Backend
 	if name == "" {
 		name = "native"
-	}
-	if name == RemoteName {
-		return fmt.Sprintf("%s:%s", name, strings.Join(s.Workers, ","))
 	}
 	if s.Budget > 0 {
 		return fmt.Sprintf("%s:%d", name, s.Budget)
@@ -112,22 +104,13 @@ func (s Spec) String() string {
 	return name
 }
 
-// ParseSpec parses the -solver flag syntax: "backend[:budget]" for local
-// backends, "remote:host1,host2,..." for the distributed fabric.
+// ParseSpec parses the -solver flag syntax: "backend[:budget]".
 func ParseSpec(s string) (Spec, error) {
 	var out Spec
 	name, rest, ok := strings.Cut(s, ":")
 	out.Backend = strings.TrimSpace(name)
-	if out.Backend == RemoteName {
-		for _, w := range strings.Split(rest, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				out.Workers = append(out.Workers, w)
-			}
-		}
-		if len(out.Workers) == 0 {
-			return out, fmt.Errorf("solver: remote backend needs workers: %q (want remote:host1,host2)", s)
-		}
-		return out, nil
+	if !Known(out.Backend) {
+		return out, fmt.Errorf("solver: unknown backend %q (have: %s)", out.Backend, strings.Join(Names(), ", "))
 	}
 	if ok {
 		n, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
@@ -136,45 +119,22 @@ func ParseSpec(s string) (Spec, error) {
 		}
 		out.Budget = n
 	}
-	if !Known(out.Backend) {
-		return out, fmt.Errorf("solver: unknown backend %q (have: %s)", out.Backend, strings.Join(Names(), ", "))
-	}
 	return out, nil
 }
 
-// registry is the single source of local backend names: New, Known, and
-// Names all derive from it, so adding a backend is one entry here. The
-// remote backend is the one exception — it lives in internal/fabric (which
-// imports this package) and plugs in through RegisterRemote.
+// registry is the single source of backend names: New, Known, and Names
+// all derive from it, so adding a backend is one entry here.
 var registry = map[string]func(budget int64) Backend{
 	"native":    Native,
 	"portfolio": Portfolio,
 	"tiered":    Tiered,
 }
 
-// RemoteName is the registry name of the distributed fabric backend.
-const RemoteName = "remote"
-
-// remoteFactory builds remote backends; internal/fabric installs it via
-// RegisterRemote (importing fabric from here would be a dependency cycle:
-// fabric is a Backend implementation and imports this package).
-var remoteFactory func(Spec) (Backend, error)
-
-// RegisterRemote installs the remote backend constructor. Called once from
-// internal/fabric's init; binaries that want -solver remote import fabric.
-func RegisterRemote(mk func(Spec) (Backend, error)) { remoteFactory = mk }
-
 // New constructs the backend a spec names ("" selects native).
 func New(s Spec) (Backend, error) {
 	name := s.Backend
 	if name == "" {
 		name = "native"
-	}
-	if name == RemoteName {
-		if remoteFactory == nil {
-			return nil, fmt.Errorf("solver: remote backend not linked in (import lightyear/internal/fabric)")
-		}
-		return remoteFactory(s)
 	}
 	mk, ok := registry[name]
 	if !ok {
@@ -185,7 +145,7 @@ func New(s Spec) (Backend, error) {
 
 // Known reports whether name selects a backend ("" selects native).
 func Known(name string) bool {
-	if name == "" || name == RemoteName {
+	if name == "" {
 		return true
 	}
 	_, ok := registry[name]
@@ -194,11 +154,10 @@ func Known(name string) bool {
 
 // Names returns the selectable backend names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry)+1)
+	names := make([]string, 0, len(registry))
 	for name := range registry {
 		names = append(names, name)
 	}
-	names = append(names, RemoteName)
 	sort.Strings(names)
 	return names
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lightyear/internal/core"
-	_ "lightyear/internal/fabric" // registers the remote backend
 	"lightyear/internal/netgen"
 	"lightyear/internal/solver"
 	"lightyear/internal/topology"
@@ -61,13 +60,7 @@ func backends(t *testing.T) map[string]solver.Backend {
 	t.Helper()
 	out := map[string]solver.Backend{}
 	for _, name := range solver.Names() {
-		spec := solver.Spec{Backend: name}
-		if name == solver.RemoteName {
-			// No live workers in unit tests: an unreachable pool exercises
-			// the local-fallback path, so parity must still hold.
-			spec.Workers = []string{"127.0.0.1:1"}
-		}
-		b, err := solver.New(spec)
+		b, err := solver.New(solver.Spec{Backend: name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,10 +188,8 @@ func TestParseSpec(t *testing.T) {
 		{in: "native", want: solver.Spec{Backend: "native"}},
 		{in: "portfolio", want: solver.Spec{Backend: "portfolio"}},
 		{in: "tiered:1000", want: solver.Spec{Backend: "tiered", Budget: 1000}},
-		{in: "remote:h1:9001,h2:9001", want: solver.Spec{Backend: "remote", Workers: []string{"h1:9001", "h2:9001"}}},
-		{in: "remote: h1:9001 ,, h2:9001 ", want: solver.Spec{Backend: "remote", Workers: []string{"h1:9001", "h2:9001"}}},
 		{in: "remote", wantErr: true},
-		{in: "remote:", wantErr: true},
+		{in: "remote:h1:9001,h2:9001", wantErr: true},
 		{in: "bogus", wantErr: true},
 		{in: "tiered:x", wantErr: true},
 		{in: "tiered:-5", wantErr: true},
@@ -215,8 +206,13 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
-	if _, err := solver.New(solver.Spec{Backend: "bogus"}); err == nil {
-		t.Error("New accepted an unknown backend")
+	for _, name := range []string{"bogus", "remote"} {
+		if _, err := solver.New(solver.Spec{Backend: name}); err == nil {
+			t.Errorf("New accepted the unknown backend %q", name)
+		}
+	}
+	if got, want := solver.Names(), []string{"native", "portfolio", "tiered"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
 }
 
@@ -232,11 +228,6 @@ func TestSameConfig(t *testing.T) {
 	}
 	for _, name := range solver.Names() {
 		spec := solver.Spec{Backend: name}
-		if name == solver.RemoteName {
-			// The remote backend (registered by the fabric import) needs a
-			// worker list; nothing is contacted at construction time.
-			spec.Workers = []string{"127.0.0.1:1"}
-		}
 		a := mk(spec)
 		b := mk(spec)
 		if !solver.SameConfig(a, b) {
