@@ -45,7 +45,7 @@
 // capacity (0 = engine default, negative disables caching).
 //
 // -solver selects the solver backend checks are routed to, as
-// "backend[:budget]" (the plan document's "solver" execution option):
+// "backend[:budget]" (the plan document's "solver" request option):
 //
 //	native       one in-process CDCL solve per check (default); an optional
 //	             budget caps SAT conflicts per check (checks that exceed it
@@ -66,10 +66,12 @@
 // families, their knobs, the builtin graphs, and the plantable bugs.
 //
 // With -plan file.json the request is read from the file (the plan.Request
-// JSON schema; see package internal/plan). Explicitly set flags override
-// the corresponding plan fields: -config replaces the network source,
-// -property/-routers/-regions the property list, -diff the baseline, and
-// -workers/-cache/-store/-solver/-wan-regions the execution options.
+// JSON schema; see package internal/plan), strictly: an unknown field is a
+// usage error. Explicitly set flags override the corresponding plan
+// fields: -config replaces the network source, -property/-routers/-regions
+// the property list, and -solver/-results/-wan-regions/-tenant the request
+// options. -workers, -cache and -store configure the engine, which no plan
+// document describes, and -diff adds a baseline.
 //
 // With -store DIR the internal/store persistent journal in DIR sits behind
 // the engine's in-memory result cache (-cache): results recorded by earlier
@@ -79,7 +81,7 @@
 // bound.
 //
 // -tenant names the principal the run's workloads are admitted and
-// accounted under (the plan document's "tenant" execution option; the same
+// accounted under (the plan document's "tenant" request option; the same
 // identity lyserve reads from the X-Tenant header), and -max-inflight
 // bounds the engine's admitted in-flight checks: a plan whose compiled
 // check count exceeds the bound is rejected before any work starts, with
@@ -102,13 +104,14 @@
 // 2 s in the solver) or undecided checks are logged with their full solver
 // provenance.
 //
-// With -diff old.cfg the command runs incrementally via internal/delta: it
-// first verifies old.cfg as the baseline, then re-verifies -config against
-// it, re-solving only the checks the configuration change dirtied, and
-// reports {changed routers, dirty checks, reused results, solved}. Exit
-// status reflects the -config (updated) network; a failing baseline is
-// reported but only fails the run if the update also fails. Incremental
-// runs inherit the plan's property list and -routers scoping.
+// With -diff old.cfg the command runs incrementally on one internal/delta
+// Verifier over the compiled plan: it verifies old.cfg as the baseline,
+// then re-verifies -config against it, re-solving only the checks the
+// configuration change dirtied, and reports {changed routers, dirty checks,
+// reused results, solved}. Exit status reflects the -config (updated)
+// network; a failing baseline is reported but only fails the run if the
+// update also fails. Incremental runs inherit the plan's property list and
+// -routers scoping.
 //
 // -results selects what the per-problem reports carry (the plan document's
 // "results" option): failures, the default, keeps every check that did not
@@ -132,10 +135,11 @@
 // violating step is reported with its failing checks and witnesses. With
 // "unordered": true the steps are treated as an unordered change set and the
 // command searches for a safe ordering ("search_budget" bounds how many
-// intermediate states the search may verify). -config, -property,
-// -routers, -regions and the execution-option flags override the
-// corresponding plan fields exactly as with -plan; -diff and -corpus are
-// usage errors, since the file names the baseline.
+// intermediate states the search may verify). The file decodes as strictly
+// as -plan's, and -config, -property, -routers, -regions and the
+// request-option flags override the corresponding plan fields as with
+// -plan; -diff and -corpus are usage errors, since the file names the
+// baseline.
 //
 // Exit status contract:
 //
@@ -145,7 +149,7 @@
 //	   (unreadable or unparsable configuration, invalid liveness path);
 //	   for -migrate: the plan violated at some step k (see the output)
 //	2  usage error (missing network source, unknown -property or -solver,
-//	   malformed steps.json)
+//	   a malformed -plan or -migrate file, or one naming an unknown field)
 //	3  no check failed, but at least one check was left UNKNOWN (solver
 //	   budget exhausted) — the properties are neither proven nor refuted;
 //	   raise the budget or switch -solver to decide them; for -migrate:
@@ -213,12 +217,8 @@ func buildRequest(f cliFlags) (plan.Request, error) {
 	var req plan.Request
 	saved := f.PlanPath != ""
 	if saved {
-		src, err := os.ReadFile(f.PlanPath)
-		if err != nil {
+		if err := decodeFile(f.PlanPath, &req); err != nil {
 			return req, err
-		}
-		if err := json.Unmarshal(src, &req); err != nil {
-			return req, fmt.Errorf("%s: %w", f.PlanPath, err)
 		}
 	}
 	switch {
@@ -332,8 +332,9 @@ func applyPropertyFlags(f cliFlags, saved bool, props []plan.Property) ([]plan.P
 	return props, nil
 }
 
-// applyOptionFlags applies the execution-option flags to o: every one
-// without a saved document, only the explicitly set ones with one.
+// applyOptionFlags applies the request-option flags to o: every one without
+// a saved document, only the explicitly set ones with one. The engine flags
+// (-workers, -cache, -store) are not request options; newEngine reads them.
 func applyOptionFlags(f cliFlags, saved bool, o *plan.Options) error {
 	override := func(name string) bool { return !saved || f.set(name) }
 	if override("solver") {
@@ -352,15 +353,6 @@ func applyOptionFlags(f cliFlags, saved bool, o *plan.Options) error {
 	if f.Verbose {
 		o.Results = engine.ResultsAll
 	}
-	if override("workers") {
-		o.Workers = f.Workers
-	}
-	if override("cache") {
-		o.Cache = f.Cache
-	}
-	if override("store") {
-		o.Store = f.Store
-	}
 	if override("wan-regions") {
 		o.WANRegions = f.WANRegions
 	}
@@ -373,6 +365,20 @@ func applyOptionFlags(f cliFlags, saved bool, o *plan.Options) error {
 type usageError struct{ msg string }
 
 func (e *usageError) Error() string { return e.msg }
+
+// decodeFile reads a -plan or -migrate document with plan.Decode; a
+// malformed document, an unknown field included, is a usage error.
+func decodeFile(path string, v any) error {
+	fh, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer fh.Close()
+	if err := plan.Decode(fh, v); err != nil {
+		return &usageError{fmt.Sprintf("%s: %v", path, err)}
+	}
+	return nil
+}
 
 // corpusMember resolves -corpus (plus an optional -corpus-graph file) into
 // the member the run verifies.
@@ -543,33 +549,40 @@ func main() {
 			fmt.Printf("corpus %s: %d routers, %d externals, %d sessions, mean degree %.1f\n",
 				f.Corpus, len(n.Routers()), len(n.Externals()), n.NumEdges(), meanDegree(n))
 		}
-		if b := req.Options.Baseline; b != nil && b.ConfigPath != "" {
+		if f.DiffPath != "" {
 			n := compiled.Baseline
 			fmt.Printf("baseline %s: %d routers, %d externals, %d sessions\n",
-				b.ConfigPath, len(n.Routers()), len(n.Externals()), n.NumEdges())
+				f.DiffPath, len(n.Routers()), len(n.Externals()), n.NumEdges())
 		}
 	}
 
-	eng, resultStore, err := newEngine(req.Options, f.MaxInflight, rec, logger)
+	eng, resultStore, err := newEngine(f, rec, logger)
 	if err != nil {
 		os.Exit(fail(err))
 	}
 	if resultStore != nil {
 		defer resultStore.Close()
 		if !*jsonOut {
-			fmt.Printf("store: %s (%d results on disk)\n", req.Options.Store, resultStore.Len())
+			fmt.Printf("store: %s (%d results on disk)\n", f.Store, resultStore.Len())
 		}
 	}
 	defer eng.Close()
 
+	if compiled.Baseline != nil {
+		base, upd, err := runDiff(eng, compiled, tr)
+		if err != nil {
+			os.Exit(fail(err))
+		}
+		printDelta(base, upd, compiled, eng.Stats(), *jsonOut, resultStore)
+		printTrace(rec, tr)
+		os.Exit(exitCode(&plan.Result{OK: upd.OK, Failures: upd.Failures, Unknowns: upd.Unknown}))
+	}
 	res, err := plan.Run(eng, compiled, plan.RunConfig{Store: resultStore, Trace: tr})
 	if err != nil {
 		os.Exit(fail(err))
 	}
 
 	switch {
-	case res.Update != nil: // delta-vs-baseline mode
-		printDelta(res, compiled, *jsonOut, resultStore)
 	case *jsonOut:
 		emitJSON(res)
 	default:
@@ -634,22 +647,22 @@ func printTrace(rec *telemetry.Recorder, tr *telemetry.Trace) {
 	}
 }
 
-// newEngine builds the run's engine from the plan options and the
-// -max-inflight admission bound, which no plan document carries. With a
+// newEngine builds the run's engine from the engine flags — -workers,
+// -cache, -store and -max-inflight — which no plan document carries. With a
 // store directory the persistent result store sits behind the engine's
 // in-memory cache; the caller closes both.
-func newEngine(o plan.Options, maxInflight int, rec *telemetry.Recorder, logger *slog.Logger) (*engine.Engine, *store.Store, error) {
+func newEngine(f cliFlags, rec *telemetry.Recorder, logger *slog.Logger) (*engine.Engine, *store.Store, error) {
 	opts := engine.Options{
-		Workers:   o.Workers,
-		CacheSize: o.Cache,
+		Workers:   f.Workers,
+		CacheSize: f.Cache,
 		Telemetry: rec,
 		Logger:    logger,
-		Admission: engine.Admission{MaxInFlightChecks: maxInflight},
+		Admission: engine.Admission{MaxInFlightChecks: f.MaxInflight},
 	}
 	var st *store.Store
-	if o.Store != "" {
+	if f.Store != "" {
 		var err error
-		st, err = store.Open(o.Store)
+		st, err = store.Open(f.Store)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -817,13 +830,46 @@ type diffOutput struct {
 	Store    *store.Stats `json:"store,omitempty"`
 }
 
-// printDelta renders an incremental (delta-vs-baseline) run.
-func printDelta(res *plan.Result, c *plan.Compiled, jsonOut bool, st *store.Store) {
-	base, upd := res.Baseline, res.Update
+// runDiff is -diff: it verifies the compiled plan's baseline in full, then
+// re-verifies its network incrementally against it on one delta.Verifier
+// over the plan's scoped problems, re-solving only the checks the change
+// dirtied. Both runs' engine spans nest under a "delta" span of tr, beside
+// a "baseline" and an "update" span; runDiff finishes tr.
+func runDiff(eng *engine.Engine, c *plan.Compiled, tr *telemetry.Trace) (base, upd *delta.Result, err error) {
+	defer tr.Finish()
+	v := delta.NewVerifierFor(eng, c)
+	wl := c.Workload()
+	del := tr.StartSpan("delta")
+	defer del.End()
+	wl.TraceSpan = del
+	v.SetWorkload(wl)
+	bs := tr.StartSpan("baseline")
+	if base, err = v.Baseline(c.Baseline); err == nil {
+		bs.SetAttrInt("solved", int64(base.Solved))
+	}
+	bs.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	us := tr.StartSpan("update")
+	if upd, err = v.Update(c.Network); err == nil {
+		us.SetAttrInt("solved", int64(upd.Solved))
+		us.SetAttrInt("reused", int64(upd.ReusedResults))
+	}
+	us.End()
+	return base, upd, err
+}
+
+// printDelta renders a -diff run.
+func printDelta(base, upd *delta.Result, c *plan.Compiled, est engine.Stats, jsonOut bool, st *store.Store) {
 	if jsonOut {
-		emitJSON(diffOutput{Suite: c.Label(), OK: res.OK,
-			Baseline: encodeDeltaResult(base), Update: encodeDeltaResult(upd),
-			Engine: res.Engine, Store: res.Store})
+		out := diffOutput{Suite: c.Label(), OK: upd.OK,
+			Baseline: encodeDeltaResult(base), Update: encodeDeltaResult(upd), Engine: est}
+		if st != nil {
+			stats := st.Stats()
+			out.Store = &stats
+		}
+		emitJSON(out)
 		return
 	}
 	fmt.Println(base)
@@ -839,13 +885,13 @@ func printDelta(res *plan.Result, c *plan.Compiled, jsonOut bool, st *store.Stor
 			fmt.Print(p.Report.Summary())
 		}
 	}
-	printEngineSummary(res.Engine)
+	printEngineSummary(est)
 	printStoreSummary(st)
 	switch {
-	case res.OK:
+	case upd.OK:
 		fmt.Println("updated configuration verified incrementally")
-	case res.Failures == 0 && res.Unknowns > 0:
-		fmt.Printf("%d checks UNKNOWN (solver budget exhausted): properties undecided, not refuted\n", res.Unknowns)
+	case upd.Failures == 0 && upd.Unknown > 0:
+		fmt.Printf("%d checks UNKNOWN (solver budget exhausted): properties undecided, not refuted\n", upd.Unknown)
 	}
 }
 
@@ -867,16 +913,13 @@ func migratePlan(f cliFlags) (migrate.Plan, error) {
 	if f.DiffPath != "" || f.Corpus != "" {
 		return p, &usageError{"-diff and -corpus do not apply to -migrate (the plan file names the baseline)"}
 	}
-	src, err := os.ReadFile(f.MigratePath)
-	if err != nil {
+	if err := decodeFile(f.MigratePath, &p); err != nil {
 		return p, err
-	}
-	if err := json.Unmarshal(src, &p); err != nil {
-		return p, &usageError{fmt.Sprintf("%s: %v", f.MigratePath, err)}
 	}
 	if f.set("config") {
 		p.Network = &plan.Network{ConfigPath: f.ConfigPath}
 	}
+	var err error
 	if p.Properties, err = applyPropertyFlags(f, true, p.Properties); err != nil {
 		return p, err
 	}
@@ -907,7 +950,7 @@ func runMigrate(f cliFlags, jsonOut, traceOut bool, logger *slog.Logger) int {
 			c.NumSteps(), mode, len(n.Routers()), n.NumEdges())
 	}
 
-	eng, resultStore, err := newEngine(c.Plan.Options, f.MaxInflight, rec, logger)
+	eng, resultStore, err := newEngine(f, rec, logger)
 	if err != nil {
 		return fail(err)
 	}

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/plan"
+	"lightyear/internal/store"
 	"lightyear/internal/topology"
 )
 
@@ -34,7 +36,7 @@ func TestBuildRequestFlags(t *testing.T) {
 	f.Properties = "wan-peering, wan-ip-reuse"
 	f.Routers = "edge-0,wan-r0-0"
 	f.DiffPath = "old.cfg"
-	f.Workers = 8
+	f.WANRegions = 2
 	req, err := buildRequest(f)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +56,7 @@ func TestBuildRequestFlags(t *testing.T) {
 	if req.Options.Baseline == nil || req.Options.Baseline.ConfigPath != "old.cfg" {
 		t.Errorf("baseline = %+v", req.Options.Baseline)
 	}
-	if req.Options.Workers != 8 || req.Options.WANRegions != 3 {
+	if req.Options.WANRegions != 2 {
 		t.Errorf("options = %+v", req.Options)
 	}
 }
@@ -98,7 +100,7 @@ func TestBuildRequestFromPlanFile(t *testing.T) {
 			{Name: "wan-peering", Routers: []topology.NodeID{"edge-0"}},
 			{Name: "wan-ip-liveness"},
 		},
-		Options: plan.Options{WANRegions: 2, Workers: 2},
+		Options: plan.Options{WANRegions: 2, Tenant: "saved"},
 	}
 	b, err := json.Marshal(saved)
 	if err != nil {
@@ -116,20 +118,65 @@ func TestBuildRequestFromPlanFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if req.Network.Generator == nil || len(req.Properties) != 2 ||
-		req.Options.WANRegions != 2 || req.Options.Workers != 2 {
+		req.Options.WANRegions != 2 || req.Options.Tenant != "saved" {
 		t.Fatalf("plan file not honored: %+v", req)
 	}
 
-	// Explicit -workers overrides the plan; the untouched -property default
-	// does not.
-	f.Workers = 16
-	f.Set["workers"] = true
+	// Explicit -wan-regions overrides the plan; the untouched -property
+	// default does not.
+	f.WANRegions = 4
+	f.Set["wan-regions"] = true
 	req, err = buildRequest(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Options.Workers != 16 || len(req.Properties) != 2 {
+	if req.Options.WANRegions != 4 || req.Options.Tenant != "saved" || len(req.Properties) != 2 {
 		t.Fatalf("flag override wrong: %+v", req)
+	}
+}
+
+// TestPlanFilesDecodeStrictly: -plan and -migrate documents are read with
+// plan.Decode, so an engine setting (which no plan document carries any
+// more) or a misspelled field is a usage error naming the field — exit 2 —
+// rather than silently dropped.
+func TestPlanFilesDecodeStrictly(t *testing.T) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, doc, field string }{
+		{"store", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}], "options": {"store": "d"}}`, "store"},
+		{"workers", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}], "options": {"workers": 4}}`, "workers"},
+		{"router", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "router": ["R2"]}]}`, "router"},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f := baseFlags()
+		f.PlanPath = path
+		_, err := buildRequest(f)
+		if _, usage := err.(*usageError); !usage || !strings.Contains(err.Error(), `"`+tc.field+`"`) {
+			t.Errorf("-plan with %s: %v (%T), want a usage error naming %q", tc.name, err, err, tc.field)
+		}
+		if code := fail(err); code != 2 {
+			t.Errorf("-plan with %s: exit %d, want 2", tc.name, code)
+		}
+	}
+
+	// The same options in a migration plan.
+	doc := `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}],
+	 "options": {"store": "d"},
+	 "steps": [{"label": "shield", "mutation": {"kind": "insert-export-deny", "from": "R2", "to": "ISP2", "seq": 5, "match": "community:100:1"}}]}`
+	path := filepath.Join(dir, "steps.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := baseFlags()
+	f.MigratePath = path
+	if _, err := migratePlan(f); err == nil || !strings.Contains(err.Error(), `"store"`) {
+		t.Errorf("-migrate with options.store: %v, want an error naming \"store\"", err)
+	}
+	if code := runMigrate(f, true, false, quiet); code != 2 {
+		t.Errorf("-migrate with options.store: exit %d, want 2", code)
 	}
 }
 
@@ -419,5 +466,150 @@ func TestMigratePropertyFlagChangesTheVerdict(t *testing.T) {
 	f.Properties, f.Set["property"] = "fig1-liveness", true
 	if code := runMigrate(f, true, false, quiet); code != 0 {
 		t.Fatalf("-property fig1-liveness: exit %d, want 0", code)
+	}
+}
+
+// diffSpec is a 2-region WAN generator with the given edge-router count.
+func diffSpec(edgeRouters int) *netgen.GeneratorSpec {
+	return &netgen.GeneratorSpec{Kind: "wan", Regions: 2, RoutersPerRegion: 2,
+		EdgeRouters: edgeRouters, DCsPerRegion: 1, PeersPerEdge: 1}
+}
+
+// runDiffOn compiles req — whose Options.Baseline stands for -diff — and
+// runs it through runDiff on eng.
+func runDiffOn(t *testing.T, eng *engine.Engine, req plan.Request) (base, upd *delta.Result) {
+	t.Helper()
+	c, err := plan.Compile(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, upd, err = runDiff(eng, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base, upd
+}
+
+// TestDiffGrowthAndNoop: a growth change re-solves only the dirty subset,
+// and an identical baseline reuses everything.
+func TestDiffGrowthAndNoop(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 4})
+	defer eng.Close()
+	peering := []plan.Property{{Name: "wan-peering"}}
+
+	base, upd := runDiffOn(t, eng, plan.Request{Network: plan.Network{Generator: diffSpec(2)}, Properties: peering,
+		Options: plan.Options{Baseline: &plan.Network{Generator: diffSpec(1)}}})
+	if !base.OK || !upd.OK || base.TotalChecks != 2805 || base.DirtyChecks != 2805 {
+		t.Fatalf("growth diff: baseline %+v, update ok=%v; want both verified over 2805 checks", base, upd.OK)
+	}
+	if upd.TotalChecks != 4818 || upd.DirtyChecks != 132 || upd.ReusedResults != 4686 || len(upd.ChangedRouters) != 6 {
+		t.Fatalf("growth update: %d/%d dirty, %d reused, changed %v; want 132/4818 dirty, 4686 reused, 6 changed routers",
+			upd.DirtyChecks, upd.TotalChecks, upd.ReusedResults, upd.ChangedRouters)
+	}
+
+	// Identical baseline: nothing dirty.
+	_, upd = runDiffOn(t, eng, plan.Request{Network: plan.Network{Generator: diffSpec(1)}, Properties: peering,
+		Options: plan.Options{Baseline: &plan.Network{Generator: diffSpec(1)}}})
+	if upd.DirtyChecks != 0 || upd.ReusedResults != upd.TotalChecks || upd.TotalChecks != 2805 {
+		t.Fatalf("no-op update should reuse all 2805 checks: %+v", upd)
+	}
+}
+
+// TestDiffInheritsScope: an incremental run over a scoped plan
+// re-enumerates only the scoped problems on every state.
+func TestDiffInheritsScope(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 4})
+	defer eng.Close()
+	_, upd := runDiffOn(t, eng, plan.Request{Network: plan.Network{Generator: diffSpec(1)},
+		Properties: []plan.Property{{Name: "wan-peering", Routers: []topology.NodeID{netgen.EdgeRouter(0)}}},
+		Options:    plan.Options{Baseline: &plan.Network{Generator: diffSpec(1)}}})
+	if got, want := len(upd.Problems), len(netgen.PeeringProperties(2)); got != want {
+		t.Fatalf("scoped delta update ran %d problems, want %d (one router's properties)", got, want)
+	}
+	if upd.Suite != "wan-peering" || upd.TotalChecks != 561 || upd.ReusedResults != 561 {
+		t.Errorf("scoped no-op update: label %q, %d reused of %d; want wan-peering, 561 of 561", upd.Suite, upd.ReusedResults, upd.TotalChecks)
+	}
+}
+
+// TestDiffReusesStore: -diff on the engine -store builds serves its
+// baseline from what an earlier run recorded and reuses retained results
+// in the update.
+func TestDiffReusesStore(t *testing.T) {
+	spec := func(edgeRouters int) *netgen.GeneratorSpec {
+		return &netgen.GeneratorSpec{Kind: "wan", Regions: 2, RoutersPerRegion: 1, EdgeRouters: edgeRouters, PeersPerEdge: 2}
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	flags := cliFlags{Store: t.TempDir(), Workers: 2}
+	req := plan.Request{Network: plan.Network{Generator: spec(1)}, Properties: []plan.Property{{Name: "wan-peering"}},
+		Options: plan.Options{WANRegions: 2}}
+	open := func() (*engine.Engine, *store.Store) {
+		eng, st, err := newEngine(flags, nil, quiet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, st
+	}
+
+	eng, st := open()
+	c, err := plan.Compile(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := plan.Run(eng, c, plan.RunConfig{Store: st}); err != nil || !res.OK || res.Store.Puts != 121 {
+		t.Fatalf("cold run: err %v, result %+v; want 121 results recorded", err, res)
+	}
+	eng.Close()
+	st.Close()
+
+	eng, st = open()
+	defer st.Close()
+	defer eng.Close()
+	req.Network = plan.Network{Generator: spec(2)}
+	req.Options.Baseline = &plan.Network{Generator: spec(1)}
+	base, upd := runDiffOn(t, eng, req)
+	if !base.OK || !upd.OK || base.TotalChecks != 693 || base.Solved != 0 {
+		t.Fatalf("baseline %+v; want 693 checks verified, all served from the store", base)
+	}
+	if upd.TotalChecks != 1628 || upd.DirtyChecks != 176 || upd.ReusedResults != 1452 {
+		t.Fatalf("update: %d/%d dirty, %d reused; want 176/1628 dirty, 1452 reused", upd.DirtyChecks, upd.TotalChecks, upd.ReusedResults)
+	}
+	if ss := st.Stats(); ss.Loaded != 121 || ss.Hits == 0 {
+		t.Fatalf("store %+v; want the 121 recorded results loaded and reused", ss)
+	}
+}
+
+// TestDiffErrorClasses: a -diff baseline that cannot be read is a runtime
+// failure (exit 1); one on which a -routers scope names a missing router is
+// a usage error (exit 2).
+func TestDiffErrorClasses(t *testing.T) {
+	dir := t.TempDir()
+	wan := filepath.Join(dir, "wan.cfg")
+	small := filepath.Join(dir, "small.cfg")
+	if err := os.WriteFile(wan, []byte(netgen.WANDSL(netgen.WANParams{Regions: 2, RoutersPerRegion: 1, EdgeRouters: 2, PeersPerEdge: 1}, netgen.WANBugs{})), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(small, []byte(netgen.WANDSL(netgen.WANParams{Regions: 2, RoutersPerRegion: 1, EdgeRouters: 1, PeersPerEdge: 1}, netgen.WANBugs{})), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		diff, routers string
+		want          int
+	}{
+		{filepath.Join(dir, "missing.cfg"), "", 1},
+		{small, "edge-1", 2},
+	} {
+		f := baseFlags()
+		f.ConfigPath, f.Properties, f.WANRegions, f.DiffPath, f.Routers = wan, "wan-peering", 2, tc.diff, tc.routers
+		req, err := buildRequest(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = plan.Compile(req, nil)
+		if err == nil {
+			t.Fatalf("-diff %s -routers %q compiled", tc.diff, tc.routers)
+		}
+		if code := fail(err); code != tc.want {
+			t.Errorf("-diff %s -routers %q: %v: exit %d, want %d", tc.diff, tc.routers, err, code, tc.want)
+		}
 	}
 }

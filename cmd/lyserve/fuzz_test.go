@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -15,7 +14,8 @@ import (
 const compileBound = time.Second
 
 // FuzzPlanRequest drives the path every plan body takes before admission —
-// decode, the HTTP surface's refusals, plan.Request.Validate, then
+// the strict decode (plan.Decode), the HTTP surface's config_path refusal,
+// plan.Request.Validate, then
 // plan.Compile and the admission cost — on arbitrary bytes. Nothing may
 // panic, a body Validate refuses is a request error (a 400), and compiling
 // and costing a plan takes at most compileBound. Compile runs before the
@@ -45,18 +45,20 @@ func FuzzPlanRequest(f *testing.F) {
 		`{"network": {"baseline": "session-99"}, "properties": [{"name": "fig1-no-transit"}]}`,
 		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "routers": ["bogus"]}]}`,
 		`{"network": {"generator": {"kind": "fig1"}}}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}], "options": {"store": "/tmp/x", "workers": 4}}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "router": ["R2"]}]}`,
 		`{`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req plan.Request
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+		if plan.Decode(bytes.NewReader(body), &req) != nil {
 			return // decodeBody answers 400
 		}
-		// Both plan endpoints refuse these before compiling: a file path
-		// (rejectConfigPath) and a delta baseline (sessions pin their own).
-		if req.Network.ConfigPath != "" || req.Options.Baseline != nil {
+		// Both plan endpoints refuse a file path before compiling
+		// (rejectConfigPath).
+		if req.Network.ConfigPath != "" {
 			return
 		}
 		if err := req.Validate(); err != nil {

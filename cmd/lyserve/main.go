@@ -51,8 +51,11 @@
 //
 // The /v2 surface accepts internal/plan requests: one document composing a
 // network source, a list of properties (each optionally scoped to routers
-// or regions), and execution options. All request bodies are capped at
-// 1 MiB (413 beyond that).
+// or regions), and request options (wan_regions, solver, tenant, priority,
+// results); the engine's workers, cache and store are this service's flags.
+// All request bodies are capped at 1 MiB (413 beyond that) and decoded
+// strictly: a field the schema lacks, such as "workers" or a misspelled
+// "router", is a 400 that names it.
 //
 //	POST /v2/verify
 //	    Body: a plan.Request, e.g.
@@ -571,12 +574,13 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, snap)
 }
 
-// decodeBody decodes a JSON request body capped at maxRequestBody,
-// answering 413 for oversized bodies and 400 for malformed ones. Returns
-// false when the request has been answered.
+// decodeBody decodes a JSON request body capped at maxRequestBody, strictly
+// (plan.Decode), answering 413 for oversized bodies and 400 for malformed
+// ones — a field the body's schema lacks included, named in the answer.
+// Returns false when the request has been answered.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := plan.Decode(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -781,9 +785,9 @@ func (s *server) launchPlan(c *plan.Compiled, resv *engine.Reservation, tr *tele
 		res, err := plan.Run(s.eng, c, plan.RunConfig{Sink: j.handleEvent, Store: s.store, Reservation: resv, Trace: tr})
 		errMsg := ""
 		if err != nil {
-			// The handler reserved admission for the whole plan, and only
-			// delta-mode plans error otherwise; record defensively rather
-			// than wedge the job.
+			// The handler reserved admission for the whole plan, so Run
+			// has nothing left to refuse; record defensively rather than
+			// wedge the job.
 			srvLog.Error("plan run failed",
 				slog.String(logging.KeyJob, j.id),
 				slog.String(logging.KeyTenant, j.tenant),
@@ -923,11 +927,6 @@ func accepted(w http.ResponseWriter, j *serviceJob) {
 func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
 	var req plan.Request
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Options.Baseline != nil {
-		httpError(w, http.StatusBadRequest,
-			"options.baseline is not supported on /v2/verify; use sessions for incremental runs")
 		return
 	}
 	if !rejectConfigPath(w, req.Network) {
@@ -1234,11 +1233,6 @@ func (s *server) handleSessionCreateV2(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Options.Baseline != nil {
-		httpError(w, http.StatusBadRequest,
-			"options.baseline is not supported on sessions; the session pins its own baseline")
-		return
-	}
 	if !rejectConfigPath(w, req.Network) {
 		return
 	}
@@ -1338,17 +1332,13 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 
 // sessionMigrateV2 is the POST /v2/sessions/{id}/migrate body: a migration
 // plan's step list (the session pins the baseline, properties, and
-// options), plus the search controls and optionally the caller's tenant.
-// Network and Properties are decoded only so that bodies carrying them are
-// rejected by CompileSteps with a real explanation rather than silently
-// ignored.
+// options), plus the search controls and optionally the caller's tenant. A
+// body naming the network or properties is refused as it decodes.
 type sessionMigrateV2 struct {
-	Network      *plan.Network   `json:"network,omitempty"`
-	Properties   []plan.Property `json:"properties,omitempty"`
-	Steps        []migrate.Step  `json:"steps"`
-	Unordered    bool            `json:"unordered,omitempty"`
-	SearchBudget int             `json:"search_budget,omitempty"`
-	Tenant       string          `json:"tenant,omitempty"`
+	Steps        []migrate.Step `json:"steps"`
+	Unordered    bool           `json:"unordered,omitempty"`
+	SearchBudget int            `json:"search_budget,omitempty"`
+	Tenant       string         `json:"tenant,omitempty"`
 }
 
 // handleSessionMigrate verifies a migration plan against the session's
@@ -1375,8 +1365,6 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 	var cerr error
 	tr, ok := s.startRequestTrace("migrate:"+sess.label, sess.tenant, func() bool {
 		c, cerr = migrate.CompileSteps(migrate.Plan{
-			Network:      req.Network,
-			Properties:   req.Properties,
 			Steps:        req.Steps,
 			Unordered:    req.Unordered,
 			SearchBudget: req.SearchBudget,

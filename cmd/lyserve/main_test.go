@@ -670,6 +670,7 @@ func TestV2BadRequests(t *testing.T) {
 		{"unknown-router", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "routers": ["bogus"]}]}`, http.StatusBadRequest},
 		{"config-path-rejected", `{"network": {"config_path": "/etc/passwd"}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
 		{"baseline-no-session", `{"network": {"baseline": "session-99"}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		// A request carries no delta baseline: "baseline" is an unknown option.
 		{"delta-on-verify", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}], "options": {"baseline": {"generator": {"kind": "fig1"}}}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -681,6 +682,29 @@ func TestV2BadRequests(t *testing.T) {
 			// The rejection must happen at the API boundary — before any
 			// filesystem access — so the error names the field, not the file.
 			t.Errorf("config_path rejection should not touch the filesystem: %q", out["error"])
+		}
+	}
+}
+
+// TestRemovedAndUnknownFieldsRefused: plan bodies decode strictly, so the
+// engine settings and the delta baseline a request no longer carries — and
+// a misspelled scope, which a lenient decoder dropped to verify every
+// router — are a 400 naming the field on both plan endpoints.
+func TestRemovedAndUnknownFieldsRefused(t *testing.T) {
+	ts := newTestServer(t)
+	const prefix = `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"`
+	for _, tc := range []struct{ body, field string }{
+		{prefix + `}], "options": {"workers": 4}}`, "workers"},
+		{prefix + `}], "options": {"store": "/tmp/x"}}`, "store"},
+		{prefix + `}], "options": {"baseline": {"generator": {"kind": "fig1"}}}}`, "baseline"},
+		{prefix + `, "router": ["R2"]}]}`, "router"},
+	} {
+		for _, path := range []string{"/v2/verify", "/v2/sessions"} {
+			resp, out := postJSON(t, ts.URL+path, tc.body)
+			msg, _ := out["error"].(string)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `"`+tc.field+`"`) {
+				t.Errorf("%s with %q: status %d, error %q; want 400 naming the field", path, tc.field, resp.StatusCode, msg)
+			}
 		}
 	}
 }

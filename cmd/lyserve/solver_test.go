@@ -132,14 +132,18 @@ func remotePlan(worker string) string {
 }
 
 // TestRemoteSolverRefused: there is no remote backend, so a body naming one
-// is a 400 on both plan endpoints, and compiling such bodies — which
-// happens before admission — starts no goroutine however many distinct
+// is a 400 on both plan endpoints (one with a worker list already for that
+// field, which the solver spec lacks), and compiling such bodies, which
+// happens before admission, starts no goroutine however many distinct
 // worker lists callers send.
 func TestRemoteSolverRefused(t *testing.T) {
 	ts := newTestServer(t)
+	bare := `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "sat-stress"}], "options": {"solver": {"backend": "remote"}}}`
 	for _, path := range []string{"/v2/verify", "/v2/sessions"} {
-		if resp, out := postJSON(t, ts.URL+path, remotePlan("127.0.0.1:1")); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s with a remote solver: status %d (%v), want 400", path, resp.StatusCode, out)
+		for _, body := range []string{remotePlan("127.0.0.1:1"), bare} {
+			if resp, out := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with a remote solver: status %d (%v), want 400", path, resp.StatusCode, out)
+			}
 		}
 	}
 

@@ -222,10 +222,10 @@
 // a plan.Request composes a network source (inline config DSL, a config
 // file path, a named netgen generator, or a pinned session baseline), a
 // list of properties — each a registered suite name optionally scoped to a
-// router or region subset (netgen.Scope) — and execution options (workers,
-// cache or persistent store, WAN region count, and an optional baseline
-// network that switches the run to incremental delta mode). The canonical
-// JSON form:
+// router or region subset (netgen.Scope) — and the options every host
+// honors (WAN region count, solver, tenant, priority, results mode); the
+// engine's settings are the host's. The canonical JSON form, which every
+// host decodes strictly (an unknown field is an error):
 //
 //	{
 //	  "network":    {"generator": {"kind": "wan", "regions": 2}},
@@ -247,8 +247,9 @@
 //     `POST /v2/sessions` pins a plan for incremental updates that inherit
 //     its scoping. `lightyear -json` prints the same plan result encoding
 //     the job snapshot serves.
-//   - Library: plan.Execute (one-stop) or plan.Compile + plan.Run on a
-//     long-lived engine; a Compiled plan is also a delta.ProblemSource.
+//   - Library: plan.Compile + plan.Run on an engine the caller builds
+//     (engine.New); a Compiled plan is also the delta.ProblemSource that
+//     lyserve sessions and `lightyear -diff` re-verify incrementally.
 //
 // # Observability
 //

@@ -88,7 +88,7 @@
 // # Choosing a solver backend
 //
 // Every check is a declarative obligation decided by a pluggable solver
-// backend (internal/solver). The plan's "solver" execution option selects
+// backend (internal/solver). The plan's "solver" request option selects
 // one per request — the engine routes just that request's checks to it, so
 // concurrent tenants of one lyserve can use different backends:
 //
@@ -317,8 +317,12 @@ func main() {
 	// 6. The declarative plan API: several properties — here scoped to a
 	// router subset — verified as one request on one shared engine, so
 	// checks shared across properties are solved once. This is the exact
-	// document `lightyear -plan` and lyserve's POST /v2/verify accept.
-	res, err := plan.Execute(plan.Request{
+	// document `lightyear -plan` and lyserve's POST /v2/verify accept. The
+	// engine is the caller's to build: a plan says what to verify, not how
+	// many workers or which cache run it.
+	peng := engine.New(engine.Options{})
+	defer peng.Close()
+	pc, err := plan.Compile(plan.Request{
 		Network: plan.Network{Generator: &netgen.GeneratorSpec{Kind: "wan", Regions: 2,
 			RoutersPerRegion: 1, EdgeRouters: 1, PeersPerEdge: 2}},
 		Properties: []plan.Property{
@@ -327,6 +331,10 @@ func main() {
 		},
 		Options: plan.Options{WANRegions: 2},
 	}, nil)
+	if err != nil {
+		panic(err)
+	}
+	res, err := plan.Run(peng, pc, plan.RunConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -446,10 +454,14 @@ func main() {
 	}
 	fmt.Printf("\ncorpus %s: planted %s on session %s -> %s\n",
 		member.Ref(), gt.Property, gt.Mutation.From, gt.Mutation.To)
-	cres, err := plan.Execute(plan.Request{
+	cc, err := plan.Compile(plan.Request{
 		Network:    plan.Network{Corpus: member.Ref()},
 		Properties: []plan.Property{{Name: corpus.PropertySuite}},
 	}, nil)
+	if err != nil {
+		panic(err)
+	}
+	cres, err := plan.Run(peng, cc, plan.RunConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -109,9 +109,6 @@ func Compile(p Plan, res plan.Resolver) (*Compiled, error) {
 	if p.Network == nil {
 		return nil, plan.RequestErrorf("migrate: a baseline network is required")
 	}
-	if p.Options.Baseline != nil {
-		return nil, plan.RequestErrorf("migrate: options.baseline is not allowed (the plan's network is the baseline)")
-	}
 	inner, err := plan.Compile(plan.Request{Network: *p.Network, Properties: p.Properties, Options: p.Options}, res)
 	if err != nil {
 		return nil, err

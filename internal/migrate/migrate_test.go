@@ -10,6 +10,7 @@ import (
 	"lightyear/internal/migrate"
 	"lightyear/internal/netgen"
 	"lightyear/internal/plan"
+	"lightyear/internal/telemetry"
 )
 
 // fig1Plan builds a standalone migration plan on the Figure-1 network with
@@ -261,9 +262,51 @@ func TestSearchFindsTheOneSafeOrder(t *testing.T) {
 		t.Fatalf("the filter swap must have exactly one safe order, found %d", safe)
 	}
 
-	res := compileRun(t, fig1Plan(steps, true), migrate.RunConfig{})
+	rec := telemetry.New(0)
+	tr := rec.StartTrace("search", "")
+	var events []migrate.Event
+	res := compileRun(t, fig1Plan(steps, true), migrate.RunConfig{Recorder: rec, Trace: tr,
+		Sink: func(ev migrate.Event) { events = append(events, ev) }})
 	if !res.OK || res.Infeasible {
 		t.Fatalf("search must find the safe order: %+v", res)
+	}
+
+	// The search verifies its states through the same step path as an
+	// ordered walk: one "step:<label>" span per verified state, carrying
+	// the step's accounting and outcome, and one step_ok or step_violated
+	// event per step_started.
+	tr.Finish()
+	snap, _ := rec.Trace(tr.ID())
+	var stepSpans []telemetry.SpanSnapshot
+	for _, sp := range snap.Spans {
+		if sp.Name == "migrate" {
+			stepSpans = sp.Children
+		}
+	}
+	if len(stepSpans) != res.SearchStates {
+		t.Fatalf("%d step spans for %d verified states", len(stepSpans), res.SearchStates)
+	}
+	for _, sp := range stepSpans {
+		for _, attr := range []string{"checks", "dirty", "solved", "outcome"} {
+			if sp.Attrs[attr] == "" {
+				t.Errorf("search span %s lacks %q: %v", sp.Name, attr, sp.Attrs)
+			}
+		}
+	}
+	verdicts := 0
+	for _, ev := range events {
+		switch ev.Type {
+		case migrate.EvStepStarted:
+			verdicts--
+		case migrate.EvStepOK, migrate.EvStepViolated:
+			if !ev.Search {
+				t.Errorf("search event without search=true: %+v", ev)
+			}
+			verdicts++
+		}
+	}
+	if verdicts != 0 {
+		t.Errorf("step_started and step verdict events do not pair up (%+d)", verdicts)
 	}
 	if len(res.OrderLabels) != 3 || res.OrderLabels[0] != "shield" ||
 		res.OrderLabels[1] != "retire" || res.OrderLabels[2] != "reinstate" {

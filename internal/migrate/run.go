@@ -335,71 +335,55 @@ func (r *runner) ordered(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r.emit(Event{Type: EvStepStarted, Step: k, PlanStep: k, Label: st.label})
-		sp := r.span.StartSpan("step:" + st.label)
-
 		next := st.network
 		if next == nil {
 			n2, err := netgen.ApplyMutation(cur, *st.mutation)
 			if err != nil {
+				r.emit(Event{Type: EvStepStarted, Step: k, PlanStep: k, Label: st.label})
+				sp := r.span.StartSpan("step:" + st.label)
+				sp.SetAttr("outcome", "inapplicable")
+				sp.End()
 				r.res.ViolatedStep, r.res.ViolatedPlanStep, r.res.ViolatedLabel = k, k, st.label
 				r.res.Reason = fmt.Sprintf("step %d (%s) cannot be applied: %v", k, st.label, err)
 				r.res.Steps = append(r.res.Steps, StepResult{Step: k, PlanStep: k, Label: st.label})
 				r.emit(Event{Type: EvStepViolated, Step: k, PlanStep: k, Label: st.label, Reason: r.res.Reason})
 				r.countStep("violated")
-				sp.SetAttr("outcome", "inapplicable")
-				sp.End()
 				return nil
 			}
 			next = n2
 		}
 
-		dres, err := verified(r.v.Update(next))
+		vd, err := r.verifyStep(next, k, k, st.label, false)
 		if err != nil {
-			sp.End()
 			return err
 		}
-		sr, fails := r.stepOutcome(dres, k, k, st.label, false)
-		r.res.Steps = append(r.res.Steps, sr)
-		sp.SetAttrInt("checks", int64(sr.Checks))
-		sp.SetAttrInt("dirty", int64(sr.Dirty))
-		sp.SetAttrInt("solved", int64(sr.Solved))
-		if !sr.OK {
+		r.res.Steps = append(r.res.Steps, vd.sr)
+		if !vd.ok {
 			r.res.ViolatedStep, r.res.ViolatedPlanStep, r.res.ViolatedLabel = k, k, st.label
-			r.res.Undecided = dres.Failures == 0
-			r.res.FailingChecks = fails
-			if r.res.Undecided {
-				r.res.Reason = fmt.Sprintf("step %d (%s) is undecided: %d checks without a verdict", k, st.label, dres.Unknown)
-			} else {
-				r.res.Reason = fmt.Sprintf("step %d (%s) violates: %d failing checks", k, st.label, dres.Failures)
-			}
-			r.emit(Event{Type: EvStepViolated, Step: k, PlanStep: k, Label: st.label,
-				Reason: r.res.Reason, Checks: len(fails)})
-			r.countStep("violated")
-			sp.SetAttr("outcome", "violated")
-			sp.End()
+			r.res.Undecided, r.res.Reason, r.res.FailingChecks = vd.undecided, vd.reason, vd.fails
 			return nil
 		}
-		outcome := "ok"
-		if dres.Unchanged {
-			outcome = "unchanged"
-		}
-		r.emit(Event{Type: EvStepOK, Step: k, PlanStep: k, Label: st.label, OK: true,
-			Unchanged: dres.Unchanged, Checks: sr.Checks, Dirty: sr.Dirty, Reused: sr.Reused, Solved: sr.Solved})
-		r.countStep(outcome)
-		sp.SetAttr("outcome", outcome)
-		sp.End()
 		cur = next
 	}
 	r.res.OK = true
 	return nil
 }
 
-// stepOutcome folds one delta run into a StepResult and emits the per-step
-// problem and check events. Per-check events cover the failing and
-// undecided checks (with witnesses); passing checks are summarized by the
-// per-problem counts.
-func (r *runner) stepOutcome(dres *delta.Result, step, planStep int, label string, search bool) (StepResult, []FailedCheck) {
+// verifyStep verifies one intermediate state, next, on the run's verifier:
+// it emits step_started, runs the update under a "step:<label>" span, emits
+// the per-problem events and a check event per failing or undecided check
+// (with witness), records checks, dirty, solved and the outcome (ok,
+// unchanged, or violated) on the span, emits step_ok or step_violated, and
+// counts the step by that outcome. Only an ordered walk's step_violated
+// carries the reason: a search's is a pruned branch.
+func (r *runner) verifyStep(next *topology.Network, step, planStep int, label string, search bool) (*verdict, error) {
+	r.emit(Event{Type: EvStepStarted, Step: step, PlanStep: planStep, Label: label, Search: search})
+	sp := r.span.StartSpan("step:" + label)
+	defer sp.End()
+	dres, err := verified(r.v.Update(next))
+	if err != nil {
+		return nil, err
+	}
 	sr := StepResult{
 		Step: step, PlanStep: planStep, Label: label,
 		OK:        dres.OK && dres.Unknown == 0,
@@ -412,12 +396,38 @@ func (r *runner) stepOutcome(dres *delta.Result, step, planStep int, label strin
 		r.emit(Event{Type: EvProblem, Step: step, PlanStep: planStep, Label: label, Search: search,
 			Problem: p.Name, OK: p.OK, Checks: p.Checks, Dirty: p.Dirty, Reused: p.Reused})
 	}
-	fails := failedChecks(dres)
-	for _, f := range fails {
+	vd := &verdict{ok: sr.OK, undecided: !sr.OK && dres.Failures == 0, sr: sr, fails: failedChecks(dres), net: next}
+	for _, f := range vd.fails {
 		r.emit(Event{Type: EvCheck, Step: step, PlanStep: planStep, Label: label, Search: search,
 			Problem: f.Problem, Check: f.Desc, Status: f.Status, Witness: f.Witness})
 	}
-	return sr, fails
+	sp.SetAttrInt("checks", int64(sr.Checks))
+	sp.SetAttrInt("dirty", int64(sr.Dirty))
+	sp.SetAttrInt("solved", int64(sr.Solved))
+	outcome := "violated"
+	switch {
+	case vd.ok:
+		outcome = "ok"
+		if dres.Unchanged {
+			outcome = "unchanged"
+		}
+		r.emit(Event{Type: EvStepOK, Step: step, PlanStep: planStep, Label: label, Search: search, OK: true,
+			Unchanged: dres.Unchanged, Checks: sr.Checks, Dirty: sr.Dirty, Reused: sr.Reused, Solved: sr.Solved})
+	case vd.undecided:
+		vd.reason = fmt.Sprintf("step %d (%s) is undecided: %d checks without a verdict", step, label, dres.Unknown)
+	default:
+		vd.reason = fmt.Sprintf("step %d (%s) violates: %d failing checks", step, label, dres.Failures)
+	}
+	if !vd.ok {
+		ev := Event{Type: EvStepViolated, Step: step, PlanStep: planStep, Label: label, Search: search, Checks: len(vd.fails)}
+		if !search {
+			ev.Reason = vd.reason
+		}
+		r.emit(ev)
+	}
+	r.countStep(outcome)
+	sp.SetAttr("outcome", outcome)
+	return vd, nil
 }
 
 // failedChecks flattens a delta run's failing and undecided checks.

@@ -11,14 +11,15 @@ import (
 
 var errBudget = errors.New("migrate: search budget exhausted")
 
-// verdict is the memoized outcome of verifying one intermediate state,
-// keyed by semantic network fingerprint: an ordering's safety depends only
-// on which states it traverses, so two orders reaching the same state share
-// one verification. Stats are those of the first visit (the dirty subset
-// depends on the path taken to the state; the verdict does not).
+// verdict is the outcome of verifying one intermediate state. The search
+// memoizes it by semantic network fingerprint: an ordering's safety depends
+// only on which states it traverses, so two orders reaching the same state
+// share one verification. Stats are those of the first visit (the dirty
+// subset depends on the path taken to the state; the verdict does not).
 type verdict struct {
 	ok        bool
 	undecided bool
+	reason    string // why the state does not hold ("" when ok)
 	sr        StepResult
 	fails     []FailedCheck
 	net       *topology.Network
@@ -90,32 +91,10 @@ func (r *runner) search(ctx context.Context) error {
 					return false, errBudget
 				}
 				r.res.SearchStates++
-				depth := len(order)
-				r.emit(Event{Type: EvStepStarted, Step: depth, PlanStep: i, Label: st.label, Search: true})
-				sp := r.span.StartSpan("step:" + st.label)
-				dres, derr := verified(r.v.Update(next))
-				if derr != nil {
-					sp.End()
-					return false, derr
+				if vd, err = r.verifyStep(next, len(order), i, st.label, true); err != nil {
+					return false, err
 				}
-				sr, fails := r.stepOutcome(dres, depth, i, st.label, true)
-				vd = &verdict{ok: sr.OK, undecided: dres.Failures == 0 && dres.Unknown > 0,
-					sr: sr, fails: fails, net: next}
 				memo[fp] = vd
-				sp.SetAttrInt("dirty", int64(sr.Dirty))
-				sp.SetAttrInt("solved", int64(sr.Solved))
-				if vd.ok {
-					sp.SetAttr("outcome", "ok")
-					r.emit(Event{Type: EvStepOK, Step: depth, PlanStep: i, Label: st.label, Search: true,
-						OK: true, Checks: sr.Checks, Dirty: sr.Dirty, Reused: sr.Reused, Solved: sr.Solved})
-					r.countStep("ok")
-				} else {
-					sp.SetAttr("outcome", "violated")
-					r.emit(Event{Type: EvStepViolated, Step: depth, PlanStep: i, Label: st.label, Search: true,
-						Checks: len(fails)})
-					r.countStep("violated")
-				}
-				sp.End()
 			}
 			if vd.ok {
 				found, err := dfs(vd.net, applied|1<<uint(i), append(append([]int(nil), order...), i), i)

@@ -66,13 +66,10 @@ func TestCorpusSourceMaterializes(t *testing.T) {
 }
 
 func TestCorpusPlanDetectsPlantedBug(t *testing.T) {
-	res, err := Execute(Request{
+	res := execute(t, Request{
 		Network:    Network{Corpus: "ring:1:size=4,bug=no-class-e"},
 		Properties: []Property{{Name: corpus.PropertySuite}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, "", 0)
 	if res.OK || res.Failures == 0 {
 		t.Fatalf("planted bug not detected: ok=%v failures=%d", res.OK, res.Failures)
 	}

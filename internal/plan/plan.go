@@ -1,9 +1,9 @@
 // Package plan is the declarative verification-request API shared by every
 // Lightyear entry point: the lightyear CLI, the lyserve HTTP service
 // (POST /v2/verify), and library callers all build a plan.Request and run it
-// on the shared internal/engine Engine.
+// on an internal/engine Engine with Compile + Run.
 //
-// A Request composes three orthogonal parts:
+// A Request says what to verify. It composes three orthogonal parts:
 //
 //   - a network source (Network): an inline internal/config DSL source, a
 //     config file path, a named generator (netgen.GeneratorSpec), a corpus
@@ -12,10 +12,10 @@
 //   - a property list (Property): one entry per registered suite name
 //     (netgen.Lookup), each optionally scoped to a router subset and/or WAN
 //     region subset (netgen.Scope);
-//   - execution options (Options): engine workers, cache capacity or
-//     persistent store directory, the WAN region count, and an optional
-//     baseline network that switches the run to incremental
-//     delta-vs-baseline mode (internal/delta).
+//   - the options every host honors (Options): WAN region count, solver,
+//     tenant, priority, and results mode. Engine settings and incremental
+//     re-verification belong to the host: a Compiled plan is the
+//     delta.ProblemSource lyserve sessions and lightyear -diff drive.
 //
 // One request producing N per-property reports runs as N batches of jobs on
 // one engine, so the engine's semantic-key cache and in-flight dedup
@@ -23,7 +23,7 @@
 // separate single-property calls would re-solve them.
 //
 // The canonical JSON encoding of a Request (the POST /v2/verify body and
-// the `lightyear -plan` file format):
+// the `lightyear -plan` file format; Decode refuses unknown fields):
 //
 //	{
 //	  "network":    {"generator": {"kind": "wan", "regions": 2}},
@@ -34,7 +34,10 @@
 package plan
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -50,7 +53,7 @@ import (
 )
 
 // Request is one declarative verification request: a network source, the
-// properties to verify over it, and execution options.
+// properties to verify over it, and request options.
 type Request struct {
 	Network    Network    `json:"network"`
 	Properties []Property `json:"properties"`
@@ -92,25 +95,17 @@ func (p Property) Scope() netgen.Scope {
 	return netgen.Scope{Routers: p.Routers, Regions: p.Regions}
 }
 
-// Options are execution options. Workers/Cache/Store configure the engine
-// when the plan owns one (Execute, the CLI); hosts multiplexing requests
-// onto a shared engine (lyserve) ignore them.
+// Options are the request options every host honors. Engine settings
+// (workers, cache, store) are each host's own flags.
 type Options struct {
-	// Workers sizes the engine worker pool (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
-	// Cache bounds the engine LRU result cache (0 = default, <0 disables).
-	Cache int `json:"cache,omitempty"`
-	// Store is a persistent result-store directory behind the LRU.
-	Store string `json:"store,omitempty"`
 	// WANRegions is the region count WAN suites assume (0 = the generator's
 	// region count, or the netgen default of 3). It may not exceed the
 	// network's router count.
 	WANRegions int `json:"wan_regions,omitempty"`
 	// Solver selects the solver backend the request's checks are routed to
 	// ({"backend": "native"|"portfolio"|"tiered", "budget": N}); nil means
-	// the engine default. Honored by every host, including lyserve's shared
-	// engine (the backend is a per-job routing decision, not an engine
-	// rebuild).
+	// the engine default. It is a per-job routing decision, not an engine
+	// rebuild, so a shared engine honors it too.
 	Solver *solver.Spec `json:"solver,omitempty"`
 	// Tenant is the principal the request's workloads are admitted and
 	// accounted under (engine.DefaultTenant when empty). Hosts with their
@@ -125,10 +120,25 @@ type Options struct {
 	// witness included — and counts the rest; "all" keeps every check, as
 	// the paper-table runs want.
 	Results engine.ResultsMode `json:"results,omitempty"`
-	// Baseline, when set, runs the request incrementally: the baseline
-	// network is verified first, then the request's network is
-	// delta-verified against it, re-solving only dirtied checks.
-	Baseline *Network `json:"baseline,omitempty"`
+	// Baseline is Go-only, no plan document carries it: Compile
+	// materializes it into Compiled.Baseline for a caller that drives a
+	// delta.Verifier over the plan itself (lightyear -diff). Run ignores it.
+	Baseline *Network `json:"-"`
+}
+
+// Decode reads one JSON document into v strictly: a field v does not
+// declare is an error naming it, and so is anything after the document.
+// Every host reads plan documents through it.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the document")
+	}
+	return nil
 }
 
 // Resolver resolves symbolic baseline network references (Network.Baseline)
@@ -148,15 +158,11 @@ type RequestError struct{ msg string }
 
 func (e *RequestError) Error() string { return e.msg }
 
-func requestErrorf(format string, args ...any) error {
-	return &RequestError{msg: fmt.Sprintf(format, args...)}
-}
-
-// RequestErrorf builds a RequestError — for sibling request layers (e.g.
-// internal/migrate) whose malformed inputs belong to the same usage-error
-// class and must be classified identically by every entry point.
+// RequestErrorf builds a RequestError. Sibling request layers (e.g.
+// internal/migrate) use it too: their malformed inputs belong to the same
+// usage-error class and every entry point classifies them identically.
 func RequestErrorf(format string, args ...any) error {
-	return requestErrorf(format, args...)
+	return &RequestError{msg: fmt.Sprintf(format, args...)}
 }
 
 // Validate checks the request's shape without materializing networks:
@@ -168,34 +174,29 @@ func (r Request) Validate() error {
 		return err
 	}
 	if len(r.Properties) == 0 {
-		return requestErrorf("plan: at least one property is required (have: %s)",
+		return RequestErrorf("plan: at least one property is required (have: %s)",
 			strings.Join(netgen.SuiteNames(), ", "))
 	}
 	for _, p := range r.Properties {
 		if _, ok := netgen.Lookup(p.Name); !ok {
-			return requestErrorf("plan: unknown property %q (have: %s)",
+			return RequestErrorf("plan: unknown property %q (have: %s)",
 				p.Name, strings.Join(netgen.SuiteNames(), ", "))
 		}
 	}
 	if s := r.Options.Solver; s != nil {
 		if !solver.Known(s.Backend) {
-			return requestErrorf("plan: unknown solver backend %q (have: %s)",
+			return RequestErrorf("plan: unknown solver backend %q (have: %s)",
 				s.Backend, strings.Join(solver.Names(), ", "))
 		}
 		if s.Budget < 0 {
-			return requestErrorf("plan: solver budget must be >= 0, got %d", s.Budget)
+			return RequestErrorf("plan: solver budget must be >= 0, got %d", s.Budget)
 		}
 	}
 	switch r.Options.Results {
 	case "", engine.ResultsFailures, engine.ResultsAll:
 	default:
-		return requestErrorf("plan: unknown results mode %q (want %q or %q)",
+		return RequestErrorf("plan: unknown results mode %q (want %q or %q)",
 			r.Options.Results, engine.ResultsFailures, engine.ResultsAll)
-	}
-	if b := r.Options.Baseline; b != nil {
-		if err := b.validate(); err != nil {
-			return requestErrorf("plan: baseline: %v", err)
-		}
 	}
 	return nil
 }
@@ -209,20 +210,20 @@ func (ns Network) validate() error {
 	}
 	switch {
 	case set == 0:
-		return requestErrorf("plan: a network source is required (config, config_path, generator, corpus, or baseline)")
+		return RequestErrorf("plan: a network source is required (config, config_path, generator, corpus, or baseline)")
 	case set > 1:
-		return requestErrorf("plan: exactly one network source must be set (config, config_path, generator, corpus, or baseline)")
+		return RequestErrorf("plan: exactly one network source must be set (config, config_path, generator, corpus, or baseline)")
 	}
 	// A generator or corpus source is sized from its parameters before it
 	// is built (netgen.MaxSourceSize): Compile runs ahead of admission.
 	if ns.Generator != nil {
 		if err := ns.Generator.CheckSize(); err != nil {
-			return requestErrorf("plan: %v", err)
+			return RequestErrorf("plan: %v", err)
 		}
 	}
 	if ns.Corpus != "" {
 		if _, err := corpus.Parse(ns.Corpus); err != nil {
-			return requestErrorf("plan: %v", err)
+			return RequestErrorf("plan: %v", err)
 		}
 	}
 	return nil
@@ -259,7 +260,7 @@ func (ns Network) Materialize(res Resolver) (*topology.Network, int, error) {
 	case ns.Corpus != "":
 		m, err := corpus.Parse(ns.Corpus)
 		if err != nil {
-			return nil, 0, requestErrorf("plan: %v", err)
+			return nil, 0, RequestErrorf("plan: %v", err)
 		}
 		n, _, err := m.Build()
 		if err != nil {
@@ -272,7 +273,7 @@ func (ns Network) Materialize(res Resolver) (*topology.Network, int, error) {
 		}
 		return res.ResolveBaseline(ns.Baseline)
 	default:
-		return nil, 0, requestErrorf("plan: a network source is required")
+		return nil, 0, RequestErrorf("plan: a network source is required")
 	}
 }
 
@@ -290,7 +291,7 @@ type Unit struct {
 type Compiled struct {
 	Request  Request
 	Network  *topology.Network
-	Baseline *topology.Network // non-nil in delta-vs-baseline mode
+	Baseline *topology.Network // Options.Baseline, materialized
 	Params   netgen.SuiteParams
 	Units    []Unit
 
@@ -391,9 +392,10 @@ func (c *Compiled) Workload() engine.Workload {
 	}
 }
 
-// Compile validates the request, materializes its network(s), and builds
-// every property's scoped problems. res may be nil when the request uses no
-// baseline references.
+// Compile validates the request, materializes its network — and
+// Options.Baseline, when a Go caller set one — and builds every property's
+// scoped problems. res may be nil when the request uses no baseline
+// references.
 func Compile(req Request, res Resolver) (*Compiled, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -406,7 +408,7 @@ func Compile(req Request, res Resolver) (*Compiled, error) {
 	// region count is bounded by the network: each region needs a router.
 	regions := req.Options.WANRegions
 	if routers := len(n.Routers()); regions > routers {
-		return nil, requestErrorf("plan: wan_regions %d exceeds the network's %d routers; the bound is one region per router", regions, routers)
+		return nil, RequestErrorf("plan: wan_regions %d exceeds the network's %d routers; the bound is one region per router", regions, routers)
 	}
 	if regions == 0 {
 		regions = genRegions
@@ -415,21 +417,21 @@ func Compile(req Request, res Resolver) (*Compiled, error) {
 	if s := req.Options.Solver; s != nil {
 		b, err := solver.New(*s)
 		if err != nil {
-			return nil, requestErrorf("plan: %v", err)
+			return nil, RequestErrorf("plan: %v", err)
 		}
 		c.backend = b
 	}
 	for _, p := range req.Properties {
 		suite, _ := netgen.Lookup(p.Name) // Validate checked the names
 		if err := p.Scope().Validate(n, c.Params.EffectiveRegions()); err != nil {
-			return nil, requestErrorf("plan: property %q: %v", p.Name, err)
+			return nil, RequestErrorf("plan: property %q: %v", p.Name, err)
 		}
 		problems := suite.Problems(n, c.Params, p.Scope())
 		// A scope whose dimensions are individually valid can still select
 		// nothing in combination (e.g. wan-ip-reuse scoped to a region and
 		// to routers inside that region); reject rather than pass vacuously.
 		if len(problems) == 0 && !p.Scope().Empty() {
-			return nil, requestErrorf("plan: property %q: scope selects no problems on this network", p.Name)
+			return nil, RequestErrorf("plan: property %q: scope selects no problems on this network", p.Name)
 		}
 		c.Units = append(c.Units, Unit{Property: p, Suite: suite, Problems: problems})
 	}
@@ -438,10 +440,10 @@ func Compile(req Request, res Resolver) (*Compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: baseline: %w", err)
 		}
-		// Scoped routers must exist in the baseline too, or the delta
-		// source would silently build fewer problems on it.
+		// Scoped routers must exist in the baseline too, or a delta
+		// verifier would silently build fewer problems on it.
 		if err := c.ValidateScopes(bn); err != nil {
-			return nil, requestErrorf("plan: baseline: %v", strings.TrimPrefix(err.Error(), "plan: "))
+			return nil, RequestErrorf("plan: baseline: %v", strings.TrimPrefix(err.Error(), "plan: "))
 		}
 		c.Baseline = bn
 	}
@@ -458,10 +460,10 @@ func (c *Compiled) ValidateScopes(n *topology.Network) error {
 	for _, u := range c.Units {
 		sc := u.Property.Scope()
 		if err := sc.Validate(n, c.Params.EffectiveRegions()); err != nil {
-			return requestErrorf("plan: property %q: %v", u.Property.Name, err)
+			return RequestErrorf("plan: property %q: %v", u.Property.Name, err)
 		}
 		if !sc.Empty() && len(u.Suite.Problems(n, c.Params, sc)) == 0 {
-			return requestErrorf("plan: property %q: scope selects no problems on this network", u.Property.Name)
+			return RequestErrorf("plan: property %q: scope selects no problems on this network", u.Property.Name)
 		}
 	}
 	return nil

@@ -37,9 +37,6 @@ func TestRequestValidate(t *testing.T) {
 		{"no-properties", Request{Network: Network{Generator: gen}}, "at least one property"},
 		{"unknown-property", Request{Network: Network{Generator: gen},
 			Properties: []Property{{Name: "nope"}}}, `unknown property "nope"`},
-		{"bad-baseline", Request{Network: Network{Generator: gen},
-			Properties: []Property{{Name: "fig1-no-transit"}},
-			Options:    Options{Baseline: &Network{}}}, "baseline"},
 	}
 	for _, c := range cases {
 		err := c.req.Validate()
@@ -67,7 +64,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 			{Name: "wan-peering", Routers: []topology.NodeID{"edge-0"}},
 			{Name: "wan-ip-reuse", Regions: []int{0}},
 		},
-		Options: Options{WANRegions: 2, Baseline: &Network{Generator: wanSpec(2)}},
+		Options: Options{WANRegions: 2, Tenant: "acme", Priority: 3, Results: engine.ResultsAll},
 	}
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -83,6 +80,34 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 	if string(b) != string(b2) {
 		t.Fatalf("round trip changed the request:\n%s\n%s", b, b2)
+	}
+}
+
+// TestDecodeIsStrict: plan documents decode through Decode, which refuses
+// every field the schema lacks — the engine settings and the delta baseline
+// a request no longer carries, and a misspelled scope — naming it, and
+// anything after the document.
+func TestDecodeIsStrict(t *testing.T) {
+	const prefix = `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"`
+	var req Request
+	if err := Decode(strings.NewReader(prefix+`, "routers": ["R2"]}], "options": {"wan_regions": 2}}`+"\n"), &req); err != nil {
+		t.Fatalf("valid document refused: %v", err)
+	}
+	if len(req.Properties) != 1 || len(req.Properties[0].Routers) != 1 || req.Options.WANRegions != 2 {
+		t.Fatalf("decoded %+v", req)
+	}
+	for _, tc := range []struct{ body, want string }{
+		{prefix + `}], "options": {"workers": 4}}`, `"workers"`},
+		{prefix + `}], "options": {"cache": -1}}`, `"cache"`},
+		{prefix + `}], "options": {"store": "/tmp/x"}}`, `"store"`},
+		{prefix + `}], "options": {"baseline": {"generator": {"kind": "fig1"}}}}`, `"baseline"`},
+		{prefix + `, "router": ["R2"]}]}`, `"router"`},
+		{prefix + `}]} {}`, "after the document"},
+	} {
+		var req Request
+		if err := Decode(strings.NewReader(tc.body), &req); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.body, err, tc.want)
+		}
 	}
 }
 
@@ -129,10 +154,7 @@ func TestPlanMatchesLegacySuiteRun(t *testing.T) {
 				Options: Options{Results: engine.ResultsAll}} // every check is compared
 
 			// Plan path, on its own engine.
-			res, err := Execute(req, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := execute(t, req, "", 0)
 			if len(res.Properties) != 1 {
 				t.Fatalf("got %d property results, want 1", len(res.Properties))
 			}
@@ -314,77 +336,6 @@ func testPlanEventStream(t *testing.T, results engine.ResultsMode, everyCheck bo
 	}
 	if events[len(events)-1].Type != "plan" {
 		t.Fatalf("last event is %q, want plan", events[len(events)-1].Type)
-	}
-}
-
-// TestPlanDelta exercises Options.Baseline: a growth change re-solves only
-// the dirty subset, and an identical baseline reuses everything.
-func TestPlanDelta(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 4})
-	defer eng.Close()
-
-	c, err := Compile(Request{
-		Network:    Network{Generator: wanSpec(2)},
-		Properties: []Property{{Name: "wan-peering"}},
-		Options:    Options{Baseline: &Network{Generator: wanSpec(1)}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(eng, c, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Baseline == nil || res.Update == nil || !res.OK {
-		t.Fatalf("delta run should report baseline+update: %+v", res)
-	}
-	u := res.Update
-	if u.ReusedResults == 0 || u.DirtyChecks == 0 || u.DirtyChecks >= u.TotalChecks {
-		t.Fatalf("growth update should mix reuse and dirty work: %+v", u)
-	}
-
-	// Identical baseline: nothing dirty.
-	c2, err := Compile(Request{
-		Network:    Network{Generator: wanSpec(1)},
-		Properties: []Property{{Name: "wan-peering"}},
-		Options:    Options{Baseline: &Network{Generator: wanSpec(1)}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := Run(eng, c2, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u := res2.Update; u.DirtyChecks != 0 || u.ReusedResults != u.TotalChecks {
-		t.Fatalf("no-op update should reuse everything: %+v", u)
-	}
-}
-
-// TestPlanDeltaInheritsScope: an incremental run over a scoped plan
-// re-enumerates only the scoped problems on every state.
-func TestPlanDeltaInheritsScope(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 4})
-	defer eng.Close()
-	scoped := []Property{{Name: "wan-peering", Routers: []topology.NodeID{netgen.EdgeRouter(0)}}}
-	c, err := Compile(Request{
-		Network:    Network{Generator: wanSpec(1)},
-		Properties: scoped,
-		Options:    Options{Baseline: &Network{Generator: wanSpec(1)}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(eng, c, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantProblems := len(netgen.PeeringProperties(2))
-	if got := len(res.Update.Problems); got != wantProblems {
-		t.Fatalf("scoped delta update ran %d problems, want %d (one router's properties)", got, wantProblems)
-	}
-	if res.Update.Suite != "wan-peering" {
-		t.Errorf("delta label = %q", res.Update.Suite)
 	}
 }
 
@@ -588,36 +539,6 @@ func TestPlanHostReservation(t *testing.T) {
 	}
 	if st := eng.Stats(); st.InFlightCost != 0 {
 		t.Fatalf("Run did not release the host reservation: in-flight %d", st.InFlightCost)
-	}
-}
-
-// TestDeltaPlanReleasesHostReservation: a host-made reservation handed to a
-// delta-mode run (Options.Baseline) is returned up front — the delta
-// verifier admits each of its runs as its own unit — never leaked.
-func TestDeltaPlanReleasesHostReservation(t *testing.T) {
-	c, err := Compile(Request{
-		Network:    Network{Generator: wanSpec(1)},
-		Properties: []Property{{Name: "wan-peering"}},
-		Options:    Options{Tenant: "acme", Baseline: &Network{Generator: wanSpec(1)}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(engine.Options{})
-	defer eng.Close()
-	resv, err := eng.Reserve(c.Tenant(), c.Cost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(eng, c, RunConfig{Reservation: resv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK || res.Update == nil {
-		t.Fatalf("delta run: ok=%v update=%v", res.OK, res.Update)
-	}
-	if st := eng.Stats(); st.InFlightCost != 0 {
-		t.Fatalf("delta run leaked %d in-flight cost from the host reservation", st.InFlightCost)
 	}
 }
 

@@ -124,11 +124,6 @@ type Result struct {
 	Properties []PropertyResult `json:"properties"`
 	Engine     engine.Stats     `json:"engine"`
 	Store      *store.Stats     `json:"store,omitempty"`
-
-	// Baseline and Update are set in delta-vs-baseline mode
-	// (Options.Baseline) instead of Properties.
-	Baseline *delta.Result `json:"baseline,omitempty"`
-	Update   *delta.Result `json:"update,omitempty"`
 }
 
 // RunConfig parameterizes Run.
@@ -146,9 +141,7 @@ type RunConfig struct {
 	// 429, then hands the grant to the asynchronous run. Run submits every
 	// workload under it and releases it when the run completes. When nil,
 	// Run reserves for itself and a rejection aborts the run before any
-	// work is submitted (the error is a *engine.ErrAdmission). A delta-mode
-	// plan (Options.Baseline) releases a host grant at once: its baseline
-	// reserves its counted cost and its update its dirty count.
+	// work is submitted (the error is a *engine.ErrAdmission).
 	Reservation *engine.Reservation
 	// Trace, when non-nil, is the telemetry trace the run records into —
 	// lyserve opens it in the HTTP handler (with a "compile" span) so the
@@ -168,14 +161,8 @@ type RunConfig struct {
 // up to one batch has every problem submitted before any is awaited, so the
 // engine dedups identical checks across all of them; a larger plan dedups
 // across the problems in flight and shares the rest through the result
-// cache. In delta mode (Options.Baseline) the run goes through a
-// delta.Verifier instead, re-solving only the checks the baseline→network
-// change dirtied.
+// cache. Run verifies c.Network in full; Options.Baseline plays no part.
 func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
-	if c.Baseline != nil {
-		return runDelta(eng, c, cfg)
-	}
-
 	tr := cfg.Trace
 	if tr == nil {
 		tr = eng.Telemetry().StartTrace(c.Label(), c.Tenant())
@@ -312,84 +299,4 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 	ok := res.OK
 	emit(Event{Type: "plan", OK: &ok})
 	return res, nil
-}
-
-// runDelta is the delta-vs-baseline body: verify the baseline in full, then
-// re-verify the request's network incrementally against it, both through a
-// delta.Verifier, which runs the same loop as Run. Only the final plan
-// event is emitted in this mode: no per-problem or per-check events.
-func runDelta(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
-	// The delta verifier admits each of its runs (baseline, then update) as
-	// its own unit under the plan's tenant, so a host-made whole-plan grant
-	// is returned up front rather than held — or leaked — alongside them.
-	cfg.Reservation.Release()
-
-	tr := cfg.Trace
-	if tr == nil {
-		tr = eng.Telemetry().StartTrace(c.Label(), c.Tenant())
-	}
-	defer tr.Finish()
-
-	res := &Result{TraceID: tr.ID()}
-	v := delta.NewVerifierFor(eng, c)
-	wl := c.Workload()
-	// Both delta runs' engine spans nest under one "delta" span of this
-	// run's trace rather than opening per-workload traces of their own.
-	del := tr.StartSpan("delta")
-	defer del.End()
-	wl.TraceSpan = del
-	v.SetWorkload(wl)
-	bs := tr.StartSpan("baseline")
-	base, err := v.Baseline(c.Baseline)
-	if err != nil {
-		bs.End()
-		return nil, err
-	}
-	bs.SetAttrInt("solved", int64(base.Solved))
-	bs.End()
-	us := tr.StartSpan("update")
-	upd, err := v.Update(c.Network)
-	if err != nil {
-		us.End()
-		return nil, err
-	}
-	us.SetAttrInt("solved", int64(upd.Solved))
-	us.SetAttrInt("reused", int64(upd.ReusedResults))
-	us.End()
-	res.Baseline, res.Update = base, upd
-	res.OK = upd.OK
-	res.Failures, res.Unknowns = upd.Failures, upd.Unknown
-	res.Engine = eng.Stats()
-	if cfg.Store != nil {
-		st := cfg.Store.Stats()
-		res.Store = &st
-	}
-	if cfg.Sink != nil {
-		ok := res.OK
-		cfg.Sink(Event{Type: "plan", OK: &ok, TraceID: res.TraceID})
-	}
-	return res, nil
-}
-
-// Execute is the library one-stop entry point: compile the request, build
-// an engine (and persistent store) from its options, run, and tear down.
-// Hosts with a long-lived engine use Compile + Run instead.
-func Execute(req Request, res Resolver) (*Result, error) {
-	c, err := Compile(req, res)
-	if err != nil {
-		return nil, err
-	}
-	opts := engine.Options{Workers: req.Options.Workers, CacheSize: req.Options.Cache}
-	var st *store.Store
-	if req.Options.Store != "" {
-		st, err = store.Open(req.Options.Store)
-		if err != nil {
-			return nil, err
-		}
-		defer st.Close()
-		opts.Cache = st
-	}
-	eng := engine.New(opts)
-	defer eng.Close()
-	return Run(eng, c, RunConfig{Store: st})
 }

@@ -47,10 +47,7 @@ func TestSolverSpecValidation(t *testing.T) {
 // TestSolverBackendSelectionRuns: the request's solver spec routes every job
 // of the plan to the selected backend and the per-property stats say so.
 func TestSolverBackendSelectionRuns(t *testing.T) {
-	res, err := Execute(stressRequest(&solver.Spec{Backend: "portfolio"}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := execute(t, stressRequest(&solver.Spec{Backend: "portfolio"}), "", 0)
 	if !res.OK || res.Unknowns != 0 {
 		t.Fatalf("portfolio stress run: ok=%v unknowns=%d", res.OK, res.Unknowns)
 	}

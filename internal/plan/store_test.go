@@ -7,13 +7,30 @@ import (
 
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
+	"lightyear/internal/store"
 )
 
-// execute runs req through Execute, the entry point that opens Options.Store
-// the way the CLI does.
-func execute(t *testing.T, req Request) *Result {
+// execute compiles req and runs it on a fresh engine with the given worker
+// count (0 = GOMAXPROCS) and, when dir is set, the persistent store in dir
+// behind its cache — the engine the CLI builds from its flags.
+func execute(t *testing.T, req Request, dir string, workers int) *Result {
 	t.Helper()
-	res, err := Execute(req, nil)
+	c, err := Compile(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{Workers: workers}
+	var st *store.Store
+	if dir != "" {
+		if st, err = store.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		opts.Cache = st
+	}
+	eng := engine.New(opts)
+	defer eng.Close()
+	res, err := Run(eng, c, RunConfig{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +71,7 @@ func TestStoreServedFailuresMatchSolved(t *testing.T) {
 		Properties: []Property{{Name: "wan-peering"}},
 		Options:    Options{WANRegions: 2},
 	}
-	refText, refJSON := failureWitnesses(execute(t, req))
+	refText, refJSON := failureWitnesses(execute(t, req, "", 0))
 	if len(refText) == 0 {
 		t.Fatal("the missing-bogon WAN verified")
 	}
@@ -64,9 +81,9 @@ func TestStoreServedFailuresMatchSolved(t *testing.T) {
 		}
 	}
 
-	req.Options.Store = t.TempDir()
-	cold := execute(t, req)
-	warm := execute(t, req)
+	dir := t.TempDir()
+	cold := execute(t, req, dir, 0)
+	warm := execute(t, req, dir, 0)
 	if warm.Store == nil || warm.Store.Loaded == 0 || warm.Store.Hits == 0 {
 		t.Fatalf("warm run was not served from the store: %+v", warm.Store)
 	}
@@ -84,35 +101,25 @@ func TestStoreServedFailuresMatchSolved(t *testing.T) {
 	}
 }
 
-// TestStoreWarmRestartAndDiff is the store round trip a CLI user sees: a
-// cold run records verdicts, a rerun in a new engine (a process restart)
-// loads and reuses them, and an incremental run against a baseline reuses
-// retained results.
-func TestStoreWarmRestartAndDiff(t *testing.T) {
-	spec := func(edgeRouters int) *netgen.GeneratorSpec {
-		return &netgen.GeneratorSpec{Kind: "wan", Regions: 2, RoutersPerRegion: 1, EdgeRouters: edgeRouters, PeersPerEdge: 2}
-	}
+// TestStoreWarmRestart is the store round trip a CLI user sees: a cold run
+// records verdicts, and a rerun in a new engine (a process restart) loads
+// and reuses them. lightyear's TestDiffReusesStore takes the same store on
+// into a -diff run.
+func TestStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := Request{
-		Network:    Network{Generator: spec(1)},
+		Network:    Network{Generator: &netgen.GeneratorSpec{Kind: "wan", Regions: 2, RoutersPerRegion: 1, EdgeRouters: 1, PeersPerEdge: 2}},
 		Properties: []Property{{Name: "wan-peering"}},
-		Options:    Options{WANRegions: 2, Store: dir},
+		Options:    Options{WANRegions: 2},
 	}
 
-	cold := execute(t, req)
+	cold := execute(t, req, dir, 0)
 	if !cold.OK || cold.Store == nil || cold.Store.Loaded != 0 || cold.Store.Puts == 0 {
 		t.Fatalf("cold run: ok=%v store %+v; want 0 loaded and some recorded", cold.OK, cold.Store)
 	}
-	warm := execute(t, req)
+	warm := execute(t, req, dir, 0)
 	if !warm.OK || warm.Store.Loaded == 0 || warm.Store.Hits == 0 {
 		t.Fatalf("warm run: ok=%v store %+v; want results loaded and reused", warm.OK, warm.Store)
-	}
-
-	req.Network = Network{Generator: spec(2)}
-	req.Options.Baseline = &Network{Generator: spec(1)}
-	diff := execute(t, req)
-	if !diff.OK || diff.Update == nil || diff.Update.ReusedResults == 0 {
-		t.Fatalf("diff run: ok=%v update %+v; want reused results", diff.OK, diff.Update)
 	}
 }
 
@@ -126,10 +133,11 @@ func TestStoreSolvesEachFailingKeyOnce(t *testing.T) {
 	req := Request{
 		Network:    Network{Config: netgen.WANDSL(wan, netgen.WANBugs{MissingBogonFilter: true})},
 		Properties: []Property{{Name: "wan-peering"}},
-		Options:    Options{WANRegions: 2, Store: t.TempDir(), Workers: 1},
+		Options:    Options{WANRegions: 2},
 	}
-	execute(t, req) // warms the store
-	warm := execute(t, req)
+	dir := t.TempDir()
+	execute(t, req, dir, 1) // warms the store
+	warm := execute(t, req, dir, 1)
 	if warm.Store.Loaded == 0 || warm.Store.Puts != 0 {
 		t.Fatalf("store %+v; want a warm run that records nothing", warm.Store)
 	}
