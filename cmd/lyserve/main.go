@@ -181,6 +181,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -1521,8 +1522,12 @@ func (sess *session) worker() {
 			sess.mu.Unlock()
 
 			res, mres, err := q.fn()
+			if mres != nil { // a copy: the migration's last event may still be encoding it
+				m := *mres
+				m.Baseline, mres = withoutReports(m.Baseline), &m
+			}
 			sess.mu.Lock()
-			q.run.result, q.run.migrateResult = res, mres
+			q.run.result, q.run.migrateResult = withoutReports(res), mres
 			if err != nil {
 				// Includes admission rejections of updates: the run's dirty
 				// subset was reserved under the session's tenant and refused.
@@ -1537,6 +1542,21 @@ func (sess *session) worker() {
 			sess.mu.Unlock()
 		}
 	}
+}
+
+// withoutReports returns a copy of res without its problems' reports: no
+// response encodes them, and a session records every run for its life. res
+// itself may be the verifier's last run, which an unchanged update reuses.
+func withoutReports(res *delta.Result) *delta.Result {
+	if res == nil {
+		return nil
+	}
+	out := *res
+	out.Problems = slices.Clone(res.Problems)
+	for i := range out.Problems {
+		out.Problems[i].Report = nil
+	}
+	return &out
 }
 
 // sessionJSON is the GET /v2/sessions/{id} response.

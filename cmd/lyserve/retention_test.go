@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"lightyear/internal/delta"
 	"lightyear/internal/engine"
+	"lightyear/internal/netgen"
 	"lightyear/internal/plan"
 	"lightyear/internal/policy"
 	"lightyear/internal/telemetry"
@@ -208,5 +211,86 @@ func TestFinishedJobDoesNotPinItsPlan(t *testing.T) {
 	}
 	if got := collected.Load(); got < tracked {
 		t.Fatalf("%d of %d tracked objects (network, route maps) still reachable from a finished job", tracked-got, tracked)
+	}
+}
+
+// TestSessionRunsRetainNoReports: a results=all session records each of its
+// runs without the problems' reports — every check result, each pinning its
+// obligation — and GET serves what it recorded: the JSON a report never
+// entered.
+func TestSessionRunsRetainNoReports(t *testing.T) {
+	ts, srv := newTestServerWithState(t)
+	gen := func(edgeRouters int) string {
+		return fmt.Sprintf(`{"generator": {"kind": "wan", "regions": 2, "routers_per_region": 1,
+			"edge_routers": %d, "dcs_per_region": 1, "peers_per_edge": 2}}`, edgeRouters)
+	}
+	resp, err := http.Post(ts.URL+"/v2/sessions", "application/json", strings.NewReader(`{"network": `+gen(1)+`,
+		"properties": [{"name": "wan-peering"}], "options": {"results": "all"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	waitRunDone(t, ts, created.ID, 0)
+	for _, edges := range []int{2, 1, 2} {
+		waitRunDone(t, ts, created.ID, postUpdateV2(t, ts, created.ID, `{"network": `+gen(edges)+`}`))
+	}
+
+	resp, err = http.Get(ts.URL + "/v2/sessions/" + created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Runs []struct {
+			Result json.RawMessage `json:"result"`
+		} `json:"runs"`
+	}
+	json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+
+	srv.mu.Lock()
+	sess := srv.sessions[created.ID]
+	srv.mu.Unlock()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if len(sess.runs) != 4 || len(got.Runs) != 4 {
+		t.Fatalf("%d runs recorded, %d served; want 4", len(sess.runs), len(got.Runs))
+	}
+	for i, run := range sess.runs {
+		if run.status != "done" || run.result == nil || len(run.result.Problems) == 0 {
+			t.Fatalf("run %d: %s, %+v", i, run.status, run.result)
+		}
+		for _, p := range run.result.Problems {
+			if p.Report != nil {
+				t.Fatalf("run %d: %s keeps its report of %d checks", i, p.Name, len(p.Report.Results))
+			}
+		}
+		if want, _ := json.Marshal(run.result); !bytes.Equal(got.Runs[i].Result, want) {
+			t.Errorf("run %d: GET serves\n%s\nthe recorded run encodes\n%s", i, got.Runs[i].Result, want)
+		}
+	}
+}
+
+// TestWithoutReportsEncodesAlike: dropping a run's reports changes nothing a
+// response encodes, and leaves the run it copies whole.
+func TestWithoutReportsEncodesAlike(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	suite, _ := netgen.Lookup("fig1-no-transit")
+	res, err := delta.NewVerifier(eng, suite, netgen.SuiteParams{}).Baseline(netgen.Fig1(netgen.Fig1Options{OmitTransitTag: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Problems[0].Report == nil {
+		t.Fatal("the run holds no report to drop")
+	}
+	before, _ := json.Marshal(res)
+	stripped := withoutReports(res)
+	after, _ := json.Marshal(stripped)
+	if !bytes.Equal(before, after) || stripped.Problems[0].Report != nil || res.Problems[0].Report == nil {
+		t.Fatalf("dropping reports changed the encoding or the original:\n%s\n%s", before, after)
 	}
 }

@@ -168,18 +168,19 @@
 // session baseline or update, a `-diff` run, a migration step — goes
 // through one loop in internal/delta that streams problem checks to the
 // engine a batch at a time, so a baseline's memory follows a batch, not
-// the network. The loop enumerates each edge frame once per run: problems
-// over one network with equal frames (core.SafetyProblem.Frame: every
-// input of an edge check's key but the per-edge policy fingerprints — not
-// the property's location, so the problems posing one property at every
-// router share it) pose the same edge checks
-// (core.SafetyProblem.EdgeChecks), so the loop generates them for the first
-// problem of the frame and submits them with each problem's own
-// implication check (core.SafetyProblem.ImplicationCheck); the submitted
-// count is unchanged, the generating and keying is not repeated per
-// problem. Suites emit their problems grouped by frame, so the loop
-// remembers one frame's checks at a time. A failures-only run also keeps
-// one location index per edge frame, holding each edge's passing results.
+// the network. The loop enumerates each problem family once per run:
+// suites build one safety problem per property (per region for ip-reuse)
+// and pose it at every router with core.SafetyProblem.At, and the problems
+// of one family share its network, predicate, invariants and ghosts, so
+// they pose the same edge checks (core.SafetyProblem.EdgeChecks). The loop
+// generates them for the family's first problem and submits them with each
+// problem's own implication check (core.SafetyProblem.ImplicationCheck);
+// the submitted count is unchanged, the generating and keying is not
+// repeated per problem. Suites emit a family's problems together, so the
+// loop remembers one family, by identity. A failures-only run also keeps
+// one location index per edge frame (core.SafetyProblem.Frame: every input
+// of an edge check's key but the per-edge policy fingerprints), digested
+// once per family, holding each edge's passing results.
 // When the diff only changed edge policies, a safety problem whose frame
 // had an index regenerates only the changed edges, the edges that held a
 // failure or an Unknown, and its implication check; every other edge is

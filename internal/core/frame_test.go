@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"lightyear/internal/policy"
@@ -182,4 +183,32 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestAtChangesOnlyTheLocationAndDescription: a problem posed with At
+// shares its family's network, predicate, invariants and ghosts, and is
+// its family's problem with another Property.Loc and Property.Desc.
+func TestAtChangesOnlyTheLocationAndDescription(t *testing.T) {
+	n := frameNet()
+	fam := frameProblem(n, baseFrame(n))
+	fam.Property.Desc = "at R3"
+	at := fam.At(AtRouter("R2"), "at R2")
+	again := at.At(AtRouter("R1"), "at R1")
+	if at.Family() != fam || again.Family() != fam || fam.Family() != fam {
+		t.Fatal("a posed problem's family is not the problem it was posed from")
+	}
+	if at.Property.Loc != AtRouter("R2") || at.Property.Desc != "at R2" {
+		t.Fatalf("posed at %s as %q", at.Property.Loc, at.Property.Desc)
+	}
+	want := *fam
+	want.Property.Loc, want.Property.Desc, want.family = at.Property.Loc, at.Property.Desc, fam
+	if !reflect.DeepEqual(*at, want) {
+		t.Errorf("At changed more than the location and description:\n%+v\nwant\n%+v", *at, want)
+	}
+	if at.Network != fam.Network || at.Property.Pred != fam.Property.Pred || at.Invariants != fam.Invariants || &at.Ghosts[0] != &fam.Ghosts[0] {
+		t.Error("a posed problem copies what it should share")
+	}
+	if at.Frame() != fam.Frame() {
+		t.Error("a posed problem's frame is not its family's")
+	}
 }

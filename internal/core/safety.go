@@ -18,6 +18,29 @@ type SafetyProblem struct {
 	Property   Property
 	Invariants *Invariants
 	Ghosts     []GhostDef
+
+	family *SafetyProblem // set by At
+}
+
+// At poses p at another location: the result shares p's network, predicate,
+// invariants and ghosts, and differs from p only in Property.Loc and
+// Property.Desc. One set of invariants serves a property everywhere (Table
+// 4a); only the implication check reads the location.
+func (p *SafetyProblem) At(loc Location, desc string) *SafetyProblem {
+	q := *p
+	q.Property.Loc, q.Property.Desc, q.family = loc, desc, p.Family()
+	return &q
+}
+
+// Family returns the problem p was posed from with At — the first, when a
+// posed problem was posed again — or p itself when it was built on its own.
+// Problems of one family have equal Frames and generate the same edge
+// checks.
+func (p *SafetyProblem) Family() *SafetyProblem {
+	if p.family != nil {
+		return p.family
+	}
+	return p
 }
 
 // universe assembles the finite attribute alphabet for the problem.
@@ -74,9 +97,8 @@ func (p *SafetyProblem) NumChecks() int {
 // EdgeChecks generates the import, export and originate checks of the
 // given edges — positions in the network's PolicyIndex, ascending — in
 // Checks' order, without the implication check. Edge checks never read the
-// property's location, so every problem over one network with an equal
-// Frame generates the same edge checks: a run over many such problems may
-// generate them once and pose them for each.
+// property's location, so every problem of one Family generates the same
+// ones: a run generates them once per family and poses them for each.
 func (p *SafetyProblem) EdgeChecks(edges []int) []Check {
 	g := p.generator()
 	checks := make([]Check, 0, 2*len(edges))
@@ -155,9 +177,10 @@ func (g *checkGen) implication() Check {
 // generate, at every edge whose policy fingerprints are equal, the same
 // checks with the same keys — what lets an incremental update regenerate
 // only the edges a diff changed (EdgeChecks). The property's location is
-// left out: only the implication check reads it, and ImplicationCheck
-// regenerates that check for every problem, so problems that differ only in
-// where the property is posed share one frame.
+// left out, so every problem of one Family has its family's frame. A run
+// knows which problems share edge checks by their Family; the digest is
+// for what outlives the problems: the index an incremental update is
+// served from, across runs over rebuilt problems.
 func (p *SafetyProblem) Frame() spec.Fingerprint {
 	idx := p.Network.Index()
 	ghosts := newGhostTable(p.Ghosts)

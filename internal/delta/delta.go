@@ -27,16 +27,19 @@
 // cost before generating a check, Update at its dirty count. Run retains
 // nothing; Hooks report each problem's start, checks and outcome.
 //
-// A run generates each edge frame's checks once. Safety problems over one
-// network with equal frames (core.SafetyProblem.Frame — every input of an
-// edge check's key but the per-edge policy fingerprints; the property's
-// location is not one) pose the same edge checks, so a run generates them
-// (core.SafetyProblem.EdgeChecks) for the first problem of a frame and
+// A run generates each problem family's edge checks once. Suites pose one
+// safety problem at many locations (core.SafetyProblem.At), and every
+// problem so posed shares its Family's network, predicate, invariants and
+// ghosts, so all of them pose the same edge checks: a run generates them
+// (core.SafetyProblem.EdgeChecks) for the family's first problem and
 // submits them again, with each problem's own implication check
 // (core.SafetyProblem.ImplicationCheck), for the problems that follow it.
-// Suites emit problems grouped by frame, so a run remembers only the last
-// frame's checks. Sharing changes what is generated, not what is
+// Suites emit a family's problems together, so a run remembers only the
+// last family, by identity. Sharing changes what is generated, not what is
 // submitted: the engine's cache and in-flight dedup decide the repeats.
+// Only a failures-only Verifier run digests a family
+// (core.SafetyProblem.Frame), once, to find the index its last run kept
+// for the family's frame.
 //
 // An update does not generate every check to find the few dirty ones. A
 // failures-only run keeps one location index per edge frame, built by the
@@ -46,7 +49,7 @@
 // run is served from it: an unchanged edge whose checks all passed is
 // folded without being generated, and the changed edges, every edge that
 // held a failure or an Unknown, and the implication check are generated
-// again — the edges once per frame — so a reused failure reads as the
+// again — the edges once per family — so a reused failure reads as the
 // regenerated check describes it. Liveness problems, results=all sessions
 // and any other diff enumerate in full, with the same numbers, failures and
 // retained results.

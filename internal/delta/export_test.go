@@ -26,7 +26,7 @@ func (v *Verifier) Indexes() int {
 func (v *Verifier) SetHooks(h Hooks) { v.hooks = h }
 
 // Tap makes h also observe the loop itself: enumerated is called each time
-// a run generates a frame's edge checks, submitted with each problem's
+// a run generates a family's edge checks, submitted with each problem's
 // checks as they are submitted.
 func Tap(h Hooks, enumerated func(), submitted func(i int, checks []core.Check)) Hooks {
 	h.enumerated, h.submitted = enumerated, submitted

@@ -33,7 +33,7 @@ type Hooks struct {
 	// accounting (nil when it had no job).
 	Done func(i int, o *ProblemOutcome, st *engine.JobStats)
 
-	// The loop's own steps, observed by this package's tests: a frame's
+	// The loop's own steps, observed by this package's tests: a family's
 	// edge checks being generated, and each problem's checks as submitted.
 	enumerated func()
 	submitted  func(i int, checks []core.Check)
@@ -82,24 +82,23 @@ type runner struct {
 	index    map[spec.Fingerprint]*frameIndex // per edge frame, built by its first problem
 	served   int
 
-	last frameChecks
+	last family
 }
 
-// frameChecks is the edge frame a run generated edge checks for last: the
-// network, its Frame and the checks. Edge checks read neither the property's
-// location nor anything else a frame leaves out, so every problem over that
-// network with that frame poses the same ones — each problem submits them,
-// then its own implication check, and they are generated once per run of
-// such problems. Suites emit their problems grouped by frame (every
-// peering property at every router, then the next property), so one entry
-// catches all the sharing a map over every frame would, and holds one
-// problem's checks rather than a whole plan's. Within a run the edges
-// regenerated for a frame are fixed too: the diff's changed edges and the
-// last run's index of the frame decide them.
-type frameChecks struct {
-	n      *topology.Network
-	frame  spec.Fingerprint
-	checks []core.Check
+// family is the safety problem family (core.SafetyProblem.Family) a run met
+// last. Edge checks read neither the property's location nor anything else
+// a family shares, so every problem of a family poses the same ones: each
+// problem submits them, then its own implication check, and they are
+// generated once, for the family's first problem. Suites emit a family's
+// problems together (every peering property at every router, then the
+// next property), so the last family catches all the sharing a map would,
+// and holds one problem's checks rather than a whole plan's. Within a run
+// the edges regenerated for a family are fixed too: the diff's changed
+// edges and the last run's index of its frame decide them.
+type family struct {
+	of    *core.SafetyProblem
+	frame spec.Fingerprint // only where a Verifier's index needs it
+	edges []core.Check     // nil until generated
 }
 
 // problemRun carries one problem from generation to collection.
@@ -120,7 +119,7 @@ type problemRun struct {
 var errEmptyProblem = errors.New("suite produced an empty problem")
 
 // Generate builds one problem's checks on its own; a run shares a safety
-// problem's edge checks with the problems of its frame (runner.generate).
+// problem's edge checks with the problems of its family (runner.generate).
 func Generate(p netgen.Problem) (core.Property, []core.Check, error) {
 	switch {
 	case p.Safety != nil:
@@ -144,18 +143,16 @@ func NumChecks(p netgen.Problem) (int, error) {
 }
 
 // CountChecks is the admission cost of a full run over problems; those
-// whose checks cannot be generated count nothing and fail in their turn. A
-// safety problem's count reads only its network, so it is counted once per
-// network: a plan poses hundreds of problems on one.
+// whose checks cannot be generated count nothing and fail in their turn.
+// Every problem of a safety family poses as many checks, so each family is
+// counted once, for its first problem, and again for each that follows it.
 func CountChecks(problems []netgen.Problem) int {
-	cost := 0
-	safety := make(map[*topology.Network]int)
+	cost, n := 0, 0
+	var last *core.SafetyProblem
 	for _, p := range problems {
 		if p.Safety != nil {
-			n, ok := safety[p.Safety.Network]
-			if !ok {
-				n = p.Safety.NumChecks()
-				safety[p.Safety.Network] = n
+			if f := p.Safety.Family(); f != last {
+				last, n = f, p.Safety.NumChecks()
 			}
 			cost += n
 		} else if n, err := NumChecks(p); err == nil {
@@ -227,16 +224,16 @@ func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 	// by the first of them; when the diff only changed edge policies, every
 	// problem whose frame had an index in the last run is served from it.
 	if r.keep && r.failuresOnly && p.Safety != nil && p.Safety.Network == r.n {
-		frame := p.Safety.Frame()
-		if old := r.prevIndex[frame]; r.restrict && old != nil && len(old.at) == len(r.n.Index().Edges)+1 {
+		fam := r.familyOf(p.Safety, true)
+		if old := r.prevIndex[fam.frame]; r.restrict && old != nil && len(old.at) == len(r.n.Index().Edges)+1 {
 			pr.old = old
 		}
-		if r.index[frame] == nil {
+		if r.index[fam.frame] == nil {
 			pr.index = &frameIndex{}
-			r.index[frame] = pr.index
+			r.index[fam.frame] = pr.index
 		}
 		pr.prop = p.Safety.Property
-		r.enumerate(pr, p.Safety, frame)
+		r.enumerate(pr, p.Safety, fam)
 	} else if pr.prop, checks, err = r.generate(p); r.prevResults == nil {
 		pr.dirty, pr.outcome.Checks = checks, len(checks)
 	} else {
@@ -256,12 +253,12 @@ func (r *runner) prepare(i int, p netgen.Problem) *problemRun {
 }
 
 // generate builds one problem's checks as Generate does, but a safety
-// problem's edge checks are those of its frame (edgeChecks).
+// problem's edge checks are its family's (edgeChecks).
 func (r *runner) generate(p netgen.Problem) (core.Property, []core.Check, error) {
 	if p.Safety == nil {
 		return Generate(p)
 	}
-	edges := r.edgeChecks(p.Safety, p.Safety.Frame(), func() []int {
+	edges := r.edgeChecks(p.Safety, r.familyOf(p.Safety, false), func() []int {
 		every := make([]int, len(p.Safety.Network.Index().Edges))
 		for i := range every {
 			every[i] = i
@@ -273,18 +270,29 @@ func (r *runner) generate(p netgen.Problem) (core.Property, []core.Check, error)
 	return p.Safety.Property, append(checks, p.Safety.ImplicationCheck()), nil
 }
 
-// edgeChecks returns p's edge checks at the PolicyIndex positions at()
-// lists, generating them only when the problem before it had another
-// network or frame (frameChecks). The checks are shared: callers copy
-// them, never write to them.
-func (r *runner) edgeChecks(p *core.SafetyProblem, frame spec.Fingerprint, at func() []int) []core.Check {
-	if r.last.n != p.Network || r.last.frame != frame {
-		r.last = frameChecks{n: p.Network, frame: frame, checks: p.EdgeChecks(at())}
+// familyOf returns the run's record of p's family, starting it when p is
+// the family's first problem; framed computes its Frame then, for an index.
+func (r *runner) familyOf(p *core.SafetyProblem, framed bool) *family {
+	if f := p.Family(); r.last.of != f {
+		r.last = family{of: f}
+		if framed {
+			r.last.frame = f.Frame()
+		}
+	}
+	return &r.last
+}
+
+// edgeChecks returns the edge checks of p's family at the PolicyIndex
+// positions at() lists, generating them for its first problem. The checks
+// are shared: callers copy them, never write to them.
+func (r *runner) edgeChecks(p *core.SafetyProblem, fam *family, at func() []int) []core.Check {
+	if fam.edges == nil {
+		fam.edges = p.EdgeChecks(at())
 		if r.hooks.enumerated != nil {
 			r.hooks.enumerated()
 		}
 	}
-	return r.last.checks
+	return fam.edges
 }
 
 // fail records that a problem's checks could not be generated (a skip if
@@ -429,8 +437,8 @@ func (r *runner) take(pr *problemRun, c core.Check, entry int) {
 // check. Equal frames and equal policy fingerprints give the served edges
 // the keys they had, so both ways file the same checks, and the dirty ones
 // in the same order. The regenerated edges are the same for every problem
-// of the frame, and so are their checks (edgeChecks).
-func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem, frame spec.Fingerprint) {
+// of the family, and so are their checks (edgeChecks).
+func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem, fam *family) {
 	edges := p.Network.Index().Edges
 	regen := make([]int, 0, len(edges))
 	for i, c := 0, 0; i < len(edges); i++ {
@@ -441,7 +449,7 @@ func (r *runner) enumerate(pr *problemRun, p *core.SafetyProblem, frame spec.Fin
 		}
 		regen = append(regen, i)
 	}
-	fresh := r.edgeChecks(p, frame, func() []int { return regen })
+	fresh := r.edgeChecks(p, fam, func() []int { return regen })
 	idx := pr.index
 	if idx != nil {
 		idx.at = make([]int32, len(edges)+1)

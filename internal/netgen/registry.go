@@ -200,13 +200,14 @@ func init() {
 		Problems: func(n *topology.Network, p SuiteParams, sc Scope) []Problem {
 			var out []Problem
 			for _, prop := range PeeringProperties(p.regions()) {
+				at := peeringAt(n, prop)
 				for _, r := range n.Routers() {
 					if !sc.AllowRouter(r) {
 						continue
 					}
 					out = append(out, Problem{
 						Name:   fmt.Sprintf("%s@%s", prop.Name, r),
-						Safety: PeeringProblem(n, r, prop),
+						Safety: at(r),
 					})
 				}
 			}
@@ -223,14 +224,14 @@ func init() {
 				if !sc.AllowRegion(r) {
 					continue
 				}
-				region := fmt.Sprintf("region-%d", r)
+				region, at := regionName(r), ipReuseAt(n, wp, r)
 				for _, outside := range n.Routers() {
 					if n.Node(outside).Region == region || !sc.AllowRouter(outside) {
 						continue
 					}
 					out = append(out, Problem{
 						Name:   fmt.Sprintf("ip-reuse-region-%d@%s", r, outside),
-						Safety: IPReuseSafetyProblem(n, wp, r, outside),
+						Safety: at(outside),
 					})
 				}
 			}

@@ -167,17 +167,21 @@ func PeeringProperties(regions int) []PeeringProperty {
 // follows Table 4a: the same implication holds at every internal router and
 // edge, and external edges are unconstrained.
 func PeeringProblem(n *topology.Network, at topology.NodeID, prop PeeringProperty) *core.SafetyProblem {
+	return peeringAt(n, prop)(at)
+}
+
+// peeringAt builds prop's problem once and returns what poses it at a
+// router (core.SafetyProblem.At).
+func peeringAt(n *topology.Network, prop PeeringProperty) func(topology.NodeID) *core.SafetyProblem {
 	pred := spec.Implies(spec.Ghost("FromPeer"), prop.Q)
-	inv := core.NewInvariants(pred)
-	return &core.SafetyProblem{
-		Network: n,
-		Property: core.Property{
-			Loc:  core.AtRouter(at),
-			Pred: pred,
-			Desc: fmt.Sprintf("%s at %s", prop.Name, at),
-		},
-		Invariants: inv,
+	family := &core.SafetyProblem{
+		Network:    n,
+		Property:   core.Property{Pred: pred},
+		Invariants: core.NewInvariants(pred),
 		Ghosts:     []core.GhostDef{FromPeerGhost(n)},
+	}
+	return func(at topology.NodeID) *core.SafetyProblem {
+		return family.At(core.AtRouter(at), fmt.Sprintf("%s at %s", prop.Name, at))
 	}
 }
 
@@ -187,6 +191,12 @@ func PeeringProblem(n *topology.Network, at topology.NodeID, prop PeeringPropert
 // routes carry exactly the region community; outside, FromRegion implies
 // not reused; edges inherit the sending router's invariant.
 func IPReuseSafetyProblem(n *topology.Network, p WANParams, r int, outside topology.NodeID) *core.SafetyProblem {
+	return ipReuseAt(n, p, r)(outside)
+}
+
+// ipReuseAt builds region r's problem once and returns what poses it at a
+// router outside the region (core.SafetyProblem.At).
+func ipReuseAt(n *topology.Network, p WANParams, r int) func(topology.NodeID) *core.SafetyProblem {
 	from := spec.Ghost(fmt.Sprintf("FromRegion%d", r))
 	reused := spec.PrefixIn(ReusedIPs)
 	regionals := RegionalComms(p.Regions)
@@ -207,15 +217,14 @@ func IPReuseSafetyProblem(n *topology.Network, p WANParams, r int, outside topol
 			inv.SetEdge(e, inRegionInv)
 		}
 	}
-	return &core.SafetyProblem{
-		Network: n,
-		Property: core.Property{
-			Loc:  core.AtRouter(outside),
-			Pred: outRegionInv,
-			Desc: fmt.Sprintf("reused IPs of region %d stay out of %s", r, outside),
-		},
+	family := &core.SafetyProblem{
+		Network:    n,
+		Property:   core.Property{Pred: outRegionInv},
 		Invariants: inv,
 		Ghosts:     []core.GhostDef{FromRegionGhost(n, r)},
+	}
+	return func(outside topology.NodeID) *core.SafetyProblem {
+		return family.At(core.AtRouter(outside), fmt.Sprintf("reused IPs of region %d stay out of %s", r, outside))
 	}
 }
 
@@ -235,25 +244,33 @@ func IPReuseLivenessProblem(n *topology.Network, p WANParams, r int) *core.Liven
 
 	// No-interference invariants: at region-r routers, any reused-prefix
 	// route is a properly tagged region-r route; elsewhere reused routes
-	// carry their own region's tag (edge routers accept none).
+	// carry their own region's tag (edge routers accept none). Another
+	// region's reused routes carry exactly its own tag; a weaker "has C_rr"
+	// invariant would admit doubly-tagged routes that region r's import
+	// filters could not tell apart. Each predicate is built once, and shared
+	// by every location it holds at.
+	inRegion, noReused := spec.Implies(reused, good), spec.Not(reused)
+	others := make(map[int]spec.Pred)
+	taggedBy := func(rr int) spec.Pred {
+		if others[rr] == nil {
+			others[rr] = spec.Implies(reused, spec.OnlyCommunityAmong(regionals, RegionComm(rr)))
+		}
+		return others[rr]
+	}
 	interference := core.NewInvariants(spec.Implies(reused, spec.HasAnyCommunity(regionals...)))
 	region := regionName(r)
 	for _, id := range n.RoutersByRegion(region) {
-		interference.SetRouter(id, spec.Implies(reused, good))
+		interference.SetRouter(id, inRegion)
 	}
 	for _, id := range n.RoutersByRole("edge") {
-		interference.SetRouter(id, spec.Not(reused))
+		interference.SetRouter(id, noReused)
 	}
 	for rr := 0; rr < p.Regions; rr++ {
 		if rr == r {
 			continue
 		}
-		// Other regions' reused routes carry exactly their own tag; a
-		// weaker "has C_rr" invariant would admit doubly-tagged routes
-		// that region r's import filters could not tell apart.
-		other := spec.Implies(reused, spec.OnlyCommunityAmong(regionals, RegionComm(rr)))
 		for _, id := range n.RoutersByRegion(regionName(rr)) {
-			interference.SetRouter(id, other)
+			interference.SetRouter(id, taggedBy(rr))
 		}
 	}
 	// Edge locations inherit the sending router's invariant.
@@ -264,12 +281,11 @@ func IPReuseLivenessProblem(n *topology.Network, p WANParams, r int) *core.Liven
 		sender := n.Node(e.From)
 		switch {
 		case sender.Region == region:
-			interference.SetEdge(e, spec.Implies(reused, good))
+			interference.SetEdge(e, inRegion)
 		case sender.Role == "edge":
-			interference.SetEdge(e, spec.Not(reused))
+			interference.SetEdge(e, noReused)
 		default:
-			interference.SetEdge(e, spec.Implies(reused,
-				spec.OnlyCommunityAmong(regionals, RegionComm(regionIndex(sender.Region)))))
+			interference.SetEdge(e, taggedBy(regionIndex(sender.Region)))
 		}
 	}
 
