@@ -104,9 +104,10 @@
 //	POST /v2/sessions/{id}/update
 //	    Body: {"network": <plan network source>}. Diffs the new network
 //	    against the pinned state and re-solves only dirtied checks. A
-//	    network that fingerprints like the pinned state (a comment-only
-//	    config edit) republishes the pinned verdicts ("unchanged": true)
-//	    unless the pinned run left checks undecided.
+//	    network with an empty diff (a comment-only config edit) finds every
+//	    verdict retained, solves nothing and answers "unchanged": true;
+//	    checks the pinned run left undecided are never retained, so they
+//	    re-solve.
 //
 //	POST /v2/sessions/{id}/migrate
 //	    Body: {"steps": [...], "unordered": bool, "search_budget": N} — a
@@ -1546,7 +1547,8 @@ func (sess *session) worker() {
 
 // withoutReports returns a copy of res without its problems' reports: no
 // response encodes them, and a session records every run for its life. res
-// itself may be the verifier's last run, which an unchanged update reuses.
+// itself is left as it is, for whoever else still reads it (a migration's
+// events encode its baseline).
 func withoutReports(res *delta.Result) *delta.Result {
 	if res == nil {
 		return nil

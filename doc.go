@@ -186,7 +186,9 @@
 // failure or an Unknown, and its implication check; every other edge is
 // folded from the index, so an update costs the edit, not the network.
 // Liveness problems, results=all sessions and any other change enumerate
-// in full. Surfaces: `lightyear -diff old.cfg` for incremental
+// in full. An edit that changes nothing (a comment-only config) diffs
+// empty, has every check served, and the update reports unchanged.
+// Surfaces: `lightyear -diff old.cfg` for incremental
 // CLI runs, the lyserve session API (POST /v2/sessions, POST
 // /v2/sessions/{id}/update, GET /v2/sessions/{id}), examples/incremental,
 // and the repository benchmark's delta-cli workload.
@@ -199,9 +201,9 @@
 // (netgen.MutationSpec: insert/remove an import or export clause, tighten a
 // router's peer imports) — verifying every intermediate state as a dirty-
 // subset delta re-solve on one delta.Verifier. A step whose parsed network
-// fingerprints like the pinned state (a comment-only config, say) reuses
-// its verdicts without solving, unless the pinned run left checks
-// undecided; a violating step stops the walk and reports its index,
+// diffs empty from the pinned state (a comment-only config, say) is served
+// every verdict and solves nothing, unless the pinned run left checks
+// undecided, which re-solve; a violating step stops the walk and reports its index,
 // failing checks, and witnesses. For an unordered change set
 // ("unordered": true) migrate.Run searches for a safe order instead:
 // depth-first over permutations, pruning interchangeable orders of
@@ -266,7 +268,9 @@
 // lightyear_checks_solved_total{backend,status}, lightyear_solve_seconds
 // and lightyear_queue_wait_seconds histograms,
 // lightyear_admission_rejections_total{tenant,reason}, cache and store
-// series, and inflight/queue-depth gauges.
+// series, and inflight/queue-depth gauges. A histogram exposes its buckets,
+// count and sum only: the process computes no quantile, since one
+// interpolated inside a bucket reads like a measurement it is not.
 //
 // A trace follows one workload through the pipeline as a span tree —
 // compile, admit, then one problem span per verification problem with

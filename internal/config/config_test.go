@@ -185,29 +185,31 @@ import X -> A map m
 	}
 }
 
+// badConfigs are inputs Parse must refuse; FuzzParse seeds from them too.
+var badConfigs = []struct {
+	name, src string
+}{
+	{"unknown statement", `frobnicate A B`},
+	{"unterminated block", `node A { as 1`},
+	{"bad community", `node A { as 1 } external X { as 2 } peering A X community-list c { 99 }`},
+	{"undefined prefix-list", `node A { as 1 } route-map m { term 1 permit { match prefix-list nope } }`},
+	{"undefined route-map", `node A { as 1 } external X { as 2 } peering A X import X -> A map nope`},
+	{"bind without peering", `node A { as 1 } node B { as 1 } external X { as 2 } peering A X route-map m { } import B -> A map m`},
+	{"duplicate node", `node A { as 1 } node A { as 1 }`},
+	{"duplicate route-map", `route-map m { } route-map m { }`},
+	{"peering unknown node", `node A { as 1 } peering A B`},
+	{"bad verdict", `route-map m { term 1 maybe { } }`},
+	{"bad default", `route-map m { default maybe }`},
+	{"region on external", `external X { as 1 region west }`},
+	{"bad ge window", `prefix-list p { 10.0.0.0/16 ge 8 }`},
+	{"plen out of range", `route-map m { term 1 permit { match plen <= 60 } }`},
+	{"origination without peering", `node A { as 1 } node B { as 1 } originate A -> B route 10.0.0.0/8`},
+	{"bad char", "node A \x01"},
+	{"external-external peering", `external X { as 1 } external Y { as 2 } peering X Y`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"unknown statement", `frobnicate A B`},
-		{"unterminated block", `node A { as 1`},
-		{"bad community", `node A { as 1 } external X { as 2 } peering A X community-list c { 99 }`},
-		{"undefined prefix-list", `node A { as 1 } route-map m { term 1 permit { match prefix-list nope } }`},
-		{"undefined route-map", `node A { as 1 } external X { as 2 } peering A X import X -> A map nope`},
-		{"bind without peering", `node A { as 1 } node B { as 1 } external X { as 2 } peering A X route-map m { } import B -> A map m`},
-		{"duplicate node", `node A { as 1 } node A { as 1 }`},
-		{"duplicate route-map", `route-map m { } route-map m { }`},
-		{"peering unknown node", `node A { as 1 } peering A B`},
-		{"bad verdict", `route-map m { term 1 maybe { } }`},
-		{"bad default", `route-map m { default maybe }`},
-		{"region on external", `external X { as 1 region west }`},
-		{"bad ge window", `prefix-list p { 10.0.0.0/16 ge 8 }`},
-		{"plen out of range", `route-map m { term 1 permit { match plen <= 60 } }`},
-		{"origination without peering", `node A { as 1 } node B { as 1 } originate A -> B route 10.0.0.0/8`},
-		{"bad char", "node A \x01"},
-		{"external-external peering", `external X { as 1 } external Y { as 2 } peering X Y`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badConfigs {
 		if _, err := config.Parse(tc.src); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}

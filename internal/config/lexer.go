@@ -75,9 +75,11 @@ func (t token) String() string {
 
 // lex tokenizes the input. Atoms are maximal runs of letters, digits, and
 // the punctuation used inside names, prefixes, and communities (. / : _ -).
-// A "-" beginning "->" is the arrow token.
+// A "-" beginning "->" is the arrow token. The slice is sized for a token
+// per 5 bytes of source, more than generated configurations hold (one per
+// 5.7 to 7.1 bytes), so it is allocated once rather than grown by doubling.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/5+1)
 	line := 1
 	i := 0
 	n := len(src)

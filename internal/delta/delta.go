@@ -15,7 +15,9 @@
 // and files every check of the new state by its semantic key: a check whose
 // key has a retained result is served without touching the engine — equal
 // keys decide the same formula — and the rest is the dirty subset. Result
-// reports {changed routers, dirty checks, reused results, solved}.
+// reports {changed routers, dirty checks, reused results, solved}. An edit
+// that changes nothing, such as a comment-only config edit, diffs empty and
+// has every check served; its result says Unchanged.
 //
 // Every run — Baseline, Update, and the one-shot Run that internal/plan
 // executes a plan with — walks its problems in order, generating and
@@ -114,10 +116,11 @@ type Result struct {
 	Unknown       int  `json:"unknown,omitempty"`  // undecided checks (budget exhausted)
 	OK            bool `json:"ok"`
 
-	// Unchanged marks the semantic no-op fast path: the update's network
-	// fingerprints identically to the pinned state (e.g. a comment-only
-	// config edit), so the previous run's verdicts were republished
-	// without regenerating or re-solving a single check.
+	// Unchanged marks an update that changed nothing: its network diffs
+	// empty from the pinned state (e.g. a comment-only config edit) and
+	// every check was served from retained results, none submitted. After
+	// a run with undecided checks an update is not unchanged: Unknowns are
+	// never retained, so they re-solve as dirty.
 	Unchanged bool `json:"unchanged,omitempty"`
 
 	ElapsedNanos int64            `json:"elapsed_ns"`
@@ -192,7 +195,6 @@ type Verifier struct {
 	fingerprint string
 	results     map[string]*kept
 	index       map[spec.Fingerprint]*frameIndex // per edge frame
-	last        *Result                          // last completed run, for the unchanged fast path
 	served      int                              // problems the last run served from an index
 
 	full  bool  // never serve from an index (the reference tests compare with)
@@ -295,8 +297,9 @@ func (v *Verifier) Baseline(n *topology.Network) (*Result, error) {
 }
 
 // Update verifies n incrementally against the pinned state: only checks
-// whose semantic key has no retained result are re-solved. On return n is
-// the pinned state. Update before Baseline is an error.
+// whose semantic key has no retained result are re-solved; an update whose
+// diff is empty and that re-solves nothing reports Result.Unchanged. On
+// return n is the pinned state. Update before Baseline is an error.
 func (v *Verifier) Update(n *topology.Network) (*Result, error) {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
@@ -324,10 +327,6 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]*kept,
 	if !baseline {
 		res.Diff = topology.DiffNetworks(prev, n)
 		res.ChangedRouters = changedRouters(res.Diff, prev, n)
-		if r, ok := v.unchangedResult(res, prev); ok {
-			r.ElapsedNanos = time.Since(start).Nanoseconds()
-			return r, nil
-		}
 	}
 
 	problems := v.source.Problems(n)
@@ -356,13 +355,13 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]*kept,
 	}
 	defer release()
 	r.stream(problems, prepared)
+	res.Unchanged = !baseline && res.Diff.Empty() && res.DirtyChecks == 0
 
 	v.mu.Lock()
 	v.results = r.retained
 	v.index, v.served = r.index, r.served
 	v.network = n
 	v.fingerprint = res.Fingerprint
-	v.last = res
 	v.mu.Unlock()
 	res.ElapsedNanos = time.Since(start).Nanoseconds()
 	return res, nil
@@ -382,54 +381,6 @@ func changedPositions(d *topology.NetworkDiff, n *topology.Network) ([]int, bool
 		}
 	}
 	return pos, len(pos) == len(d.ChangedEdges)
-}
-
-// unchangedResult implements the semantic no-op fast path for Update: when
-// the new network fingerprints identically to the pinned state — a
-// comment-only or whitespace-only config edit parses to the very same
-// network — the previous run's verdicts still hold verbatim, so they are
-// republished without regenerating checks, reserving quota, or touching
-// the engine. res must already carry the new fingerprint and (empty) diff.
-// The path is skipped while the last run has undecided checks: Unknown is
-// not a verdict, and an update is the caller's chance to re-solve it.
-func (v *Verifier) unchangedResult(res *Result, prev *topology.Network) (*Result, bool) {
-	if res.Fingerprint != prev.Fingerprint() || !res.Diff.Empty() {
-		return nil, false
-	}
-	v.mu.Lock()
-	last := v.last
-	v.mu.Unlock()
-	if last == nil || last.Unknown > 0 {
-		return nil, false
-	}
-	// A no-op update is still a run charged to the session's tenant: the
-	// zero-cost reservation keeps per-tenant admission accounting (and
-	// quota rejections) identical to the slow path's empty dirty set. On
-	// admission error, fall through — the slow path reserves the same cost
-	// and surfaces the same error. Under an external reservation the whole
-	// workload is already admitted, so there is nothing to charge.
-	if v.resv == nil {
-		resv, err := v.eng.Reserve(v.workload.Tenant, 0)
-		if err != nil {
-			return nil, false
-		}
-		resv.Release()
-	}
-	res.Unchanged = true
-	res.OK = last.OK
-	res.Failures = last.Failures
-	res.TotalChecks = last.TotalChecks
-	res.ReusedResults = last.TotalChecks
-	res.Problems = make([]ProblemOutcome, len(last.Problems))
-	copy(res.Problems, last.Problems)
-	for i := range res.Problems {
-		res.Problems[i].Dirty = 0
-		res.Problems[i].Reused = res.Problems[i].Checks
-	}
-	v.mu.Lock()
-	v.last = res
-	v.mu.Unlock()
-	return res, true
 }
 
 // changedRouters filters the diff's touched nodes to configured routers of

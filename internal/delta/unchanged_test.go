@@ -121,3 +121,62 @@ func TestCommentOnlyEditIsNoOp(t *testing.T) {
 		t.Fatalf("planted bug went undetected: %s", res2)
 	}
 }
+
+// TestCommentOnlyEditOfFailingFailuresOnlySession pins the failures-only
+// path (the default of every plan surface) on Figure 1 with the §2.1 bug:
+// a comment- and whitespace-only edit goes through the one update path,
+// which folds every passing edge from the frame index and regenerates the
+// failing edges and the implication check, so it must report the same
+// failures, word for word, without solving anything.
+func TestCommentOnlyEditOfFailingFailuresOnlySession(t *testing.T) {
+	suite, ok := netgen.Lookup("fig1-no-transit")
+	if !ok {
+		t.Fatal("fig1-no-transit suite not registered")
+	}
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	v := delta.NewVerifier(eng, suite, netgen.SuiteParams{})
+	v.SetWorkload(engine.Workload{SubmitOptions: engine.SubmitOptions{Results: engine.ResultsFailures}})
+
+	buggy := strings.Replace(fig1Cfg, "set community add 100:1", "", 1)
+	base, err := v.Baseline(config.MustParse(buggy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.OK || base.Failures == 0 {
+		t.Fatalf("baseline of the buggy network holds: %s", base)
+	}
+
+	edited := "# audit note\n" + strings.ReplaceAll(buggy, "peering R1 R2", "peering   R1 R2   # reviewed") + "\n# trailing\n"
+	res, err := v.Update(config.MustParse(edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Unchanged || res.DirtyChecks != 0 || res.Solved != 0 {
+		t.Fatalf("comment-only edit was not a no-op: unchanged=%v %s", res.Unchanged, res)
+	}
+	if res.OK || res.Failures != base.Failures || res.TotalChecks != base.TotalChecks || res.ReusedResults != base.TotalChecks {
+		t.Fatalf("update %s (failures %d) differs from baseline %s (failures %d)", res, res.Failures, base, base.Failures)
+	}
+	if got, want := failingDescs(t, res), failingDescs(t, base); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("failing checks differ:\nupdate:\n%s\nbaseline:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// failingDescs lists each problem's failing checks as "problem: desc".
+func failingDescs(t *testing.T, res *delta.Result) []string {
+	t.Helper()
+	var out []string
+	for _, p := range res.Problems {
+		if p.Report == nil {
+			t.Fatalf("%s has no report", p.Name)
+		}
+		for _, f := range p.Report.Failures() {
+			out = append(out, p.Name+": "+f.Desc.String())
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no failing checks")
+	}
+	return out
+}

@@ -14,6 +14,7 @@ package policy
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lightyear/internal/routemodel"
@@ -265,24 +266,29 @@ func (m *RouteMap) String() string {
 		return "<permit-all>"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "route-map %s", m.Name)
+	b.WriteString("route-map ")
+	b.WriteString(m.Name)
 	if m.DefaultPermit {
 		b.WriteString(" default-permit")
 	}
-	b.WriteString("\n")
 	for i := range m.Clauses {
 		c := &m.Clauses[i]
-		verdict := "deny"
+		b.WriteString("\n  term ")
+		b.WriteString(strconv.Itoa(c.Seq))
 		if c.Permit {
-			verdict = "permit"
+			b.WriteString(" permit")
+		} else {
+			b.WriteString(" deny")
 		}
-		fmt.Fprintf(&b, "  term %d %s\n", c.Seq, verdict)
 		for _, p := range c.Matches {
-			fmt.Fprintf(&b, "    match %s\n", p)
+			b.WriteString("\n    match ")
+			b.WriteString(p.String())
 		}
 		for _, a := range c.Actions {
-			fmt.Fprintf(&b, "    %s\n", a)
+			b.WriteString("\n    ")
+			b.WriteString(a.String())
 		}
 	}
+	b.WriteString("\n")
 	return b.String()
 }

@@ -356,8 +356,8 @@ func TestEncodeAcceptanceFormula(t *testing.T) {
 	u := testUniverse()
 	sr := spec.NewSymRoute(ctx, "r", u)
 	_, acc := m.Encode(sr)
-	// acc xor not(has 100:1) must be unsat.
-	diff := ctx.Xor(acc, ctx.Not(sr.CommTerm(c100_1)))
+	// acc and not(has 100:1) differ nowhere: their disagreement is unsat.
+	diff := ctx.Not(ctx.Iff(acc, ctx.Not(sr.CommTerm(c100_1))))
 	if res := smt.Solve(ctx, diff); res.Status != smt.Unsat {
 		t.Fatalf("acceptance formula not equivalent: %v", res.Status)
 	}

@@ -223,8 +223,6 @@ func (s *Solver) lowerBool(t *Term) sat.Lit {
 			lits[i] = s.lowerBool(k)
 		}
 		l = s.orGate(lits)
-	case OpXor:
-		l = s.xorGate(s.lowerBool(t.kids[0]), s.lowerBool(t.kids[1]))
 	case OpImplies:
 		l = s.orGate([]sat.Lit{s.lowerBool(t.kids[0]).Not(), s.lowerBool(t.kids[1])})
 	case OpIff:
@@ -276,36 +274,8 @@ func (s *Solver) lowerBV(t *Term) []sat.Lit {
 			}
 			s.bvVars[t.name] = bits
 		}
-	case OpBVNot:
-		a := s.lowerBV(t.kids[0])
-		bits = make([]sat.Lit, len(a))
-		for i := range a {
-			bits[i] = a[i].Not()
-		}
-	case OpBVAnd, OpBVOr, OpBVXor:
-		a := s.lowerBV(t.kids[0])
-		b := s.lowerBV(t.kids[1])
-		bits = make([]sat.Lit, len(a))
-		for i := range a {
-			switch t.op {
-			case OpBVAnd:
-				bits[i] = s.andGate([]sat.Lit{a[i], b[i]})
-			case OpBVOr:
-				bits[i] = s.orGate([]sat.Lit{a[i], b[i]})
-			default:
-				bits[i] = s.xorGate(a[i], b[i])
-			}
-		}
 	case OpBVAdd:
-		bits = s.adder(s.lowerBV(t.kids[0]), s.lowerBV(t.kids[1]), false)
-	case OpBVSub:
-		// a - b = a + ~b + 1
-		b := s.lowerBV(t.kids[1])
-		nb := make([]sat.Lit, len(b))
-		for i := range b {
-			nb[i] = b[i].Not()
-		}
-		bits = s.adder(s.lowerBV(t.kids[0]), nb, true)
+		bits = s.adder(s.lowerBV(t.kids[0]), s.lowerBV(t.kids[1]))
 	case OpIteBV:
 		cond := s.lowerBool(t.kids[0])
 		a := s.lowerBV(t.kids[1])
@@ -317,10 +287,6 @@ func (s *Solver) lowerBV(t *Term) []sat.Lit {
 	case OpExtract:
 		a := s.lowerBV(t.kids[0])
 		bits = a[t.lo : t.lo+t.width]
-	case OpConcat:
-		hi := s.lowerBV(t.kids[0])
-		lo := s.lowerBV(t.kids[1])
-		bits = append(append([]sat.Lit{}, lo...), hi...)
 	default:
 		panic(fmt.Sprintf("smt: lowerBV: unexpected op %v", t.op))
 	}
@@ -424,13 +390,10 @@ func (s *Solver) muxGate(c, a, b sat.Lit) sat.Lit {
 	return g
 }
 
-// adder returns bits of a + b (+1 if carryIn), modular.
-func (s *Solver) adder(a, b []sat.Lit, carryIn bool) []sat.Lit {
+// adder returns bits of a + b, modular.
+func (s *Solver) adder(a, b []sat.Lit) []sat.Lit {
 	out := make([]sat.Lit, len(a))
 	carry := s.tt.Not()
-	if carryIn {
-		carry = s.tt
-	}
 	for i := range a {
 		axb := s.xorGate(a[i], b[i])
 		out[i] = s.xorGate(axb, carry)
@@ -488,8 +451,6 @@ func Eval(t *Term, m *Model) uint64 {
 			}
 		}
 		return 0
-	case OpXor:
-		return Eval(t.kids[0], m) ^ Eval(t.kids[1], m)
 	case OpImplies:
 		if Eval(t.kids[0], m) == 0 {
 			return 1
@@ -520,22 +481,10 @@ func Eval(t *Term, m *Model) uint64 {
 			return 1
 		}
 		return 0
-	case OpBVNot:
-		return mask(^Eval(t.kids[0], m), t.width)
-	case OpBVAnd:
-		return Eval(t.kids[0], m) & Eval(t.kids[1], m)
-	case OpBVOr:
-		return Eval(t.kids[0], m) | Eval(t.kids[1], m)
-	case OpBVXor:
-		return Eval(t.kids[0], m) ^ Eval(t.kids[1], m)
 	case OpBVAdd:
 		return mask(Eval(t.kids[0], m)+Eval(t.kids[1], m), t.width)
-	case OpBVSub:
-		return mask(Eval(t.kids[0], m)-Eval(t.kids[1], m), t.width)
 	case OpExtract:
 		return mask(Eval(t.kids[0], m)>>uint(t.lo), t.width)
-	case OpConcat:
-		return Eval(t.kids[0], m)<<uint(t.kids[1].width) | Eval(t.kids[1], m)
 	}
 	panic(fmt.Sprintf("smt: Eval: unexpected op %v", t.op))
 }

@@ -1,8 +1,12 @@
 // Package smt provides a quantifier-free SMT layer over the CDCL SAT core in
-// internal/smt/sat. It supports the boolean theory plus fixed-width
-// bitvectors (QF_BV), which is the fragment needed to encode BGP route-map
-// semantics: route attributes are bitvectors (prefix, length, local-pref,
-// MED, AS-path length) and booleans (community membership, ghost attributes).
+// internal/smt/sat. It supports the fragment of boolean and fixed-width
+// bitvector logic (QF_BV) that encoding BGP route-map semantics needs:
+// route attributes are bitvectors (prefix, length, local-pref, MED, AS-path
+// length) and booleans (community membership, ghost attributes). The
+// operators are exactly the ones the encodings build: boolean constants and
+// variables with Not, And, Or, Implies, Iff and Ite; bitvector constants and
+// variables with Add, Ite and Extract; and the predicates Eq, Ult and Ule,
+// with Ugt and Uge as sugar.
 //
 // Formulas are built through a Context, which hash-conses terms so that
 // structurally equal terms are pointer-equal, and applies light constant
@@ -27,22 +31,15 @@ const (
 	OpNot
 	OpAnd
 	OpOr
-	OpXor
 	OpImplies
 	OpIff
 	OpIteBool // ite(cond, thenBool, elseBool)
 
 	OpBVConst
 	OpBVVar
-	OpBVNot
-	OpBVAnd
-	OpBVOr
-	OpBVXor
 	OpBVAdd
-	OpBVSub
 	OpIteBV // ite(cond, thenBV, elseBV)
 	OpExtract
-	OpConcat
 
 	OpEq  // bitvector equality -> bool
 	OpUlt // unsigned less-than -> bool
@@ -61,8 +58,6 @@ func (o Op) String() string {
 		return "and"
 	case OpOr:
 		return "or"
-	case OpXor:
-		return "xor"
 	case OpImplies:
 		return "=>"
 	case OpIff:
@@ -73,22 +68,10 @@ func (o Op) String() string {
 		return "bvconst"
 	case OpBVVar:
 		return "bvvar"
-	case OpBVNot:
-		return "bvnot"
-	case OpBVAnd:
-		return "bvand"
-	case OpBVOr:
-		return "bvor"
-	case OpBVXor:
-		return "bvxor"
 	case OpBVAdd:
 		return "bvadd"
-	case OpBVSub:
-		return "bvsub"
 	case OpExtract:
 		return "extract"
-	case OpConcat:
-		return "concat"
 	case OpEq:
 		return "="
 	case OpUlt:
@@ -396,31 +379,6 @@ func contains(ts []*Term, t *Term) bool {
 	return false
 }
 
-// Xor returns exclusive-or of two boolean terms.
-func (c *Context) Xor(a, b *Term) *Term {
-	c.checkBool(a, "xor")
-	c.checkBool(b, "xor")
-	if a == b {
-		return c.ff
-	}
-	if a == c.ff {
-		return b
-	}
-	if b == c.ff {
-		return a
-	}
-	if a == c.tt {
-		return c.Not(b)
-	}
-	if b == c.tt {
-		return c.Not(a)
-	}
-	if a.id > b.id {
-		a, b = b, a
-	}
-	return c.intern(Term{op: OpXor, kids: []*Term{a, b}})
-}
-
 // Implies returns a => b.
 func (c *Context) Implies(a, b *Term) *Term {
 	c.checkBool(a, "implies")
@@ -560,80 +518,6 @@ func (c *Context) Add(a, b *Term) *Term {
 	return c.intern(Term{op: OpBVAdd, width: a.width, kids: []*Term{a, b}})
 }
 
-// Sub returns bitvector subtraction (modular).
-func (c *Context) Sub(a, b *Term) *Term {
-	c.checkBVPair(a, b, "bvsub")
-	if a.op == OpBVConst && b.op == OpBVConst {
-		return c.BV(a.cval-b.cval, a.width)
-	}
-	if b.op == OpBVConst && b.cval == 0 {
-		return a
-	}
-	if a == b {
-		return c.BV(0, a.width)
-	}
-	return c.intern(Term{op: OpBVSub, width: a.width, kids: []*Term{a, b}})
-}
-
-// BVNot returns bitwise complement.
-func (c *Context) BVNot(a *Term) *Term {
-	if a.IsBool() {
-		panic("smt: bvnot requires a bitvector")
-	}
-	if a.op == OpBVConst {
-		return c.BV(^a.cval, a.width)
-	}
-	if a.op == OpBVNot {
-		return a.kids[0]
-	}
-	return c.intern(Term{op: OpBVNot, width: a.width, kids: []*Term{a}})
-}
-
-// BVAnd returns bitwise and.
-func (c *Context) BVAnd(a, b *Term) *Term {
-	c.checkBVPair(a, b, "bvand")
-	if a.op == OpBVConst && b.op == OpBVConst {
-		return c.BV(a.cval&b.cval, a.width)
-	}
-	if a == b {
-		return a
-	}
-	if a.id > b.id {
-		a, b = b, a
-	}
-	return c.intern(Term{op: OpBVAnd, width: a.width, kids: []*Term{a, b}})
-}
-
-// BVOr returns bitwise or.
-func (c *Context) BVOr(a, b *Term) *Term {
-	c.checkBVPair(a, b, "bvor")
-	if a.op == OpBVConst && b.op == OpBVConst {
-		return c.BV(a.cval|b.cval, a.width)
-	}
-	if a == b {
-		return a
-	}
-	if a.id > b.id {
-		a, b = b, a
-	}
-	return c.intern(Term{op: OpBVOr, width: a.width, kids: []*Term{a, b}})
-}
-
-// BVXor returns bitwise xor.
-func (c *Context) BVXor(a, b *Term) *Term {
-	c.checkBVPair(a, b, "bvxor")
-	if a.op == OpBVConst && b.op == OpBVConst {
-		return c.BV(a.cval^b.cval, a.width)
-	}
-	if a == b {
-		return c.BV(0, a.width)
-	}
-	if a.id > b.id {
-		a, b = b, a
-	}
-	return c.intern(Term{op: OpBVXor, width: a.width, kids: []*Term{a, b}})
-}
-
 // Extract returns bits [lo+width-1 : lo] of a bitvector.
 func (c *Context) Extract(a *Term, lo, width int) *Term {
 	if a.IsBool() {
@@ -649,19 +533,4 @@ func (c *Context) Extract(a *Term, lo, width int) *Term {
 		return c.BV(a.cval>>uint(lo), width)
 	}
 	return c.intern(Term{op: OpExtract, width: width, lo: lo, kids: []*Term{a}})
-}
-
-// Concat returns the concatenation hi ++ lo (hi in the upper bits).
-func (c *Context) Concat(hi, lo *Term) *Term {
-	if hi.IsBool() || lo.IsBool() {
-		panic("smt: concat requires bitvectors")
-	}
-	w := hi.width + lo.width
-	if w > 64 {
-		panic("smt: concat exceeds 64 bits")
-	}
-	if hi.op == OpBVConst && lo.op == OpBVConst {
-		return c.BV(hi.cval<<uint(lo.width)|lo.cval, w)
-	}
-	return c.intern(Term{op: OpConcat, width: w, kids: []*Term{hi, lo}})
 }

@@ -3,13 +3,12 @@ package telemetry
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // TimeBuckets is the default latency bucket ladder, in seconds: roughly
 // exponential from 100µs to 60s. It brackets everything the engine times —
 // sub-millisecond cache probes, millisecond solves, and multi-second
-// portfolio escalations — with enough resolution for p50/p99 estimates.
+// portfolio escalations.
 var TimeBuckets = []float64{
 	0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005,
@@ -111,44 +110,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.s.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// inside the containing bucket, the same estimate Prometheus's
-// histogram_quantile computes. Observations beyond the last finite bound
-// clamp to that bound. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.s.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	lower := 0.0
-	for i := range h.s.bucketCounts {
-		n := h.s.bucketCounts[i].Load()
-		if n > 0 && float64(cum+n) >= rank {
-			upper := h.buckets[i]
-			within := (rank - float64(cum)) / float64(n)
-			if within < 0 {
-				within = 0
-			}
-			return lower + (upper-lower)*within
-		}
-		cum += n
-		lower = h.buckets[i]
-	}
-	// Rank falls in +Inf: clamp to the last finite bound.
-	return h.buckets[len(h.buckets)-1]
-}
-
-// Quantile aggregates every series in the family into one quantile
-// estimate — one p99 for a histogram partitioned by backend.
-func (hv *HistogramVec) Quantile(q float64) float64 {
-	return hv.merged().Quantile(q)
-}
-
 // Count returns the total observations across all series in the family.
 func (hv *HistogramVec) Count() uint64 {
 	if hv == nil {
@@ -175,24 +136,4 @@ func (hv *HistogramVec) Sum() float64 {
 	}
 	hv.m.mu.RUnlock()
 	return total
-}
-
-// merged folds all series into one snapshot histogram for aggregate
-// quantiles. Returns nil (safe: every Histogram method tolerates a nil
-// receiver) when the vec is nil.
-func (hv *HistogramVec) merged() *Histogram {
-	if hv == nil {
-		return nil
-	}
-	s := &series{bucketCounts: make([]atomic.Uint64, len(hv.m.buckets))}
-	hv.m.mu.RLock()
-	for _, src := range hv.m.series {
-		for i := range src.bucketCounts {
-			s.bucketCounts[i].Add(src.bucketCounts[i].Load())
-		}
-		s.infCount.Add(src.infCount.Load())
-		s.count.Add(src.count.Load())
-	}
-	hv.m.mu.RUnlock()
-	return &Histogram{s: s, buckets: hv.m.buckets}
 }

@@ -85,36 +85,6 @@ func TestHistogramCumulativeExposition(t *testing.T) {
 	}
 }
 
-func TestQuantileInterpolation(t *testing.T) {
-	r := New(0)
-	h := r.Histogram("q_seconds", "help", []float64{1, 2, 4}).With()
-	// 10 observations in (1, 2].
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	// Median rank 5 of 10 falls halfway through the (1,2] bucket.
-	if got := h.Quantile(0.5); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("p50 = %v, want 1.5", got)
-	}
-	// All mass in one bucket: p99 interpolates near the top of it.
-	if got := h.Quantile(0.99); got < 1.8 || got > 2.0 {
-		t.Errorf("p99 = %v, want in (1.8, 2.0]", got)
-	}
-	// Overflow clamps to the last finite bound.
-	h.Observe(100)
-	h.Observe(100)
-	h.Observe(100)
-	h.Observe(100)
-	h.Observe(100)
-	if got := h.Quantile(0.99); got != 4 {
-		t.Errorf("p99 with +Inf mass = %v, want clamp to 4", got)
-	}
-	var empty *Histogram
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("nil histogram quantile = %v, want 0", got)
-	}
-}
-
 func TestGaugeFunc(t *testing.T) {
 	r := New(0)
 	val := 7.5
@@ -178,7 +148,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	hv := r.Histogram("y_seconds", "h", nil)
 	hv.With().Observe(1)
-	if hv.Quantile(0.5) != 0 || hv.Count() != 0 || hv.Sum() != 0 {
+	if hv.Count() != 0 || hv.Sum() != 0 {
 		t.Error("nil histogram not zero")
 	}
 	r.GaugeFunc("g", "h", nil, func() []Sample { return nil })
@@ -313,7 +283,7 @@ func TestConcurrentRecorder(t *testing.T) {
 					_ = r.WriteMetrics(&strings.Builder{})
 					_ = r.Traces(4)
 					_, _ = r.Trace(tr.ID())
-					_ = hv.Quantile(0.99)
+					_ = hv.Sum()
 				}
 			}
 		}(w)
